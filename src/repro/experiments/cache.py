@@ -151,8 +151,22 @@ def simulation_key(
         "warmup": warmup,
         "config": _canonical(dataclasses.asdict(config)),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_key(payload)
+
+
+def content_key(payload: dict, arrays: Iterable = ()) -> str:
+    """SHA-256 over a canonical JSON ``payload``, then each array's shape
+    and raw float64 bytes — the one digest behind every cache key."""
+    import numpy as np
+
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    for array in arrays:
+        array = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
+        digest.update(repr(array.shape).encode("utf-8"))
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def thermal_key(solver, die_power_grids) -> str:
@@ -163,22 +177,70 @@ def thermal_key(solver, die_power_grids) -> str:
     :meth:`repro.thermal.solver.ThermalSolver.result_key`) plus the raw
     bytes of every per-die power grid.
     """
-    import numpy as np
-
-    digest = hashlib.sha256()
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "thermal",
         "geometry": _canonical(solver.result_key()),
     }
-    digest.update(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
-    for grid in die_power_grids:
-        array = np.ascontiguousarray(np.asarray(grid, dtype=np.float64))
-        digest.update(repr(array.shape).encode("utf-8"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+    return content_key(payload, die_power_grids)
+
+
+def transient_key(solver, dt_s: float, duration_s: float,
+                  initial_k: Optional[float], schedule) -> Optional[str]:
+    """Content hash identifying one deterministic transient run, or
+    ``None`` when the run cannot be cached.
+
+    Covers the steady geometry
+    (:meth:`~repro.thermal.solver.ThermalSolver.result_key`), the
+    per-layer heat capacities, the integration window, the transient
+    model version, and the schedule's
+    :meth:`~repro.thermal.transient.PowerSchedule.cache_token`.  Plain
+    callables and schedules without a token yield ``None``.
+    """
+    from repro.thermal.transient import PowerSchedule, TRANSIENT_MODEL_VERSION
+
+    if not isinstance(schedule, PowerSchedule):
+        return None
+    token = schedule.cache_token()
+    if token is None:
+        return None
+    payload = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": "transient",
+        "transient": TRANSIENT_MODEL_VERSION,
+        "geometry": _canonical(solver.result_key()),
+        "capacities": [
+            layer.material.heat_capacity_j_m3k for layer in solver.stack.layers
+        ],
+        "dt_s": float(dt_s),
+        "duration_s": float(duration_s),
+        "initial_k": None if initial_k is None else float(initial_k),
+        "schedule": token,
+    }
+    return content_key(payload)
+
+
+def leakage_key(solver, dynamic_grids, leakage_grids, reference_k: float,
+                efold_k: float, max_iterations: int,
+                tolerance_k: float) -> str:
+    """Content hash identifying one leakage-temperature fixed point
+    (:func:`repro.thermal.feedback.solve_with_leakage_feedback`): the
+    result geometry, the loop parameters, and the raw bytes of the
+    dynamic and reference-leakage grids."""
+    from repro.thermal.feedback import FEEDBACK_MODEL_VERSION
+
+    payload = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": "leakage_feedback",
+        "feedback": FEEDBACK_MODEL_VERSION,
+        "geometry": _canonical(solver.result_key()),
+        "dies": len(dynamic_grids),
+        "reference_k": float(reference_k),
+        "efold_k": float(efold_k),
+        "max_iterations": int(max_iterations),
+        "tolerance_k": float(tolerance_k),
+    }
+    return content_key(payload, [*dynamic_grids, *leakage_grids])
 
 
 def interval_trace_key(
@@ -206,8 +268,7 @@ def interval_trace_key(
         "core_count": core_count,
         "geometry": _canonical(solver.result_key()),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -1179,8 +1240,7 @@ def trace_store_key(workload_fingerprint: str) -> str:
         "trace_schema": TRACE_SCHEMA_VERSION,
         "workload": workload_fingerprint,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 class TraceStore:

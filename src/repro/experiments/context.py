@@ -37,6 +37,7 @@ from repro.experiments.cache import (
     simulation_key,
     thermal_key,
     trace_store_key,
+    transient_key,
 )
 from repro.floorplan import Floorplan, planar_floorplan, stacked_floorplan
 from repro.isa.compiled import CompiledTrace
@@ -198,8 +199,10 @@ class ContextStats:
     thermal_worker_groups: int = 0
     #: SuperLU factorizations performed inside thermal workers
     thermal_worker_factorizations: int = 0
-    #: transient runs dispatched through :meth:`transient_many`
+    #: transient runs stepped by :meth:`transient_many`
     transient_runs: int = 0
+    #: transient runs served from the on-disk cache
+    transient_disk_hits: int = 0
     #: step-matrix groups dispatched by the transient engine
     transient_groups: int = 0
     #: step-matrix groups stepped in pool workers (vs inline)
@@ -213,6 +216,8 @@ class ContextStats:
     intervals_extracted: int = 0
     #: interval power traces served from the on-disk cache
     interval_disk_hits: int = 0
+    #: leakage-temperature fixed points served from the on-disk cache
+    leakage_disk_hits: int = 0
     #: accumulated wall-clock per pipeline stage (e.g. simulate, thermal)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: robustness incidents, in order ({"event": ..., **detail})
@@ -279,12 +284,14 @@ class ContextStats:
             "thermal_worker_groups": self.thermal_worker_groups,
             "thermal_worker_factorizations": self.thermal_worker_factorizations,
             "transient_runs": self.transient_runs,
+            "transient_disk_hits": self.transient_disk_hits,
             "transient_groups": self.transient_groups,
             "transient_worker_groups": self.transient_worker_groups,
             "transient_steps": self.transient_steps,
             "transient_worker_factorizations": self.transient_worker_factorizations,
             "intervals_extracted": self.intervals_extracted,
             "interval_disk_hits": self.interval_disk_hits,
+            "leakage_disk_hits": self.leakage_disk_hits,
             # Process-wide factorization-LRU snapshot (parent process
             # only; worker-side factorizations are accumulated above).
             "factorizations": FACTORIZATION_STATS.factorizations,
@@ -1506,10 +1513,16 @@ class ExperimentContext:
     ) -> List[Tuple[TransientResult, Dict[str, float]]]:
         """The transient co-simulation engine: many interval runs at once.
 
-        Requests are grouped by step-matrix key — ``(geometry, heat
-        capacities, dt)`` plus the shared integration window — and every
-        group steps its runs in lock-step through one factorization with
-        an ``(n, K)`` right-hand-side matrix
+        Runs whose schedule supplies a
+        :meth:`~repro.thermal.transient.PowerSchedule.cache_token` are
+        content-addressed (:func:`~repro.experiments.cache.transient_key`):
+        each is loaded from the on-disk cache first, and each miss is
+        stored after it runs, so a fully warm call builds no transient
+        solver and factorizes nothing.  The misses are grouped by
+        step-matrix key — ``(geometry, heat capacities, dt)`` plus the
+        shared integration window — and every group steps its runs in
+        lock-step through one factorization with an ``(n, K)``
+        right-hand-side matrix
         (:meth:`~repro.thermal.transient.TransientThermalSolver.run_many`).
         Groups are fanned out across the worker pool exactly like
         :meth:`solve_thermal_groups` (the factorization never crosses a
@@ -1522,34 +1535,47 @@ class ExperimentContext:
         travel back explicitly).
         """
         requests = list(requests)
-        if not requests:
-            return []
+        out: List[Optional[Tuple[TransientResult, Dict[str, float]]]] = (
+            [None] * len(requests)
+        )
+        keys: Dict[int, str] = {}
         groups: Dict[Tuple, dict] = {}
         order: List[dict] = []
         for i, req in enumerate(requests):
             solver = self.solver(req.stack)
-            key = (step_matrix_key(solver, req.dt_s),
-                   req.duration_s, req.initial_k)
-            group = groups.get(key)
+            if self.cache is not None:
+                key = transient_key(solver, req.dt_s, req.duration_s,
+                                    req.initial_k, req.schedule)
+                if key is not None:
+                    cached = self.cache.load(key, tuple)
+                    if cached is not None:
+                        self.stats.transient_disk_hits += 1
+                        out[i] = cached
+                        continue
+                    keys[i] = key
+            group_key = (step_matrix_key(solver, req.dt_s),
+                         req.duration_s, req.initial_k)
+            group = groups.get(group_key)
             if group is None:
                 group = {"solver": solver, "req": req,
                          "indices": [], "schedules": []}
-                groups[key] = group
+                groups[group_key] = group
                 order.append(group)
             group["indices"].append(i)
             group["schedules"].append(req.schedule)
-        self.stats.transient_runs += len(requests)
+        if not order:
+            return out
+        self.stats.transient_runs += sum(len(g["indices"]) for g in order)
         start = time.perf_counter()
         try:
             solved = self._dispatch_transient(order)
         finally:
             self.stats.add_stage("transient", time.perf_counter() - start)
-        out: List[Optional[Tuple[TransientResult, Dict[str, float]]]] = (
-            [None] * len(requests)
-        )
         for group, (results, sched_stats) in zip(order, solved):
             for i, result, stats in zip(group["indices"], results, sched_stats):
                 out[i] = (result, stats)
+                if i in keys:
+                    self.cache.store(keys[i], out[i])
         return out
 
     def _run_transient_group(

@@ -44,7 +44,7 @@ import numpy as np
 from repro.cpu.pipeline import TimingSimulator
 from repro.cpu.predecode import predecode
 from repro.cpu.wavefront import IntervalCapture, build_interval_series
-from repro.experiments.cache import interval_trace_key
+from repro.experiments.cache import content_key, interval_trace_key
 from repro.experiments.context import (
     CONFIG_STACKS,
     CORE_COUNT,
@@ -225,6 +225,24 @@ class IntervalPowerSchedule(PowerSchedule):
                 # between the free-running and throttled schedules.
                 return [g * self.throttle_factor for g in grids]
         return grids
+
+    def cache_token(self) -> str:
+        """Digest of the trace arrays, the governor parameters, and the
+        governor state a run starts from (a reused schedule resumes its
+        counters and hysteresis state)."""
+        payload = {
+            "kind": "interval_schedule",
+            "pass_s": self.pass_s,
+            "ceiling_k": self.ceiling_k,
+            "throttle_factor": self.throttle_factor,
+            "hysteresis_k": self.hysteresis_k,
+            "state": [self._engaged, self.steps_total, self.steps_throttled],
+            "intervals": len(self.trace.die_grids),
+        }
+        return content_key(payload, [
+            self.trace.time_ns,
+            *(grid for grids in self.trace.die_grids for grid in grids),
+        ])
 
     def stats(self) -> Dict[str, float]:
         out = {

@@ -12,13 +12,15 @@ headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-import numpy as np
-
+from repro.experiments.cache import leakage_key
 from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
 from repro.power.model import StackKind
 from repro.thermal.feedback import (
+    DEFAULT_EFOLD_K,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE_K,
     FeedbackResult,
     solve_with_leakage_feedback,
     uniform_leakage_grids,
@@ -56,6 +58,31 @@ class LeakageFeedbackResult:
         return "\n".join(lines)
 
 
+def _fixed_point(context, solver, dynamic_grids, leak_grids) -> FeedbackResult:
+    """One configuration's leakage fixed point, content-addressed in the
+    result cache as a whole (one entry per fixed point, not per
+    iteration)."""
+    params = dict(
+        reference_k=LEAKAGE_REFERENCE_K,
+        efold_k=DEFAULT_EFOLD_K,
+        max_iterations=DEFAULT_MAX_ITERATIONS,
+        tolerance_k=DEFAULT_TOLERANCE_K,
+    )
+    key = None
+    if context.cache is not None:
+        key = leakage_key(solver, dynamic_grids, leak_grids, **params)
+        cached = context.cache.load(key, FeedbackResult)
+        if cached is not None:
+            context.stats.leakage_disk_hits += 1
+            return cached
+    feedback = solve_with_leakage_feedback(
+        solver, dynamic_grids, leak_grids, **params
+    )
+    if key is not None:
+        context.cache.store(key, feedback)
+    return feedback
+
+
 def run_leakage_feedback(
     context: Optional[ExperimentContext] = None,
     benchmark: str = REFERENCE_BENCHMARK,
@@ -83,10 +110,10 @@ def run_leakage_feedback(
         ]
         leak_grids = uniform_leakage_grids(solver, leakage_total)
 
-        fixed = solver.solve([d + l for d, l in zip(dynamic_grids, leak_grids)])
-        feedback: FeedbackResult = solve_with_leakage_feedback(
-            solver, dynamic_grids, leak_grids, reference_k=LEAKAGE_REFERENCE_K,
-        )
+        fixed = context.solve_thermal(
+            solver, [[d + l for d, l in zip(dynamic_grids, leak_grids)]]
+        )[0]
+        feedback = _fixed_point(context, solver, dynamic_grids, leak_grids)
         outcomes[label] = (
             fixed.peak_temperature,
             feedback.result.peak_temperature,

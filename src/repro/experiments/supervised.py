@@ -174,15 +174,3 @@ def transient_group_task(
         "seconds": round(time.perf_counter() - start, 3),
     }
     return results, [s.stats() for s in schedules], stats
-
-
-def solve_batches_task(
-    stack,
-    floorplan,
-    nx: int,
-    ny: int,
-    spreader_mm: float,
-    batches: Sequence[Sequence],
-) -> List[ThermalResult]:
-    """Back-compat wrapper around :func:`solve_group_task`: results only."""
-    return solve_group_task(stack, floorplan, nx, ny, spreader_mm, batches)[0]

@@ -22,8 +22,16 @@ import numpy as np
 
 from repro.thermal.solver import ThermalResult, ThermalSolver
 
+#: Bump when the fixed-point iteration changes; part of every
+#: persistent leakage fixed-point cache key.
+FEEDBACK_MODEL_VERSION = 1
+
 #: Leakage e-folding temperature (K): doubles every ~24 K.
 DEFAULT_EFOLD_K = 35.0
+#: Iteration budget of the fixed-point loop.
+DEFAULT_MAX_ITERATIONS = 20
+#: The loop converges once the peak moves less than this (K).
+DEFAULT_TOLERANCE_K = 0.05
 
 
 #: Exponent clamp: leakage scaling saturates at e^3 ~ 20x per cell.
@@ -56,8 +64,8 @@ def solve_with_leakage_feedback(
     leakage_grids: Sequence[np.ndarray],
     reference_k: float,
     efold_k: float = DEFAULT_EFOLD_K,
-    max_iterations: int = 20,
-    tolerance_k: float = 0.05,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    tolerance_k: float = DEFAULT_TOLERANCE_K,
 ) -> FeedbackResult:
     """Iterate temperature and leakage to a fixed point.
 

@@ -12,11 +12,13 @@ layers through the series resistance of the two half-layers.  The top of
 the spreader is coupled to ambient through the sink's convection
 resistance; all other outer faces are adiabatic.
 
-The system matrix depends only on geometry, so it is LU-factorized once
-per *geometry* and shared process-wide: solvers with identical stacks,
+The system matrix depends only on geometry, so it is assembled once per
+*geometry* and shared process-wide: solvers with identical stacks,
 floorplan footprints, and grid resolutions (DVFS sweeps, stacking-order
-ablations, transient runs, repeated contexts) reuse one factorization
-instead of paying SuperLU per instance.  Assembly itself is vectorized —
+ablations, repeated contexts) reuse one factorization instead of paying
+SuperLU per instance.  The LU factorization is deferred to the first
+steady solve, so a transient solver, which factorizes its own step
+matrix, never pays for a steady one.  Assembly itself is vectorized —
 whole-layer conductance arrays emitted as concatenated COO triplets —
 with the original cell-by-cell loop kept as ``_build_reference`` for the
 equivalence test.
@@ -60,16 +62,19 @@ FACTORIZATION_STATS = FactorizationStats()
 
 @dataclass
 class _Factorization:
-    """One cached conductance matrix and its LU backsubstitution."""
+    """One cached conductance matrix and, once a steady solve has needed
+    it, its LU backsubstitution (the transient solver only needs the
+    assembled matrix, so factorization is deferred)."""
 
     matrix: csc_matrix
-    solve: Callable
     conv_per_cell: float
+    solve: Optional[Callable] = None
 
 
-#: Geometry-keyed LRU of factorized conductance matrices.
+#: Geometry-keyed LRU of assembled (and lazily factorized) conductance
+#: matrices.
 _FACTORIZATION_CACHE: "OrderedDict[Tuple, _Factorization]" = OrderedDict()
-#: Distinct geometries kept factorized at once.
+#: Distinct geometries kept assembled (and factorized) at once.
 FACTORIZATION_CACHE_CAP = 16
 
 
@@ -238,24 +243,32 @@ class ThermalSolver:
         k[outside] = _FILLER_K
         return k
 
-    def _build(self) -> None:
-        """Bind this solver to the (possibly shared) factorized system."""
+    def _bind(self) -> _Factorization:
+        """Bind this solver to the (possibly shared) assembled system,
+        without factorizing it."""
         key = self.matrix_key()
         entry = _FACTORIZATION_CACHE.get(key)
         if entry is None:
-            matrix, conv_per_cell = self._assemble()
-            entry = _Factorization(matrix, _factorize(matrix), conv_per_cell)
-            FACTORIZATION_STATS.factorizations += 1
+            entry = _Factorization(*self._assemble())
             _FACTORIZATION_CACHE[key] = entry
             while len(_FACTORIZATION_CACHE) > FACTORIZATION_CACHE_CAP:
                 _FACTORIZATION_CACHE.popitem(last=False)
         else:
-            FACTORIZATION_STATS.cache_hits += 1
             _FACTORIZATION_CACHE.move_to_end(key)
         #: the assembled conductance matrix G (kept for the transient solver)
         self.conductance_matrix = entry.matrix
-        self._solve_fn = entry.solve
         self._conv_per_cell = entry.conv_per_cell
+        return entry
+
+    def _build(self) -> None:
+        """Bind this solver to the (possibly shared) factorized system."""
+        entry = self._bind()
+        if entry.solve is None:
+            entry.solve = _factorize(entry.matrix)
+            FACTORIZATION_STATS.factorizations += 1
+        else:
+            FACTORIZATION_STATS.cache_hits += 1
+        self._solve_fn = entry.solve
 
     def _assemble(self) -> Tuple[csc_matrix, float]:
         """Vectorized conductance-matrix assembly.

@@ -41,6 +41,10 @@ from scipy.sparse import coo_matrix
 
 from repro.thermal.solver import FactorizationStats, ThermalSolver, _factorize
 
+#: Bump when the integration scheme changes; part of every persistent
+#: transient-run cache key.
+TRANSIENT_MODEL_VERSION = 1
+
 #: (steady matrix key, per-layer heat capacities, dt) -> step backsolve.
 _STEP_CACHE: "OrderedDict[Tuple, Callable]" = OrderedDict()
 _STEP_CACHE_CAP = 8
@@ -89,6 +93,15 @@ class PowerSchedule:
         """Schedule-side counters accumulated during a run (may be empty)."""
         return {}
 
+    def cache_token(self) -> Optional[str]:
+        """A string that determines every :meth:`power_grids` answer and
+        the :meth:`stats` a run accumulates from the schedule's current
+        state, or ``None`` (the default) when runs driven by this
+        schedule must not be persisted.  Transient runs whose schedule
+        has a token are content-addressed in the result cache
+        (:func:`repro.experiments.cache.transient_key`)."""
+        return None
+
 
 class _CallableSchedule(PowerSchedule):
     """Adapts a plain ``power_fn(t)`` callable to the schedule protocol."""
@@ -134,8 +147,7 @@ class TransientThermalSolver:
             raise ValueError(f"dt must be positive, got {dt_s}")
         self.steady = steady
         self.dt_s = dt_s
-        if steady._solve_fn is None:
-            steady._build()
+        steady._bind()  # assembled G only; the step matrix is factorized below
         self._capacity = self._cell_capacities()
         self._cap_over_dt = self._capacity / dt_s
         key = step_matrix_key(steady, dt_s)

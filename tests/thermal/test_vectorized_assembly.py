@@ -121,6 +121,32 @@ class TestFactorizationCache:
 
         assert FACTORIZATION_STATS.factorizations == before_factor + 2
 
+    def test_transient_solver_defers_the_steady_factorization(self):
+        from repro.thermal.transient import (
+            STEP_FACTORIZATION_STATS,
+            TransientThermalSolver,
+        )
+
+        clear_factorization_cache()
+        solver = ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(),
+                               nx=16, ny=16)
+        TransientThermalSolver(solver, dt_s=1e-3)
+        assert STEP_FACTORIZATION_STATS.factorizations == 1
+        assert FACTORIZATION_STATS.factorizations == 0
+        assert FACTORIZATION_STATS.cache_hits == 0
+
+        ny, nx = solver.chip_grid_shape()
+        grids = [np.full((ny, nx), 0.01)] * solver.stack.die_count
+        steady = solver.solve(grids)
+        assert FACTORIZATION_STATS.factorizations == 1
+        # The lazily factorized system is the one assembled for the
+        # transient solver, and solves like a freshly built one.
+        clear_factorization_cache()
+        fresh = ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(),
+                              nx=16, ny=16).solve(grids)
+        for a, b in zip(steady.layer_temps, fresh.layer_temps):
+            assert np.array_equal(a, b)
+
     def test_result_key_includes_ambient_but_matrix_key_does_not(self):
         import dataclasses
 
