@@ -15,10 +15,11 @@ closes the loop:
    in the on-disk cache, so warm sweeps skip re-extraction entirely.
 2. **Batched transient stepping** — the per-config traces drive
    temperature-reactive schedules through
-   :meth:`~repro.experiments.context.ExperimentContext.transient_many`,
+   :meth:`~repro.experiments.context.ExperimentContext.start_transient_many`,
    which groups runs by step-matrix key and advances each group in
    lock-step through a single factorization with a multi-column
-   right-hand side.
+   right-hand side.  :func:`start_interval` returns once the groups are
+   submitted, so pool workers step them while the caller carries on.
 3. **DTM scenario** — every configuration runs twice: free-running, and
    under a thermal ceiling with a throttle governor
    (:class:`IntervalPowerSchedule`) that scales power whenever the
@@ -50,6 +51,7 @@ from repro.experiments.context import (
     CORE_COUNT,
     REFERENCE_BENCHMARK,
     ExperimentContext,
+    Started,
     TransientRequest,
 )
 from repro.power.model import StackKind
@@ -314,7 +316,13 @@ class IntervalResult:
         return "\n".join(lines)
 
 
-def run_interval(
+def run_interval(*args, **kwargs) -> IntervalResult:
+    """Run the interval co-simulation sweep and wait for it:
+    :func:`start_interval` (same arguments) collected at once."""
+    return start_interval(*args, **kwargs).result()
+
+
+def start_interval(
     context: Optional[ExperimentContext] = None,
     benchmark: str = REFERENCE_BENCHMARK,
     interval_insts: int = DEFAULT_INTERVAL_INSTS,
@@ -324,19 +332,35 @@ def run_interval(
     ceiling_delta_k: float = 45.0,
     throttle_factor: float = 0.5,
     configs: Optional[Sequence[str]] = None,
-) -> IntervalResult:
-    """Run the interval co-simulation sweep.
+) -> Started:
+    """Start the interval co-simulation sweep; ``result()`` finishes it.
 
     Every configuration's interval trace drives two transient runs — one
     free-running, one throttled against ``ambient + ceiling_delta_k`` —
     and all runs dispatch through one
-    :meth:`~repro.experiments.context.ExperimentContext.transient_many`
+    :meth:`~repro.experiments.context.ExperimentContext.start_transient_many`
     call, so runs sharing a step matrix (all planar configurations, all
     3D configurations) step in lock-step through one factorization.  The
     ceiling is anchored to ambient rather than a steady-state solve, so
     warm report runs stay free of thermal solves.
+
+    This call extracts the traces and submits the transient runs; with
+    ``jobs > 1`` they step on pool workers while the caller does other
+    work, and the handle's ``result()`` returns the
+    :class:`IntervalResult`.
     """
     context = context or ExperimentContext()
+    return Started(
+        _interval_steps(context, benchmark, interval_insts, dt_s,
+                        duration_s, pass_s, ceiling_delta_k,
+                        throttle_factor, configs),
+        context.stats,
+    )
+
+
+def _interval_steps(context, benchmark, interval_insts, dt_s, duration_s,
+                    pass_s, ceiling_delta_k, throttle_factor, configs):
+    """The generator behind :func:`start_interval`."""
     labels = list(configs) if configs is not None else list(context.configs)
     traces = [
         extract_interval_trace(context, benchmark, label, interval_insts)
@@ -365,7 +389,7 @@ def run_interval(
             dt_s=dt_s,
             duration_s=duration_s,
         ))
-    outcomes = context.transient_many(requests)
+    outcomes = yield from context.start_transient_many(requests)
     result = IntervalResult(
         benchmark=benchmark,
         interval_insts=interval_insts,

@@ -14,7 +14,7 @@ from repro.experiments.figure7 import run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9
 from repro.experiments.figure10 import run_figure10
-from repro.experiments.interval import run_interval
+from repro.experiments.interval import start_interval
 from repro.experiments.power_density import run_power_density
 from repro.experiments.leakage import run_leakage_feedback
 from repro.experiments.pairing import run_pairing
@@ -69,19 +69,26 @@ def generate_report(context: Optional[ExperimentContext] = None) -> str:
     # demand-pulls runs one at a time.
     context.prefetch(context.grid())
 
-    table2 = run_table2()
-    figure8 = run_figure8(context)
-    figure9 = run_figure9(context)
-    figure10 = run_figure10(context)
-    density = run_power_density(context)
-    width = run_width_stats(context)
-    dvfs = run_dvfs(context)
-    roadmap = run_roadmap(context)
-    sensitivity = run_sensitivity(context)
-    stacking = run_stacking_order(context)
-    leakage = run_leakage_feedback(context)
-    pairing = run_pairing(context)
-    interval = run_interval(context)
+    # The interval co-simulation's transient runs are the longest step of
+    # a cold report: start them now so pool workers step them while the
+    # sections below render, and collect them where they appear.
+    started = start_interval(context)
+    try:
+        table2 = run_table2()
+        figure8 = run_figure8(context)
+        figure9 = run_figure9(context)
+        figure10 = run_figure10(context)
+        density = run_power_density(context)
+        width = run_width_stats(context)
+        dvfs = run_dvfs(context)
+        roadmap = run_roadmap(context)
+        sensitivity = run_sensitivity(context)
+        stacking = run_stacking_order(context)
+        leakage = run_leakage_feedback(context)
+        pairing = run_pairing(context)
+        interval = started.result()
+    finally:
+        started.cancel()  # kills its workers if anything above raised
     figure7 = run_figure7()
 
     headline = _comparison_table([
