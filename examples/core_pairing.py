@@ -36,7 +36,9 @@ def main() -> None:
         context.configs["3D"], warmup=context.settings.warmup,
     )
     breakdowns = [model.evaluate(r, StackKind.STACKED_3D) for r in run.results]
-    thermal = context.thermal_for_breakdowns(breakdowns, StackKind.STACKED_3D)
+    thermal = context.thermal_grouped(
+        {StackKind.STACKED_3D: [(breakdowns, 1.0)]}
+    )[StackKind.STACKED_3D][0]
 
     print(f"\nmixed pairing ({hot} on core0, {cool} on core1):")
     print(hotspot_table(thermal, top=8))

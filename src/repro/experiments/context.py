@@ -26,7 +26,7 @@ import uuid
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (
     Callable,
     Dict,
@@ -133,6 +133,10 @@ CONFIG_STACKS: Dict[str, StackKind] = {
     "3D-noTH": StackKind.STACKED_3D,
 }
 
+#: :class:`ContextStats` fields left out of :meth:`ContextStats.as_dict`
+#: (``stage_seconds`` is added there, sorted and rounded).
+_UNREPORTED = frozenset({"stage_seconds", "events", "batch_id", "_batch_seq"})
+
 #: Sentinel: "build the default cache from the environment".
 _AUTO_CACHE = object()
 
@@ -167,10 +171,12 @@ class ContextStats:
     ``repro report --log-json``.
     """
 
+    #: correlation id of the owning context, stamped on every event
+    run_id: str = ""
     #: simulations actually executed (serial or in workers)
     simulated: int = 0
     #: simulation results served from the on-disk cache
-    disk_hits: int = 0
+    sim_disk_hits: int = 0
     #: thermal maps actually solved (factorize and/or backsubstitute)
     thermal_solved: int = 0
     #: thermal maps served from the on-disk cache
@@ -234,8 +240,6 @@ class ContextStats:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: robustness incidents, in order ({"event": ..., **detail})
     events: List[dict] = field(default_factory=list)
-    #: correlation id of the owning context, stamped on every event
-    run_id: str = ""
     #: correlation id of the in-flight worker batch (None between batches)
     batch_id: Optional[str] = None
     _batch_seq: int = 0
@@ -281,53 +285,33 @@ class ContextStats:
         })
 
     def as_dict(self) -> dict:
-        """Telemetry payload for ``--stats`` files and the CI benchmark report."""
-        return {
-            "run_id": self.run_id,
-            "simulated": self.simulated,
-            "sim_disk_hits": self.disk_hits,
-            "thermal_solved": self.thermal_solved,
-            "thermal_disk_hits": self.thermal_disk_hits,
-            "tasks_run": self.tasks_run,
-            "task_retries": self.task_retries,
-            "task_timeouts": self.task_timeouts,
-            "pool_restarts": self.pool_restarts,
-            "serial_fallbacks": self.serial_fallbacks,
-            "claim_waits": self.claim_waits,
-            "claim_dedup": self.claim_dedup,
-            "claim_takeovers": self.claim_takeovers,
-            "claim_steals": self.claim_steals,
-            "traces_generated": self.traces_generated,
-            "trace_cache_hits": self.trace_cache_hits,
-            "trace_compile_seconds": round(self.trace_compile_seconds, 3),
-            "instructions_simulated": self.instructions_simulated,
-            "instructions_per_second": self.instructions_per_second(),
-            "thermal_subproc_solves": self.thermal_subproc_solves,
-            "thermal_subproc_fallbacks": self.thermal_subproc_fallbacks,
-            "thermal_groups": self.thermal_groups,
-            "thermal_worker_groups": self.thermal_worker_groups,
-            "thermal_worker_factorizations": self.thermal_worker_factorizations,
-            "transient_runs": self.transient_runs,
-            "transient_disk_hits": self.transient_disk_hits,
-            "transient_groups": self.transient_groups,
-            "transient_worker_groups": self.transient_worker_groups,
-            "transient_steps": self.transient_steps,
-            "transient_worker_factorizations": self.transient_worker_factorizations,
-            "intervals_extracted": self.intervals_extracted,
-            "interval_disk_hits": self.interval_disk_hits,
-            "leakage_disk_hits": self.leakage_disk_hits,
-            # Process-wide factorization-LRU snapshot (parent process
-            # only; worker-side factorizations are accumulated above).
-            "factorizations": FACTORIZATION_STATS.factorizations,
-            "factorization_cache_hits": FACTORIZATION_STATS.cache_hits,
-            # The transient solver's step-matrix LRU, same contract.
-            "step_factorizations": STEP_FACTORIZATION_STATS.factorizations,
-            "step_factorization_cache_hits": STEP_FACTORIZATION_STATS.cache_hits,
-            "stage_seconds": {
+        """Telemetry payload for ``--stats`` files and the CI benchmark report.
+
+        ``run_id`` and every counter field (floats rounded to 3 places),
+        then the derived simulation rate, the process-wide factorization
+        LRU snapshots (parent process only; worker-side factorizations
+        are counted in the fields) and the sorted ``stage_seconds``.
+        """
+        payload = {}
+        for item in fields(self):
+            if item.name in _UNREPORTED:
+                continue
+            value = getattr(self, item.name)
+            payload[item.name] = (
+                round(value, 3) if isinstance(value, float) else value
+            )
+        payload.update(
+            instructions_per_second=self.instructions_per_second(),
+            factorizations=FACTORIZATION_STATS.factorizations,
+            factorization_cache_hits=FACTORIZATION_STATS.cache_hits,
+            step_factorizations=STEP_FACTORIZATION_STATS.factorizations,
+            step_factorization_cache_hits=STEP_FACTORIZATION_STATS.cache_hits,
+            stage_seconds={
                 stage: round(seconds, 3)
                 for stage, seconds in sorted(self.stage_seconds.items())
             },
-        }
+        )
+        return payload
 
     def instructions_per_second(self) -> float:
         """Simulated instructions per wall-clock second of the simulate
@@ -461,6 +445,24 @@ class _PoolTask:
     timeout_s: Optional[float] = None
     max_attempts: int = 1
     on_fallback: Optional[Callable[[str], None]] = None
+
+
+@dataclass
+class _Unit:
+    """One distinct cache key of a claim-coordinated lookup.
+
+    ``work`` is what the compute callback needs, ``(benchmark, config)``
+    or ``(solver, grids)``; the result goes to every ``container[slot]``
+    in ``targets`` (a memo dict or a per-group result list).
+    """
+
+    key: str
+    work: tuple
+    targets: List[tuple] = field(default_factory=list)
+
+    def place(self, result) -> None:
+        for container, slot in self.targets:
+            container[slot] = result
 
 
 class Started:
@@ -670,81 +672,14 @@ class ExperimentContext:
             benchmark, config, self.settings.trace_length, self.settings.warmup
         )
 
-    def _load_or_simulate(self, benchmark: str, config: CPUConfig) -> SimulationResult:
-        """One simulation, served from disk (or a peer process) when possible."""
-        key = self._cache_key(benchmark, config)
-        if self.cache is None:
-            result = self._run_serial(benchmark, config)
-            self.stats.simulated += 1
-            self.stats.instructions_simulated += self.settings.trace_length
-            return result
-        cached = self.cache.load(key)
-        if cached is not None:
-            self.stats.disk_hits += 1
-            return cached
-        if not self.cache.try_claim(key):
-            peer_result = self._claim_coordinate(key)
-            if peer_result is not None:
-                return peer_result
-        try:
-            result = self._run_serial(benchmark, config)
-            self.stats.simulated += 1
-            self.stats.instructions_simulated += self.settings.trace_length
-            self.cache.store(key, result)
-        finally:
-            self.cache.release_claim(key)
-        return result
-
-    def _claim_coordinate(self, key: str):
-        """Wait (bounded) for the peer process holding ``key``'s claim.
-
-        Returns the peer's result when it lands on disk (one simulation
-        for N cold-starting processes), or None when this process should
-        simulate after all — the claim went stale (dead holder) and was
-        taken over, or the bounded wait expired.
-        """
-        cache = self.cache
-        self.stats.claim_waits += 1
-        self.stats.record_event("claim_wait", key=key[:16])
-        deadline = time.monotonic() + self.claim_wait_s
-        while True:
-            result = cache.load(key)
-            if result is not None:
-                self.stats.claim_dedup += 1
-                self.stats.record_event("claim_dedup", key=key[:16])
-                return result
-            if cache.claim_stale(key, self.claim_stale_s):
-                cache.break_claim(key)
-                self.stats.claim_takeovers += 1
-                self.stats.record_event(
-                    "claim_takeover", key=key[:16], reason="stale"
-                )
-                cache.try_claim(key)
-                return None
-            if cache.claim_holder(key) is None:
-                # Holder released without storing (full disk, crash between
-                # release and store): claim for ourselves and simulate.
-                self.stats.claim_takeovers += 1
-                self.stats.record_event(
-                    "claim_takeover", key=key[:16], reason="released"
-                )
-                cache.try_claim(key)
-                return None
-            if time.monotonic() >= deadline:
-                self.stats.claim_takeovers += 1
-                self.stats.record_event(
-                    "claim_takeover", key=key[:16], reason="wait_expired"
-                )
-                return None
-            time.sleep(self.claim_poll_s)
-
     def run(self, benchmark: str, config_label: str) -> SimulationResult:
         """The (cached) simulation of one benchmark under one configuration."""
         key = (benchmark, config_label)
         result = self._runs.get(key)
         if result is None:
-            result = self._load_or_simulate(benchmark, self._config_for(config_label))
-            self._runs[key] = result
+            self._prefetch_items([(self._runs, key, benchmark,
+                                   self._config_for(config_label))])
+            result = self._runs[key]
         return result
 
     def run_config(self, benchmark: str, config: CPUConfig) -> SimulationResult:
@@ -757,8 +692,8 @@ class ExperimentContext:
         key = (benchmark, self._cache_key(benchmark, config))
         result = self._config_runs.get(key)
         if result is None:
-            result = self._load_or_simulate(benchmark, config)
-            self._config_runs[key] = result
+            self._prefetch_items([(self._config_runs, key, benchmark, config)])
+            result = self._config_runs[key]
         return result
 
     # ------------------------------------------------------------------ #
@@ -776,23 +711,18 @@ class ExperimentContext:
 
     def prefetch(self, pairs: Iterable[Tuple[str, str]]) -> None:
         """Materialize many labelled runs, simulating misses in parallel."""
-        items = []
-        for benchmark, label in pairs:
-            key = (benchmark, label)
-            if key in self._runs:
-                continue
-            items.append((self._runs, key, benchmark, self._config_for(label)))
-        self._prefetch_items(items)
+        self._prefetch_items(
+            (self._runs, (benchmark, label), benchmark, self._config_for(label))
+            for benchmark, label in pairs
+        )
 
     def prefetch_configs(self, items: Iterable[Tuple[str, CPUConfig]]) -> None:
         """Materialize many ad-hoc-configuration runs (see :meth:`run_config`)."""
-        normalized = []
-        for benchmark, config in items:
-            key = (benchmark, self._cache_key(benchmark, config))
-            if key in self._config_runs:
-                continue
-            normalized.append((self._config_runs, key, benchmark, config))
-        self._prefetch_items(normalized)
+        self._prefetch_items(
+            (self._config_runs, (benchmark, self._cache_key(benchmark, config)),
+             benchmark, config)
+            for benchmark, config in items
+        )
 
     def run_many(
         self, pairs: Sequence[Tuple[str, str]]
@@ -803,125 +733,148 @@ class ExperimentContext:
         return {pair: self.run(*pair) for pair in pairs}
 
     def _prefetch_items(self, items) -> None:
-        """Resolve (memo, memo key, benchmark, config) work items.
+        """Resolve (memo, memo key, benchmark, config) work items through
+        the claim-coordinated loop (:meth:`_resolve`), simulating the
+        misses — across worker processes when more than one is pending
+        and ``jobs`` allows it."""
+        self.stats.sim_disk_hits += self._resolve(
+            (
+                (self._cache_key(benchmark, config), (benchmark, config),
+                 memo, memo_key)
+                for memo, memo_key, benchmark, config in items
+                if memo_key not in memo
+            ),
+            SimulationResult,
+            self._simulate_units,
+        )
 
-        Each item is served from the memo, then the on-disk cache; the
-        remainder is simulated — across worker processes when more than
-        one simulation is pending and ``jobs`` allows it.  Misses whose
-        cache key another process has claimed are not simulated here:
-        after our own batch completes, we poll all waiting claims
-        *collectively* and steal the work behind any claim that resolves
-        to abandoned (stale holder, released without storing) the moment
-        it does, instead of serially sitting out each key's full wait.
+    def _simulate_units(self, units: List[_Unit]) -> List[SimulationResult]:
+        """The simulation compute callback of :meth:`_resolve`."""
+        results = self._execute([unit.work for unit in units])
+        self.stats.simulated += len(results)
+        self.stats.instructions_simulated += (
+            len(results) * self.settings.trace_length
+        )
+        return results
+
+    # ------------------------------------------------------------------ #
+    # Claim-coordinated lookups
+
+    def _resolve(self, items: Iterable[Tuple[str, tuple, object, object]],
+                 expected_type: type, compute) -> int:
+        """Serve (cache key, work, container, slot) items; return disk hits.
+
+        The one lookup policy behind every cached simulation and steady
+        thermal solve.  Items sharing a cache key are deduplicated into
+        one :class:`_Unit`; each unit is loaded from the on-disk cache,
+        else claimed and computed here — ``compute(units)`` returns
+        their results in order — else, when a peer process holds its
+        claim, waited on with the rest in one :meth:`_await_claims`.
+        Every result is written to each of its unit's ``container[slot]``.
         """
-        pending = []
-        waiting = []
-        seen = set()
-        for memo, memo_key, benchmark, config in items:
-            if memo_key in memo or (id(memo), memo_key) in seen:
-                continue
-            seen.add((id(memo), memo_key))
-            cache_key = self._cache_key(benchmark, config)
+        units: Dict[str, _Unit] = {}
+        for key, work, container, slot in items:
+            unit = units.get(key)
+            if unit is None:
+                unit = units[key] = _Unit(key, work)
+            unit.targets.append((container, slot))
+        hits = 0
+        claimed: List[_Unit] = []
+        waiting: List[_Unit] = []
+        for unit in units.values():
             if self.cache is not None:
-                cached = self.cache.load(cache_key)
+                cached = self.cache.load(unit.key, expected_type)
                 if cached is not None:
-                    self.stats.disk_hits += 1
-                    memo[memo_key] = cached
+                    hits += 1
+                    unit.place(cached)
                     continue
-                if not self.cache.try_claim(cache_key):
-                    waiting.append((memo, memo_key, benchmark, config, cache_key))
+                if not self.cache.try_claim(unit.key):
+                    waiting.append(unit)
                     continue
-            pending.append((memo, memo_key, benchmark, config, cache_key))
-        self._simulate_items(pending)
+            claimed.append(unit)
+        self._compute_units(claimed, compute)
         if waiting:
-            self._await_claims(waiting)
+            self._await_claims(waiting, expected_type, compute)
+        return hits
 
-    def _await_claims(self, waiting) -> None:
-        """Collectively wait on peer-claimed work items, stealing as we go.
+    def _compute_units(self, units: List[_Unit], compute) -> None:
+        """Compute, place and store ``units``, then release their claims.
+
+        Releasing is unconditional and safe: :meth:`ResultCache.
+        release_claim` only removes claims this process holds, so a live
+        peer's claim outlives an expired wait on it.
+        """
+        if not units:
+            return
+        try:
+            for unit, result in zip(units, compute(units)):
+                unit.place(result)
+                if self.cache is not None:
+                    self.cache.store(unit.key, result)
+        finally:
+            if self.cache is not None:
+                for unit in units:
+                    self.cache.release_claim(unit.key)
+
+    def _await_claims(self, waiting: List[_Unit], expected_type: type,
+                      compute) -> None:
+        """Collectively wait on peer-claimed units, stealing as we go.
 
         One bounded deadline covers the whole set (the peers run
         concurrently with each other, so their waits overlap).  Each poll
         sweeps every outstanding key: results that landed are adopted
         (``claim_dedup``), and abandoned claims — stale holder, or
-        released without a stored result — are taken over and simulated
+        released without a stored result — are taken over and computed
         *immediately* (``claim_steals``), so this process does useful
         work while the remaining keys are still being waited on.  Keys
-        still claimed when the deadline expires are simulated
-        uncoordinated, exactly like :meth:`_claim_coordinate`'s
-        ``wait_expired`` outcome (no claim of our own is taken).
+        still claimed when the deadline expires are computed
+        uncoordinated (``wait_expired``; no claim of our own is taken).
         """
         cache = self.cache
-        for *_, cache_key in waiting:
+        for unit in waiting:
             self.stats.claim_waits += 1
-            self.stats.record_event("claim_wait", key=cache_key[:16])
+            self.stats.record_event("claim_wait", key=unit.key[:16])
         deadline = time.monotonic() + self.claim_wait_s
-        remaining = list(waiting)
-        while remaining:
-            still = []
-            stolen = []
-            for item in remaining:
-                memo, memo_key, _, _, cache_key = item
-                result = cache.load(cache_key)
+        while waiting:
+            still: List[_Unit] = []
+            takeovers: List[Tuple[_Unit, str]] = []
+            for unit in waiting:
+                result = cache.load(unit.key, expected_type)
                 if result is not None:
                     self.stats.claim_dedup += 1
-                    self.stats.record_event("claim_dedup", key=cache_key[:16])
-                    memo[memo_key] = result
+                    self.stats.record_event("claim_dedup", key=unit.key[:16])
+                    unit.place(result)
                     continue
-                if cache.claim_stale(cache_key, self.claim_stale_s):
-                    cache.break_claim(cache_key)
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=cache_key[:16], reason="stale"
-                    )
-                    cache.try_claim(cache_key)
-                    stolen.append(item)
-                    continue
-                if cache.claim_holder(cache_key) is None:
+                if cache.claim_stale(unit.key, self.claim_stale_s):
+                    cache.break_claim(unit.key)
+                    reason = "stale"
+                elif cache.claim_holder(unit.key) is None:
                     # Holder released without storing (full disk, crash
-                    # between release and store): claim and simulate.
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=cache_key[:16], reason="released"
-                    )
-                    cache.try_claim(cache_key)
-                    stolen.append(item)
+                    # between release and store): claim and compute.
+                    reason = "released"
+                else:
+                    still.append(unit)
                     continue
-                still.append(item)
-            if stolen:
-                self.stats.claim_steals += len(stolen)
-                self.stats.record_event("claim_steal", tasks=len(stolen))
-                self._simulate_items(stolen)
-            remaining = still
-            if not remaining:
-                return
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(self.claim_poll_s)
-        for item in remaining:
-            cache_key = item[4]
-            self.stats.claim_takeovers += 1
-            self.stats.record_event(
-                "claim_takeover", key=cache_key[:16], reason="wait_expired"
-            )
-        self._simulate_items(remaining)
+                cache.try_claim(unit.key)
+                takeovers.append((unit, reason))
+            steals = len(takeovers)
+            if still and time.monotonic() >= deadline:
+                takeovers += [(unit, "wait_expired") for unit in still]
+                still = []
+            for unit, reason in takeovers:
+                self.stats.claim_takeovers += 1
+                self.stats.record_event("claim_takeover", key=unit.key[:16],
+                                        reason=reason)
+            if steals:
+                self.stats.claim_steals += steals
+                self.stats.record_event("claim_steal", tasks=steals)
+            self._compute_units([unit for unit, _ in takeovers], compute)
+            waiting = still
+            if waiting:
+                time.sleep(self.claim_poll_s)
 
-    def _simulate_items(self, pending) -> None:
-        """Simulate claimed work items in parallel; store and release."""
-        if not pending:
-            return
-        tasks = [(benchmark, config) for _, _, benchmark, config, _ in pending]
-        try:
-            results = self._execute(tasks)
-            for (memo, memo_key, _, _, cache_key), result in zip(pending, results):
-                self.stats.simulated += 1
-                self.stats.instructions_simulated += self.settings.trace_length
-                memo[memo_key] = result
-                if self.cache is not None:
-                    self.cache.store(cache_key, result)
-        finally:
-            if self.cache is not None:
-                for _, _, _, _, cache_key in pending:
-                    self.cache.release_claim(cache_key)
+    # ------------------------------------------------------------------ #
+    # Fault-tolerant execution
 
     def _execute(self, tasks: List[Tuple[str, CPUConfig]]) -> List[SimulationResult]:
         """Run simulations, fanning out across processes when worthwhile.
@@ -1258,7 +1211,9 @@ class ExperimentContext:
         if result is None:
             stack = CONFIG_STACKS[config_label]
             breakdown = self.power(benchmark, config_label)
-            result = self.thermal_for_breakdowns([breakdown] * CORE_COUNT, stack)
+            result = self.thermal_grouped(
+                {stack: [([breakdown] * CORE_COUNT, 1.0)]}
+            )[stack][0]
             self._thermals[key] = result
         return result
 
@@ -1295,30 +1250,6 @@ class ExperimentContext:
                 self._thermals[pair] = result
         return {pair: self._thermals[pair] for pair in pairs}
 
-    def thermal_for_breakdowns(
-        self,
-        breakdowns: List[PowerBreakdown],
-        stack: StackKind,
-        power_scale: float = 1.0,
-    ) -> ThermalResult:
-        """Thermal map for explicit per-core breakdowns (scaled if asked)."""
-        return self.thermal_batch([(breakdowns, power_scale)], stack)[0]
-
-    def thermal_batch(
-        self,
-        requests: Sequence[Tuple[List[PowerBreakdown], float]],
-        stack: StackKind,
-    ) -> List[ThermalResult]:
-        """Thermal maps for many (breakdowns, power scale) requests.
-
-        All right-hand sides go through one batched backsubstitution
-        against the stack's LU-factorized conductance matrix; solved
-        maps are persisted in the on-disk cache.
-        """
-        if not requests:
-            return []
-        return self.thermal_grouped({stack: list(requests)})[stack]
-
     def thermal_grouped(
         self,
         requests_by_stack: Dict[StackKind, Sequence[Tuple[List[PowerBreakdown], float]]],
@@ -1349,35 +1280,19 @@ class ExperimentContext:
         solved = self.solve_thermal_groups(groups)
         return dict(zip(order, solved))
 
-    def solve_thermal(
-        self,
-        solver: ThermalSolver,
-        batches: Sequence[Sequence],
-    ) -> List[ThermalResult]:
-        """Disk-cached batched thermal solve against an explicit solver.
-
-        Each batch entry (per-die chip power grids) is keyed by the
-        solver's geometry fingerprint plus a content hash of the grids;
-        hits skip the solve entirely, and the misses share one batched
-        backsubstitution — so warm report reruns do no thermal work.
-        """
-        batches = list(batches)
-        if not batches:
-            return []
-        return self.solve_thermal_groups([(solver, batches)])[0]
-
     def solve_thermal_groups(
         self,
         groups: Sequence[Tuple[ThermalSolver, Sequence[Sequence]]],
     ) -> List[List[ThermalResult]]:
         """The parallel thermal solve engine: many geometry groups at once.
 
-        Each group is one solver (geometry) with its pending power-grid
-        batches.  Entries are deduplicated by thermal key within the
-        call, served from the on-disk cache when possible, coordinated
-        with peer processes through the claim protocol (two processes
-        never factorize the same geometry concurrently), and the misses
-        are fanned out per *geometry* across the worker pool — each
+        Each group is one solver (geometry) with its pending batches of
+        per-die chip power grids.  Entries go through :meth:`_resolve`,
+        keyed by the solver's geometry fingerprint plus a content hash
+        of the grids: deduplicated within the call, served from the
+        on-disk cache when possible (so warm reruns do no thermal work),
+        coordinated with peer processes through the claim protocol, and
+        the misses are fanned out per *geometry* across the pool — each
         worker assembles, factorizes, and backsubstitutes every
         right-hand side for its geometry and ships the temperature
         arrays back (SuperLU handles never cross the process boundary).
@@ -1388,136 +1303,42 @@ class ExperimentContext:
         results: List[List[Optional[ThermalResult]]] = [
             [None] * len(batches) for _, batches in groups
         ]
-        seen: Dict[str, dict] = {}
-        work: List[dict] = []
-        waiting: List[dict] = []
-        for gi, (solver, batches) in enumerate(groups):
-            for pos, grids in enumerate(batches):
-                key = thermal_key(solver, grids)
-                unit = seen.get(key)
-                if unit is not None:  # duplicate within this call
-                    unit["targets"].append((gi, pos))
-                    continue
-                if self.cache is not None:
-                    cached = self.cache.load(key, ThermalResult)
-                    if cached is not None:
-                        self.stats.thermal_disk_hits += 1
-                        results[gi][pos] = cached
-                        continue
-                unit = {"key": key, "solver": solver, "grids": grids,
-                        "targets": [(gi, pos)], "claimed": False}
-                seen[key] = unit
-                if self.cache is not None and not self.cache.try_claim(key):
-                    waiting.append(unit)
-                else:
-                    unit["claimed"] = self.cache is not None
-                    work.append(unit)
-        if work or waiting:
-            start = time.perf_counter()
-            try:
-                if work:
-                    self._solve_thermal_units(work, results)
-                if waiting:
-                    self._await_thermal_claims(waiting, results)
-            finally:
-                self.stats.add_stage("thermal", time.perf_counter() - start)
+        self.stats.thermal_disk_hits += self._resolve(
+            (
+                (thermal_key(solver, grids), (solver, grids), out, pos)
+                for (solver, batches), out in zip(groups, results)
+                for pos, grids in enumerate(batches)
+            ),
+            ThermalResult,
+            self._solve_thermal_units,
+        )
         return results
 
-    def _solve_thermal_units(self, units: List[dict], results) -> None:
-        """Solve units (one per distinct thermal key), scatter, persist.
+    def _solve_thermal_units(self, units: List[_Unit]) -> List[ThermalResult]:
+        """Solve one unit per distinct thermal key, in order.
 
         Units sharing a geometry are merged into one group so their
-        right-hand sides share a factorization wherever the group runs;
-        claims taken in :meth:`solve_thermal_groups` (or stolen during
-        the wait) are always released, even when a solve raises.
+        right-hand sides share a factorization wherever the group runs.
         """
+        start = time.perf_counter()
         try:
-            by_geometry: Dict[Tuple, List[dict]] = {}
+            by_geometry: Dict[Tuple, List[_Unit]] = {}
             for unit in units:
-                key = unit["solver"].matrix_key()
-                by_geometry.setdefault(key, []).append(unit)
+                solver = unit.work[0]
+                by_geometry.setdefault(solver.matrix_key(), []).append(unit)
             grouped = list(by_geometry.values())
             solved = self._dispatch_thermal([
-                (members[0]["solver"], [u["grids"] for u in members])
+                (members[0].work[0], [unit.work[1] for unit in members])
                 for members in grouped
             ])
+            by_key = {}
             for members, outs in zip(grouped, solved):
                 for unit, result in zip(members, outs):
-                    for gi, pos in unit["targets"]:
-                        results[gi][pos] = result
-                        self.stats.thermal_solved += 1
-                    if self.cache is not None:
-                        self.cache.store(unit["key"], result)
+                    by_key[unit.key] = result
+                    self.stats.thermal_solved += len(unit.targets)
+            return [by_key[unit.key] for unit in units]
         finally:
-            if self.cache is not None:
-                for unit in units:
-                    if unit["claimed"]:
-                        self.cache.release_claim(unit["key"])
-
-    def _await_thermal_claims(self, waiting: List[dict], results) -> None:
-        """Collectively wait on peer-claimed thermal keys, stealing as we go.
-
-        The thermal twin of :meth:`_await_claims`: one bounded deadline
-        covers the whole set, landed results are adopted
-        (``claim_dedup``), abandoned claims are taken over and solved
-        immediately (``claim_steals``), and keys still claimed at the
-        deadline are solved uncoordinated.
-        """
-        cache = self.cache
-        for unit in waiting:
-            self.stats.claim_waits += 1
-            self.stats.record_event("claim_wait", key=unit["key"][:16])
-        deadline = time.monotonic() + self.claim_wait_s
-        remaining = list(waiting)
-        while remaining:
-            still = []
-            stolen = []
-            for unit in remaining:
-                key = unit["key"]
-                result = cache.load(key, ThermalResult)
-                if result is not None:
-                    self.stats.claim_dedup += 1
-                    self.stats.record_event("claim_dedup", key=key[:16])
-                    for gi, pos in unit["targets"]:
-                        results[gi][pos] = result
-                    continue
-                if cache.claim_stale(key, self.claim_stale_s):
-                    cache.break_claim(key)
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=key[:16], reason="stale"
-                    )
-                    unit["claimed"] = cache.try_claim(key)
-                    stolen.append(unit)
-                    continue
-                if cache.claim_holder(key) is None:
-                    # Holder released without storing (full disk, crash
-                    # between release and store): claim and solve.
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=key[:16], reason="released"
-                    )
-                    unit["claimed"] = cache.try_claim(key)
-                    stolen.append(unit)
-                    continue
-                still.append(unit)
-            if stolen:
-                self.stats.claim_steals += len(stolen)
-                self.stats.record_event("claim_steal", tasks=len(stolen))
-                self._solve_thermal_units(stolen, results)
-            remaining = still
-            if not remaining:
-                return
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(self.claim_poll_s)
-        for unit in remaining:
-            self.stats.claim_takeovers += 1
-            self.stats.record_event(
-                "claim_takeover", key=unit["key"][:16], reason="wait_expired"
-            )
-            unit["claimed"] = False  # solve uncoordinated, no claim taken
-        self._solve_thermal_units(remaining, results)
+            self.stats.add_stage("thermal", time.perf_counter() - start)
 
     def _thermal_cells(self, solver: ThermalSolver) -> int:
         """Unknown count of one geometry's linear system."""

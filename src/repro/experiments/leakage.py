@@ -110,9 +110,9 @@ def run_leakage_feedback(
         ]
         leak_grids = uniform_leakage_grids(solver, leakage_total)
 
-        fixed = context.solve_thermal(
-            solver, [[d + l for d, l in zip(dynamic_grids, leak_grids)]]
-        )[0]
+        fixed = context.solve_thermal_groups([
+            (solver, [[d + l for d, l in zip(dynamic_grids, leak_grids)]])
+        ])[0][0]
         feedback = _fixed_point(context, solver, dynamic_grids, leak_grids)
         outcomes[label] = (
             fixed.peak_temperature,

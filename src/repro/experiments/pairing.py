@@ -89,10 +89,10 @@ def run_pairing(
     ]
     # One batched dispatch: every pairing shares the 3D geometry, so all
     # maps solve against a single factorization.
-    thermals: List[ThermalResult] = context.thermal_batch(
-        [(breakdowns, 1.0) for breakdowns in pair_breakdowns],
-        StackKind.STACKED_3D,
-    )
+    thermals: List[ThermalResult] = context.thermal_grouped({
+        StackKind.STACKED_3D: [(breakdowns, 1.0)
+                               for breakdowns in pair_breakdowns],
+    })[StackKind.STACKED_3D]
     points: List[PairingPoint] = []
     for pair, run, breakdowns, thermal in zip(pairs, runs, pair_breakdowns,
                                               thermals):

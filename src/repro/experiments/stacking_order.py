@@ -58,9 +58,9 @@ def run_stacking_order(
     # One batched, disk-cached solve for both orientations.
     herded: ThermalResult
     inverted: ThermalResult
-    herded, inverted = context.solve_thermal(
-        solver, [grids, list(reversed(grids))]
-    )
+    herded, inverted = context.solve_thermal_groups(
+        [(solver, [grids, list(reversed(grids))])]
+    )[0]
     return StackingOrderResult(
         benchmark=benchmark,
         herded_peak_k=herded.peak_temperature,

@@ -79,8 +79,7 @@ class TestThermalWiring:
 
     def test_power_scale_scales_temperature(self, context):
         breakdown = context.power("adpcm", "Base")
-        cool = context.thermal_for_breakdowns([breakdown] * 2, StackKind.PLANAR_2D,
-                                              power_scale=0.5)
-        hot = context.thermal_for_breakdowns([breakdown] * 2, StackKind.PLANAR_2D,
-                                             power_scale=1.5)
+        cool, hot = context.thermal_grouped({
+            StackKind.PLANAR_2D: [([breakdown] * 2, 0.5), ([breakdown] * 2, 1.5)]
+        })[StackKind.PLANAR_2D]
         assert hot.peak_temperature > cool.peak_temperature

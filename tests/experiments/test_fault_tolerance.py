@@ -169,7 +169,7 @@ class TestCacheFaults:
         # The recomputed result replaced the damaged file with a good one.
         warm = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path / "cache"))
         warm.run("adpcm", "Base")
-        assert warm.stats.disk_hits == 1
+        assert warm.stats.sim_disk_hits == 1
         assert warm.stats.simulated == 0
 
     def test_truncated_entry_deleted_and_recomputed(self, tmp_path):
@@ -227,7 +227,7 @@ class TestCacheFaults:
             )
             warm.run("adpcm", "Base")
         assert warm.stats.simulated == 0
-        assert warm.stats.disk_hits == 1
+        assert warm.stats.sim_disk_hits == 1
 
 
 class TestTmpFileHygiene:

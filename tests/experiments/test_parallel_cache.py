@@ -82,7 +82,7 @@ class TestResultCache:
         warm = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
         second = warm.run("adpcm", "Base")
         assert warm.stats.simulated == 0
-        assert warm.stats.disk_hits == 1
+        assert warm.stats.sim_disk_hits == 1
         assert _fields(first) == _fields(second)
 
     def test_prefetch_warm_runs_nothing(self, tmp_path):
@@ -90,7 +90,7 @@ class TestResultCache:
         warm = ExperimentContext(TINY, jobs=2, cache=ResultCache(tmp_path))
         warm.prefetch(PAIRS)
         assert warm.stats.simulated == 0
-        assert warm.stats.disk_hits == len(PAIRS)
+        assert warm.stats.sim_disk_hits == len(PAIRS)
 
     def test_key_changes_with_config_and_fidelity(self):
         config = baseline_config()
@@ -111,7 +111,7 @@ class TestResultCache:
         other = ExperimentContext(longer, jobs=1, cache=ResultCache(tmp_path))
         other.run("adpcm", "Base")
         assert other.stats.simulated == 1
-        assert other.stats.disk_hits == 0
+        assert other.stats.sim_disk_hits == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -123,7 +123,7 @@ class TestResultCache:
         recovered = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
         recovered.run("adpcm", "Base")
         assert recovered.stats.simulated == 1
-        assert recovered.stats.disk_hits == 0
+        assert recovered.stats.sim_disk_hits == 0
 
     def test_truncated_gzip_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

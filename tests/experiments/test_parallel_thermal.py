@@ -117,8 +117,9 @@ class TestDispatchPolicy:
         context = ExperimentContext(TINY, jobs=1, cache=None)
         breakdown = context.power("adpcm", "Base")
         request = ([breakdown] * CORE_COUNT, 1.0)
-        first, second = context.thermal_batch([request, request],
-                                              StackKind.PLANAR_2D)
+        first, second = context.thermal_grouped(
+            {StackKind.PLANAR_2D: [request, request]}
+        )[StackKind.PLANAR_2D]
         assert first is second  # one unit scattered to both positions
         assert context.stats.thermal_solved == 2
         groups = [e for e in context.stats.events if e["event"] == "thermal_group"]

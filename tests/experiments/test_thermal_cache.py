@@ -35,12 +35,12 @@ class TestThermalDiskCache:
         grids = _grids(solver)
 
         cold = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        first = cold.solve_thermal(solver, [grids])[0]
+        first = cold.solve_thermal_groups([(solver, [grids])])[0][0]
         assert cold.stats.thermal_solved == 1
         assert cold.stats.thermal_disk_hits == 0
 
         warm = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        second = warm.solve_thermal(_solver(), [grids])[0]
+        second = warm.solve_thermal_groups([(_solver(), [grids])])[0][0]
         assert warm.stats.thermal_solved == 0
         assert warm.stats.thermal_disk_hits == 1
         assert second.peak_temperature == pytest.approx(
@@ -68,10 +68,10 @@ class TestThermalDiskCache:
         a, b = _grids(solver, seed=1), _grids(solver, seed=2)
 
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        context.solve_thermal(solver, [a])
+        context.solve_thermal_groups([(solver, [a])])
         assert context.stats.thermal_solved == 1
 
-        results = context.solve_thermal(solver, [a, b])
+        results = context.solve_thermal_groups([(solver, [a, b])])[0]
         assert context.stats.thermal_disk_hits == 1
         assert context.stats.thermal_solved == 2
         assert results[0].peak_temperature != results[1].peak_temperature
@@ -79,7 +79,7 @@ class TestThermalDiskCache:
     def test_uncached_context_still_solves(self):
         context = ExperimentContext(TINY, jobs=1, cache=None)
         solver = _solver()
-        results = context.solve_thermal(solver, [_grids(solver)])
+        results = context.solve_thermal_groups([(solver, [_grids(solver)])])[0]
         assert len(results) == 1
         assert context.stats.thermal_solved == 1
         assert context.stats.thermal_disk_hits == 0
