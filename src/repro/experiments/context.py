@@ -387,18 +387,21 @@ def _resolve_thermal_subproc_cells() -> Optional[int]:
 
 def _simulate_task(
     benchmark: str,
-    config: CPUConfig,
+    configs: Sequence[CPUConfig],
     trace_length: int,
     warmup: int,
     trace_file: Optional[str] = None,
-) -> SimulationResult:
-    """Worker entry point: map in the compiled trace (or regenerate) and run.
+) -> List[SimulationResult]:
+    """Worker entry point: map in the compiled trace (or regenerate) once
+    and run it under each of ``configs``, in order.
 
     ``trace_file`` points at the parent's stored compiled trace; the
     worker memory-maps it instead of re-running the emulator, so each
     task ships a file path rather than a pickled instruction list.  A
     damaged or vanished file degrades to regeneration — the emulator is
-    deterministic, so every path yields the same trace.
+    deterministic, so every path yields the same trace.  Every config
+    replays the same trace object, so its pre-decode and frontend/memory
+    walks are built once per task rather than once per config.
 
     The fault point is a no-op unless a fault-injection token directory
     is armed (see :mod:`repro.experiments.faults`); the serial path calls
@@ -407,6 +410,7 @@ def _simulate_task(
     from repro.experiments.faults import maybe_inject_worker_fault
 
     maybe_inject_worker_fault()
+    trace = None
     if trace_file is not None:
         from repro.isa.compiled import read_compiled, TraceReadError
 
@@ -416,9 +420,23 @@ def _simulate_task(
             pass
         else:
             if len(compiled) == trace_length and compiled.name == benchmark:
-                return simulate(compiled, config, warmup=warmup)
-    trace = generate(benchmark, length=trace_length)
-    return simulate(trace, config, warmup=warmup)
+                trace = compiled
+    if trace is None:
+        trace = generate(benchmark, length=trace_length)
+    return [simulate(trace, config, warmup=warmup) for config in configs]
+
+
+def _chunks(items: List, count: int) -> List[List]:
+    """``items`` cut into ``min(count, len(items))`` contiguous, non-empty
+    runs whose lengths differ by at most one (longer runs first)."""
+    count = max(1, min(count, len(items)))
+    size, extra = divmod(len(items), count)
+    runs, start = [], 0
+    for index in range(count):
+        end = start + size + (index < extra)
+        runs.append(items[start:end])
+        start = end
+    return runs
 
 
 @dataclass
@@ -839,16 +857,21 @@ class ExperimentContext:
             still: List[_Unit] = []
             takeovers: List[Tuple[_Unit, str]] = []
             for unit in waiting:
+                # Read the claim before the result: a holder stores before
+                # it releases, so a claim already gone here means its
+                # result is loadable now or was never stored.
+                stale = cache.claim_stale(unit.key, self.claim_stale_s)
+                released = not stale and cache.claim_holder(unit.key) is None
                 result = cache.load(unit.key, expected_type)
                 if result is not None:
                     self.stats.claim_dedup += 1
                     self.stats.record_event("claim_dedup", key=unit.key[:16])
                     unit.place(result)
                     continue
-                if cache.claim_stale(unit.key, self.claim_stale_s):
+                if stale:
                     cache.break_claim(unit.key)
                     reason = "stale"
-                elif cache.claim_holder(unit.key) is None:
+                elif released:
                     # Holder released without storing (full disk, crash
                     # between release and store): claim and compute.
                     reason = "released"
@@ -879,6 +902,12 @@ class ExperimentContext:
     def _execute(self, tasks: List[Tuple[str, CPUConfig]]) -> List[SimulationResult]:
         """Run simulations, fanning out across processes when worthwhile.
 
+        The unit of fan-out is a trace: each benchmark's configs (in
+        first-seen order) are cut into ``ceil(jobs / benchmarks)``
+        contiguous chunks, and each chunk is one pool task that maps the
+        trace and pre-decodes it once for all of its configs.  Results
+        come back in the order of ``tasks``.
+
         The parallel path is fault tolerant: every task is tracked
         individually, completed results are never discarded, a dead
         worker (OOM kill, interpreter abort) only costs the tasks that
@@ -892,24 +921,41 @@ class ExperimentContext:
         start = time.perf_counter()
         try:
             settings = self.settings
-            pool_tasks = [
-                _PoolTask(
+            by_benchmark: Dict[str, List[int]] = {}
+            for index, (benchmark, _) in enumerate(tasks):
+                by_benchmark.setdefault(benchmark, []).append(index)
+            per_benchmark = -(-self.jobs // max(1, len(by_benchmark)))
+            groups = [
+                (benchmark, chunk)
+                for benchmark, indices in by_benchmark.items()
+                for chunk in _chunks(indices, per_benchmark)
+            ]
+            pool_tasks = []
+            for benchmark, chunk in groups:
+                configs = [tasks[index][1] for index in chunk]
+                pool_tasks.append(_PoolTask(
                     fn=_simulate_task,
-                    args=(benchmark, config, settings.trace_length,
+                    args=(benchmark, configs, settings.trace_length,
                           settings.warmup, self._trace_file(benchmark)),
-                    serial=(lambda b=benchmark, c=config: self._run_serial(b, c)),
-                    detail={"benchmark": benchmark, "config": config.name},
+                    serial=(lambda b=benchmark, cs=configs:
+                            [self._run_serial(b, c) for c in cs]),
+                    detail={"benchmark": benchmark,
+                            "configs": [c.name for c in configs]},
                     timeout_s=self.task_timeout_s,
                     max_attempts=self.max_task_attempts,
-                )
-                for benchmark, config in tasks
-            ]
-            return self._run_pool_tasks(pool_tasks, kind="simulation")
+                ))
+            results: List[SimulationResult] = [None] * len(tasks)
+            group_results = self._run_pool_tasks(pool_tasks, kind="simulation")
+            for (_, chunk), chunk_results in zip(groups, group_results):
+                for index, result in zip(chunk, chunk_results):
+                    results[index] = result
+            return results
         finally:
             self.stats.add_stage("simulate", time.perf_counter() - start)
 
     def _run_serial(self, benchmark: str, config: CPUConfig) -> SimulationResult:
-        """One in-process simulation (also the per-task fallback path)."""
+        """One in-process simulation (also each step of a group task's
+        serial fallback)."""
         return simulate(
             self._trace_for_simulation(benchmark), config,
             warmup=self.settings.warmup,

@@ -154,6 +154,32 @@ def test_peer_result_is_adopted(tmp_path, kind):
     assert _same(result, produced)
 
 
+def test_peer_finishing_between_the_checks_is_adopted(tmp_path, kind,
+                                                      monkeypatch):
+    """A peer that stores and releases while this process polls its key
+    is adopted, never mistaken for one that released without storing."""
+    produced = _reference(kind)
+    context = _context(tmp_path)
+    key = kind.key(context)
+    peer = ResultCache(tmp_path)
+    assert peer.try_claim(key)
+    read_holder = context.cache.claim_holder
+
+    def peer_finishes_after_read(polled):
+        holder = read_holder(polled)
+        if polled == key and holder is not None:
+            peer.store(key, produced)
+            peer.release_claim(key)
+        return holder
+
+    monkeypatch.setattr(context.cache, "claim_holder", peer_finishes_after_read)
+    result = kind.resolve(context)
+    assert kind.computed(context) == 0
+    assert context.stats.claim_dedup == 1
+    assert context.stats.claim_takeovers == 0
+    assert _same(result, produced)
+
+
 def test_dead_holder_is_taken_over(tmp_path, kind):
     context = _context(tmp_path)
     key = kind.key(context)

@@ -92,6 +92,23 @@ class TestHangSupervision:
         restarts = [e for e in context.stats.events if e["event"] == "pool_restart"]
         assert any(e["reason"] == "hung" for e in restarts)
 
+    def test_task_detail_names_the_group_configs(self, tmp_path, monkeypatch):
+        """A simulation task is a chunk of one trace's configs; its
+        timeout and serial-fallback events name every config in it."""
+        context, token_dir = _supervised_context(tmp_path, monkeypatch,
+                                                 timeout_s=1.5)
+        context.max_task_attempts = 1
+        faults.arm_worker_hangs(token_dir, 1)
+        context.prefetch(PAIRS)
+        names = tuple(context._config_for(label).name for label in ("Base", "TH"))
+        groups = {("adpcm", names), ("susan", names)}
+        for kind in ("task_timeout", "serial_fallback"):
+            events = [e for e in context.stats.events if e["event"] == kind]
+            assert events, kind
+            for event in events:
+                assert (event["benchmark"], tuple(event["configs"])) in groups
+                assert "config" not in event
+
     def test_repeated_hangs_exhaust_attempts_and_go_serial(
         self, tmp_path, monkeypatch
     ):

@@ -219,20 +219,25 @@ class TestWorkerTransport:
         assert len(store.entries()) == 2
 
     def test_vanished_trace_file_degrades_to_regeneration(self, tmp_path):
-        """A worker whose trace file disappeared regenerates and still
-        produces the right result."""
+        """A worker whose trace file disappeared regenerates (once for
+        the whole group) and still produces the right results."""
+        import pickle
+
         from repro.experiments.context import _simulate_task
 
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        config = context._config_for("Base")
-        result = _simulate_task(
-            "adpcm", config, TINY.trace_length, TINY.warmup,
+        labels = ["Base", "TH"]
+        results = _simulate_task(
+            "adpcm", [context._config_for(label) for label in labels],
+            TINY.trace_length, TINY.warmup,
             trace_file=str(tmp_path / "missing.npy"),
         )
-        reference = ExperimentContext(TINY, jobs=1, cache=None).run(
-            "adpcm", "Base"
-        )
-        assert _fields(result) == _fields(reference)
+        serial = ExperimentContext(TINY, jobs=1, cache=None)
+        assert len(results) == len(labels)
+        for label, result in zip(labels, results):
+            assert pickle.dumps(result) == pickle.dumps(
+                serial.run("adpcm", label)
+            ), label
 
 
 class TestWorkStealing:
