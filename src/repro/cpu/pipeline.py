@@ -4,11 +4,13 @@ The simulator assigns each committed trace instruction a fetch, dispatch,
 issue, completion, and commit cycle, subject to:
 
 * fetch bandwidth, I-cache/ITLB misses, branch redirects, BTB bubbles;
-* dispatch bandwidth and ROB/RS/LQ/SQ/IFQ occupancy (modelled with
-  free-at heaps: an allocation waits for the earliest-freed entry);
+* dispatch bandwidth and ROB/RS/LQ/SQ/IFQ occupancy (an allocation
+  waits for the earliest-freed entry; the columnar loop reads ROB and
+  IFQ waits by instruction index, as both free in program order);
 * register dependences through a ready-cycle scoreboard (bypass has no
   extra latency, matching an aggressive bypass network);
-* functional-unit structural hazards and issue bandwidth;
+* functional-unit structural hazards (a min-heap of next-free cycles
+  per unit pool) and issue bandwidth;
 * memory latencies from the cache/TLB hierarchy;
 * with Thermal Herding enabled, all the width-misprediction penalties of
   Section 3: register-read group stalls, ALU input stalls and output
@@ -27,6 +29,7 @@ import heapq
 import os
 from bisect import bisect_right, insort
 from collections import deque
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.activity import ActivityCounters, BatchedActivityCounters, NUM_DIES
@@ -38,7 +41,7 @@ from repro.core.register_file import PartitionedRegisterFile
 from repro.core.scheduler_allocation import EntryStackedScheduler
 from repro.core.width_prediction import WidthPredictor, WidthPredictorStats
 from repro.cpu.branch_predictor import FrontEndPredictor
-from repro.cpu.caches import build_hierarchy
+from repro.cpu.caches import MemoryHierarchy, build_hierarchy
 from repro.cpu.config import CPUConfig
 from repro.cpu.predecode import PreDecodedTrace, predecode
 from repro.cpu.results import SimulationResult, StallBreakdown
@@ -82,16 +85,18 @@ class _Pool:
     def __init__(self, units: int):
         if units < 1:
             raise ValueError(f"pool needs at least one unit, got {units}")
-        self._free = [0] * units  # min-heap of next-free cycles
+        #: Min-heap of the units' next-free cycles.  The columnar loop
+        #: acquires on it inline instead of through :meth:`acquire`.
+        self.free = [0] * units
 
     def acquire(self, earliest: int, busy: int = 1) -> int:
         """Reserve the unit that frees soonest; returns the start cycle."""
-        start = max(earliest, self._free[0])
-        heapq.heapreplace(self._free, start + busy)
+        start = max(earliest, self.free[0])
+        heapq.heapreplace(self.free, start + busy)
         return start
 
     def earliest_free(self) -> int:
-        return self._free[0]
+        return self.free[0]
 
 
 def _build_pools(cfg: CPUConfig):
@@ -134,7 +139,6 @@ class TimingSimulator:
         # and repackages them as plain counters in the result; the
         # reference loop records eagerly.
         self.counters = BatchedActivityCounters() if batched else ActivityCounters()
-        self.hierarchy = build_hierarchy(self.counters, self.config)
         self.frontend = FrontEndPredictor(
             self.counters,
             btb_entries=self.config.btb_entries,
@@ -160,6 +164,16 @@ class TimingSimulator:
             if th else None
         )
         self.stalls = StallBreakdown()
+
+    @cached_property
+    def hierarchy(self) -> MemoryHierarchy:
+        """The reference loop's cache/TLB hierarchy, built on first use.
+
+        The columnar loop never touches it (its miss outcomes come
+        precomputed from :func:`~repro.cpu.wavefront.memory_walk`), so a
+        batched simulator skips allocating every cache's set lists.
+        """
+        return build_hierarchy(self.counters, self.config)
 
     def _make_width_predictor(self):
         """Instantiate the configured width predictor variant."""
@@ -678,11 +692,11 @@ class TimingSimulator:
         columns (front-end outcomes, cache-miss latencies, BTB bubbles)
         and static result pieces (branch/cache stats, herding tallies,
         position-ordered activity counts).  The loop below keeps only the
-        genuinely serial resources: free-at queues for ROB/RS/LQ/SQ
-        entries, per-cycle fetch/dispatch/issue/commit bandwidth, MSHR
-        waits, the dependency scoreboard, and the width-state machines
-        whose decisions feed timing (predictor counters, register
-        memoization bits, L1D encodings).  It performs no activity
+        genuinely serial resources: ROB/RS/LQ/SQ/IFQ entry occupancy,
+        functional-unit and MSHR free-at heaps, per-cycle
+        fetch/dispatch/issue/commit bandwidth, the dependency scoreboard,
+        and the width-state machines whose decisions feed timing
+        (predictor counters, register memoization bits, L1D encodings).  It performs no activity
         recording and no model method calls; the handful of
         width-dependent activity splits are tallied in locals and merged
         with the static counts by
@@ -739,8 +753,6 @@ class TimingSimulator:
         decode_width = cfg.decode_width
         rob_size = cfg.rob_size
         rs_size = cfg.rs_size
-        lq_size = cfg.lq_size
-        sq_size = cfg.sq_size
         issue_width = cfg.issue_width
         commit_width = cfg.commit_width
         redirect_penalty = cfg.redirect_penalty
@@ -793,30 +805,41 @@ class TimingSimulator:
         last_dispatch_cycle = -1
         dispatched_in_cycle = 0
 
-        # Resource free-at queues.  ROB/LQ/SQ free-at cycles are produced
-        # in non-decreasing order, so FIFO popleft == heappop; RS free-at
-        # cycles are not monotonic, so a bisect-sorted list keeps pop-min
-        # O(1) and turns occupancy counts into binary searches.
-        rob_q = deque()
-        rs_list: List[int] = []
-        lq_q = deque()
-        sq_q = deque()
-        ifq_ring: List[int] = []  # dispatch cycles of the trailing window
+        # Entry occupancy.  Every structure starts full of entries freed
+        # at cycle 0, which never bind, so an allocation always takes the
+        # earliest-freed entry without a fullness test.  Each instruction
+        # takes one ROB entry and one IFQ slot, freed in program order,
+        # so instruction ``index`` reuses the entry of instruction
+        # ``index - size`` and waits for its commit (ROB) or dispatch
+        # (IFQ) cycle: the columns store instruction ``i``'s cycle at
+        # ``i + size``.  LQ/SQ entries also free in order (FIFO popleft
+        # == heappop).  RS entries do not, so a bisect-sorted list keeps
+        # pop-min cheap and turns occupancy counts into binary searches
+        # (the zero entries never count as busy).
+        committed = [0] * (n + rob_size)
+        dispatched = [0] * (n + ifq_size)
+        rs_list = [0] * rs_size
+        lq_q = deque([0] * cfg.lq_size)
+        sq_q = deque([0] * cfg.sq_size)
 
         # Issue state (same pruning discipline as the reference loop).
+        # Each functional-unit pool is its min-heap of next-free cycles;
+        # an issue takes the root and pushes back its next-free cycle.
         issued_in_cycle: Dict[int, int] = {}
         issue_prune_at = 4096
         pools, pool_for_op = _build_pools(cfg)
-        pool_by_code = [pool_for_op[op] for op in OPCLASS_LIST]
-        ld_st_pool, ld_only_pool = pools["ld_st"], pools["ld_only"]
-        ld_st_free = ld_st_pool.earliest_free
-        ld_only_free = ld_only_pool.earliest_free
-        mshr_acquire = _Pool(cfg.mshr_entries).acquire
+        heap_by_code = [pool_for_op[op].free for op in OPCLASS_LIST]
+        ld_st_heap = pools["ld_st"].free
+        ld_only_heap = pools["ld_only"].free
+        mshr_heap = _Pool(cfg.mshr_entries).free
+        heapreplace = heapq.heapreplace
 
         # Dependency scoreboard: completion cycle per producing
         # instruction.  The writer columns map each source operand slot to
-        # its producer index, replacing the per-register ready dict.
-        completes = [0] * n
+        # its producer index, replacing the per-register ready dict; a
+        # slot without a producer (-1) reads the trailing zero, which is
+        # never written.
+        completes = [0] * (n + 1)
         # Register width memoization bits (the partitioned register
         # file's lazily installed state).
         memo: Dict[int, bool] = {}
@@ -878,10 +901,9 @@ class TimingSimulator:
                 fetched_in_cycle = 0
             if fetch_cycle < next_fetch_floor:
                 fetch_cycle = next_fetch_floor
-            if len(ifq_ring) >= ifq_size:
-                floor = ifq_ring[-ifq_size]
-                if fetch_cycle < floor:
-                    fetch_cycle = floor
+            floor = dispatched[index]  # IFQ back-pressure
+            if fetch_cycle < floor:
+                fetch_cycle = floor
             frontend_miss = False
             if new_line:
                 extra = col_fetch_extra[index]
@@ -922,33 +944,28 @@ class TimingSimulator:
             if (dispatch_cycle == last_dispatch_cycle
                     and dispatched_in_cycle >= decode_width):
                 dispatch_cycle += 1
-            if rob_q and len(rob_q) >= rob_size:
-                freed = rob_q.popleft()
-                if freed > dispatch_cycle:
-                    dispatch_cycle = freed
-            if rs_list and len(rs_list) >= rs_size:
-                freed = rs_list.pop(0)
-                if freed > dispatch_cycle:
-                    dispatch_cycle = freed
+            freed = committed[index]  # ROB entry reused
+            if freed > dispatch_cycle:
+                dispatch_cycle = freed
+            freed = rs_list.pop(0)
+            if freed > dispatch_cycle:
+                dispatch_cycle = freed
             is_load = col_is_load[index]
             is_store = col_is_store[index]
-            if is_load and len(lq_q) >= lq_size:
+            if is_load:
                 freed = lq_q.popleft()
                 if freed > dispatch_cycle:
                     dispatch_cycle = freed
-            if is_store and len(sq_q) >= sq_size:
+            elif is_store:
                 freed = sq_q.popleft()
                 if freed > dispatch_cycle:
                     dispatch_cycle = freed
 
             # Dependencies through the writer columns.
-            w = writers0[index]
-            ready = completes[w] if w >= 0 else 0
-            w = writers1[index]
-            if w >= 0:
-                other = completes[w]
-                if other > ready:
-                    ready = other
+            ready = completes[writers0[index]]
+            other = completes[writers1[index]]
+            if other > ready:
+                ready = other
             bypass_sourced = ready > dispatch_cycle
 
             # Register file read: width memoization bits + group stalls.
@@ -1004,26 +1021,22 @@ class TimingSimulator:
                 last_dispatch_cycle = dispatch_cycle
             dispatched_in_cycle += 1
             dispatch_floor = dispatch_cycle
-            ifq_ring.append(dispatch_cycle)
-            if len(ifq_ring) > ifq_size * 2:
-                del ifq_ring[:ifq_size]
+            dispatched[index + ifq_size] = dispatch_cycle
 
             # ---------------- ISSUE ---------------- #
             earliest = dispatch_cycle + 1
             if ready > earliest:
                 earliest = ready
 
-            alu_stall = 0
             reexecute = False
-            is_memory = col_is_memory[index]
-            if predict_width and not is_memory:
+            if predict_width and not col_is_memory[index]:
                 # Partitioned ALU width gating, inlined.
                 if not effective_low:
                     alu4 += 1
                 elif not col_operands_low[index]:
                     alu4 += 1
                     if bypass_sourced:
-                        alu_stall = 1
+                        earliest += 1  # one-cycle input stall
                         alu_input_stalls += 1
                         stalled = True
                 elif not col_result_low[index]:
@@ -1037,22 +1050,25 @@ class TimingSimulator:
                 else:
                     alu1 += 1
 
-            earliest += alu_stall
             if is_load:
-                pool = (ld_only_pool
-                        if ld_st_free() > ld_only_free()
-                        else ld_st_pool)
+                # Either memory port, whichever frees sooner.
+                heap = (ld_only_heap if ld_st_heap[0] > ld_only_heap[0]
+                        else ld_st_heap)
             else:
-                pool = pool_by_code[codes[index]]
-            issue_cycle = pool.acquire(earliest, col_busy[index])
+                heap = heap_by_code[codes[index]]
+            issue_cycle = heap[0]
+            if issue_cycle < earliest:
+                issue_cycle = earliest
+            heapreplace(heap, issue_cycle + col_busy[index])
             count = issued_in_cycle.get(issue_cycle, 0)
             while count >= issue_width:
                 issue_cycle += 1
                 count = issued_in_cycle.get(issue_cycle, 0)
             issued_in_cycle[issue_cycle] = count + 1
-            if len(issued_in_cycle) >= issue_prune_at:
-                # Entries at or below the dispatch floor are dead: every
-                # future probe targets a cycle > dispatch_floor.
+            if not count and len(issued_in_cycle) >= issue_prune_at:
+                # Only a new cycle grows the map.  Entries at or below the
+                # dispatch floor are dead: every future probe targets a
+                # cycle > dispatch_floor.
                 issued_in_cycle = {
                     cycle: issued
                     for cycle, issued in issued_in_cycle.items()
@@ -1067,7 +1083,11 @@ class TimingSimulator:
                 access_cycles = col_load_cycles[index]
                 memory_miss = col_memory_miss[index]
                 if col_load_dram[index]:
-                    miss_start = mshr_acquire(issue_cycle + 1, access_cycles)
+                    # Wait for a free MSHR before the miss can go out.
+                    miss_start = mshr_heap[0]
+                    if miss_start < issue_cycle + 1:
+                        miss_start = issue_cycle + 1
+                    heapreplace(mshr_heap, miss_start + access_cycles)
                     latency += miss_start - (issue_cycle + 1)
                 latency += access_cycles
                 if th:
@@ -1089,11 +1109,12 @@ class TimingSimulator:
                 latency += col_latency[index]
             complete_cycle = issue_cycle + latency
 
-            # Result broadcast.
-            dst = col_dsts[index]
-            if dst is not None:
-                completes[index] = complete_cycle
-                if th:
+            # Result broadcast.  Only producers are ever read back from
+            # ``completes``, so every instruction may record its cycle.
+            completes[index] = complete_cycle
+            if th:
+                dst = col_dsts[index]
+                if dst is not None:
                     memo[dst] = col_result_low[index]
                     # Entry-stacked scheduler wakeup gating, inlined: the
                     # broadcast wakes the dies holding still-busy entries
@@ -1173,7 +1194,7 @@ class TimingSimulator:
                 cpi_stack[category] = cpi_stack.get(category, 0) + gap
             prev_commit_for_stack = commit_cycle
 
-            rob_q.append(commit_cycle)
+            committed[index + rob_size] = commit_cycle
             insort(rs_list, issue_cycle + 1)
             if is_load:
                 lq_q.append(commit_cycle)

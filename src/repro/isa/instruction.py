@@ -25,7 +25,7 @@ from repro.isa.values import is_low_width, to_unsigned
 MAX_SOURCES = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceInstruction:
     """One committed dynamic instruction.
 
@@ -76,16 +76,45 @@ class TraceInstruction:
     taken: bool = False
     target: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.op.is_memory and self.mem_addr is None:
-            raise ValueError(f"{self.op} at pc={self.pc:#x} requires mem_addr")
-        if self.op.is_control and self.taken and self.target is None:
-            raise ValueError(f"taken {self.op} at pc={self.pc:#x} requires target")
-        if len(self.src_values) not in (0, len(self.srcs)):
+    def __init__(
+        self,
+        pc: int,
+        op: OpClass,
+        srcs: Tuple[int, ...] = (),
+        dst: Optional[int] = None,
+        result: int = 0,
+        src_values: Tuple[int, ...] = (),
+        mem_addr: Optional[int] = None,
+        mem_value: Optional[int] = None,
+        taken: bool = False,
+        target: Optional[int] = None,
+    ) -> None:
+        # Hand-written because the emulator builds one record per
+        # committed instruction: the checks read the arguments, with no
+        # __post_init__ call or attribute re-reads.  Fields are stored
+        # with object.__setattr__, as the generated code does; writing
+        # through __dict__ would lose the key-sharing instance dict and
+        # double each record's memory.
+        if op.is_memory and mem_addr is None:
+            raise ValueError(f"{op} at pc={pc:#x} requires mem_addr")
+        if op.is_control and taken and target is None:
+            raise ValueError(f"taken {op} at pc={pc:#x} requires target")
+        if len(src_values) not in (0, len(srcs)):
             raise ValueError(
-                f"src_values length {len(self.src_values)} does not match "
-                f"srcs length {len(self.srcs)}"
+                f"src_values length {len(src_values)} does not match "
+                f"srcs length {len(srcs)}"
             )
+        store = object.__setattr__
+        store(self, "pc", pc)
+        store(self, "op", op)
+        store(self, "srcs", srcs)
+        store(self, "dst", dst)
+        store(self, "result", result)
+        store(self, "src_values", src_values)
+        store(self, "mem_addr", mem_addr)
+        store(self, "mem_value", mem_value)
+        store(self, "taken", taken)
+        store(self, "target", target)
 
     @property
     def next_pc(self) -> int:
