@@ -8,9 +8,6 @@ benchmarks x the six pinned configurations), single-process.  Emits a
 ``BENCH_report.json`` and gates against
 ``benchmarks/baselines/simulate_ips.json``.
 
-One (benchmark, config) pair is additionally replayed on the reference
-object path so the artifact tracks the columnar speedup over time.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_simulate.py [--out BENCH_simulate.json]
@@ -32,9 +29,6 @@ BENCHMARKS = ("mpeg2", "mcf", "susan", "yacr2", "swim", "adpcm")
 TRACE_LENGTH = 8_000
 WARMUP = 2_500
 
-#: The pair replayed on the object path for the speedup trend line.
-REFERENCE_PAIR = ("mpeg2", "TH")
-
 
 def run(out_path: str) -> dict:
     configs = _all_configurations()
@@ -48,29 +42,17 @@ def run(out_path: str) -> dict:
     compiled_bytes = 0
     for name, trace in traces.items():
         compiled = trace.compiled()
-        assert compiled is not None, f"{name} did not compile"
         compiled_bytes += compiled.nbytes
         predecoded[name] = predecode(compiled)
     t_compile = time.perf_counter() - t0
 
     simulations = 0
-    sample_stalls = None
     t0 = time.perf_counter()
-    for name, pre in predecoded.items():
-        for label, config in configs.items():
-            result = TimingSimulator(config, batched=True).run_compiled(
-                pre, warmup=WARMUP
-            )
+    for pre in predecoded.values():
+        for config in configs.values():
+            TimingSimulator(config).run_compiled(pre, warmup=WARMUP)
             simulations += 1
-            if (name, label) == REFERENCE_PAIR:
-                sample_stalls = result.stalls.as_dict()
     t_simulate = time.perf_counter() - t0
-
-    ref_name, ref_label = REFERENCE_PAIR
-    t0 = time.perf_counter()
-    TimingSimulator(configs[ref_label]).run(traces[ref_name], warmup=WARMUP)
-    t_object_pair = time.perf_counter() - t0
-    t_columnar_pair = t_simulate / simulations  # mean per simulation
 
     instructions = simulations * TRACE_LENGTH
     payload = {
@@ -90,13 +72,6 @@ def run(out_path: str) -> dict:
         "instructions_simulated": instructions,
         "instructions_per_second": round(instructions / t_simulate, 1),
         "compiled_trace_bytes": compiled_bytes,
-        "reference_pair": {
-            "pair": f"{ref_name}/{ref_label}",
-            "object_path_seconds": round(t_object_pair, 3),
-            "columnar_mean_seconds": round(t_columnar_pair, 3),
-            "speedup": round(t_object_pair / t_columnar_pair, 2),
-            "stalls": sample_stalls,
-        },
     }
     with open(out_path, "w", encoding="utf-8") as stream:
         json.dump(payload, stream, indent=2)
@@ -115,9 +90,6 @@ def main() -> int:
           f"simulate {stages['simulate']}s "
           f"({payload['simulations']} simulations, "
           f"{payload['instructions_per_second']:,.0f} inst/s)")
-    ref = payload["reference_pair"]
-    print(f"columnar speedup vs object path on {ref['pair']}: "
-          f"{ref['speedup']}x")
     print(f"wrote {args.out}")
     return 0
 

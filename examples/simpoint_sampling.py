@@ -41,8 +41,6 @@ def main() -> None:
     from repro.isa.trace import Trace
     from repro.workloads.phases import weighted_metric
 
-    from repro.cpu.pipeline import TimingSimulator
-
     t0 = time.time()
     point_ipcs = []
     simulated_insts = 0
@@ -51,12 +49,11 @@ def main() -> None:
         window = trace.instructions[start:point.start_instruction + interval]
         warmup = point.start_instruction - start
         piece = Trace(name=f"{benchmark}@{point.interval_index}", instructions=window)
-        # Functional warming comes from the FULL trace (as SimPoint's
-        # checkpointing would provide), then the preceding interval warms
-        # the pipeline-visible state.
-        simulator = TimingSimulator(config)
-        simulator._prewarm(trace)
-        result = simulator.run(piece, warmup=warmup, prewarm=False)
+        # The L2 prewarm sees only this window (the preceding interval
+        # plus the point), not the full trace a SimPoint checkpoint would
+        # warm from; the preceding interval then warms the
+        # pipeline-visible state.
+        result = simulate(piece, config, warmup=warmup)
         point_ipcs.append(result.ipc)
         simulated_insts += len(window)
     sampled_ipc = weighted_metric(points, point_ipcs)

@@ -115,83 +115,3 @@ class ActivityCounters:
                 for die in range(NUM_DIES):
                     target.per_die[die] += activity.per_die[die]
         return merged
-
-
-class BatchedActivityCounters(ActivityCounters):
-    """Drop-in :class:`ActivityCounters` that defers totals to a flush.
-
-    The timing simulator records several activity events per instruction;
-    applying each one eagerly costs a validation, a ``total`` add, and a
-    per-die loop on every call.  This subclass accumulates ``(module,
-    dies_active)`` event counts in a plain dict and applies them in one
-    pass at :meth:`flush` — the semantics (including module *creation
-    order*, which downstream float summations depend on for bit-identical
-    results) are unchanged, because the first occurrence of every event
-    kind still creates its module immediately.
-
-    ``record_die`` and direct mutation of :meth:`module` objects (used by
-    the split direction arrays and the entry-stacked scheduler) bypass
-    batching entirely and remain eager, which composes: the flush only
-    *adds* the deferred counts.  Any read through :meth:`modules` flushes
-    first, so readers always observe fully-applied totals.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending: Dict[tuple, int] = {}
-
-    def record(self, name: str, dies_active: int = NUM_DIES, count: int = 1) -> None:
-        key = (name, dies_active)
-        pending = self._pending
-        deferred = pending.get(key)
-        if deferred is None:
-            # First occurrence of this event kind: validate once and create
-            # the module now so creation order matches eager recording.
-            if not 1 <= dies_active <= NUM_DIES:
-                raise ValueError(
-                    f"dies_active must be in [1, {NUM_DIES}], got {dies_active}"
-                )
-            self.module(name)
-            pending[key] = count
-        else:
-            pending[key] = deferred + count
-
-    def flush(self) -> None:
-        """Apply all deferred event counts to their modules."""
-        for (name, dies_active), count in self._pending.items():
-            if not count:
-                continue
-            activity = self._modules[name]
-            activity.total += count
-            per_die = activity.per_die
-            if dies_active == 1:
-                activity.top_only += count
-                per_die[0] += count
-            else:
-                for die in range(dies_active):
-                    per_die[die] += count
-        self._pending.clear()
-
-    def modules(self) -> Dict[str, ModuleActivity]:
-        self.flush()
-        return super().modules()
-
-    def clear(self) -> None:
-        self._pending.clear()
-        super().clear()
-
-    def total_accesses(self) -> int:
-        self.flush()
-        return super().total_accesses()
-
-    def into_plain(self) -> ActivityCounters:
-        """Flush and repackage as a plain :class:`ActivityCounters`.
-
-        Simulation results are pickled into the on-disk cache; converting
-        back keeps the payload byte-identical to one produced by eager
-        recording (same class, same module dict contents and order).
-        """
-        self.flush()
-        plain = ActivityCounters()
-        plain._modules = self._modules
-        return plain

@@ -18,9 +18,9 @@ substantially faster than per-element numpy scalar extraction.
 Geometry-dependent columns (cache line and TLB page numbers) are cached
 per ``(line_bytes, page_bytes)``; the L2 prewarm install sequence is
 cached per ``line_bytes``; the static width-prediction profile is cached
-once.  All cached derivations replicate the reference path's iteration
-order exactly — dict insertion order feeds LRU state and the width
-profile's dict order, both of which the byte-identity guarantee covers.
+once.  All cached derivations keep a fixed iteration order — dict
+insertion order feeds LRU state and the width profile's dict order, both
+of which the timing core's golden digests pin.
 
 The batched wavefront split (:mod:`repro.cpu.wavefront`) adds a second
 family of derived columns: dependency writer indices (which earlier
@@ -247,9 +247,19 @@ class PreDecodedTrace:
         return cached
 
     def prewarm_lines(self, line_bytes: int) -> List[int]:
-        """The L2 prewarm install sequence, as line numbers, in the exact
-        order :meth:`TimingSimulator._prewarm` installs them (insertion
-        order feeds LRU state, so order is part of the contract)."""
+        """The L2 prewarm install sequence, as line numbers, in install
+        order (insertion order feeds LRU state, so order is part of the
+        contract).
+
+        A finite trace window cannot warm a 4 MB L2 the way minutes of
+        real execution do, so steady-state residency is approximated from
+        reuse.  Per 64 KB region: hot regions (access/line ratio >= 2,
+        e.g. stacks and hot sets) and revisited pools (>= 2.5% of the
+        region's lines reused, e.g. a bounded pointer-chase structure)
+        are fully resident, as is any line touched twice; single-pass
+        streams and vast sparse footprints keep missing, exactly as they
+        would in steady state.
+        """
         cached = self._prewarm.get(line_bytes)
         if cached is not None:
             return cached
@@ -319,10 +329,9 @@ class PreDecodedTrace:
         ``writers()[k][i]`` is the index of the most recent instruction
         before ``i`` whose destination equals source ``k`` of ``i``, or
         -1 when no earlier instruction wrote it.  Together with the
-        per-instruction completion cycles the loop records, these replace
-        the reference loop's ``reg_ready`` scoreboard dict exactly: a
-        register never written reads ready-at-cycle-0, like the dict's
-        default.
+        per-instruction completion cycles the loop records, these act as
+        a per-register ready-cycle scoreboard: a register never written
+        reads ready at cycle 0.
         """
         cached = self._writers
         if cached is None:
@@ -384,8 +393,8 @@ class PreDecodedTrace:
         get-or-install evolution of the per-double-word encoding dict,
         replayed here once per scheme in program order — identical to the
         call sequence :class:`~repro.core.dcache_encoding.PartialValueCache`
-        sees in the reference loop (every load and store participates,
-        regardless of width prediction).
+        would see called once per access (every load and store
+        participates, regardless of width prediction).
         """
         cached = self._dc_cols.get(scheme_value)
         if cached is None:

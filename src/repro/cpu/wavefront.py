@@ -1,6 +1,6 @@
 """Batched wavefront pre-computation for the columnar timing loop.
 
-The reference timing loop interleaves two kinds of work per instruction:
+Simulating a core interleaves two kinds of work per instruction:
 *timing-dependent* scoreboard updates (when does this instruction fetch,
 dispatch, issue, complete?) and *timing-independent* microarchitectural
 state evolution (branch predictor tables, cache LRU stacks, width
@@ -30,8 +30,9 @@ of the loop, in two shared walks plus vectorized column algebra:
   state.  The loop returns a handful of dynamic tallies (register-file
   read splits, ALU/L1D width outcomes, scheduler broadcast dies) and
   :meth:`WavefrontPlan.build_activity` assembles the final
-  :class:`~repro.core.activity.ActivityCounters` — byte-identical to
-  eager recording, including module *creation order*, which is
+  :class:`~repro.core.activity.ActivityCounters` — identical to
+  recording each event through the :mod:`repro.core` models, including
+  module *creation order*, which is
   reconstructed from first-occurrence positions (instruction index ×
   within-instruction event rank).
 """
@@ -54,8 +55,8 @@ from repro.cpu.predecode import (
 
 _U16 = np.uint64(16)
 
-# Within-instruction event ranks.  The reference loop touches modules in
-# a fixed order inside one instruction; a module's creation position is
+# Within-instruction event ranks.  An instruction touches modules in a
+# fixed order; a module's creation position is
 # ``first_instruction_index * 32 + rank``, which totally orders first
 # touches across the trace (load-path and store-path events never occur
 # on the same instruction, so sharing ranks 14-16 between them is safe).
@@ -195,7 +196,7 @@ def frontend_walk(pre: PreDecodedTrace, cfg) -> FrontendWalk:
     redirect = cols["is_control"] & (cols["taken"] | mispred_arr)
     fl = cols["fetch_lines"]
     new_line = np.empty(n, dtype=bool)
-    new_line[0] = True  # the reference loop starts with current_line = -1
+    new_line[0] = True  # the first instruction always opens a fetch group
     new_line[1:] = (fl[1:] != fl[:-1]) | redirect[:-1]
 
     walk = FrontendWalk(
@@ -510,7 +511,7 @@ class WavefrontPlan:
         sched_die: List[int],
     ) -> ActivityCounters:
         """Assemble the final activity counters from static sums plus the
-        loop's dynamic tallies, in reference creation order."""
+        loop's dynamic tallies, in the models' module creation order."""
         st = self._static
         fi = self._firsts
         warmup = self.warmup

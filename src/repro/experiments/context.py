@@ -40,7 +40,7 @@ from typing import (
 )
 
 from repro.cpu.config import CPUConfig, paper_configurations
-from repro.cpu.pipeline import columnar_enabled, simulate
+from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
 from repro.experiments.cache import (
     DEFAULT_CLAIM_STALE_S,
@@ -579,7 +579,7 @@ class ExperimentContext:
         self.claim_poll_s = CLAIM_POLL_S
         self.claim_stale_s = DEFAULT_CLAIM_STALE_S
         self._traces: Dict[str, Trace] = {}
-        self._compiled: Dict[str, Optional[CompiledTrace]] = {}
+        self._compiled: Dict[str, CompiledTrace] = {}
         self._trace_files: Dict[str, Optional[str]] = {}
         self._runs: Dict[Tuple[str, str], SimulationResult] = {}
         self._config_runs: Dict[Tuple[str, str], SimulationResult] = {}
@@ -620,19 +620,17 @@ class ExperimentContext:
             self._traces[benchmark] = trace
         return trace
 
-    def _compiled_for(self, benchmark: str) -> Optional[CompiledTrace]:
+    def _compiled_for(self, benchmark: str) -> CompiledTrace:
         """The compiled columnar trace: memo -> disk store -> generate.
 
         A store hit skips the emulator entirely — a config sweep (and
         every later process pointed at the same cache directory) pays
-        for each workload's generation and compilation once.  ``None``
-        means the trace is not representable in columnar form; callers
-        fall back to the object path.
+        for each workload's generation and compilation once.
         """
-        if benchmark in self._compiled:
-            return self._compiled[benchmark]
+        compiled = self._compiled.get(benchmark)
+        if compiled is not None:
+            return compiled
         store = key = None
-        compiled = None
         if self.cache is not None:
             store = self.cache.trace_store()
             key = trace_store_key(
@@ -649,7 +647,7 @@ class ExperimentContext:
             elapsed = time.perf_counter() - start
             self.stats.trace_compile_seconds += elapsed
             self.stats.add_stage("compile", elapsed)
-            if compiled is not None and store is not None:
+            if store is not None:
                 path = store.store(key, compiled)
                 self._trace_files[benchmark] = (
                     None if path is None else os.fspath(path)
@@ -657,22 +655,10 @@ class ExperimentContext:
         self._compiled[benchmark] = compiled
         return compiled
 
-    def _trace_for_simulation(self, benchmark: str):
-        """What in-process :func:`simulate` calls should replay: the
-        compiled trace when the columnar path is on (shared pre-decode
-        across configs), the object trace otherwise."""
-        if columnar_enabled():
-            compiled = self._compiled_for(benchmark)
-            if compiled is not None:
-                return compiled
-        return self.trace(benchmark)
-
     def _trace_file(self, benchmark: str) -> Optional[str]:
         """The on-disk compiled trace workers should map, or ``None``
-        (store disabled/unusable, or trace uncompilable) — in which case
-        workers regenerate the trace themselves."""
-        if not columnar_enabled():
-            return None
+        (store disabled or unusable) — in which case workers regenerate
+        the trace themselves."""
         self._compiled_for(benchmark)
         return self._trace_files.get(benchmark)
 
@@ -957,8 +943,7 @@ class ExperimentContext:
         """One in-process simulation (also each step of a group task's
         serial fallback)."""
         return simulate(
-            self._trace_for_simulation(benchmark), config,
-            warmup=self.settings.warmup,
+            self._compiled_for(benchmark), config, warmup=self.settings.warmup
         )
 
     def _new_pool(self, workers: int):

@@ -27,10 +27,8 @@ closes the loop:
    cycle measures how often DTM must act; comparing 3D against 3D-noTH
    shows thermal herding buying back throttle-free cycles.
 
-All stepping is deterministic and the extraction always uses the
-columnar capture path, so the report section is byte-identical across
-serial/parallel runs and ``REPRO_COLUMNAR`` modes, and a warm run
-re-simulates nothing.
+All stepping is deterministic, so the report section is byte-identical
+across serial/parallel runs, and a warm run re-simulates nothing.
 """
 
 from __future__ import annotations
@@ -93,10 +91,8 @@ def extract_interval_trace(
 ) -> IntervalPowerTrace:
     """Extract (or load) the interval power trace of one run.
 
-    Always drives the columnar capture path explicitly — independent of
-    ``REPRO_COLUMNAR`` — so the trace (and everything downstream) is
-    identical whichever simulation path the rest of the context uses.
-    On a cache hit the simulator is never touched.
+    Re-runs the timing core with an :class:`IntervalCapture`; on a cache
+    hit the simulator is never touched.
     """
     config = context._config_for(config_label)
     stack = CONFIG_STACKS[config_label]
@@ -117,26 +113,17 @@ def extract_interval_trace(
             return cached
 
     start = time.perf_counter()
-    compiled = context._compiled_for(benchmark)
-    if compiled is not None:
-        pre = predecode(compiled)
-        warmup = context.settings.warmup
-        capture = IntervalCapture(interval_insts)
-        result = TimingSimulator(config, batched=True).run_compiled(
-            pre, warmup=warmup, prewarm=True, capture=capture
-        )
-        series = build_interval_series(
-            pre, config, warmup, True, capture, result.activity
-        )
-        breakdowns = model.evaluate_intervals(result, series, stack)
-        cycles = np.asarray(series.cycles, dtype=np.int64)
-    else:
-        # Non-columnar workloads degrade to a one-interval trace built
-        # from the aggregate run — the same special case the interval
-        # binning reduces to for interval_insts >= the trace length.
-        result = context.run(benchmark, config_label)
-        breakdowns = [model.evaluate(result, stack)]
-        cycles = np.asarray([result.cycles], dtype=np.int64)
+    pre = predecode(context._compiled_for(benchmark))
+    warmup = context.settings.warmup
+    capture = IntervalCapture(interval_insts)
+    result = TimingSimulator(config).run_compiled(
+        pre, warmup=warmup, prewarm=True, capture=capture
+    )
+    series = build_interval_series(
+        pre, config, warmup, True, capture, result.activity
+    )
+    breakdowns = model.evaluate_intervals(result, series, stack)
+    cycles = np.asarray(series.cycles, dtype=np.int64)
 
     plan = context.floorplan(stack)
     ny, nx = solver.chip_grid_shape()

@@ -18,9 +18,10 @@ emulator or unpickling a private instruction list.
 
 Compilation is strict: any trace the fixed-width columns cannot represent
 exactly (more than two sources, values outside 64-bit range, register ids
-outside int16) raises :class:`TraceCompileError`, and callers fall back
-to the object path.  :meth:`CompiledTrace.to_trace` reconstructs the
-original instruction list exactly, which the equivalence tests rely on.
+outside int16) raises :class:`TraceCompileError`; the timing core only
+replays compiled traces, so such a trace cannot be simulated.
+:meth:`CompiledTrace.to_trace` reconstructs the original instruction
+list exactly, which the round-trip tests rely on.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ from repro.isa.values import is_low_width, to_unsigned
 
 #: Maximum architectural sources per instruction.  The columnar trace
 #: form (:mod:`repro.isa.compiled`) allots exactly this many source
-#: register/value columns; a trace exceeding it is not columnar-
-#: representable and replays on the object path.
+#: register/value columns; a trace exceeding it cannot be compiled, so
+#: it cannot be simulated (:class:`~repro.isa.compiled.TraceCompileError`).
 MAX_SOURCES = 2
 
 

@@ -47,28 +47,20 @@ class Trace:
         return TraceStats.from_instructions(self.instructions)
 
     def compiled(self):
-        """The columnar form of this trace, or ``None`` if uncompilable.
+        """The columnar form of this trace.
 
-        Compilation is memoized on the instance: the fast simulation path
-        calls this once per (trace, config) pair, but six configs share
-        one trace object in a sweep.  A trace the fixed-width columns
-        cannot represent memoizes ``None`` so the object path is used
-        without re-attempting compilation.
+        Compilation is memoized on the instance: simulation calls this
+        once per (trace, config) pair, but six configs share one trace
+        object in a sweep.  Raises
+        :class:`~repro.isa.compiled.TraceCompileError` if the fixed-width
+        columns cannot represent the trace.
         """
-        compiled = self.__dict__.get("_compiled", _UNCOMPILED)
-        if compiled is _UNCOMPILED:
-            from repro.isa.compiled import compile_trace, TraceCompileError
+        compiled = self.__dict__.get("_compiled")
+        if compiled is None:
+            from repro.isa.compiled import compile_trace
 
-            try:
-                compiled = compile_trace(self)
-            except TraceCompileError:
-                compiled = None
-            self.__dict__["_compiled"] = compiled
+            compiled = self.__dict__["_compiled"] = compile_trace(self)
         return compiled
-
-
-#: Sentinel distinguishing "never compiled" from "compilation failed".
-_UNCOMPILED = object()
 
 
 @dataclass

@@ -19,9 +19,7 @@ ablations, repeated contexts) reuse one factorization instead of paying
 SuperLU per instance.  The LU factorization is deferred to the first
 steady solve, so a transient solver, which factorizes its own step
 matrix, never pays for a steady one.  Assembly itself is vectorized —
-whole-layer conductance arrays emitted as concatenated COO triplets —
-with the original cell-by-cell loop kept as ``_build_reference`` for the
-equivalence test.
+whole-layer conductance arrays emitted as concatenated COO triplets.
 """
 
 from __future__ import annotations
@@ -276,9 +274,9 @@ class ThermalSolver:
         Harmonic-mean lateral conductances and vertical series
         resistances are computed as whole-layer (ny, nx) arrays and
         emitted as concatenated COO index/value arrays.  The diagonal is
-        accumulated in the same per-cell order as the reference loop
-        assembler, so the result is bit-identical to
-        :meth:`_build_reference`.
+        accumulated in a fixed per-cell order (below), so the matrix
+        bytes are reproducible; ``tests/thermal/test_vectorized_assembly.py``
+        pins them with digests.
         """
         nx, ny = self.nx, self.ny
         layers = self.stack.layers
@@ -307,9 +305,10 @@ class ThermalSolver:
         conv_total = 1.0 / self.stack.convection_k_per_w
         conv_per_cell = conv_total * (cell_area / spreader_area)
 
-        # Diagonal accumulation mirrors the reference loop's per-cell
-        # order: vertical-from-above, y-up, x-left, x-right, y-down,
-        # vertical-to-below, then the layer-0 convection term.
+        # Diagonal accumulation order per cell: vertical-from-above,
+        # y-up, x-left, x-right, y-down, vertical-to-below, then the
+        # layer-0 convection term.  Float addition is not associative,
+        # so changing this order changes the matrix bytes.
         diag = np.zeros((nl, ny, nx))
         for l in range(nl):
             diag[l, 1:, :] += g_y[l]
@@ -328,77 +327,6 @@ class ThermalSolver:
         cols = np.concatenate([b_x, a_x, b_y, a_y, b_v, a_v, idx.ravel()])
         vx, vy, vv = -g_x.ravel(), -g_y.ravel(), -g_v.ravel()
         vals = np.concatenate([vx, vx, vy, vy, vv, vv, diag.ravel()])
-        matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-        return matrix, conv_per_cell
-
-    def _build_reference(self) -> Tuple[csc_matrix, float]:
-        """The original cell-by-cell loop assembler.
-
-        Kept solely as the oracle for the loop-vs-vectorized equivalence
-        test; production code paths use :meth:`_assemble`.
-        """
-        nx, ny = self.nx, self.ny
-        layers = self.stack.layers
-        nl = len(layers)
-        n = nl * ny * nx
-        dx = self.spreader_w_mm * 1e-3 / nx
-        dy = self.spreader_h_mm * 1e-3 / ny
-        cell_area = dx * dy
-        spreader_area = self.spreader_w_mm * self.spreader_h_mm * 1e-6
-
-        def index(layer: int, j: int, i: int) -> int:
-            return (layer * ny + j) * nx + i
-
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        diag = np.zeros(n)
-
-        def couple(a: int, b: int, conductance: float) -> None:
-            rows.append(a)
-            cols.append(b)
-            vals.append(-conductance)
-            rows.append(b)
-            cols.append(a)
-            vals.append(-conductance)
-            diag[a] += conductance
-            diag[b] += conductance
-
-        k_maps = [self._cell_k(l) for l in range(nl)]
-        for l, layer in enumerate(layers):
-            t = layer.thickness_m
-            k = k_maps[l]
-            for j in range(ny):
-                for i in range(nx):
-                    a = index(l, j, i)
-                    if i + 1 < nx:
-                        k_h = 2.0 * k[j, i] * k[j, i + 1] / (k[j, i] + k[j, i + 1])
-                        couple(a, index(l, j, i + 1), k_h * (t * dy) / dx)
-                    if j + 1 < ny:
-                        k_h = 2.0 * k[j, i] * k[j + 1, i] / (k[j, i] + k[j + 1, i])
-                        couple(a, index(l, j + 1, i), k_h * (t * dx) / dy)
-            if l + 1 < nl:
-                below = layers[l + 1]
-                k_below = k_maps[l + 1]
-                for j in range(ny):
-                    for i in range(nx):
-                        r_vertical = (
-                            t / (2.0 * k[j, i])
-                            + below.thickness_m / (2.0 * k_below[j, i])
-                        ) / cell_area
-                        couple(index(l, j, i), index(l + 1, j, i), 1.0 / r_vertical)
-
-        # Convection boundary at the top of the spreader: the sink's total
-        # resistance distributed uniformly over the spreader area.
-        conv_total = 1.0 / self.stack.convection_k_per_w
-        conv_per_cell = conv_total * (cell_area / spreader_area)
-        for j in range(ny):
-            for i in range(nx):
-                diag[index(0, j, i)] += conv_per_cell
-
-        rows.extend(range(n))
-        cols.extend(range(n))
-        vals.extend(diag)
         matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
         return matrix, conv_per_cell
 

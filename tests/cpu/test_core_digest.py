@@ -1,17 +1,21 @@
-"""Golden digests of the columnar timing core.
+"""Golden digests of the timing core.
 
 Each digest is a sha256 over ``pickle.dumps(result, protocol=4)`` of a
 :meth:`~repro.cpu.pipeline.TimingSimulator.run_compiled` run, recorded
-while the columnar core was byte-identical to the object-path loop.
-They pin the core's output on their own, without replaying the object
-path: a change that moves any counter, stall, CPI-stack entry or dict
-order of any configuration fails here.  A deliberate timing-model change
-bumps ``SIMULATOR_VERSION`` and re-records the table below.
+while the columnar core was byte-identical to the object-path loop it
+replaced.  The second half of the table holds every input the old
+core-equivalence tests replayed (degenerate traces, tiny predictor
+tables, each predictor kind on a memory-bound trace).  The digests pin
+the core's output on their own: a change that moves any counter,
+stall, CPI-stack entry or dict order of any configuration fails here.
+A deliberate timing-model change bumps ``SIMULATOR_VERSION`` and
+re-records the table below.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import pickle
 
@@ -19,15 +23,13 @@ import pytest
 
 from repro.cpu import caches
 from repro.cpu.config import WidthPredictorKind
-from repro.cpu.pipeline import (
-    ENV_COLUMNAR,
-    SIMULATOR_VERSION,
-    TimingSimulator,
-    simulate,
-)
+from repro.cpu.pipeline import SIMULATOR_VERSION, TimingSimulator, simulate
 from repro.cpu.predecode import predecode
 from repro.cpu.wavefront import IntervalCapture
 from repro.experiments.context import _all_configurations
+from repro.isa.instruction import TraceInstruction
+from repro.isa.opcodes import OpClass
+from repro.isa.trace import Trace
 from repro.workloads.suite import generate
 
 LENGTH = 3_000
@@ -71,7 +73,82 @@ GOLDEN = {
         "b1a5ac69ff5e87a0e5312e29c9948656c268070edb1eaba17bbfd813eca82159",
     "mpeg2/TH-capture":
         "16c7a10f24f0e38987f8931a3e77903f85194c53511ebfee407e263bc0be1a3d",
+    # Replayed inputs (see REPLAYED below).
+    "mpeg2-8k/Base":
+        "8524e7e1c6adfa9d7df6637b6e46be90c2ef3a6713501bc0d138fdcb119ca530",
+    "mpeg2-8k/TH":
+        "f6cf202616660dd9495c867379b57f4caf2026d57e8aed914fc600b11c34742d",
+    "mpeg2-8k/Pipe":
+        "54d65c14ef889317c607b3c6245c918cc23c2b4edb49051d712b8b0a23c8c4e7",
+    "mpeg2-8k/Fast":
+        "0d1d62f047e358b11552cba98d42b4d7b0323b548e2ef70a499eb00ec12bab64",
+    "mpeg2-8k/3D":
+        "9287e4aac7e05b664f4812c45ebd918ebe9518c89d095cfd89ab0130d935570a",
+    "mpeg2-8k/3D-noTH":
+        "b5e4459ab23d16b670d43cb1062fa70451962648166a70003995b5d836e0ff99",
+    "yacr2-8k/Base":
+        "faa5cdc3b2280782862a695c2dc52ba5b8dacc4e8cec6380851806e7d9883bfb",
+    "yacr2-8k/3D":
+        "91602706579ebf7fe5043452f996850a7fee16f3bab2aad19d75ca221ed0e2d8",
+    "yacr2-8k/TH-dynamic":
+        "09357d85527f781ab6179714ba496694415726216b3487d3293b0f032242317f",
+    "yacr2-8k/TH-static":
+        "434e71eb7cd4f53472848ed1f822dd5317cd6e0d79f36cf31458c6c93684af16",
+    "yacr2-8k/TH-oracle":
+        "128cf21be8659af31d42b3664097f56f433335b54efdcb5f66d06831adb80d26",
+    "yacr2-4k/TH-tiny-dynamic":
+        "e4f543c716076fdd760e245f306fae8e1b0bcd15393cc9aae0e89d2b7093a9ef",
+    "yacr2-4k/TH-tiny-static":
+        "d57b1a33d804c99b8fbb7b50f4b22e84373ebfbf19b0dc2a72f3f2bccc8c0acc",
+    "yacr2-4k/TH-tiny-oracle":
+        "bf55ca31e9b03f697f6135683e27cb25cf1451183b41fce8b1bfee36643343b5",
+    "adpcm-40/TH":
+        "11b1008c72c4d49fbc7e72fc3958fb6187f4c9a3f100630c74164561e07f62d0",
+    "one/Base":
+        "44f416ddf3f29fc1ba705f60bde76bdec125521c544a681fda576575b4a11fb6",
 }
+
+
+def _predictor_config(kind, **fields):
+    return dataclasses.replace(CONFIGS["TH"], width_predictor_kind=kind,
+                               **fields)
+
+
+def _replayed_inputs():
+    """``key -> ((benchmark, length) or None, config, warmup)``; ``None``
+    is the single-instruction trace."""
+    inputs = {}
+    for label, config in CONFIGS.items():
+        inputs[f"mpeg2-8k/{label}"] = (("mpeg2", 8_000), config, 2_000)
+    for label in ("Base", "3D"):
+        inputs[f"yacr2-8k/{label}"] = (("yacr2", 8_000), CONFIGS[label], 2_000)
+    for kind in WidthPredictorKind:
+        inputs[f"yacr2-8k/TH-{kind.value}"] = (
+            ("yacr2", 8_000), _predictor_config(kind), 2_000)
+    # 4-entry, 1-bit tables maximize aliasing and saturation flips; the
+    # warmup crosses the stats reset in a heavily wrapped counter state.
+    for kind in WidthPredictorKind:
+        inputs[f"yacr2-4k/TH-tiny-{kind.value}"] = (
+            ("yacr2", 4_000),
+            _predictor_config(kind, width_predictor_entries=4,
+                              width_counter_bits=1),
+            1_000,
+        )
+    inputs["adpcm-40/TH"] = (("adpcm", 40), CONFIGS["TH"], 0)
+    inputs["one/Base"] = (None, CONFIGS["Base"], 0)
+    return inputs
+
+
+REPLAYED = _replayed_inputs()
+
+
+@functools.lru_cache(maxsize=None)
+def _trace(spec):
+    if spec is None:
+        return Trace("one", [
+            TraceInstruction(pc=0x1000, op=OpClass.IALU, dst=1, result=3),
+        ])
+    return generate(*spec)
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +170,10 @@ def _digest(result, capture=None) -> str:
     return digest.hexdigest()
 
 
-def _columnar(pre, config, capture=None):
-    return TimingSimulator(config, batched=True).run_compiled(
-        pre, warmup=WARMUP, capture=capture
+def _run(pre, config, warmup=WARMUP, capture=None):
+    return TimingSimulator(config).run_compiled(
+        pre, warmup=warmup, capture=capture
     )
-
-
-def _predictor_config(kind):
-    return dataclasses.replace(CONFIGS["TH"], width_predictor_kind=kind)
 
 
 def test_simulator_version_matches_the_recording():
@@ -110,43 +183,52 @@ def test_simulator_version_matches_the_recording():
 @pytest.mark.parametrize("trace_name", BENCHMARKS)
 @pytest.mark.parametrize("label", list(CONFIGS))
 def test_configuration_digest(predecoded, trace_name, label):
-    result = _columnar(predecoded[trace_name], CONFIGS[label])
+    result = _run(predecoded[trace_name], CONFIGS[label])
     assert _digest(result) == GOLDEN[f"{trace_name}/{label}"]
 
 
 @pytest.mark.parametrize("kind", [WidthPredictorKind.STATIC,
                                   WidthPredictorKind.ORACLE])
 def test_predictor_kind_digest(predecoded, kind):
-    result = _columnar(predecoded["mcf"], _predictor_config(kind))
+    result = _run(predecoded["mcf"], _predictor_config(kind))
     assert _digest(result) == GOLDEN[f"mcf/TH-{kind.value}"]
 
 
 def test_interval_capture_digest(predecoded):
     capture = IntervalCapture(INTERVAL)
-    result = _columnar(predecoded["mpeg2"], CONFIGS["TH"], capture=capture)
+    result = _run(predecoded["mpeg2"], CONFIGS["TH"], capture=capture)
     assert _digest(result, capture) == GOLDEN["mpeg2/TH-capture"]
 
 
+@pytest.mark.parametrize("key", list(REPLAYED))
+def test_replayed_input_digest(key):
+    spec, config, warmup = REPLAYED[key]
+    result = simulate(_trace(spec), config, warmup=warmup)
+    assert _digest(result) == GOLDEN[key]
+
+
+def test_warmup_bound_error():
+    pre = predecode(generate("adpcm", length=40).compiled())
+    with pytest.raises(ValueError, match="warmup"):
+        _run(pre, CONFIGS["Base"], warmup=40)
+
+
+def test_simulate_accepts_compiled_trace():
+    trace = generate("adpcm", length=600)
+    config = CONFIGS["TH"]
+    via_trace = simulate(trace, config, warmup=100)
+    via_compiled = simulate(trace.compiled(), config, warmup=100)
+    assert pickle.dumps(via_compiled) == pickle.dumps(via_trace)
+
+
 class TestMemoryHierarchy:
-    """The columnar core reads precomputed miss columns; only the
-    object-path loop needs the cache/TLB hierarchy."""
+    """The core reads precomputed miss columns; no simulation builds the
+    per-access cache/TLB hierarchy."""
 
     def test_batched_simulate_builds_no_hierarchy(self, traces, monkeypatch):
         def refuse(self, *args, **kwargs):
-            raise AssertionError("columnar simulation built a MemoryHierarchy")
+            raise AssertionError("simulation built a MemoryHierarchy")
 
-        monkeypatch.delenv(ENV_COLUMNAR, raising=False)
         monkeypatch.setattr(caches.MemoryHierarchy, "__init__", refuse)
         result = simulate(traces["mpeg2"], CONFIGS["3D"], warmup=WARMUP)
         assert _digest(result) == GOLDEN["mpeg2/3D"]
-
-    @pytest.mark.parametrize("label", ["Base", "3D"])
-    def test_object_path_matches_the_digest(self, traces, monkeypatch, label):
-        monkeypatch.setenv(ENV_COLUMNAR, "0")
-        trace = traces["mpeg2"]
-        config = CONFIGS[label]
-        fresh = TimingSimulator(config).run(trace, warmup=WARMUP)
-        assert pickle.dumps(fresh) == pickle.dumps(
-            simulate(trace, config, warmup=WARMUP)
-        )
-        assert _digest(fresh) == GOLDEN[f"mpeg2/{label}"]

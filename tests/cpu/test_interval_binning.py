@@ -31,7 +31,7 @@ def pre():
 
 
 def _run(pre, config, capture=None):
-    return TimingSimulator(config, batched=True).run_compiled(
+    return TimingSimulator(config).run_compiled(
         pre, warmup=WARMUP, capture=capture
     )
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.config import baseline_config
 from repro.cpu.pipeline import TimingSimulator, simulate
+from repro.cpu.predecode import predecode
 from repro.isa.builder import TraceBuilder
 
 HEAP = 0x2AAA_0000_0000
@@ -34,6 +35,12 @@ def single_pass_stream(accesses=3000, stride=192):
     return builder.build()
 
 
+def run(trace, prewarm):
+    return TimingSimulator(baseline_config()).run_compiled(
+        predecode(trace.compiled()), prewarm=prewarm
+    )
+
+
 class TestPrewarm:
     def test_hot_pool_prewarmed(self):
         """A revisited pool's first touches hit the prewarmed L2."""
@@ -50,16 +57,14 @@ class TestPrewarm:
 
     def test_prewarm_flag_off(self):
         trace = hot_pool_trace()
-        sim_on = TimingSimulator(baseline_config())
-        on = sim_on.run(trace, prewarm=True)
-        sim_off = TimingSimulator(baseline_config())
-        off = sim_off.run(trace, prewarm=False)
+        on = run(trace, prewarm=True)
+        off = run(trace, prewarm=False)
         # Without prewarm the first pool pass misses.
         assert (off.activity.module("dram").total
                 >= on.activity.module("dram").total)
 
     def test_prewarm_never_slows_down(self):
         for trace in (hot_pool_trace(accesses=1500), single_pass_stream(1500)):
-            on = TimingSimulator(baseline_config()).run(trace, prewarm=True)
-            off = TimingSimulator(baseline_config()).run(trace, prewarm=False)
+            on = run(trace, prewarm=True)
+            off = run(trace, prewarm=False)
             assert on.cycles <= off.cycles + 1

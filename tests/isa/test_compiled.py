@@ -2,8 +2,8 @@
 
 The compiled form is only allowed to exist if it is *exact*: every
 instruction must survive ``compile_trace`` -> ``to_trace`` unchanged,
-traces outside the fixed-width layout must refuse to compile (callers
-then use the object path), and damaged on-disk entries must raise
+traces outside the fixed-width layout must refuse to compile (and so
+cannot be simulated), and damaged on-disk entries must raise
 ``TraceReadError`` rather than deliver garbage into a simulation.
 """
 
@@ -95,12 +95,17 @@ class TestStrictness:
         with pytest.raises(TraceCompileError, match="64-bit"):
             compile_trace(Trace("big", [inst]))
 
-    def test_uncompilable_trace_memoizes_none(self):
+    def test_uncompilable_trace_cannot_be_simulated(self):
+        from repro.cpu.config import baseline_config
+        from repro.cpu.pipeline import simulate
+
         inst = TraceInstruction(pc=0x1000, op=OpClass.IALU,
                                 srcs=(1, 2, 3), src_values=(1, 2, 3))
         trace = Trace("wide", [inst])
-        assert trace.compiled() is None
-        assert trace.compiled() is None  # memoized, no re-attempt
+        with pytest.raises(TraceCompileError, match=f"{MAX_SOURCES}-column"):
+            simulate(trace, baseline_config())
+        with pytest.raises(TraceCompileError):
+            trace.compiled()  # nothing memoized; still refuses
 
     def test_compilable_trace_memoizes_instance(self):
         trace = generate("adpcm", length=200)
