@@ -65,6 +65,9 @@ def run(out_path: str) -> dict:
         },
         "stage_seconds": {
             "generate": round(t_generate, 3),
+            # The emulator writes the compiled rows itself, so for these
+            # generated traces ``compile`` is pre-decode alone: its
+            # compile share is ~0.
             "compile": round(t_compile, 3),
             "simulate": round(t_simulate, 3),
         },

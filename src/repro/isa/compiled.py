@@ -1,14 +1,15 @@
 """Columnar (structure-of-arrays) trace representation.
 
-A :class:`~repro.isa.trace.Trace` is a list of frozen dataclass records;
-replaying one under six configurations re-pays Python attribute access,
-``cached_property`` machinery, and big-int width arithmetic per
-instruction per configuration.  :func:`compile_trace` converts the trace
-into one numpy structured array — the *compiled* form — from which all
-loop-invariant per-instruction properties (op-class predicates, 16-bit
-significance classification, cache line/page indices) are derived once,
-vectorized, and shared across every configuration that replays the
-trace (see :mod:`repro.cpu.predecode`).
+The *compiled* form of a trace is one numpy structured array with one
+:data:`TRACE_DTYPE` row per committed instruction.  It is the form the
+emulator writes (:func:`rows_to_array` on its row tuples) and the only
+form the timing core replays: every loop-invariant per-instruction
+property (op-class predicates, 16-bit significance classification, cache
+line/page indices) is derived from it once, vectorized, and shared
+across every configuration that replays the trace (see
+:mod:`repro.cpu.predecode`).  Hand-built traces, lists of
+:class:`~repro.isa.instruction.TraceInstruction` records, compile
+through :func:`compile_trace` into the same row layout.
 
 The compiled form is also the *transport* form: it round-trips through
 ``.npy`` + JSON-sidecar files (:func:`write_compiled` /
@@ -20,8 +21,8 @@ Compilation is strict: any trace the fixed-width columns cannot represent
 exactly (more than two sources, values outside 64-bit range, register ids
 outside int16) raises :class:`TraceCompileError`; the timing core only
 replays compiled traces, so such a trace cannot be simulated.
-:meth:`CompiledTrace.to_trace` reconstructs the original instruction
-list exactly, which the round-trip tests rely on.
+:meth:`CompiledTrace.to_trace` reconstructs the instruction list exactly;
+it is how a generated trace's lazy ``instructions`` view is built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ TRACE_SCHEMA_VERSION = 1
 #: into this list.
 OPCLASS_LIST: List[OpClass] = list(OpClass)
 
-_OP_CODE: Dict[OpClass, int] = {op: code for code, op in enumerate(OPCLASS_LIST)}
+OP_CODE: Dict[OpClass, int] = {op: code for code, op in enumerate(OPCLASS_LIST)}
 
 #: One row per committed instruction.  ``dst`` uses -1 for "no
 #: destination"; optional fields pair a value column with a presence
@@ -69,7 +70,6 @@ TRACE_DTYPE = np.dtype([
     ("target", "<u8"),
 ])
 
-_U64_MAX = (1 << 64) - 1
 _REG_MAX = (1 << 15) - 1
 
 
@@ -79,14 +79,6 @@ class TraceCompileError(ValueError):
 
 class TraceReadError(ValueError):
     """An on-disk compiled trace is missing, corrupt, or incompatible."""
-
-
-def _check_u64(value: int, what: str, pc: int) -> int:
-    if not 0 <= value <= _U64_MAX:
-        raise TraceCompileError(
-            f"{what}={value!r} at pc={pc:#x} is outside the unsigned 64-bit range"
-        )
-    return value
 
 
 class CompiledTrace:
@@ -128,30 +120,18 @@ class CompiledTrace:
 
     def to_trace(self) -> Trace:
         """Reconstruct the exact object-form :class:`Trace`."""
-        rows = self.array
-        instructions: List[TraceInstruction] = []
-        for row in rows:
-            nsrcs = int(row["nsrcs"])
-            nvals = int(row["nvals"])
-            srcs = (int(row["src0"]),)[:nsrcs] if nsrcs < 2 else (
-                int(row["src0"]), int(row["src1"])
+        instructions = [
+            TraceInstruction(
+                pc, OPCLASS_LIST[op], (src0, src1)[:nsrcs],
+                None if dst < 0 else dst, result, (sval0, sval1)[:nvals],
+                mem_addr if has_mem_addr else None,
+                mem_value if has_mem_value else None,
+                taken, target if has_target else None,
             )
-            src_values = (int(row["sval0"]),)[:nvals] if nvals < 2 else (
-                int(row["sval0"]), int(row["sval1"])
-            )
-            dst = int(row["dst"])
-            instructions.append(TraceInstruction(
-                pc=int(row["pc"]),
-                op=OPCLASS_LIST[int(row["op"])],
-                srcs=srcs,
-                dst=None if dst < 0 else dst,
-                result=int(row["result"]),
-                src_values=src_values,
-                mem_addr=int(row["mem_addr"]) if row["has_mem_addr"] else None,
-                mem_value=int(row["mem_value"]) if row["has_mem_value"] else None,
-                taken=bool(row["taken"]),
-                target=int(row["target"]) if row["has_target"] else None,
-            ))
+            for (pc, op, nsrcs, nvals, src0, src1, dst, result, sval0, sval1,
+                 has_mem_addr, mem_addr, has_mem_value, mem_value, taken,
+                 has_target, target) in self.array.tolist()
+        ]
         return Trace(
             name=self.name,
             instructions=instructions,
@@ -160,88 +140,48 @@ class CompiledTrace:
         )
 
 
+def rows_to_array(rows: List[tuple]) -> np.ndarray:
+    """One :data:`TRACE_DTYPE` array from row tuples in field order."""
+    try:
+        return np.array(rows, dtype=TRACE_DTYPE)
+    except OverflowError as exc:
+        raise TraceCompileError(
+            f"a value is outside the unsigned 64-bit range: {exc}"
+        ) from exc
+
+
 def compile_trace(trace: Trace) -> CompiledTrace:
     """Compile ``trace`` into columnar form (strict; see module docstring)."""
-    n = len(trace.instructions)
-    arr = np.zeros(n, dtype=TRACE_DTYPE)
-    pcs = [0] * n
-    ops = [0] * n
-    nsrcs_col = [0] * n
-    nvals_col = [0] * n
-    src0 = [0] * n
-    src1 = [0] * n
-    dsts = [-1] * n
-    results = [0] * n
-    sval0 = [0] * n
-    sval1 = [0] * n
-    has_ma = [False] * n
-    mem_addrs = [0] * n
-    has_mv = [False] * n
-    mem_values = [0] * n
-    takens = [False] * n
-    has_tgt = [False] * n
-    targets = [0] * n
-    for i, inst in enumerate(trace.instructions):
-        pc = inst.pc
-        pcs[i] = _check_u64(pc, "pc", pc)
-        ops[i] = _OP_CODE[inst.op]
-        srcs = inst.srcs
+    rows = []
+    for inst in trace.instructions:
+        pc, srcs, values, dst = inst.pc, inst.srcs, inst.src_values, inst.dst
         if len(srcs) > MAX_SOURCES:
             raise TraceCompileError(
                 f"{len(srcs)} sources at pc={pc:#x} exceed the "
                 f"{MAX_SOURCES}-column layout"
             )
-        nsrcs_col[i] = len(srcs)
-        for j, src in enumerate(srcs):
-            if not 0 <= src <= _REG_MAX:
-                raise TraceCompileError(
-                    f"source register {src!r} at pc={pc:#x} is outside int16"
-                )
-            (src0 if j == 0 else src1)[i] = src
-        values = inst.src_values
-        nvals_col[i] = len(values)
-        for j, value in enumerate(values):
-            (sval0 if j == 0 else sval1)[i] = _check_u64(value, "src value", pc)
-        if inst.dst is not None:
-            if not 0 <= inst.dst <= _REG_MAX:
-                raise TraceCompileError(
-                    f"destination register {inst.dst!r} at pc={pc:#x} is outside int16"
-                )
-            dsts[i] = inst.dst
-        results[i] = _check_u64(inst.result, "result", pc)
-        if inst.mem_addr is not None:
-            has_ma[i] = True
-            mem_addrs[i] = _check_u64(inst.mem_addr, "mem_addr", pc)
-        if inst.mem_value is not None:
-            has_mv[i] = True
-            mem_values[i] = _check_u64(inst.mem_value, "mem_value", pc)
-        takens[i] = inst.taken
-        if inst.target is not None:
-            has_tgt[i] = True
-            targets[i] = _check_u64(inst.target, "target", pc)
-    arr["pc"] = pcs
-    arr["op"] = ops
-    arr["nsrcs"] = nsrcs_col
-    arr["nvals"] = nvals_col
-    arr["src0"] = src0
-    arr["src1"] = src1
-    arr["dst"] = dsts
-    arr["result"] = results
-    arr["sval0"] = sval0
-    arr["sval1"] = sval1
-    arr["has_mem_addr"] = has_ma
-    arr["mem_addr"] = mem_addrs
-    arr["has_mem_value"] = has_mv
-    arr["mem_value"] = mem_values
-    arr["taken"] = takens
-    arr["has_target"] = has_tgt
-    arr["target"] = targets
-    return CompiledTrace(
-        name=trace.name,
-        benchmark_class=trace.benchmark_class,
-        seed=trace.seed,
-        array=arr,
-    )
+        # numpy's int16 cast takes negative ids silently: check both bounds.
+        registers = srcs if dst is None else (*srcs, dst)
+        if not all(0 <= reg <= _REG_MAX for reg in registers):
+            raise TraceCompileError(
+                f"register ids {registers} at pc={pc:#x} are not all within int16"
+            )
+        # numpy < 2 wraps negative ints into the u8 columns with only a
+        # warning; values above 2**64 - 1 raise in rows_to_array.
+        if min(pc, inst.result, *values, inst.mem_addr or 0,
+               inst.mem_value or 0, inst.target or 0) < 0:
+            raise TraceCompileError(
+                f"a negative value at pc={pc:#x} is outside the unsigned 64-bit range"
+            )
+        rows.append((
+            pc, OP_CODE[inst.op], len(srcs), len(values), *(srcs + (0, 0))[:2],
+            -1 if dst is None else dst, inst.result, *(values + (0, 0))[:2],
+            inst.mem_addr is not None, inst.mem_addr or 0,
+            inst.mem_value is not None, inst.mem_value or 0,
+            inst.taken, inst.target is not None, inst.target or 0,
+        ))
+    return CompiledTrace(trace.name, trace.benchmark_class, trace.seed,
+                         rows_to_array(rows))
 
 
 # ---------------------------------------------------------------------- #

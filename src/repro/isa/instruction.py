@@ -32,10 +32,10 @@ class TraceInstruction:
     Columnar representability: the compiled trace form stores register
     ids as int16, all values (``result``, ``src_values``, ``mem_addr``,
     ``mem_value``, ``target``, ``pc``) as unsigned 64-bit, and at most
-    :data:`MAX_SOURCES` sources.  Instructions within those bounds —
-    everything the emulator emits — round-trip exactly through
-    :func:`repro.isa.compiled.compile_trace` /
-    :meth:`repro.isa.compiled.CompiledTrace.to_trace`.
+    :data:`MAX_SOURCES` sources.  Instructions within those bounds round-trip
+    exactly through :func:`repro.isa.compiled.compile_trace` /
+    :meth:`repro.isa.compiled.CompiledTrace.to_trace`.  The emulator
+    writes compiled rows directly; these records are a lazy view of them.
 
     Attributes
     ----------
@@ -89,7 +89,7 @@ class TraceInstruction:
         taken: bool = False,
         target: Optional[int] = None,
     ) -> None:
-        # Hand-written because the emulator builds one record per
+        # Hand-written because a materialized trace builds one record per
         # committed instruction: the checks read the arguments, with no
         # __post_init__ call or attribute re-reads.  Fields are stored
         # with object.__setattr__, as the generated code does; writing

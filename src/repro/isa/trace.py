@@ -1,8 +1,11 @@
 """Trace container and summary statistics.
 
 A :class:`Trace` is the unit of work a benchmark run consumes: an ordered
-list of committed :class:`~repro.isa.instruction.TraceInstruction` records
-plus identifying metadata (name, benchmark class, generator seed).
+committed-instruction stream plus identifying metadata (name, benchmark
+class, generator seed).  A generated trace carries the compiled columnar
+array (:mod:`repro.isa.compiled`) from birth; its list of
+:class:`~repro.isa.instruction.TraceInstruction` records is a lazy view
+of that array, built only for callers that iterate objects.
 :class:`TraceStats` summarizes the properties the paper's techniques
 exploit — instruction mix, value-width distribution, address upper-bit
 locality, and branch-target displacement locality — and is used both by
@@ -25,17 +28,47 @@ from repro.isa.values import (
 )
 
 
-@dataclass
 class Trace:
-    """An ordered committed-instruction stream with metadata."""
+    """An ordered committed-instruction stream with metadata.
 
-    name: str
-    instructions: List[TraceInstruction]
-    benchmark_class: str = "unknown"
-    seed: Optional[int] = None
+    A trace holds its compiled columnar form, its instruction list, or
+    both.  A generated trace is born compiled (:meth:`from_compiled`) and
+    builds :class:`~repro.isa.instruction.TraceInstruction` objects only
+    when a caller asks for :attr:`instructions`; a hand-built trace is
+    born as a list and compiles on the first :meth:`compiled` call.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        instructions: Optional[List[TraceInstruction]],
+        benchmark_class: str = "unknown",
+        seed: Optional[int] = None,
+    ):
+        self.name = name
+        self.benchmark_class = benchmark_class
+        self.seed = seed
+        self._instructions = instructions
+        self._compiled = None
+
+    @classmethod
+    def from_compiled(cls, compiled) -> "Trace":
+        """A trace whose instructions are views of ``compiled``'s rows."""
+        trace = cls(compiled.name, None, compiled.benchmark_class, compiled.seed)
+        trace._compiled = compiled
+        return trace
+
+    @property
+    def instructions(self) -> List[TraceInstruction]:
+        """The instruction objects, built from the rows on first use."""
+        if self._instructions is None:
+            self._instructions = self._compiled.to_trace().instructions
+        return self._instructions
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        if self._instructions is None:
+            return len(self._compiled)
+        return len(self._instructions)
 
     def __iter__(self) -> Iterator[TraceInstruction]:
         return iter(self.instructions)
@@ -55,12 +88,11 @@ class Trace:
         :class:`~repro.isa.compiled.TraceCompileError` if the fixed-width
         columns cannot represent the trace.
         """
-        compiled = self.__dict__.get("_compiled")
-        if compiled is None:
+        if self._compiled is None:
             from repro.isa.compiled import compile_trace
 
-            compiled = self.__dict__["_compiled"] = compile_trace(self)
-        return compiled
+            self._compiled = compile_trace(self)
+        return self._compiled
 
 
 @dataclass

@@ -12,14 +12,6 @@ and the TIM is a phase-change metallic alloy.
 from repro.thermal.materials import Material, SILICON, COPPER, TIM_ALLOY, D2D_BOND
 from repro.thermal.stack import LayerSpec, ThermalStack, planar_stack, stacked_3d_stack
 from repro.thermal.power_map import build_power_map, rasterize
-from repro.thermal.solver import ThermalSolver, ThermalResult
-from repro.thermal.transient import TransientThermalSolver, TransientResult
-from repro.thermal.feedback import (
-    FeedbackResult,
-    solve_with_leakage_feedback,
-    uniform_leakage_grids,
-)
-from repro.thermal.maps import hotspot_table, render_die, render_grid, render_stack
 
 __all__ = [
     "Material",
@@ -33,15 +25,4 @@ __all__ = [
     "stacked_3d_stack",
     "build_power_map",
     "rasterize",
-    "ThermalSolver",
-    "ThermalResult",
-    "TransientThermalSolver",
-    "TransientResult",
-    "FeedbackResult",
-    "solve_with_leakage_feedback",
-    "uniform_leakage_grids",
-    "hotspot_table",
-    "render_die",
-    "render_grid",
-    "render_stack",
 ]

@@ -2,10 +2,12 @@
 
 The emulator walks a :class:`~repro.workloads.program.SyntheticProgram`,
 maintaining a real architectural register file and a lazy data memory, and
-emits :class:`~repro.isa.instruction.TraceInstruction` records.  All value
-widths, address upper bits, and branch targets in the trace are therefore
-*computed*, which is what lets the Thermal Herding statistics emerge
-naturally downstream.
+appends one :data:`~repro.isa.compiled.TRACE_DTYPE` row tuple per
+committed instruction; :meth:`Emulator.run` turns the rows into the
+compiled columnar array in one call, so a generated trace is compiled
+from birth.  All value widths, address upper bits, and branch targets in
+the trace are therefore *computed*, which is what lets the Thermal
+Herding statistics emerge naturally downstream.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import dataclasses
 import hashlib
 import json
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instruction import TraceInstruction
+import numpy as np
+
+from repro.isa.compiled import OP_CODE, CompiledTrace, rows_to_array
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import TOTAL_REGS, STACK_POINTER_REG, ZERO_REG
 from repro.isa.trace import Trace
@@ -44,6 +48,41 @@ GENERATOR_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 
+_BRANCH_OP = OpClass.BRANCH
+_CALL_OP = OpClass.CALL
+_LOAD_OP = OpClass.LOAD
+_STORE_OP = OpClass.STORE
+_JUMP_CODE = OP_CODE[OpClass.JUMP]
+_CALL_CODE = OP_CODE[OpClass.CALL]
+_RETURN_CODE = OP_CODE[OpClass.RETURN]
+
+
+def _transfer_row(pc: int, op: int, target: int) -> tuple:
+    """The row of a taken, operand-free control transfer."""
+    return (pc, op, 0, 0, 0, 0, -1, 0, 0, 0,
+            False, 0, False, 0, True, True, target)
+
+
+def _static_columns(program: SyntheticProgram) -> Dict[int, Tuple[tuple, int, int]]:
+    """Per static instruction pc: its constant row prefix (``pc``, ``op``,
+    ``nsrcs``, ``nvals``, ``src0``, ``src1``, ``dst``) and the two
+    registers its source-value columns read.
+
+    A missing source reads :data:`ZERO_REG`, which no instruction writes,
+    so its value column holds 0, as the compiled layout requires.
+    """
+    templates = [t for loop in program.loops
+                 for t in (*loop.preamble, *loop.body, loop.back_edge)]
+    templates += [t for leaf in program.leaves for t in leaf.body]
+    static = {}
+    for t in templates:
+        src0, src1 = (t.srcs + (0, 0))[:2]
+        read0, read1 = (t.srcs + (ZERO_REG, ZERO_REG))[:2]
+        prefix = (t.pc, OP_CODE[t.op], len(t.srcs), len(t.srcs), src0, src1,
+                  -1 if t.dst is None else t.dst)
+        static[t.pc] = (prefix, read0, read1)
+    return static
+
 
 class Emulator:
     """Walks a synthetic program and produces a trace."""
@@ -66,11 +105,13 @@ class Emulator:
             self._regs[reg] = self._memory.heap.align(mem_rng.randrange(0, self._params.footprint_bytes))
         self._cursors: Dict[int, int] = {}
         self._branch_counts: Dict[int, int] = {}
-        self._out: List[TraceInstruction] = []
+        self._static = _static_columns(program)
+        self._out: List[tuple] = []
         self._limit = 0
 
-    def run(self, length: int) -> List[TraceInstruction]:
-        """Emit at least ``length`` instructions, then truncate to ``length``."""
+    def run(self, length: int) -> np.ndarray:
+        """Emit at least ``length`` rows, truncate to ``length``, and
+        return them as one :data:`~repro.isa.compiled.TRACE_DTYPE` array."""
         if length <= 0:
             raise ValueError(f"trace length must be positive, got {length}")
         self._out = []
@@ -83,7 +124,9 @@ class Emulator:
             for index in loop_order:
                 if previous is not None:
                     # Keep the committed path sequential across loops.
-                    self._emit_exit_jump(loops[previous], loops[index].entry_pc)
+                    self._out.append(_transfer_row(
+                        loops[previous].exit_jump.pc, _JUMP_CODE,
+                        loops[index].entry_pc))
                     if len(self._out) >= length:
                         break
                 self._run_loop(loops[index])
@@ -91,18 +134,7 @@ class Emulator:
                 if len(self._out) >= length:
                     break
         del self._out[length:]
-        return self._out
-
-    def _emit_exit_jump(self, loop, target: int) -> None:
-        assert loop.exit_jump is not None
-        self._out.append(
-            TraceInstruction(
-                pc=loop.exit_jump.pc,
-                op=OpClass.JUMP,
-                taken=True,
-                target=target,
-            )
-        )
+        return rows_to_array(self._out)
 
     # ------------------------------------------------------------------ #
 
@@ -120,21 +152,23 @@ class Emulator:
             self._emit_branch(loop.back_edge, taken=not last_trip, target=loop.start_pc)
 
     def _run_body(self, body: List[InstTemplate], back_edge_pc: int) -> None:
+        out, limit = self._out, self._limit
         i = 0
-        while i < len(body) and len(self._out) < self._limit:
+        while i < len(body) and len(out) < limit:
             template = body[i]
-            if template.op is OpClass.BRANCH and not template.is_back_edge:
+            op = template.op
+            if op is _BRANCH_OP and not template.is_back_edge:
                 taken = self._branch_outcome(template)
                 skip = template.skip_count if taken else 0
                 if taken:
                     landing = i + skip + 1
                     target = body[landing].pc if landing < len(body) else back_edge_pc
                 else:
-                    target = None
+                    target = 0
                 self._emit_branch(template, taken=taken, target=target)
                 i += skip + 1
                 continue
-            if template.op is OpClass.CALL:
+            if op is _CALL_OP:
                 assert template.callee is not None
                 self._run_call(template, self._program.leaves[template.callee])
                 i += 1
@@ -143,26 +177,12 @@ class Emulator:
             i += 1
 
     def _run_call(self, call: InstTemplate, leaf: LeafFunction) -> None:
-        self._out.append(
-            TraceInstruction(
-                pc=call.pc,
-                op=OpClass.CALL,
-                taken=True,
-                target=leaf.entry_pc,
-            )
-        )
+        self._out.append(_transfer_row(call.pc, _CALL_CODE, leaf.entry_pc))
         for template in leaf.body:
             if len(self._out) >= self._limit:
                 return
             self._execute(template)
-        self._out.append(
-            TraceInstruction(
-                pc=leaf.ret.pc,
-                op=OpClass.RETURN,
-                taken=True,
-                target=call.pc + 4,
-            )
-        )
+        self._out.append(_transfer_row(leaf.ret.pc, _RETURN_CODE, call.pc + 4))
 
     def _branch_outcome(self, template: InstTemplate) -> bool:
         """Outcome of a forward conditional branch.
@@ -182,60 +202,49 @@ class Emulator:
     # ------------------------------------------------------------------ #
 
     def _emit_branch(self, template: InstTemplate, taken: bool, target: int) -> None:
-        src_values = tuple(self._regs[s] for s in template.srcs)
-        self._out.append(
-            TraceInstruction(
-                pc=template.pc,
-                op=OpClass.BRANCH,
-                srcs=template.srcs,
-                src_values=src_values,
-                taken=taken,
-                target=target if taken else None,
-            )
-        )
+        prefix, read0, read1 = self._static[template.pc]
+        regs = self._regs
+        self._out.append(prefix + (0, regs[read0], regs[read1],
+                                   False, 0, False, 0,
+                                   taken, taken, target if taken else 0))
 
     def _execute(self, template: InstTemplate) -> None:
-        if template.op is OpClass.LOAD:
+        if template.op is _LOAD_OP:
             self._execute_load(template)
-        elif template.op is OpClass.STORE:
+        elif template.op is _STORE_OP:
             self._execute_store(template)
         else:
             self._execute_alu(template)
 
     def _execute_alu(self, template: InstTemplate) -> None:
-        src_values = tuple(self._regs[s] for s in template.srcs)
-        result = self._compute(template, src_values)
+        prefix, read0, read1 = self._static[template.pc]
+        regs = self._regs
+        a, b = regs[read0], regs[read1]
+        result = self._compute(template, a, b)
         if template.dst is not None and template.dst != ZERO_REG:
-            self._regs[template.dst] = result
-        self._out.append(
-            TraceInstruction(
-                pc=template.pc,
-                op=template.op,
-                srcs=template.srcs,
-                dst=template.dst,
-                result=result,
-                src_values=src_values,
-            )
-        )
+            regs[template.dst] = result
+        self._out.append(prefix + (result, a, b, False, 0, False, 0,
+                                   False, False, 0))
 
-    def _compute(self, template: InstTemplate, src_values) -> int:
+    def _compute(self, template: InstTemplate, a: int, b: int) -> int:
+        """The result from source values ``a`` and ``b`` (0 if absent)."""
         kind = template.value_kind
         if kind is ValueKind.COUNTER or kind is ValueKind.STRIDE:
-            return (src_values[0] + max(template.immediate, 1)) & _MASK64
+            return (a + max(template.immediate, 1)) & _MASK64
         if kind is ValueKind.CONST_SMALL or kind is ValueKind.CONST_WIDE:
             return to_unsigned(template.immediate)
         if kind is ValueKind.ACCUM:
-            return (src_values[0] + src_values[1]) & _MASK64
+            return (a + b) & _MASK64
         if kind is ValueKind.LOGIC:
             if template.pc & 4:
-                return src_values[0] ^ src_values[1]
-            return src_values[0] & src_values[1]
+                return a ^ b
+            return a & b
         if kind is ValueKind.ADDR_UPDATE:
             assert template.cursor_id is not None
             return self._advance_cursor(template)
         if kind is ValueKind.FP_OP:
             # FP bit patterns: wide, but not on the integer datapath.
-            mixed = (src_values[0] * 0x9E3779B97F4A7C15 + src_values[1]) & _MASK64
+            mixed = (a * 0x9E3779B97F4A7C15 + b) & _MASK64
             return mixed | (0x3FF << 52)
         return 0
 
@@ -288,7 +297,9 @@ class Emulator:
         return heap.align(pointer)
 
     def _execute_load(self, template: InstTemplate) -> None:
-        src_values = tuple(self._regs[s] for s in template.srcs)
+        prefix, read0, read1 = self._static[template.pc]
+        regs = self._regs
+        a, b = regs[read0], regs[read1]
         addr = self._effective_address(template)
         value = self._memory.read(addr)
         result = value
@@ -306,35 +317,18 @@ class Emulator:
                 self._memory.write(addr, result)
                 value = result
         if template.dst is not None and template.dst != ZERO_REG:
-            self._regs[template.dst] = result
-        self._out.append(
-            TraceInstruction(
-                pc=template.pc,
-                op=OpClass.LOAD,
-                srcs=template.srcs,
-                dst=template.dst,
-                result=result,
-                src_values=src_values,
-                mem_addr=addr,
-                mem_value=value,
-            )
-        )
+            regs[template.dst] = result
+        self._out.append(prefix + (result, a, b, True, addr, True, value,
+                                   False, False, 0))
 
     def _execute_store(self, template: InstTemplate) -> None:
-        src_values = tuple(self._regs[s] for s in template.srcs)
+        prefix, read0, read1 = self._static[template.pc]
+        regs = self._regs
+        a, value = regs[read0], regs[read1]
         addr = self._effective_address(template)
-        value = src_values[1] if len(src_values) > 1 else 0
         self._memory.write(addr, value)
-        self._out.append(
-            TraceInstruction(
-                pc=template.pc,
-                op=OpClass.STORE,
-                srcs=template.srcs,
-                src_values=src_values,
-                mem_addr=addr,
-                mem_value=value,
-            )
-        )
+        self._out.append(prefix + (0, a, value, True, addr, True, value,
+                                   False, False, 0))
 
     def _geometric(self, mean: float) -> int:
         """Geometric sample with the given mean (>= 0)."""
@@ -383,11 +377,5 @@ def generate_trace(
 ) -> Trace:
     """Build a program from ``params``/``seed`` and emulate ``length`` insts."""
     program = build_program(params, seed)
-    emulator = Emulator(program, seed)
-    instructions = emulator.run(length)
-    return Trace(
-        name=name,
-        instructions=instructions,
-        benchmark_class=benchmark_class,
-        seed=seed,
-    )
+    array = Emulator(program, seed).run(length)
+    return Trace.from_compiled(CompiledTrace(name, benchmark_class, seed, array))

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import OPCLASS_LIST, CompiledTrace
 from repro.isa.trace import Trace
 
 
@@ -35,8 +35,9 @@ def basic_block_vectors(
     """Per-interval basic-block execution vectors.
 
     A basic block is identified by its leader PC (the target of a control
-    transfer or the instruction after one).  Returns the (intervals x
-    blocks) matrix, L1-normalized per row, and the interval start indices.
+    transfer or the instruction after one), read from the compiled rows.
+    Returns the (intervals x blocks) matrix, L1-normalized per row, and
+    the interval start indices.
     """
     if interval < 1:
         raise ValueError(f"interval must be positive, got {interval}")
@@ -45,19 +46,23 @@ def basic_block_vectors(
     current: Dict[int, int] = {}
     starts: List[int] = [0]
 
+    array = trace.compiled().array
+    is_control = np.array([op.is_control for op in OPCLASS_LIST])[array["op"]]
     leader = True
     count_in_interval = 0
-    for index, inst in enumerate(trace):
+    for index, (pc, control) in enumerate(
+        zip(array["pc"].tolist(), is_control.tolist())
+    ):
         if leader:
-            block = block_ids.setdefault(inst.pc, len(block_ids))
+            block = block_ids.setdefault(pc, len(block_ids))
             current[block] = current.get(block, 0) + 1
-        leader = inst.op.is_control
+        leader = control
         count_in_interval += 1
         if count_in_interval >= interval:
             rows.append(current)
             current = {}
             count_in_interval = 0
-            if index + 1 < len(trace):
+            if index + 1 < len(array):
                 starts.append(index + 1)
     if current:
         rows.append(current)
@@ -165,19 +170,20 @@ def sample_trace(
     points: Sequence[SimPoint],
     interval: int = 2_000,
 ) -> Trace:
-    """Concatenate the representative intervals into a reduced trace."""
+    """Concatenate the representative intervals into a reduced trace.
+
+    The sample is built from slices of the compiled rows, so no
+    instruction objects are created.
+    """
     if not points:
         raise ValueError("need at least one simpoint")
-    instructions: List[TraceInstruction] = []
-    for point in points:
-        start = point.start_instruction
-        instructions.extend(trace.instructions[start:start + interval])
-    return Trace(
-        name=f"{trace.name}@simpoints",
-        instructions=instructions,
-        benchmark_class=trace.benchmark_class,
-        seed=trace.seed,
-    )
+    rows = trace.compiled().array
+    array = np.concatenate([
+        rows[p.start_instruction:p.start_instruction + interval] for p in points
+    ])
+    return Trace.from_compiled(CompiledTrace(
+        f"{trace.name}@simpoints", trace.benchmark_class, trace.seed, array
+    ))
 
 
 def weighted_metric(points: Sequence[SimPoint], values: Sequence[float]) -> float:

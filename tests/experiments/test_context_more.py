@@ -83,3 +83,24 @@ class TestThermalWiring:
             StackKind.PLANAR_2D: [([breakdown] * 2, 0.5), ([breakdown] * 2, 1.5)]
         })[StackKind.PLANAR_2D]
         assert hot.peak_temperature > cool.peak_temperature
+
+
+def test_importing_context_leaves_scipy_sparse_unloaded():
+    """Simulation-only callers import the context without the thermal
+    solvers' sparse linear algebra; the first thermal use loads it."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.experiments.context as c\n"
+        "assert 'scipy.sparse' not in sys.modules, 'loaded on import'\n"
+        "c.ExperimentContext(cache=None).solver(c.StackKind.PLANAR_2D)\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -95,6 +95,27 @@ class TestStrictness:
         with pytest.raises(TraceCompileError, match="64-bit"):
             compile_trace(Trace("big", [inst]))
 
+    @pytest.mark.parametrize("srcs,dst", [
+        ((-5,), None),
+        ((1, 1 << 15), None),
+        ((), -5),
+        ((), 1 << 15),
+    ])
+    def test_register_outside_int16_refuses(self, srcs, dst):
+        inst = TraceInstruction(pc=0x1000, op=OpClass.IALU, srcs=srcs, dst=dst)
+        with pytest.raises(TraceCompileError, match="int16"):
+            compile_trace(Trace("regs", [inst]))
+
+    @pytest.mark.parametrize("field", ["pc", "result", "src_values",
+                                       "mem_addr", "mem_value", "target"])
+    def test_negative_value_refuses(self, field):
+        fields = dict(pc=0x1000, op=OpClass.LOAD, srcs=(1,), dst=2,
+                      result=0, src_values=(0,), mem_addr=0x2000,
+                      mem_value=0, taken=False, target=0x3000)
+        fields[field] = (-1,) if field == "src_values" else -1
+        with pytest.raises(TraceCompileError, match="64-bit"):
+            compile_trace(Trace("negative", [TraceInstruction(**fields)]))
+
     def test_uncompilable_trace_cannot_be_simulated(self):
         from repro.cpu.config import baseline_config
         from repro.cpu.pipeline import simulate

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa.compiled import TRACE_DTYPE
 from repro.isa.opcodes import OpClass
 from repro.workloads.emulator import Emulator, generate_trace
 from repro.workloads.memory_model import HEAP_BASE, STACK_BASE
@@ -12,13 +13,19 @@ PARAMS = CLASS_PARAMETERS[BenchmarkClass.MEDIABENCH]
 
 
 def emulate(length=2000, seed=5, params=PARAMS):
-    program = build_program(params, seed)
-    return Emulator(program, seed).run(length)
+    """The committed instructions of one emulator run."""
+    return generate_trace("t", params, length, seed).instructions
 
 
 class TestBasics:
     def test_length_exact(self):
         assert len(emulate(1234)) == 1234
+
+    def test_run_returns_compiled_rows(self):
+        program = build_program(PARAMS, 5)
+        rows = Emulator(program, 5).run(1234)
+        assert rows.dtype == TRACE_DTYPE
+        assert len(rows) == 1234
 
     def test_rejects_non_positive_length(self):
         program = build_program(PARAMS, 1)

@@ -92,6 +92,23 @@ class TestSimPoints:
         reduced = sampled.stats().low_width_result_fraction
         assert abs(full - reduced) < 0.08
 
+    def test_compiled_and_list_sources_sample_alike(self, trace):
+        from repro.isa.trace import Trace
+
+        points = choose_simpoints(trace, interval=2000, max_clusters=3)
+        listed = Trace(trace.name, list(trace.instructions))
+        assert (sample_trace(listed, points, interval=2000).instructions
+                == sample_trace(trace, points, interval=2000).instructions)
+
+    def test_simpoint_sampling_builds_no_instruction_objects(self, monkeypatch):
+        from repro.isa.compiled import CompiledTrace
+
+        fresh = generate("gcc", length=6_000)
+        monkeypatch.setattr(CompiledTrace, "to_trace", None)
+        points = choose_simpoints(fresh, interval=2000, max_clusters=2)
+        sampled = sample_trace(fresh, points, interval=2000)
+        assert len(sampled) == 2000 * len(points)
+
     def test_sample_requires_points(self, trace):
         with pytest.raises(ValueError):
             sample_trace(trace, [])
