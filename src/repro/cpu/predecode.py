@@ -83,11 +83,10 @@ class PreDecodedTrace:
 
     __slots__ = (
         "name", "benchmark_class", "n",
-        "pcs", "ops", "codes", "fetch_lines",
-        "is_control", "is_memory", "is_intdp", "is_fp", "is_load", "is_store",
-        "srcs", "svals", "svals_low", "nsrcs", "dsts", "results",
-        "mem_addrs", "has_mem_addr",
-        "mem_values_or_zero", "takens", "targets",
+        "pcs", "codes",
+        "is_memory", "is_intdp", "is_load", "is_store",
+        "srcs", "svals_low", "dsts",
+        "mem_addrs", "has_mem_addr", "takens", "targets",
         "operands_low", "result_low", "actual_low", "latency", "busy",
         "_pc_arr", "_mem_arr", "_geometry", "_prewarm", "_width_profile",
         # Wavefront-split additions: numpy views for the plan builder,
@@ -114,39 +113,25 @@ class PreDecodedTrace:
 
         self.pcs = pc.tolist()
         self.codes = codes.tolist()
-        self.ops = [OPCLASS_LIST[code] for code in self.codes]
-        self.fetch_lines = (pc // 64).tolist()
 
         is_load = codes == LOAD_CODE
         is_store = codes == STORE_CODE
         is_intdp = _IS_INTDP[codes]
-        self.is_control = _IS_CONTROL[codes].tolist()
         self.is_memory = _IS_MEMORY[codes].tolist()
         self.is_intdp = is_intdp.tolist()
-        self.is_fp = _IS_FP[codes].tolist()
         self.is_load = is_load.tolist()
         self.is_store = is_store.tolist()
 
         nsrcs = rows["nsrcs"].tolist()
         src0 = rows["src0"].tolist()
         src1 = rows["src1"].tolist()
-        self.nsrcs = nsrcs
         self.srcs = [
             () if k == 0 else ((a,) if k == 1 else (a, b))
             for k, a, b in zip(nsrcs, src0, src1)
         ]
-        sval0 = rows["sval0"].tolist()
-        sval1 = rows["sval1"].tolist()
-        nvals_list = nvals.tolist()
-        self.svals = [
-            () if k == 0 else ((a,) if k == 1 else (a, b))
-            for k, a, b in zip(nvals_list, sval0, sval1)
-        ]
         self.dsts = [None if d < 0 else d for d in dst.tolist()]
-        self.results = result.tolist()
         self.mem_addrs = mem_addr.tolist()
         self.has_mem_addr = rows["has_mem_addr"].tolist()
-        self.mem_values_or_zero = np.where(has_mv, mem_value, 0).tolist()
         self.takens = rows["taken"].tolist()
         has_target = rows["has_target"].tolist()
         self.targets = [
@@ -173,12 +158,10 @@ class PreDecodedTrace:
         self.actual_low = actual_low.tolist()
 
         # Per-source-value width bits (the register file's lazily installed
-        # memoization values), truncated by nvals exactly like ``svals``.
-        low0_list = low0.tolist()
-        low1_list = low1.tolist()
+        # memoization values), one per source value (``nvals`` of them).
         self.svals_low = [
             () if k == 0 else ((a,) if k == 1 else (a, b))
-            for k, a, b in zip(nvals_list, low0_list, low1_list)
+            for k, a, b in zip(nvals.tolist(), low0.tolist(), low1.tolist())
         ]
 
         self.latency = _LATENCY[codes].tolist()

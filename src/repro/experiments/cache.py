@@ -77,6 +77,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.results import SimulationResult
+from repro.thermal.feedback import FEEDBACK_MODEL_VERSION
+from repro.thermal.transient import PowerSchedule, TRANSIENT_MODEL_VERSION
 
 #: Bump when the cache key schema or the pickled payload layout changes.
 CACHE_SCHEMA_VERSION = 1
@@ -197,8 +199,6 @@ def transient_key(solver, dt_s: float, duration_s: float,
     :meth:`~repro.thermal.transient.PowerSchedule.cache_token`.  Plain
     callables and schedules without a token yield ``None``.
     """
-    from repro.thermal.transient import PowerSchedule, TRANSIENT_MODEL_VERSION
-
     if not isinstance(schedule, PowerSchedule):
         return None
     token = schedule.cache_token()
@@ -227,8 +227,6 @@ def leakage_key(solver, dynamic_grids, leakage_grids, reference_k: float,
     (:func:`repro.thermal.feedback.solve_with_leakage_feedback`): the
     result geometry, the loop parameters, and the raw bytes of the
     dynamic and reference-leakage grids."""
-    from repro.thermal.feedback import FEEDBACK_MODEL_VERSION
-
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "leakage_feedback",

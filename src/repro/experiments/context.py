@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, fields, replace
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Generator,
@@ -61,14 +60,16 @@ from repro.power.model import (
     calibrate_activity_scale,
 )
 from repro.thermal.power_map import build_power_map, rasterize
+from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
 from repro.thermal.stack import planar_stack, stacked_3d_stack
+from repro.thermal.transient import (
+    STEP_FACTORIZATION_STATS,
+    PowerSchedule,
+    TransientResult,
+    TransientThermalSolver,
+    step_matrix_key,
+)
 from repro.workloads.suite import benchmark_names, fingerprint, generate
-
-if TYPE_CHECKING:
-    # The solvers import scipy.sparse; they load on first thermal use, so
-    # callers that only simulate never pay for it.
-    from repro.thermal.solver import ThermalResult, ThermalSolver
-    from repro.thermal.transient import TransientResult
 
 #: The power/thermal reference application (the paper's peak-power app).
 REFERENCE_BENCHMARK = "mpeg2"
@@ -291,9 +292,6 @@ class ContextStats:
         LRU snapshots (parent process only; worker-side factorizations
         are counted in the fields) and the sorted ``stage_seconds``.
         """
-        from repro.thermal.solver import FACTORIZATION_STATS
-        from repro.thermal.transient import STEP_FACTORIZATION_STATS
-
         payload = {}
         for item in fields(self):
             if item.name in _UNREPORTED:
@@ -1231,8 +1229,6 @@ class ExperimentContext:
     def solver(self, stack: StackKind) -> ThermalSolver:
         solver = self._solvers.get(stack)
         if solver is None:
-            from repro.thermal.solver import ThermalSolver
-
             grid = self.settings.thermal_grid
             thermal_stack = planar_stack() if stack is StackKind.PLANAR_2D else stacked_3d_stack()
             solver = ThermalSolver(thermal_stack, self.floorplan(stack), grid, grid)
@@ -1334,8 +1330,6 @@ class ExperimentContext:
         Solves are deterministic, so results are byte-identical to the
         serial path.
         """
-        from repro.thermal.solver import ThermalResult
-
         groups = [(solver, list(batches)) for solver, batches in groups]
         results: List[List[Optional[ThermalResult]]] = [
             [None] * len(batches) for _, batches in groups
@@ -1516,8 +1510,6 @@ class ExperimentContext:
         return Started(self._transient_steps(list(requests)), self.stats)
 
     def _transient_steps(self, requests: List["TransientRequest"]) -> Generator:
-        from repro.thermal.transient import step_matrix_key
-
         out: List[Optional[Tuple[TransientResult, Dict[str, float]]]] = (
             [None] * len(requests)
         )
@@ -1563,8 +1555,6 @@ class ExperimentContext:
     ) -> Tuple[List[TransientResult], List[Dict[str, float]]]:
         """Inline path: step one group in-process (shares the parent's
         step-matrix LRU)."""
-        from repro.thermal.transient import PowerSchedule, TransientThermalSolver
-
         req = group["req"]
         transient = TransientThermalSolver(group["solver"], dt_s=req.dt_s)
         results = transient.run_many(
@@ -1583,8 +1573,6 @@ class ExperimentContext:
         :class:`~repro.thermal.transient.PowerSchedule` (plain callables
         stay inline).  Yields once between submission and collection.
         """
-        from repro.thermal.transient import PowerSchedule
-
         self.stats.transient_groups += len(groups)
         steps_of = {}
         for group in groups:

@@ -13,12 +13,10 @@ up ~5 K *cooler* than planar under Thermal Herding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.context import ExperimentContext, REFERENCE_BENCHMARK
-
-if TYPE_CHECKING:
-    from repro.thermal.solver import ThermalResult
+from repro.thermal.solver import ThermalResult
 
 PAPER_2D_PEAK_K = 360.0
 PAPER_NOTH_DELTA_K = 17.0

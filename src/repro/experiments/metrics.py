@@ -27,6 +27,9 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Optional
 
+from repro.thermal.solver import FACTORIZATION_STATS
+from repro.thermal.transient import STEP_FACTORIZATION_STATS
+
 #: Bump when the snapshot layout changes incompatibly.
 METRICS_SCHEMA_VERSION = 1
 
@@ -93,9 +96,6 @@ def metrics_snapshot(context=None, cache=None) -> dict:
     cache (``None`` under ``REPRO_CACHE=0``) is inspected — that is what
     ``python -m repro metrics`` scrapes between runs.
     """
-    from repro.thermal.solver import FACTORIZATION_STATS
-    from repro.thermal.transient import STEP_FACTORIZATION_STATS
-
     if context is not None:
         cache = context.cache
     elif cache is None:

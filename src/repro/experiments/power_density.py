@@ -10,7 +10,7 @@ temperature rise stays small *because* its total power drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.experiments.context import (
     CORE_COUNT,
@@ -18,9 +18,7 @@ from repro.experiments.context import (
     REFERENCE_BENCHMARK,
 )
 from repro.power.model import StackKind
-
-if TYPE_CHECKING:
-    from repro.thermal.solver import ThermalResult
+from repro.thermal.solver import ThermalResult
 
 PAPER_ISO_POWER_PEAK_K = 418.0
 PAPER_ISO_POWER_DELTA_K = 58.0

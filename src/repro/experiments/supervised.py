@@ -31,6 +31,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
+from repro.thermal.transient import STEP_FACTORIZATION_STATS, TransientThermalSolver
 
 #: ``REPRO_THERMAL_SUBPROC_CELLS`` values that disable supervision.
 DISABLED_VALUES = frozenset({"0", "off", "no", "false", "none"})
@@ -152,10 +153,6 @@ def transient_group_task(
     parent's inline path.
     """
     from repro.experiments.faults import maybe_inject_thermal_fault
-    from repro.thermal.transient import (
-        STEP_FACTORIZATION_STATS,
-        TransientThermalSolver,
-    )
 
     maybe_inject_thermal_fault()
     start = time.perf_counter()

@@ -20,6 +20,10 @@ SuperLU per instance.  The LU factorization is deferred to the first
 steady solve, so a transient solver, which factorizes its own step
 matrix, never pays for a steady one.  Assembly itself is vectorized —
 whole-layer conductance arrays emitted as concatenated COO triplets.
+
+``scipy.sparse`` is imported by the first assembly and the first
+factorization, not by this module, so processes that only read cached
+thermal results never load it.
 """
 
 from __future__ import annotations
@@ -27,14 +31,15 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import factorized, splu
 
 from repro.floorplan.geometry import Floorplan
 from repro.thermal.stack import ThermalStack
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 #: Bump when the discretization or boundary conditions change; part of
 #: every persistent thermal-result cache key.
@@ -87,6 +92,8 @@ def clear_factorization_cache() -> None:
     _FACTORIZATION_CACHE.clear()
     FACTORIZATION_STATS.factorizations = 0
     FACTORIZATION_STATS.cache_hits = 0
+    # Local import: transient imports this module at module scope, so a
+    # module-scope import here would be a solver <-> transient cycle.
     from repro.thermal import transient
 
     transient.clear_step_cache()
@@ -96,6 +103,8 @@ def _factorize(matrix: csc_matrix) -> Callable:
     """LU-factorize ``matrix``, preferring SuperLU's symmetric-pattern
     ordering (the conductance matrix is symmetric positive definite, and
     MMD_AT_PLUS_A fills in ~4x less than the default COLAMD here)."""
+    from scipy.sparse.linalg import factorized, splu
+
     try:
         lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
                   options={"SymmetricMode": True})
@@ -278,6 +287,8 @@ class ThermalSolver:
         bytes are reproducible; ``tests/thermal/test_vectorized_assembly.py``
         pins them with digests.
         """
+        from scipy.sparse import coo_matrix
+
         nx, ny = self.nx, self.ny
         layers = self.stack.layers
         nl = len(layers)

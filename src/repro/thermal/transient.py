@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from repro.thermal.solver import FactorizationStats, ThermalSolver, _factorize
 
@@ -153,6 +152,8 @@ class TransientThermalSolver:
         key = step_matrix_key(steady, dt_s)
         step_solve = _STEP_CACHE.get(key)
         if step_solve is None:
+            from scipy.sparse import coo_matrix
+
             n = len(self._capacity)
             capacity_matrix = coo_matrix(
                 (self._cap_over_dt, (range(n), range(n))), shape=(n, n)

@@ -86,16 +86,19 @@ class TestThermalWiring:
 
 
 def test_importing_context_leaves_scipy_sparse_unloaded():
-    """Simulation-only callers import the context without the thermal
-    solvers' sparse linear algebra; the first thermal use loads it."""
+    """The CLI, the context and the thermal solvers import without the
+    sparse linear algebra; the first assembly and solve load it."""
     import os
     import subprocess
     import sys
 
     code = (
-        "import sys, repro.experiments.context as c\n"
+        "import sys, numpy as np\n"
+        "import repro.cli, repro.thermal.solver, repro.thermal.transient\n"
+        "import repro.experiments.context as c\n"
         "assert 'scipy.sparse' not in sys.modules, 'loaded on import'\n"
-        "c.ExperimentContext(cache=None).solver(c.StackKind.PLANAR_2D)\n"
+        "s = c.ExperimentContext(cache=None).solver(c.StackKind.PLANAR_2D)\n"
+        "s.solve([np.zeros(s.chip_grid_shape())])\n"
         "assert 'scipy.sparse' in sys.modules\n"
     )
     env = dict(os.environ)

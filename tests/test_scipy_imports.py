@@ -1,0 +1,89 @@
+"""``scipy`` loads only where a thermal system is assembled or factorized.
+
+Importing any ``repro`` module must not import scipy: the solver and the
+transient solver import ``scipy.sparse`` inside the functions that build
+and factorize matrices.  A warm run that reads every thermal result from
+the cache therefore never loads it.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _module_scope_scipy_imports(body):
+    """Line numbers of scipy imports that run when the module is imported
+    (function bodies and ``if TYPE_CHECKING:`` blocks do not)."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "scipy" for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "scipy":
+                yield node.lineno
+        elif isinstance(node, ast.If) and _is_type_checking(node.test):
+            yield from _module_scope_scipy_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_scope_scipy_imports(getattr(node, field, []))
+
+
+def test_no_module_scope_scipy_import():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for line in _module_scope_scipy_imports(ast.parse(path.read_text()).body)
+    ]
+    assert offenders == []
+
+
+def test_checker_sees_nested_module_scope_imports():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from scipy.sparse import csc_matrix\n"
+        "def f():\n    import scipy\n"
+        "try:\n    import scipy.sparse as sp\nexcept ImportError:\n    pass\n"
+        "class C:\n    from scipy import linalg\n"
+    )
+    assert list(_module_scope_scipy_imports(tree.body)) == [7, 11]
+
+
+def _run(code: str, cache_dir: Path) -> None:
+    env = dict(os.environ)
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
+    env.pop("REPRO_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+_LOOKUPS = """
+import sys
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+from repro.experiments.interval import run_interval
+
+context = ExperimentContext(ExperimentSettings(
+    trace_length=3_000, warmup=800, benchmarks=("mpeg2",), thermal_grid=16))
+context.thermal("mpeg2", "Base")
+run_interval(context, interval_insts=700, dt_s=20e-3, duration_s=0.2,
+             configs=("Base", "TH"))
+"""
+
+
+def test_warm_thermal_and_transient_lookups_leave_scipy_unloaded(tmp_path):
+    _run(_LOOKUPS + "assert 'scipy' in sys.modules\n", tmp_path)
+    _run(_LOOKUPS + "assert 'scipy' not in sys.modules, 'loaded when warm'\n",
+         tmp_path)
