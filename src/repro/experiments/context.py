@@ -117,10 +117,11 @@ CLAIM_POLL_S = 0.05
 #: Distinct geometries a steady thermal dispatch needs before it fans
 #: out to worker processes.  Below this the parent solves inline: a
 #: worker cannot return its SuperLU handle, so small dispatches would
-#: pay a pool spin-up *and* forfeit the parent's factorization LRU that
-#: later single-geometry solves (DVFS points, leakage feedback) reuse
-#: for free.  Transient dispatch is not gated: no report section reuses
-#: a step matrix, so with ``jobs > 1`` every picklable schedule pools.
+#: pay a pool spin-up *and* leave the context's solver unfactorized, and
+#: later solves of that geometry (DVFS points, leakage feedback) reuse
+#: the solver's own factors only when it solved inline.  Transient
+#: dispatch is not gated: no report section reuses a step matrix, so
+#: with ``jobs > 1`` every picklable schedule pools.
 THERMAL_PARALLEL_MIN_GROUPS = 3
 
 #: Configuration labels -> whether they are evaluated as a 3D stack.
@@ -1394,9 +1395,10 @@ class ExperimentContext:
     ) -> List[List[ThermalResult]]:
         """Solve geometry groups inline or across the worker pool.
 
-        The pool path pays a spin-up and forfeits the parent's
-        factorization LRU, so it only engages when several distinct
-        geometries are pending (``thermal_parallel_min_groups``) — or
+        The pool path pays a spin-up and leaves the parent's solvers
+        unfactorized for their later solves, so it only engages when
+        several distinct geometries are pending
+        (``thermal_parallel_min_groups``) — or
         when a group is oversized (``REPRO_THERMAL_SUBPROC_CELLS``), in
         which case crash isolation demands a subprocess even for a
         single group on a single-job context: that is the supervised

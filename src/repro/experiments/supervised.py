@@ -9,8 +9,9 @@ process*, so one oversized factorization took the whole campaign down.
 :meth:`repro.experiments.context.ExperimentContext.solve_thermal_groups`:
 it rebuilds the solver from pure geometry data (a built solver holds an
 unpicklable SuperLU handle), factorizes once, solves every right-hand
-side of its geometry group, and ships back the temperature arrays plus
-its factorization-LRU delta.  The same entry point serves two callers —
+side of its geometry group, evicts the factorization it created, and
+ships back the temperature arrays plus its factorization count.  The
+same entry point serves two callers —
 the geometry fan-out that parallelizes cold thermal stages across the
 pool, and the supervised path for solves whose system exceeds
 ``REPRO_THERMAL_SUBPROC_CELLS`` unknowns, where a crash, OOM kill, or
@@ -28,10 +29,15 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
-from repro.thermal.transient import STEP_FACTORIZATION_STATS, TransientThermalSolver
+from repro.thermal.solver import (
+    _FACTORIZATION_CACHE, FACTORIZATION_STATS, ThermalResult, ThermalSolver,
+)
+from repro.thermal.transient import (
+    _STEP_CACHE, STEP_FACTORIZATION_STATS, TransientThermalSolver,
+)
 
 #: ``REPRO_THERMAL_SUBPROC_CELLS`` values that disable supervision.
 DISABLED_VALUES = frozenset({"0", "off", "no", "false", "none"})
@@ -92,6 +98,25 @@ def default_subproc_cells() -> int:
     return max(int(cells), MIN_SUBPROC_CELLS)
 
 
+@contextmanager
+def _evict_task_factorizations():
+    """Drop the steady and step LRU entries created inside the block.
+
+    No later task in the same worker reads a pool task's entries: each
+    dispatch forks a fresh pool and groups its tasks by matrix key, so
+    a retained entry only pins its LU factors in the worker's memory.
+    Entries the process already held on entry — such as ones inherited
+    from the parent through fork — stay.
+    """
+    held = (set(_FACTORIZATION_CACHE), set(_STEP_CACHE))
+    try:
+        yield
+    finally:
+        for cache, before in zip((_FACTORIZATION_CACHE, _STEP_CACHE), held):
+            for key in [key for key in cache if key not in before]:
+                del cache[key]
+
+
 def solve_group_task(
     stack,
     floorplan,
@@ -104,26 +129,24 @@ def solve_group_task(
 
     The solver is reconstructed from its constructor arguments (geometry
     is pure data) rather than pickled, because a built solver holds an
-    unpicklable SuperLU handle; its factorization lands in the *worker's*
-    process-wide LRU, so a long-lived worker re-solving the same
-    geometry skips ``gstrf`` exactly like the parent would.  Returns the
-    temperature results together with this task's factorization-LRU
-    delta and wall-clock, which the parent folds into ``ContextStats``
-    (worker counters are otherwise invisible across the process
-    boundary).  The fault point mirrors the simulation workers' — no-op
-    unless a token directory is armed.
+    unpicklable SuperLU handle; the LRU entry its factorization lands in
+    is evicted before returning.  Returns the temperature results
+    together with this task's factorization count and wall-clock, which
+    the parent folds into ``ContextStats`` (worker counters are
+    otherwise invisible across the process boundary).  The fault point
+    mirrors the simulation workers' — no-op unless a token directory is
+    armed.
     """
     from repro.experiments.faults import maybe_inject_thermal_fault
 
     maybe_inject_thermal_fault()
     start = time.perf_counter()
     factorizations = FACTORIZATION_STATS.factorizations
-    cache_hits = FACTORIZATION_STATS.cache_hits
-    solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
-    results = solver.solve_many(batches)
+    with _evict_task_factorizations():
+        solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
+        results = solver.solve_many(batches)
     stats = {
         "factorizations": FACTORIZATION_STATS.factorizations - factorizations,
-        "cache_hits": FACTORIZATION_STATS.cache_hits - cache_hits,
         "seconds": round(time.perf_counter() - start, 3),
     }
     return results, stats
@@ -143,30 +166,26 @@ def transient_group_task(
     """Worker entry point: step one step-matrix group of transient runs.
 
     Same contract as :func:`solve_group_task` — the steady solver is
-    rebuilt from pure geometry (the step-matrix factorization lands in
-    the worker's LRU and never crosses the process boundary), every run
-    in the group advances in lock-step through one multi-RHS
-    factorization, and the task ships back its step-factorization delta.
-    Schedules are pickled copies, so their accumulated stats (throttle
-    duty counters) travel back explicitly as the second element.
-    Stepping is deterministic: worker results are bit-identical to the
-    parent's inline path.
+    rebuilt from pure geometry, every run in the group advances in
+    lock-step through one multi-RHS step factorization (evicted, with
+    the assembled matrix, before returning), and the task ships back
+    its step-factorization count.  Schedules are pickled copies, so
+    their accumulated stats (throttle duty counters) travel back
+    explicitly as the second element.  Stepping is deterministic: worker
+    results are bit-identical to the parent's inline path.
     """
     from repro.experiments.faults import maybe_inject_thermal_fault
 
     maybe_inject_thermal_fault()
     start = time.perf_counter()
     step_factorizations = STEP_FACTORIZATION_STATS.factorizations
-    step_cache_hits = STEP_FACTORIZATION_STATS.cache_hits
-    solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
-    transient = TransientThermalSolver(solver, dt_s=dt_s)
-    results = transient.run_many(schedules, duration_s, initial_k=initial_k)
+    with _evict_task_factorizations():
+        solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
+        transient = TransientThermalSolver(solver, dt_s=dt_s)
+        results = transient.run_many(schedules, duration_s, initial_k=initial_k)
     stats = {
         "step_factorizations": (
             STEP_FACTORIZATION_STATS.factorizations - step_factorizations
-        ),
-        "step_cache_hits": (
-            STEP_FACTORIZATION_STATS.cache_hits - step_cache_hits
         ),
         "seconds": round(time.perf_counter() - start, 3),
     }

@@ -86,8 +86,10 @@ def clear_factorization_cache() -> None:
 
     Also drops the transient solver's step-matrix cache: every step
     matrix embeds a conductance matrix assembled here, so any site that
-    resets steady factorization state (workers, tests, benchmarks) must
-    reset the derived step factorizations with it.
+    resets steady factorization state (tests, benchmarks) must reset the
+    derived step factorizations with it.  Pool workers do not call this:
+    their tasks evict only the entries they created
+    (:mod:`repro.experiments.supervised`).
     """
     _FACTORIZATION_CACHE.clear()
     FACTORIZATION_STATS.factorizations = 0

@@ -4,8 +4,8 @@ The engine ships geometry groups to worker processes (assemble +
 factorize + solve per group, temperatures back), so these tests pin the
 properties that make that safe: results byte-identical to the serial
 path, the inline gate for small dispatches, within-call deduplication,
-claim coordination, and recovery from thermal workers that die or hang
-mid-batch.
+claim coordination, recovery from thermal workers that die or hang
+mid-batch, and worker tasks that free the factorizations they create.
 """
 
 from __future__ import annotations
@@ -24,8 +24,18 @@ from repro.experiments.context import (
     THERMAL_PARALLEL_MIN_GROUPS,
 )
 from repro.experiments.sensitivity import run_sensitivity
+from repro.experiments.supervised import solve_group_task, transient_group_task
+from repro.floorplan import stacked_floorplan
 from repro.power.model import StackKind
-from repro.thermal.solver import clear_factorization_cache
+from repro.thermal import solver as steady_module
+from repro.thermal import transient as transient_module
+from repro.thermal.solver import ThermalSolver, clear_factorization_cache
+from repro.thermal.stack import stacked_3d_stack
+from repro.thermal.transient import (
+    PowerSchedule,
+    TransientThermalSolver,
+    step_matrix_key,
+)
 
 TINY = ExperimentSettings(
     trace_length=2_000,
@@ -234,3 +244,95 @@ class TestStagesAndStats:
         for event in groups:
             assert event["run_id"] == context.stats.run_id
             assert event["batch_id"].startswith("b")
+
+
+class _Constant(PowerSchedule):
+    def __init__(self, grids):
+        self.grids = grids
+
+    def power_grids(self, t_s, prev_peak_k):
+        return self.grids
+
+
+def _geometry(convection_k_per_w):
+    """Solver constructor arguments of one small 3D geometry."""
+    return (stacked_3d_stack(convection_k_per_w), stacked_floorplan(), 12, 12,
+            20.0)
+
+
+def _batches(solver, count=2):
+    ny, nx = solver.chip_grid_shape()
+    return [
+        [np.full((ny, nx), 0.02 * (i + 1) + 0.01 * die)
+         for die in range(solver.stack.die_count)]
+        for i in range(count)
+    ]
+
+
+@pytest.fixture
+def empty_lrus():
+    clear_factorization_cache()
+    yield steady_module._FACTORIZATION_CACHE, transient_module._STEP_CACHE
+    clear_factorization_cache()
+
+
+class TestWorkerTaskEviction:
+    """Pool tasks drop the LRU entries they create before returning: no
+    later task in the worker reads them, and each pins one LU."""
+
+    DT_S = 2e-3
+    DURATION_S = 0.02
+
+    def test_tasks_match_inline_and_evict_only_their_own_keys(
+        self, empty_lrus
+    ):
+        steady_lru, step_lru = empty_lrus
+        args = _geometry(0.25)
+        batches = _batches(ThermalSolver(*args))
+        schedules = [_Constant(grids) for grids in batches]
+        inline = ThermalSolver(*args).solve_many(batches)
+        inline_runs = TransientThermalSolver(
+            ThermalSolver(*args), dt_s=self.DT_S
+        ).run_many(schedules, self.DURATION_S)
+        clear_factorization_cache()
+        # Another geometry the process already holds (as a forked worker
+        # inherits the parent's entries) must survive both tasks.
+        other = ThermalSolver(*_geometry(0.5))
+        other._build()
+        TransientThermalSolver(other, dt_s=self.DT_S)
+        held = (set(steady_lru), set(step_lru))
+
+        solved, stats = solve_group_task(*args, batches)
+        runs, _, step_stats = transient_group_task(
+            *args, self.DT_S, schedules, self.DURATION_S, None
+        )
+
+        assert stats["factorizations"] == 1
+        assert step_stats["step_factorizations"] == 1
+        for a, b in zip(solved, inline):
+            assert a.block_peak == b.block_peak
+            assert a.block_mean == b.block_mean
+            assert [t.tobytes() for t in a.layer_temps] == [
+                t.tobytes() for t in b.layer_temps
+            ]
+        for a, b in zip(runs, inline_runs):
+            assert a.times_s == b.times_s
+            assert a.peak_k == b.peak_k
+            assert [t.tobytes() for t in a.final_layer_temps] == [
+                t.tobytes() for t in b.final_layer_temps
+            ]
+        task_solver = ThermalSolver(*args)
+        assert task_solver.matrix_key() not in steady_lru
+        assert step_matrix_key(task_solver, self.DT_S) not in step_lru
+        assert (set(steady_lru), set(step_lru)) == held
+        assert other.matrix_key() in steady_lru
+        assert step_matrix_key(other, self.DT_S) in step_lru
+
+    def test_lru_does_not_grow_with_geometries_solved(self, empty_lrus):
+        steady_lru, _ = empty_lrus
+        ThermalSolver(*_geometry(0.2))._build()
+        before = len(steady_lru)
+        for convection in (0.25, 0.3, 0.35, 0.4):
+            args = _geometry(convection)
+            solve_group_task(*args, _batches(ThermalSolver(*args), count=1))
+            assert len(steady_lru) == before
