@@ -12,11 +12,19 @@ instead of re-simulating or re-solving.
 Layout::
 
     .repro_cache/
-        v1/                     <- one directory per key-schema version
+        v2/                     <- one directory per key-schema version
             ab/
-                ab3f...e2.pkl.gz   <- one gzip-compressed pickled
-                                      SimulationResult or ThermalResult
-                                      per key
+                ab3f...e2.pkl   <- one checksummed pickled result
+                                   (SimulationResult, ThermalResult, ...)
+                                   per key
+
+Each entry is a 16-byte header (the magic ``RPC2``, the payload length
+and the payload's CRC-32) followed by one pickle of the result.
+:meth:`ResultCache.load` checks all three before it unpickles, so a
+truncated, bit-flipped or foreign file is a miss that deletes the entry,
+never a wrong result or an exception.  Entries are not compressed: most
+of their bytes are float64 temperature grids, which gzip shrank by only
+~15 % while its decompression dominated a warm report's cache reads.
 
 Keys are SHA-256 content hashes over everything a result depends on.
 For simulations: the key-schema version, the workload-generator version,
@@ -63,15 +71,17 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import gzip
+import functools
 import hashlib
 import itertools
 import json
 import os
 import pickle
 import shutil
+import struct
 import time
 import warnings
+import zlib
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -81,7 +91,15 @@ from repro.thermal.feedback import FEEDBACK_MODEL_VERSION
 from repro.thermal.transient import PowerSchedule, TRANSIENT_MODEL_VERSION
 
 #: Bump when the cache key schema or the pickled payload layout changes.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
+
+#: Suffix of result entries (and, with ``.<pid>.tmp`` appended, of their
+#: writers' scratch files).
+ENTRY_SUFFIX = ".pkl"
+
+#: Result-entry header: magic, payload length, CRC-32 of the payload.
+ENTRY_HEADER = struct.Struct("<4sQI")
+ENTRY_MAGIC = b"RPC2"
 
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -97,7 +115,7 @@ ENV_CACHE_MAX_MB = "REPRO_CACHE_MAX_MB"
 
 _DISABLED_VALUES = frozenset({"0", "off", "no", "false"})
 
-#: Suffix of cross-process claim markers (next to their ``.pkl.gz`` entry).
+#: Suffix of cross-process claim markers (next to their ``.pkl`` entry).
 CLAIM_SUFFIX = ".claim"
 
 #: Age beyond which a claim is stale even if its holder pid is alive
@@ -134,6 +152,22 @@ def _canonical(value):
     return value
 
 
+@functools.lru_cache(maxsize=256)
+def _config_digest(config: CPUConfig) -> str:
+    """Digest of every :class:`CPUConfig` field, memoized by the (frozen,
+    hashable) config's value: equal configs share one digest however
+    they were built."""
+    return content_key(_canonical(dataclasses.asdict(config)))
+
+
+@functools.lru_cache(maxsize=64)
+def _geometry_digest(result_key: Tuple) -> str:
+    """Digest of a :meth:`~repro.thermal.solver.ThermalSolver.result_key`,
+    memoized by its value: equal geometries share one digest whichever
+    solver object they come from."""
+    return content_key(_canonical(result_key))
+
+
 def simulation_key(
     benchmark: str,
     config: CPUConfig,
@@ -151,7 +185,7 @@ def simulation_key(
         "benchmark": benchmark,
         "trace_length": trace_length,
         "warmup": warmup,
-        "config": _canonical(dataclasses.asdict(config)),
+        "config": _config_digest(config),
     }
     return content_key(payload)
 
@@ -182,7 +216,7 @@ def thermal_key(solver, die_power_grids) -> str:
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "thermal",
-        "geometry": _canonical(solver.result_key()),
+        "geometry": _geometry_digest(solver.result_key()),
     }
     return content_key(payload, die_power_grids)
 
@@ -208,7 +242,7 @@ def transient_key(solver, dt_s: float, duration_s: float,
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "transient",
         "transient": TRANSIENT_MODEL_VERSION,
-        "geometry": _canonical(solver.result_key()),
+        "geometry": _geometry_digest(solver.result_key()),
         "capacities": [
             layer.material.heat_capacity_j_m3k for layer in solver.stack.layers
         ],
@@ -231,7 +265,7 @@ def leakage_key(solver, dynamic_grids, leakage_grids, reference_k: float,
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "leakage_feedback",
         "feedback": FEEDBACK_MODEL_VERSION,
-        "geometry": _canonical(solver.result_key()),
+        "geometry": _geometry_digest(solver.result_key()),
         "dies": len(dynamic_grids),
         "reference_k": float(reference_k),
         "efold_k": float(efold_k),
@@ -264,9 +298,26 @@ def interval_trace_key(
         "interval_insts": interval_insts,
         "activity_scale": activity_scale,
         "core_count": core_count,
-        "geometry": _canonical(solver.result_key()),
+        "geometry": _geometry_digest(solver.result_key()),
     }
     return content_key(payload)
+
+
+def _unpack_entry(blob: bytes):
+    """The result a cache entry's bytes hold.
+
+    Raises :class:`ValueError` unless the header's magic, length and
+    CRC-32 all match the payload, and passes on whatever unpickling the
+    verified payload raises.
+    """
+    if len(blob) < ENTRY_HEADER.size:
+        raise ValueError("cache entry shorter than its header")
+    magic, length, crc = ENTRY_HEADER.unpack_from(blob)
+    payload = memoryview(blob)[ENTRY_HEADER.size:]
+    if (magic != ENTRY_MAGIC or length != len(payload)
+            or zlib.crc32(payload) != crc):
+        raise ValueError("cache entry fails its header check")
+    return pickle.loads(payload)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -745,7 +796,7 @@ class ResultCache:
             self._ledger = SizeLedger(self.version_dir / "ledger")
             if not self._ledger.initialized() and (
                 self.version_dir.is_dir()
-                and next(self.version_dir.glob("*/*.pkl.gz"), None) is not None
+                and next(self.version_dir.glob(f"*/*{ENTRY_SUFFIX}"), None) is not None
                 or (self.version_dir / "traces").is_dir()
             ):
                 self.repair_ledger()
@@ -803,16 +854,16 @@ class ResultCache:
     # ------------------------------------------------------------------ #
 
     def _path(self, key: str) -> Path:
-        return self.version_dir / key[:2] / f"{key}.pkl.gz"
+        return self.version_dir / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     def load(self, key: str, expected_type: type = SimulationResult):
         """The cached result for ``key``, or ``None`` on a miss.
 
         ``expected_type`` guards against key collisions across result
         kinds (simulation vs thermal).  Bad entries — truncated writes,
-        incompatible pickles, payloads of the wrong type — are deleted
-        and treated as misses, so one damaged file costs one re-run, not
-        a re-read-and-miss on every subsequent load.
+        flipped bits, incompatible pickles, payloads of the wrong type —
+        are deleted and treated as misses, so one damaged file costs one
+        re-run, not a re-read-and-miss on every subsequent load.
         """
         path = self._path(key)
         try:
@@ -823,13 +874,13 @@ class ResultCache:
         except OSError:
             pass
         try:
-            with gzip.open(path, "rb") as stream:
-                result = pickle.load(stream)
+            result = _unpack_entry(path.read_bytes())
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, EOFError, pickle.UnpicklingError,
-                AttributeError, ImportError, IndexError):
+        except Exception:
+            # Unreadable, damaged, or a verified payload that still fails
+            # to unpickle (an incompatible pickle: a renamed class, say).
             self._evict(path)
             self.misses += 1
             return None
@@ -858,12 +909,11 @@ class ResultCache:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # Level 2 instead of the gzip default (9): cache entries are
-            # written once per cold simulation on the critical path, and
-            # the ~5x faster compression is worth the slightly larger
-            # files (the size cap bounds total growth either way).
-            with gzip.open(tmp, "wb", compresslevel=2) as stream:
-                pickle.dump(result, stream, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            with open(tmp, "wb") as stream:
+                stream.write(ENTRY_HEADER.pack(
+                    ENTRY_MAGIC, len(payload), zlib.crc32(payload)))
+                stream.write(payload)
             os.replace(tmp, path)
         except OSError:
             # A read-only or full filesystem degrades to cacheless operation.
@@ -1074,7 +1124,7 @@ class ResultCache:
         """All entry files of the current schema version, sorted."""
         if not self.version_dir.is_dir():
             return []
-        return sorted(self.version_dir.glob("*/*.pkl.gz"))
+        return sorted(self.version_dir.glob(f"*/*{ENTRY_SUFFIX}"))
 
     def stale_version_dirs(self) -> List[Path]:
         """``v<N>/`` directories left behind by older key schemas."""
@@ -1107,7 +1157,7 @@ class ResultCache:
 
     @staticmethod
     def _writer_alive(path: Path) -> bool:
-        """Whether the process that owns a ``<key>.pkl.gz.<pid>.tmp`` lives."""
+        """Whether the process that owns a ``<key>.pkl.<pid>.tmp`` lives."""
         parts = path.name.split(".")
         try:
             pid = int(parts[-2])

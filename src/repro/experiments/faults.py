@@ -26,8 +26,9 @@ the faults actually happen, so this module makes them happen on demand:
   partially written.  This makes the injection point adversarial: entry
   injection tests a cooperative crash boundary, mid-simulation injection
   proves no partial state ever leaks into a recovered result.
-* **cache corruption** — :func:`corrupt_entry` overwrites or truncates a
-  cache file in place, exercising the loader's delete-and-miss path.
+* **cache corruption** — :func:`corrupt_entry` overwrites, truncates or
+  bit-flips a cache file in place, exercising the loader's
+  delete-and-miss path.
 * **filesystem faults** — :func:`full_disk` and
   :func:`read_only_filesystem` make every cache *write* under a root
   fail with ``ENOSPC`` / ``EROFS`` while leaving reads (and the rest of
@@ -40,10 +41,11 @@ normal ``repro report`` under ``REPRO_FAULT_DIR=DIR``.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import errno
-import gzip
 import os
+import random
 import re
 import time
 from pathlib import Path
@@ -226,23 +228,44 @@ def maybe_inject_thermal_fault() -> None:
 # ---------------------------------------------------------------------- #
 # Cache-entry corruption
 
-def corrupt_entry(path, mode: str = "garbage") -> None:
+def corrupt_entry(path, mode: str = "garbage", seed: int = 0) -> None:
     """Damage one cache entry in place.
 
-    ``garbage`` replaces the file with bytes that are not a gzip stream;
-    ``truncate`` keeps only the first half of the stream (a writer that
-    died mid-write, minus the atomic-rename protection) — clipping only
-    the gzip trailer would go unnoticed, because unpickling stops at the
-    STOP opcode without ever reading to end-of-stream.
+    ``garbage`` replaces the file with bytes that are not a cache entry;
+    ``truncate`` keeps only the first half of the file (a writer that
+    died mid-write, minus the atomic-rename protection); ``bitflip``
+    flips one bit at a ``seed``-chosen offset past the entry header, so
+    the header still parses and only the payload checksum can catch it.
     """
+    from repro.experiments.cache import ENTRY_HEADER
+
     path = Path(path)
     if mode == "garbage":
-        path.write_bytes(b"\x00not a gzip pickle\x00")
+        path.write_bytes(b"\x00not a cache entry\x00")
     elif mode == "truncate":
-        payload = path.read_bytes() or gzip.compress(b"\x80\x04")
+        payload = path.read_bytes() or b"\x80\x04"
         path.write_bytes(payload[: max(1, len(payload) // 2)])
+    elif mode == "bitflip":
+        payload = bytearray(path.read_bytes())
+        if len(payload) <= ENTRY_HEADER.size:
+            raise ValueError(f"{path} has no payload past its header")
+        rng = random.Random(seed)
+        offset = rng.randrange(ENTRY_HEADER.size, len(payload))
+        payload[offset] ^= 1 << rng.randrange(8)
+        path.write_bytes(bytes(payload))
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
+
+
+def bitflip_cache(root) -> List[Path]:
+    """Flip one bit in every result entry of the cache at ``root`` (entry
+    ``i`` in sorted order with seed ``i``); returns the damaged entries."""
+    from repro.experiments.cache import ResultCache
+
+    entries = ResultCache(root).entries()
+    for index, entry in enumerate(entries):
+        corrupt_entry(entry, "bitflip", index)
+    return entries
 
 
 # ---------------------------------------------------------------------- #
@@ -250,7 +273,7 @@ def corrupt_entry(path, mode: str = "garbage") -> None:
 
 @contextlib.contextmanager
 def full_disk(root) -> Iterator[None]:
-    """Every gzip write under ``root`` fails with ``ENOSPC``."""
+    """Every file write and rename under ``root`` fails with ``ENOSPC``."""
     with _failing_writes(root, errno.ENOSPC, fail_mkdir=False):
         yield
 
@@ -274,7 +297,7 @@ def _under(path, root: Path) -> bool:
 def _failing_writes(root, errno_code: int, fail_mkdir: bool) -> Iterator[None]:
     """Patch the cache module's write syscalls to fail under ``root``.
 
-    Injection happens at the module-reference layer (the ``gzip``/``os``
+    Injection happens at the module-reference layer (the ``open``/``os``
     names inside :mod:`repro.experiments.cache` and ``Path.mkdir``), so
     the cache's real degradation code runs — nothing is stubbed out of
     the path under test — while the rest of the process is unaffected.
@@ -286,18 +309,13 @@ def _failing_writes(root, errno_code: int, fail_mkdir: bool) -> Iterator[None]:
     def oserror(path) -> OSError:
         return OSError(errno_code, os.strerror(errno_code), str(path))
 
-    real_gzip_open = cache_module.gzip.open
     real_os_replace = cache_module.os.replace
     real_mkdir = Path.mkdir
 
-    class _GzipShim:
-        def __getattr__(self, name):
-            return getattr(gzip, name)
-
-        def open(self, path, mode="rb", *args, **kwargs):
-            if any(flag in str(mode) for flag in "wxa") and _under(path, root):
-                raise oserror(path)
-            return real_gzip_open(path, mode, *args, **kwargs)
+    def guarded_open(path, mode="r", *args, **kwargs):
+        if any(flag in str(mode) for flag in "wxa+") and _under(path, root):
+            raise oserror(path)
+        return builtins.open(path, mode, *args, **kwargs)
 
     class _OsShim:
         def __getattr__(self, name):
@@ -313,14 +331,16 @@ def _failing_writes(root, errno_code: int, fail_mkdir: bool) -> Iterator[None]:
             raise oserror(self)
         return real_mkdir(self, *args, **kwargs)
 
-    cache_module.gzip = _GzipShim()
+    # A module global named ``open`` shadows the builtin for the cache
+    # module's own calls only.
+    cache_module.open = guarded_open
     cache_module.os = _OsShim()
     if fail_mkdir:
         Path.mkdir = guarded_mkdir
     try:
         yield
     finally:
-        cache_module.gzip = gzip
+        del cache_module.open
         cache_module.os = os
         Path.mkdir = real_mkdir
 
@@ -329,14 +349,20 @@ def _failing_writes(root, errno_code: int, fail_mkdir: bool) -> Iterator[None]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.experiments.faults DIR [--kills N] [--raises N]
-    [--hangs N] [--midsim-kills N] [--midsim-hangs N] [--at-instruction I]``"""
+    [--hangs N] [--midsim-kills N] [--midsim-hangs N] [--at-instruction I]``
+    arms tokens; ``python -m repro.experiments.faults --bitflip-cache
+    CACHE_DIR`` damages every result entry of a cache."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="repro.experiments.faults",
-        description="Arm worker-fault tokens for a fault-injection run",
+        description="Arm worker-fault tokens, or damage cache entries, "
+                    "for a fault-injection run",
     )
-    parser.add_argument("directory", help="token directory (REPRO_FAULT_DIR)")
+    parser.add_argument("directory", nargs="?",
+                        help="token directory (REPRO_FAULT_DIR)")
+    parser.add_argument("--bitflip-cache", metavar="CACHE_DIR",
+                        help="flip one bit in every result entry of this cache")
     parser.add_argument("--kills", type=int, default=0, metavar="N",
                         help="worker kill tokens to arm (os._exit at task entry)")
     parser.add_argument("--raises", type=int, default=0, metavar="N",
@@ -355,6 +381,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trigger instruction index for midsim tokens "
                              "(default: 1000)")
     args = parser.parse_args(argv)
+    if args.bitflip_cache:
+        entries = bitflip_cache(args.bitflip_cache)
+        print(f"flipped one bit in each of {len(entries)} cache entries "
+              f"in {args.bitflip_cache}")
+    if args.directory is None:
+        if not args.bitflip_cache:
+            parser.error("a token directory or --bitflip-cache is required")
+        return 0
     tokens = arm_worker_kills(args.directory, args.kills) if args.kills else []
     tokens += arm_worker_raises(args.directory, args.raises) if args.raises else []
     tokens += arm_worker_hangs(args.directory, args.hangs) if args.hangs else []

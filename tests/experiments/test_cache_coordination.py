@@ -296,7 +296,7 @@ class TestPrune:
         cache.max_bytes = 8 * 1024
         _plant_claim(cache, KEY, pid=_reap(), ts=time.time())
         (cache.version_dir / "ab").mkdir(parents=True, exist_ok=True)
-        tmp_file = cache.version_dir / "ab" / "x.pkl.gz.99999.tmp"
+        tmp_file = cache.version_dir / "ab" / "x.pkl.99999.tmp"
         tmp_file.write_bytes(b"scratch")
         os.utime(tmp_file, (time.time() - 7200, time.time() - 7200))
         report = cache.prune()

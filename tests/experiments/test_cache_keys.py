@@ -1,0 +1,130 @@
+"""Cache keys: pinned hex values and value-keyed memo safety.
+
+The key functions memoize the config and geometry parts of their
+payloads.  These tests pin one key of each result kind, so a change to
+the key layout shows up as a failure here, and check that the memos key
+on values: equal inputs built separately share a key, and any change to
+an input changes it.  A deliberate bump of ``CACHE_SCHEMA_VERSION`` or of
+a model version re-records ``GOLDEN_KEYS``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+
+import numpy as np
+
+from repro.cpu.config import CPUConfig, baseline_config
+from repro.experiments.cache import (
+    leakage_key,
+    simulation_key,
+    thermal_key,
+    transient_key,
+)
+from repro.floorplan.stacked import stacked_floorplan
+from repro.thermal.solver import ThermalSolver
+from repro.thermal.stack import stacked_3d_stack
+from repro.thermal.transient import PowerSchedule
+
+GOLDEN_KEYS = {
+    "simulation": "64ac249a4be740f6f3e3bf401fac2974c8f08b6089c13b8cc5227520885a389e",
+    "thermal": "15f5193d408f9ddfe4a355f2c851d66b4a733e85c0d5ff0e8b8359aecd3b1de6",
+    "transient": "62714dc5ccea32999907e5238ccbd8cb01dbf8146cbd95272aee84c6413590c0",
+    "leakage": "21658ba7a0d3eb0152b95d8e992e7484f2f43b0c41f5c0d667cfec59873276c7",
+}
+
+
+def _solver(thickness_mm: float = 0.25, grid: int = 16) -> ThermalSolver:
+    return ThermalSolver(stacked_3d_stack(thickness_mm), stacked_floorplan(),
+                         nx=grid, ny=grid)
+
+
+def _grids(solver, scale: float = 1.0):
+    ny, nx = solver.chip_grid_shape()
+    return [
+        scale * (die + 1) * np.arange(ny * nx, dtype=np.float64).reshape(ny, nx)
+        / (ny * nx)
+        for die in range(solver.floorplan.dies)
+    ]
+
+
+class _TokenSchedule(PowerSchedule):
+    """A schedule whose cache token is fixed, for key tests only."""
+
+    def __init__(self, grids):
+        self.grids = grids
+
+    def power_grids(self, t_s, prev_peak_k):
+        return self.grids
+
+    def cache_token(self):
+        return "fixed-schedule"
+
+
+def _keys(solver) -> dict:
+    grids = _grids(solver)
+    return {
+        "simulation": simulation_key("adpcm", baseline_config(), 2_000, 500),
+        "thermal": thermal_key(solver, grids),
+        "transient": transient_key(solver, 20e-3, 0.2, None,
+                                   _TokenSchedule(grids)),
+        "leakage": leakage_key(solver, grids, _grids(solver, 0.1),
+                               reference_k=318.15, efold_k=40.0,
+                               max_iterations=8, tolerance_k=0.01),
+    }
+
+
+def _changed(value):
+    """A different value of the same type, for one CPUConfig field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    raise TypeError(f"no change rule for {value!r}")
+
+
+class TestGoldenKeys:
+    def test_keys_are_pinned(self):
+        assert _keys(_solver()) == GOLDEN_KEYS
+
+
+class TestMemoSafety:
+    def test_every_config_field_changes_the_simulation_key(self):
+        config = baseline_config()
+        base = simulation_key("adpcm", config, 2_000, 500)
+        seen = {base}
+        for field in dataclasses.fields(CPUConfig):
+            changed = dataclasses.replace(
+                config, **{field.name: _changed(getattr(config, field.name))})
+            key = simulation_key("adpcm", changed, 2_000, 500)
+            assert key != base, field.name
+            seen.add(key)
+        assert len(seen) == len(dataclasses.fields(CPUConfig)) + 1
+
+    def test_equal_configs_built_separately_share_a_key(self):
+        first = dataclasses.replace(baseline_config(), rob_size=128)
+        second = dataclasses.replace(CPUConfig(**dataclasses.asdict(
+            baseline_config())), rob_size=128)
+        assert first is not second
+        assert (simulation_key("susan", first, 2_000, 500)
+                == simulation_key("susan", second, 2_000, 500))
+
+    def test_equal_solvers_built_separately_share_keys(self):
+        first, second = _solver(), _solver()
+        assert first is not second
+        assert _keys(first) == _keys(second)
+
+    def test_different_geometry_changes_thermal_keys(self):
+        base = _solver()
+        grids = _grids(base)
+        thicker = _solver(thickness_mm=0.5)
+        assert thicker.chip_grid_shape() == base.chip_grid_shape()
+        assert thermal_key(thicker, grids) != thermal_key(base, grids)
+        keys, thicker_keys = _keys(base), _keys(thicker)
+        for kind in ("thermal", "transient", "leakage"):
+            assert thicker_keys[kind] != keys[kind], kind

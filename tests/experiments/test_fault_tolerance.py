@@ -235,11 +235,11 @@ class TestTmpFileHygiene:
         cache = ResultCache(tmp_path)
         bucket = cache.version_dir / "ab"
         bucket.mkdir(parents=True)
-        dead = bucket / f"{'a' * 64}.pkl.gz.99999999.tmp"  # pid can't exist
+        dead = bucket / f"{'a' * 64}.pkl.99999999.tmp"  # pid can't exist
         dead.write_bytes(b"partial write")
         junk = bucket / "junk.tmp"  # unparseable writer pid: abandoned
         junk.write_bytes(b"?")
-        live = bucket / f"{'b' * 64}.pkl.gz.{os.getpid()}.tmp"  # us, fresh
+        live = bucket / f"{'b' * 64}.pkl.{os.getpid()}.tmp"  # us, fresh
         live.write_bytes(b"in flight")
         assert cache.sweep_tmp() == 2
         assert not dead.exists()
@@ -250,7 +250,7 @@ class TestTmpFileHygiene:
         cache = ResultCache(tmp_path)
         bucket = cache.version_dir / "cd"
         bucket.mkdir(parents=True)
-        stale = bucket / f"{'c' * 64}.pkl.gz.{os.getpid()}.tmp"
+        stale = bucket / f"{'c' * 64}.pkl.{os.getpid()}.tmp"
         stale.write_bytes(b"ancient")
         assert cache.sweep_tmp(max_age_s=0.0) == 1
 
@@ -261,7 +261,7 @@ class TestTmpFileHygiene:
         cache = ResultCache(tmp_path)
         bucket = cache.version_dir / "ef"
         bucket.mkdir(parents=True)
-        (bucket / f"{'e' * 64}.pkl.gz.99999999.tmp").write_bytes(b"x")
+        (bucket / f"{'e' * 64}.pkl.99999999.tmp").write_bytes(b"x")
         assert main(["cache", "info"]) == 0
         assert "stale temp files swept: 1" in capsys.readouterr().out
         assert cache.tmp_files() == []
@@ -273,7 +273,7 @@ class TestTmpFileHygiene:
         cache = ResultCache(tmp_path)
         bucket = cache.version_dir / "01"
         bucket.mkdir(parents=True)
-        (bucket / f"{'0' * 64}.pkl.gz.99999999.tmp").write_bytes(b"x")
+        (bucket / f"{'0' * 64}.pkl.99999999.tmp").write_bytes(b"x")
         assert main(["cache", "clear"]) == 0
         out = capsys.readouterr().out
         assert "1 temp file(s)" in out

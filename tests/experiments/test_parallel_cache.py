@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import gzip
 
 import pytest
 
@@ -118,18 +117,18 @@ class TestResultCache:
         context = ExperimentContext(TINY, jobs=1, cache=cache)
         context.run("adpcm", "Base")
         (entry,) = cache.entries()
-        entry.write_bytes(b"not a gzip pickle")
+        entry.write_bytes(b"not a cache entry")
 
         recovered = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
         recovered.run("adpcm", "Base")
         assert recovered.stats.simulated == 1
         assert recovered.stats.sim_disk_hits == 0
 
-    def test_truncated_gzip_is_a_miss(self, tmp_path):
+    def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         ExperimentContext(TINY, jobs=1, cache=cache).run("adpcm", "Base")
         (entry,) = cache.entries()
-        entry.write_bytes(gzip.compress(b"\x80\x04")[:-1])
+        entry.write_bytes(entry.read_bytes()[:-1])
         assert ResultCache(tmp_path).load(entry.name.split(".")[0]) is None
 
     def test_clear_and_describe(self, tmp_path):
@@ -143,7 +142,7 @@ class TestResultCache:
     def test_stale_version_pruned(self, tmp_path):
         stale = tmp_path / "v0" / "ab"
         stale.mkdir(parents=True)
-        (stale / "abcd.pkl.gz").write_bytes(b"old")
+        (stale / "abcd.pkl").write_bytes(b"old")
         cache = ResultCache(tmp_path)
         assert [p.name for p in cache.stale_version_dirs()] == ["v0"]
         assert cache.prune_stale() == 1
