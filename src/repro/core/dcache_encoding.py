@@ -15,8 +15,16 @@ On a predicted-low-width load only the top die is read; if the encoding
 bits say ``11`` the prediction was unsafe and the cache pipeline stalls
 one cycle while the remaining 48 bits are fetched — from a *single*
 set-associative way, because the tag match has already resolved the hit
-way.  Stores know their width at commit and never mispredict.  L2
-spills/fills have no width prediction and always touch all four dies.
+way.  Stores know their width at commit and never mispredict: a
+compressible store writes the top die only.  L2 fills have no width
+prediction and always touch all four dies.
+
+Encodings are kept per 8-byte double word.  A store installs the
+encoding of its value; a load observes the double word's installed
+encoding, or installs its own value's encoding if the double word was
+never stored.  :meth:`repro.cpu.predecode.PreDecodedTrace.dc_columns`
+computes those outcomes for a whole trace, and the timing core charges
+the stalls and die activity.
 
 ``EncodingScheme.ONE_BIT`` is the ablation variant: a single memoization
 bit that can only compress the all-zeros upper pattern (the register
@@ -26,11 +34,6 @@ file's scheme applied to the cache).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.core.activity import ActivityCounters, NUM_DIES
-from repro.isa.values import UpperBitsEncoding, classify_upper_bits
 
 
 class EncodingScheme(enum.Enum):
@@ -38,97 +41,3 @@ class EncodingScheme(enum.Enum):
 
     TWO_BIT = "two_bit"   # the paper's 00/01/10/11 encoding
     ONE_BIT = "one_bit"   # ablation: all-zeros-only memoization
-
-
-@dataclass(frozen=True)
-class CacheAccessOutcome:
-    """Timing/activity outcome of one L1D data-array access."""
-
-    #: extra cycles charged to the access (unsafe width misprediction)
-    stall_cycles: int
-    #: dies touched by the data-array access
-    dies_active: int
-    #: True when the access was herded to the top die
-    herded: bool
-
-
-class PartialValueCache:
-    """Activity/timing model of the word-partitioned L1D data array.
-
-    The *tag* array and hit/miss behaviour belong to the cache hierarchy
-    model (:mod:`repro.cpu.caches`); this class models only the data-array
-    die gating driven by width prediction and the partial-value encoding.
-    """
-
-    def __init__(
-        self,
-        counters: ActivityCounters,
-        scheme: EncodingScheme = EncodingScheme.TWO_BIT,
-        module: str = "l1_dcache",
-    ):
-        self._counters = counters
-        self._scheme = scheme
-        self._module = module
-        self._encodings: Dict[int, UpperBitsEncoding] = {}
-        self.loads = 0
-        self.herded_loads = 0
-        self.unsafe_stalls = 0
-
-    @property
-    def scheme(self) -> EncodingScheme:
-        return self._scheme
-
-    def _classify(self, value: int, address: int) -> UpperBitsEncoding:
-        encoding = classify_upper_bits(value, address)
-        if self._scheme is EncodingScheme.ONE_BIT and encoding is not UpperBitsEncoding.ALL_ZEROS:
-            return UpperBitsEncoding.LITERAL
-        return encoding
-
-    def record_store(self, address: int, value: int) -> CacheAccessOutcome:
-        """A committed store writes the data array and its encoding bits.
-
-        Stores know their width, so a compressible value touches only the
-        top die; no misprediction is possible.
-        """
-        encoding = self._classify(value, address)
-        self._encodings[address & ~0x7] = encoding
-        dies = 1 if encoding.is_compressed else NUM_DIES
-        self._counters.record(self._module, dies_active=dies)
-        return CacheAccessOutcome(stall_cycles=0, dies_active=dies, herded=dies == 1)
-
-    def record_fill(self) -> None:
-        """An L2 fill: no width prediction, all four dies written."""
-        self._counters.record(self._module, dies_active=NUM_DIES)
-
-    def record_load(
-        self,
-        address: int,
-        value: int,
-        predicted_low: bool,
-    ) -> CacheAccessOutcome:
-        """A load reads the data array under a width prediction."""
-        self.loads += 1
-        encoding = self._encodings.get(address & ~0x7)
-        if encoding is None:
-            encoding = self._classify(value, address)
-            self._encodings[address & ~0x7] = encoding
-
-        if not predicted_low:
-            self._counters.record(self._module, dies_active=NUM_DIES)
-            return CacheAccessOutcome(stall_cycles=0, dies_active=NUM_DIES, herded=False)
-
-        if encoding.is_compressed:
-            self.herded_loads += 1
-            self._counters.record(self._module, dies_active=1)
-            return CacheAccessOutcome(stall_cycles=0, dies_active=1, herded=True)
-
-        # Unsafe width misprediction: stall the cache pipeline one cycle;
-        # the tag match already identified the hit way, so the second
-        # access reads a single way of the lower three dies.
-        self.unsafe_stalls += 1
-        self._counters.record(self._module, dies_active=NUM_DIES)
-        return CacheAccessOutcome(stall_cycles=1, dies_active=NUM_DIES, herded=False)
-
-    @property
-    def herded_load_fraction(self) -> float:
-        return self.herded_loads / self.loads if self.loads else 0.0

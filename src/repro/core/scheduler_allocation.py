@@ -1,22 +1,27 @@
-"""Entry-stacked instruction scheduler with herding allocation (Section 3.4).
+"""Entry-stacked instruction scheduler allocation policy (Section 3.4).
 
 The reservation stations are partitioned by entry across the four dies
-(one quarter each).  The allocator fills the die closest to the heat sink
-first, overflowing downward only when upper dies are full, so that under
-moderate occupancy all scheduler activity is confined to the top of the
+(one quarter each).  ``TOP_FIRST`` fills the die closest to the heat sink
+first, overflowing downward only when upper dies are full, so under
+moderate occupancy all scheduler activity stays at the top of the
 stack.  Tag broadcasts are gated per die: a die with no occupied entries
-does not receive the broadcast.
+does not receive the broadcast, so a broadcast with ``k`` busy entries
+wakes ``ceil(k / (entries / 4))`` dies, and one die (the bus stub) when
+the scheduler is empty.
 
-The ``ROUND_ROBIN`` policy is the ablation baseline: entries are spread
-evenly, so every broadcast usually touches all four dies.
+``ROUND_ROBIN`` is the ablation baseline: entries are spread evenly, so a
+broadcast wakes ``min(k, 4)`` dies (one when empty), and the occupied
+dies rotate by one on every broadcast instead of clustering at the heat
+sink.
+
+:meth:`repro.cpu.pipeline.TimingSimulator.run_compiled` applies the
+policy at each result broadcast, counting the scheduler's busy entries
+from its reservation-station free-at cycles.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
-
-from repro.core.activity import ActivityCounters, NUM_DIES
 
 
 class AllocationPolicy(enum.Enum):
@@ -24,127 +29,3 @@ class AllocationPolicy(enum.Enum):
 
     TOP_FIRST = "top_first"
     ROUND_ROBIN = "round_robin"
-
-
-class EntryStackedScheduler:
-    """Occupancy and broadcast-gating model of the 3D scheduler.
-
-    The timing simulator decides *when* instructions enter and leave the
-    scheduler; this model decides *where* (which die) and accounts the
-    per-die broadcast energy.
-    """
-
-    def __init__(
-        self,
-        counters: ActivityCounters,
-        entries: int = 32,
-        policy: AllocationPolicy = AllocationPolicy.TOP_FIRST,
-        module: str = "scheduler",
-    ):
-        if entries < NUM_DIES or entries % NUM_DIES:
-            raise ValueError(f"entries must be a positive multiple of {NUM_DIES}, got {entries}")
-        self._counters = counters
-        self._module = module
-        self._per_die_capacity = entries // NUM_DIES
-        self._occupancy: List[int] = [0] * NUM_DIES
-        self._policy = policy
-        self._rr_next = 0
-        self.broadcasts = 0
-        self.broadcast_die_sum = 0
-
-    @property
-    def policy(self) -> AllocationPolicy:
-        return self._policy
-
-    @property
-    def occupancy(self) -> List[int]:
-        """Current per-die occupancy (copy)."""
-        return list(self._occupancy)
-
-    def allocate(self) -> Optional[int]:
-        """Allocate one RS entry; returns the die, or None when full."""
-        if self._policy is AllocationPolicy.TOP_FIRST:
-            for die in range(NUM_DIES):
-                if self._occupancy[die] < self._per_die_capacity:
-                    self._occupancy[die] += 1
-                    self._counters.record(self._module, dies_active=die + 1, count=0)
-                    return die
-            return None
-        # Round robin: rotate across dies with free entries.
-        for offset in range(NUM_DIES):
-            die = (self._rr_next + offset) % NUM_DIES
-            if self._occupancy[die] < self._per_die_capacity:
-                self._occupancy[die] += 1
-                self._rr_next = (die + 1) % NUM_DIES
-                return die
-        return None
-
-    def release(self, die: int) -> None:
-        """Free one entry on ``die`` (instruction issued)."""
-        if not 0 <= die < NUM_DIES:
-            raise ValueError(f"die must be in [0, {NUM_DIES}), got {die}")
-        if self._occupancy[die] <= 0:
-            raise ValueError(f"release on empty die {die}")
-        self._occupancy[die] -= 1
-
-    def die_for_occupancy(self, occupancy: int) -> int:
-        """Die on which the ``occupancy``-th entry (1-based) is allocated.
-
-        Used by the timing model, which tracks chronological occupancy
-        itself: under TOP_FIRST the stack fills downward from the heat
-        sink; under ROUND_ROBIN entries spread evenly.
-        """
-        if occupancy < 1:
-            raise ValueError(f"occupancy must be >= 1, got {occupancy}")
-        index = min(occupancy, NUM_DIES * self._per_die_capacity) - 1
-        if self._policy is AllocationPolicy.TOP_FIRST:
-            return index // self._per_die_capacity
-        return index % NUM_DIES
-
-    def occupied_dies(self, occupancy: int) -> int:
-        """Number of dies with at least one occupied entry."""
-        occupancy = max(0, min(occupancy, NUM_DIES * self._per_die_capacity))
-        if occupancy == 0:
-            return 1  # the broadcast still drives the top die's bus stub
-        if self._policy is AllocationPolicy.TOP_FIRST:
-            return -(-occupancy // self._per_die_capacity)  # ceil division
-        return min(occupancy, NUM_DIES)
-
-    def broadcast_with_occupancy(self, occupancy: int) -> int:
-        """Tag broadcast gated by chronological occupancy; returns dies hit."""
-        dies = self.occupied_dies(occupancy)
-        if self._policy is AllocationPolicy.TOP_FIRST:
-            # Herding fills from the top: the occupied dies are 0..dies-1.
-            for die in range(dies):
-                self._counters.module(self._module).record_die(die)
-        else:
-            # Round robin spreads entries cyclically, so the occupied dies
-            # rotate over time rather than clustering at the heat sink.
-            for offset in range(dies):
-                self._counters.module(self._module).record_die(
-                    (self._rr_next + offset) % NUM_DIES
-                )
-            self._rr_next = (self._rr_next + 1) % NUM_DIES
-        self.broadcasts += 1
-        self.broadcast_die_sum += dies
-        return dies
-
-    def tag_broadcast(self) -> int:
-        """Broadcast a completing instruction's tag to all occupied dies.
-
-        Returns the number of dies that received the broadcast.  Gated
-        dies (no occupied entries) dissipate no broadcast power.
-        """
-        active = [die for die in range(NUM_DIES) if self._occupancy[die] > 0]
-        if not active:
-            # The broadcast still drives the top die's bus stub.
-            active = [0]
-        for die in active:
-            self._counters.module(self._module).record_die(die)
-        self.broadcasts += 1
-        self.broadcast_die_sum += len(active)
-        return len(active)
-
-    @property
-    def mean_dies_per_broadcast(self) -> float:
-        return self.broadcast_die_sum / self.broadcasts if self.broadcasts else 0.0

@@ -1,12 +1,16 @@
-"""PC-indexed saturating-counter width predictor (Section 3).
+"""Width-prediction outcome counts (Section 3).
 
-For each instruction the processor predicts whether it will use low-width
-(<= 16-bit) or full-width values.  The predictor is a direct-mapped table
-of two-bit saturating counters indexed by the PC, exactly the simple
-scheme the paper adopts from Loh [13].  A *prediction correction* hook
-lets the register file fix an in-flight instruction's prediction after an
-unsafe misprediction (Section 3.1, action 2), preventing repeated stalls
-downstream in the same instruction's life.
+For each integer-datapath instruction the processor predicts whether it
+will use low-width (<= 16-bit) or full-width values.  The paper's
+predictor is a direct-mapped table of saturating counters indexed by
+``pc >> 2`` (two bits each, from Loh [13]): a counter below the
+threshold predicts low width, a low-width outcome decrements it and a
+full-width outcome increments it, and the table starts at the threshold
+(weakly full width) so that early errors are safe.  An unsafe
+misprediction caught at register read pins the counter to its maximum
+(the in-flight correction of Section 3.1).  The counters run inline in
+:meth:`repro.cpu.pipeline.TimingSimulator.run_compiled`, which reports
+the outcomes as :class:`WidthPredictorStats`.
 
 Misprediction taxonomy (Section 3):
 
@@ -19,9 +23,6 @@ Misprediction taxonomy (Section 3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: Counter value at or above which the prediction is "full width".
-_DEFAULT_BITS = 2
 
 
 @dataclass
@@ -40,70 +41,3 @@ class WidthPredictorStats:
     @property
     def unsafe_rate(self) -> float:
         return self.unsafe_mispredictions / self.predictions if self.predictions else 0.0
-
-
-class WidthPredictor:
-    """Table of saturating counters: high counter values mean full width.
-
-    Parameters
-    ----------
-    table_size:
-        Number of counters (power of two).
-    counter_bits:
-        Saturating counter width; 2 in the paper.
-    """
-
-    def __init__(self, table_size: int = 4096, counter_bits: int = _DEFAULT_BITS):
-        if table_size < 1 or table_size & (table_size - 1):
-            raise ValueError(f"table_size must be a power of two, got {table_size}")
-        if counter_bits < 1:
-            raise ValueError(f"counter_bits must be >= 1, got {counter_bits}")
-        self._mask = table_size - 1
-        self._max_count = (1 << counter_bits) - 1
-        self._threshold = 1 << (counter_bits - 1)
-        # Initialize weakly full-width: mispredicting "full" is safe.
-        self._table = [self._threshold] * table_size
-        self.stats = WidthPredictorStats()
-
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & self._mask
-
-    def predict_low_width(self, pc: int) -> bool:
-        """Predict whether the instruction at ``pc`` uses low-width values."""
-        return self._table[self._index(pc)] < self._threshold
-
-    def correct_prediction(self, pc: int) -> None:
-        """Force the entry toward full width after an unsafe misprediction.
-
-        This models the register file's in-flight correction: the counter
-        saturates high so the very next occurrence predicts full width.
-        """
-        self._table[self._index(pc)] = self._max_count
-
-    def record_and_train(self, pc: int, predicted_low: bool, actual_low: bool) -> None:
-        """Account the outcome of a prediction and train the counter."""
-        self.stats.predictions += 1
-        if predicted_low == actual_low:
-            self.stats.correct += 1
-        elif predicted_low:
-            self.stats.unsafe_mispredictions += 1
-        else:
-            self.stats.safe_mispredictions += 1
-        index = self._index(pc)
-        count = self._table[index]
-        if actual_low:
-            if count > 0:
-                self._table[index] = count - 1
-        else:
-            if count < self._max_count:
-                self._table[index] = count + 1
-
-    def observe(self, pc: int, actual_low: bool) -> bool:
-        """Predict, train, and return whether the prediction was unsafe.
-
-        Convenience wrapper used by the timing model: one call per
-        instruction occurrence.
-        """
-        predicted_low = self.predict_low_width(pc)
-        self.record_and_train(pc, predicted_low, actual_low)
-        return predicted_low and not actual_low

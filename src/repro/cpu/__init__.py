@@ -21,8 +21,8 @@ from repro.cpu.config import (
     full_3d_config,
     paper_configurations,
 )
-from repro.cpu.caches import SetAssociativeCache, TLB, MemoryHierarchy, CacheStats
-from repro.cpu.branch_predictor import HybridPredictor, FrontEndPredictor, BranchStats
+from repro.cpu.caches import SetAssociativeCache, TLB, CacheStats
+from repro.cpu.branch_predictor import HybridPredictor, BranchStats
 from repro.cpu.results import SimulationResult
 from repro.cpu.pipeline import TimingSimulator, simulate
 
@@ -37,10 +37,8 @@ __all__ = [
     "paper_configurations",
     "SetAssociativeCache",
     "TLB",
-    "MemoryHierarchy",
     "CacheStats",
     "HybridPredictor",
-    "FrontEndPredictor",
     "BranchStats",
     "SimulationResult",
     "TimingSimulator",

@@ -1,22 +1,17 @@
-"""Hybrid branch direction predictor, BTB, and return-address stack.
+"""Hybrid branch direction predictor and branch outcome counts.
 
 Table 1 specifies a 10KB bimodal/local/global hybrid.  We implement the
 three components plus a majority combiner (each component is trained on
 every branch): a bimodal table, a gshare global predictor, and a
-two-level local-history predictor.  The BTB and indirect BTB are
-set-associative target caches; returns use a return-address stack.
+two-level local-history predictor.  :func:`repro.cpu.wavefront.frontend_walk`
+replays it together with the BTB (a set-associative target cache) and
+the return-address stack over a trace's control instructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-from repro.core.activity import ActivityCounters, NUM_DIES
-from repro.core.btb_memoization import MemoizedBTB
-from repro.core.direction_split import SplitDirectionPredictorActivity
-from repro.cpu.caches import SetAssociativeCache
-from repro.isa.opcodes import OpClass
+from typing import List
 
 
 class _CounterTable:
@@ -131,137 +126,3 @@ class HybridPredictor:
         self._local_history[slot] = (
             (self._local_history[slot] << 1) | int(taken)
         ) & self._local_bits_mask
-
-
-@dataclass(frozen=True)
-class FrontEndOutcome:
-    """What the front end decides for one control instruction."""
-
-    predicted_taken: bool
-    target_known: bool
-    mispredicted: bool
-    extra_bubbles: int
-
-
-class FrontEndPredictor:
-    """The complete front-end control-flow machinery.
-
-    When ``thermal_herding`` is enabled, BTB hits go through the target
-    memoization model (far targets cost a one-cycle prediction stall) and
-    the direction arrays charge split direction/hysteresis activity.
-    """
-
-    def __init__(
-        self,
-        counters: ActivityCounters,
-        btb_entries: int = 2048,
-        btb_assoc: int = 4,
-        ibtb_entries: int = 512,
-        ibtb_assoc: int = 4,
-        ras_depth: int = 16,
-        thermal_herding: bool = False,
-    ):
-        self._counters = counters
-        self.direction = HybridPredictor()
-        self.btb = SetAssociativeCache("btb", btb_entries * 4, btb_assoc, 4)
-        self.ibtb = SetAssociativeCache("ibtb", ibtb_entries * 4, ibtb_assoc, 4)
-        self._ras: List[int] = []
-        self._ras_depth = ras_depth
-        self._thermal_herding = thermal_herding
-        self.memoized_btb = MemoizedBTB(counters) if thermal_herding else None
-        self.split_arrays = SplitDirectionPredictorActivity(counters) if thermal_herding else None
-        self.stats = BranchStats()
-
-    # ------------------------------------------------------------------ #
-
-    def _record_direction_activity(self, update: bool) -> None:
-        if self.split_arrays is not None:
-            if update:
-                self.split_arrays.record_update()
-            else:
-                self.split_arrays.record_prediction()
-        else:
-            self._counters.record("dir_predictor", dies_active=NUM_DIES)
-
-    def _btb_lookup(self, cache: SetAssociativeCache, module: str,
-                    pc: int, target: Optional[int]) -> FrontEndOutcome:
-        """Common BTB/iBTB hit-miss handling for a taken transfer."""
-        self.stats.btb_lookups += 1
-        hit = cache.access(pc)
-        bubbles = 0
-        if hit and self.memoized_btb is not None and target is not None:
-            lookup = self.memoized_btb.read_target(pc, target)
-            bubbles += lookup.stall_cycles
-        elif hit:
-            self._counters.record(module, dies_active=NUM_DIES)
-        else:
-            self.stats.btb_misses += 1
-            self._counters.record(module, dies_active=NUM_DIES)
-        return FrontEndOutcome(
-            predicted_taken=True,
-            target_known=hit,
-            mispredicted=False,
-            extra_bubbles=bubbles,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def process(self, op: OpClass, pc: int, taken: bool, target: Optional[int]) -> FrontEndOutcome:
-        """Predict one control instruction and train all structures.
-
-        The returned outcome tells the timing model whether the fetch
-        stream was redirected correctly (``mispredicted`` False) and how
-        many front-end bubble cycles to charge.
-        """
-        if op is OpClass.BRANCH:
-            return self._process_conditional(pc, taken, target)
-        if op is OpClass.RETURN:
-            return self._process_return(pc, target)
-        if op is OpClass.CALL:
-            self._ras.append(pc + 4)
-            if len(self._ras) > self._ras_depth:
-                self._ras.pop(0)
-            return self._btb_lookup(self.btb, "btb", pc, target)
-        # Unconditional direct jump.
-        return self._btb_lookup(self.btb, "btb", pc, target)
-
-    def _process_conditional(self, pc: int, taken: bool, target: Optional[int]) -> FrontEndOutcome:
-        self.stats.conditional_branches += 1
-        self._record_direction_activity(update=False)
-        predicted_taken = self.direction.predict(pc)
-        self.direction.update(pc, taken)
-        self._record_direction_activity(update=True)
-
-        mispredicted = predicted_taken != taken
-        if mispredicted:
-            self.stats.direction_mispredicts += 1
-            return FrontEndOutcome(
-                predicted_taken=predicted_taken,
-                target_known=False,
-                mispredicted=True,
-                extra_bubbles=0,
-            )
-        if not taken:
-            return FrontEndOutcome(
-                predicted_taken=False,
-                target_known=True,
-                mispredicted=False,
-                extra_bubbles=0,
-            )
-        return self._btb_lookup(self.btb, "btb", pc, target)
-
-    def _process_return(self, pc: int, target: Optional[int]) -> FrontEndOutcome:
-        self.stats.ras_returns += 1
-        predicted = self._ras.pop() if self._ras else None
-        if predicted is not None and predicted == target:
-            # RAS hit; the iBTB is still probed in parallel.
-            self._counters.record("ibtb", dies_active=NUM_DIES)
-            return FrontEndOutcome(
-                predicted_taken=True, target_known=True,
-                mispredicted=False, extra_bubbles=0,
-            )
-        self.stats.ras_mispredicts += 1
-        return FrontEndOutcome(
-            predicted_taken=True, target_known=False,
-            mispredicted=True, extra_bubbles=0,
-        )

@@ -1,18 +1,16 @@
-"""Set-associative caches, TLBs, and the memory hierarchy timing model.
+"""Set-associative caches and TLBs.
 
-Tag-only LRU models: the simulator needs hit/miss behaviour and
-latencies, not data movement.  The hierarchy is L1I + L1D backed by a
-shared L2 backed by DRAM, plus I/D TLBs whose misses charge a fixed
-page-walk penalty.  Activity (for the power model) is charged to the
-module names used by :mod:`repro.circuits.blocks`.
+Tag-only LRU models: the simulator needs hit/miss behaviour, not data
+movement.  :func:`repro.cpu.wavefront.memory_walk` composes them into
+the hierarchy — L1I + L1D backed by a shared L2 backed by DRAM, plus
+I/D TLBs — and the timing core charges the latencies: L2 and DRAM
+cycles on a miss, a fixed page-walk penalty on a TLB miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.activity import ActivityCounters, NUM_DIES
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass
@@ -102,176 +100,3 @@ class TLB(SetAssociativeCache):
     def __init__(self, name: str, entries: int, assoc: int, page_bytes: int):
         super().__init__(name, size_bytes=entries * page_bytes, assoc=assoc,
                          line_bytes=page_bytes)
-
-
-@dataclass
-class MemoryAccessResult:
-    """Latency and service level of one data access."""
-
-    cycles: int
-    level: str  # "l1", "l2", "dram"
-    tlb_miss: bool = False
-
-
-class MemoryHierarchy:
-    """L1I/L1D + shared L2 + DRAM + TLBs with per-module activity."""
-
-    def __init__(
-        self,
-        counters: ActivityCounters,
-        l1i: SetAssociativeCache,
-        l1d: SetAssociativeCache,
-        l2: SetAssociativeCache,
-        itlb: TLB,
-        dtlb: TLB,
-        l1_latency: int,
-        l2_latency: int,
-        dram_cycles: int,
-        tlb_miss_penalty: int,
-    ):
-        self._counters = counters
-        self.l1i = l1i
-        self.l1d = l1d
-        self.l2 = l2
-        self.itlb = itlb
-        self.dtlb = dtlb
-        self.l1_latency = l1_latency
-        self.l2_latency = l2_latency
-        self.dram_cycles = dram_cycles
-        self.tlb_miss_penalty = tlb_miss_penalty
-
-    # ------------------------------------------------------------------ #
-
-    def _lower_levels(self, addr: int) -> Tuple[int, str]:
-        """Service a miss from L2/DRAM; returns (extra cycles, level)."""
-        self._counters.record("l2_cache", dies_active=NUM_DIES)
-        if self.l2.access(addr):
-            return self.l2_latency, "l2"
-        self._counters.record("dram", dies_active=NUM_DIES)
-        return self.l2_latency + self.dram_cycles, "dram"
-
-    def instruction_fetch(self, pc: int) -> MemoryAccessResult:
-        """Fetch the line containing ``pc``."""
-        self._counters.record("itlb", dies_active=NUM_DIES)
-        tlb_miss = not self.itlb.access(pc)
-        self._counters.record("l1_icache", dies_active=NUM_DIES)
-        cycles = self.l1_latency
-        level = "l1"
-        if not self.l1i.access(pc):
-            extra, level = self._lower_levels(pc)
-            cycles += extra
-        # Always-next-line instruction prefetch.
-        self.l1i.install(pc + self.l1i.line_bytes)
-        self.l2.install(pc + self.l1i.line_bytes)
-        if tlb_miss:
-            cycles += self.tlb_miss_penalty
-        return MemoryAccessResult(cycles=cycles, level=level, tlb_miss=tlb_miss)
-
-    def load(self, addr: int) -> MemoryAccessResult:
-        """A demand load; L1D data-array die gating is accounted separately
-        by :class:`~repro.core.dcache_encoding.PartialValueCache`."""
-        self._counters.record("dtlb", dies_active=NUM_DIES)
-        tlb_miss = not self.dtlb.access(addr)
-        cycles = self.l1_latency
-        level = "l1"
-        if not self.l1d.access(addr):
-            extra, level = self._lower_levels(addr)
-            cycles += extra
-        # Hardware next-line data prefetcher (Core 2-class streamers):
-        # unit-stride streams never pay the miss latency; larger strides
-        # and irregular traffic defeat it.
-        self.l1d.install(addr + self.l1d.line_bytes)
-        self.l2.install(addr + self.l1d.line_bytes)
-        if tlb_miss:
-            cycles += self.tlb_miss_penalty
-        return MemoryAccessResult(cycles=cycles, level=level, tlb_miss=tlb_miss)
-
-    def store(self, addr: int) -> MemoryAccessResult:
-        """A committed store (write-allocate, write-back; non-blocking)."""
-        self._counters.record("dtlb", dies_active=NUM_DIES)
-        tlb_miss = not self.dtlb.access(addr)
-        level = "l1"
-        if not self.l1d.access(addr):
-            _, level = self._lower_levels(addr)
-        # Store streams benefit from the same next-line prefetcher.
-        self.l1d.install(addr + self.l1d.line_bytes)
-        self.l2.install(addr + self.l1d.line_bytes)
-        return MemoryAccessResult(cycles=0, level=level, tlb_miss=tlb_miss)
-
-    # ------------------------------------------------------------------ #
-    # Line/page twins of the three access paths above, used by the
-    # columnar simulation loop: the caller supplies the precomputed line
-    # number (addr // line_bytes, identical for L1I/L1D/L2 — see
-    # build_hierarchy) and page number (addr // page_bytes), so the
-    # next-line prefetch is simply ``line + 1`` and no division happens
-    # per access.  Results are plain values instead of
-    # MemoryAccessResult (the hot loop unpacks them immediately).
-    # Activity, stats, and replacement state evolve identically to the
-    # address-based paths — the equivalence tests depend on it.
-
-    def instruction_fetch_line(self, line: int, page: int) -> int:
-        """:meth:`instruction_fetch` by line/page; returns cycles."""
-        self._counters.record("itlb", dies_active=NUM_DIES)
-        tlb_miss = not self.itlb.access_line(page)
-        self._counters.record("l1_icache", dies_active=NUM_DIES)
-        cycles = self.l1_latency
-        if not self.l1i.access_line(line):
-            self._counters.record("l2_cache", dies_active=NUM_DIES)
-            if self.l2.access_line(line):
-                cycles += self.l2_latency
-            else:
-                self._counters.record("dram", dies_active=NUM_DIES)
-                cycles += self.l2_latency + self.dram_cycles
-        self.l1i.install_line(line + 1)
-        self.l2.install_line(line + 1)
-        if tlb_miss:
-            cycles += self.tlb_miss_penalty
-        return cycles
-
-    def load_line(self, line: int, page: int) -> Tuple[int, str, bool]:
-        """:meth:`load` by line/page; returns (cycles, level, tlb_miss)."""
-        self._counters.record("dtlb", dies_active=NUM_DIES)
-        tlb_miss = not self.dtlb.access_line(page)
-        cycles = self.l1_latency
-        level = "l1"
-        if not self.l1d.access_line(line):
-            self._counters.record("l2_cache", dies_active=NUM_DIES)
-            if self.l2.access_line(line):
-                cycles += self.l2_latency
-                level = "l2"
-            else:
-                self._counters.record("dram", dies_active=NUM_DIES)
-                cycles += self.l2_latency + self.dram_cycles
-                level = "dram"
-        self.l1d.install_line(line + 1)
-        self.l2.install_line(line + 1)
-        if tlb_miss:
-            cycles += self.tlb_miss_penalty
-        return cycles, level, tlb_miss
-
-    def store_line(self, line: int, page: int) -> None:
-        """:meth:`store` by line/page; the result is never consumed."""
-        self._counters.record("dtlb", dies_active=NUM_DIES)
-        self.dtlb.access_line(page)
-        if not self.l1d.access_line(line):
-            self._counters.record("l2_cache", dies_active=NUM_DIES)
-            if not self.l2.access_line(line):
-                self._counters.record("dram", dies_active=NUM_DIES)
-        self.l1d.install_line(line + 1)
-        self.l2.install_line(line + 1)
-
-
-def build_hierarchy(counters: ActivityCounters, config) -> MemoryHierarchy:
-    """Construct the hierarchy from a :class:`~repro.cpu.config.CPUConfig`."""
-    return MemoryHierarchy(
-        counters=counters,
-        l1i=SetAssociativeCache("l1i", config.l1i_size, config.l1i_assoc, config.line_bytes),
-        l1d=SetAssociativeCache("l1d", config.l1d_size, config.l1d_assoc, config.line_bytes),
-        l2=SetAssociativeCache("l2", config.l2_size, config.l2_assoc, config.line_bytes),
-        itlb=TLB("itlb", config.itlb_entries, config.tlb_assoc, config.page_bytes),
-        dtlb=TLB("dtlb", config.dtlb_entries, config.tlb_assoc, config.page_bytes),
-        l1_latency=config.l1_latency,
-        l2_latency=config.l2_latency,
-        dram_cycles=config.dram_cycles,
-        tlb_miss_penalty=config.tlb_miss_penalty,
-    )

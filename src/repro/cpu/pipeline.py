@@ -35,13 +35,10 @@ from bisect import bisect_right, insort
 from collections import deque
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.core.activity import ActivityCounters
-from repro.core.dcache_encoding import PartialValueCache
-from repro.core.lsq_pam import PartialAddressMemoization
-from repro.core.scheduler_allocation import EntryStackedScheduler
-from repro.core.width_prediction import WidthPredictor, WidthPredictorStats
-from repro.cpu.branch_predictor import FrontEndPredictor
-from repro.cpu.config import CPUConfig
+from repro.core.activity import NUM_DIES
+from repro.core.scheduler_allocation import AllocationPolicy
+from repro.core.width_prediction import WidthPredictorStats
+from repro.cpu.config import CPUConfig, WidthPredictorKind
 from repro.cpu.predecode import PreDecodedTrace, predecode
 from repro.cpu.results import SimulationResult, StallBreakdown
 from repro.cpu.wavefront import build_plan
@@ -101,51 +98,46 @@ def _build_pools(cfg: CPUConfig):
     return pools, pool_for_op
 
 
+def _check_config(cfg: CPUConfig) -> None:
+    """Reject a configuration whose structures cannot be built.
+
+    The width-predictor table must be a power of two with counters of at
+    least one bit (checked only where the dynamic predictor runs), the
+    entry-stacked scheduler needs a positive multiple of one entry per
+    die, and each branch target buffer needs whole sets of four-byte
+    entries.
+    """
+    if cfg.thermal_herding:
+        if cfg.width_predictor_kind is WidthPredictorKind.DYNAMIC:
+            entries = cfg.width_predictor_entries
+            if entries < 1 or entries & (entries - 1):
+                raise ValueError(
+                    f"width_predictor_entries must be a power of two, got {entries}"
+                )
+            if cfg.width_counter_bits < 1:
+                raise ValueError(
+                    f"width_counter_bits must be >= 1, got {cfg.width_counter_bits}"
+                )
+        if cfg.rs_size < NUM_DIES or cfg.rs_size % NUM_DIES:
+            raise ValueError(
+                f"rs_size must be a positive multiple of {NUM_DIES}, got {cfg.rs_size}"
+            )
+    for name, entries, assoc in (("btb", cfg.btb_entries, cfg.btb_assoc),
+                                 ("ibtb", cfg.ibtb_entries, cfg.ibtb_assoc)):
+        if entries <= 0 or assoc <= 0:
+            raise ValueError(f"{name}: sizes must be positive")
+        if entries % assoc:
+            raise ValueError(
+                f"{name}: {entries} entries not divisible by associativity {assoc}"
+            )
+
+
 class TimingSimulator:
     """Replays one trace under one configuration."""
 
     def __init__(self, config: CPUConfig):
         self.config = config.resolved()
-        # Replaced by the plan's activity once run_compiled finishes.
-        self.counters = ActivityCounters()
-        self.frontend = FrontEndPredictor(
-            self.counters,
-            btb_entries=self.config.btb_entries,
-            btb_assoc=self.config.btb_assoc,
-            ibtb_entries=self.config.ibtb_entries,
-            ibtb_assoc=self.config.ibtb_assoc,
-            ras_depth=self.config.ras_depth,
-            thermal_herding=self.config.thermal_herding,
-        )
-        th = self.config.thermal_herding
-        self.width_predictor = self._make_width_predictor() if th else None
-        self.scheduler = (
-            EntryStackedScheduler(self.counters, entries=self.config.rs_size,
-                                  policy=self.config.scheduler_policy)
-            if th else None
-        )
-        self.pam = PartialAddressMemoization(self.counters) if th else None
-        self.dcache_model = (
-            PartialValueCache(self.counters, scheme=self.config.dcache_encoding)
-            if th else None
-        )
-        self.stalls = StallBreakdown()
-
-    def _make_width_predictor(self):
-        """Instantiate the configured width predictor variant."""
-        from repro.core.static_width import OracleWidthPredictor, StaticWidthPredictor
-        from repro.cpu.config import WidthPredictorKind
-
-        kind = self.config.width_predictor_kind
-        if kind is WidthPredictorKind.ORACLE:
-            return OracleWidthPredictor()
-        if kind is WidthPredictorKind.STATIC:
-            # run_compiled fills in the profile (it needs the trace);
-            # start with an empty, all-full-width profile.
-            return StaticWidthPredictor({})
-        return WidthPredictor(
-            self.config.width_predictor_entries, self.config.width_counter_bits
-        )
+        _check_config(self.config)
 
     # ------------------------------------------------------------------ #
 
@@ -166,8 +158,8 @@ class TimingSimulator:
         functional-unit and MSHR free-at heaps, per-cycle
         fetch/dispatch/issue/commit bandwidth, the dependency scoreboard,
         and the width-state machines whose decisions feed timing
-        (predictor counters, register memoization bits, L1D encodings).  It performs no activity
-        recording and no model method calls; the handful of
+        (predictor counters, register memoization bits, L1D encodings).
+        It records no per-event activity; the handful of
         width-dependent activity splits are tallied in locals and merged
         with the static counts by
         :meth:`~repro.cpu.wavefront.WavefrontPlan.build_activity` in a
@@ -227,11 +219,14 @@ class TimingSimulator:
         commit_width = cfg.commit_width
         redirect_penalty = cfg.redirect_penalty
 
-        # Width-state machines, inlined.  Predictor counters, the sticky
-        # full-width overrides of the static profile, and the register
-        # memoization bits all evolve *with* loop state (stalls consult
-        # them, corrections write them back), so they stay in the loop —
-        # as plain dict/list operations instead of model calls.
+        # Width-state machines.  Predictor counters, the sticky full-width
+        # overrides of the static profile, and the register memoization
+        # bits all evolve *with* loop state (stalls consult them,
+        # corrections write them back), so they live in the loop as plain
+        # lists and dicts.  The dynamic predictor is a PC-indexed table of
+        # saturating counters, initialized weakly full width (the
+        # threshold) so that early mispredictions are safe; a counter
+        # below the threshold predicts low width.
         dynamic_kind = static_kind = oracle_kind = False
         wp_table: List[int] = []
         wp_index: List[int] = []
@@ -241,29 +236,25 @@ class TimingSimulator:
         top_first = True
         sched_cap = 1
         if th:
-            from repro.core.scheduler_allocation import AllocationPolicy
-            from repro.core.static_width import StaticWidthPredictor
-            from repro.cpu.config import WidthPredictorKind
-
             kind = cfg.width_predictor_kind
             if kind is WidthPredictorKind.ORACLE:
                 oracle_kind = True
-            elif isinstance(self.width_predictor, StaticWidthPredictor):
+            elif kind is WidthPredictorKind.STATIC:
                 static_kind = True
-                self.width_predictor = StaticWidthPredictor(pre.width_profile())
                 # Profile lookups and the sticky full-width overrides
-                # merge into one dict: a correction pins its PC to False.
+                # merge into one dict: a correction pins its PC to False;
+                # an unprofiled PC predicts full width.
                 wp_merged = dict(pre.width_profile())
                 wp_profile_get = wp_merged.get
             else:
                 dynamic_kind = True
-                wp = self.width_predictor
-                wp_table = wp._table
-                wp_threshold = wp._threshold
-                wp_max = wp._max_count
-                wp_index = pre.pred_index(wp._mask)
+                counter_bits = cfg.width_counter_bits
+                wp_threshold = 1 << (counter_bits - 1)
+                wp_max = (1 << counter_bits) - 1
+                wp_table = [wp_threshold] * cfg.width_predictor_entries
+                wp_index = pre.pred_index(cfg.width_predictor_entries - 1)
             top_first = cfg.scheduler_policy is AllocationPolicy.TOP_FIRST
-            sched_cap = rs_size // 4
+            sched_cap = rs_size // NUM_DIES
 
         # Fetch state
         next_fetch_floor = 0
@@ -330,10 +321,10 @@ class TimingSimulator:
         first_rf = -1
         alu1 = alu4 = 0
         l1d1 = l1d4 = 0
-        dc_herded = dc_unsafe = 0
+        dc_herded = 0
         wp_hits = wp_unsafe = wp_safe = 0
         sched_die = [0, 0, 0, 0]
-        sched_rr = 0  # persists across the warmup boundary, like the model
+        sched_rr = 0  # rotation state persists across the warmup boundary
 
         cpi_stack: Dict[str, int] = {}
         prev_commit_for_stack = 0
@@ -354,7 +345,7 @@ class TimingSimulator:
                 first_rf = -1
                 alu1 = alu4 = 0
                 l1d1 = l1d4 = 0
-                dc_herded = dc_unsafe = 0
+                dc_herded = 0
                 wp_hits = wp_unsafe = wp_safe = 0
                 sched_die = [0, 0, 0, 0]
                 cycle_base = last_commit_cycle
@@ -566,7 +557,6 @@ class TimingSimulator:
                             dc_herded += 1
                         else:
                             l1d4 += 1
-                            dc_unsafe += 1
                             dcache_width_stalls += 1
                             stalled = True
                             latency += 1
@@ -677,46 +667,47 @@ class TimingSimulator:
             capture.finish(cycle_base)
 
         # ---------------- RESULT ASSEMBLY ---------------- #
-        self.stalls = StallBreakdown(
-            rf_group_stalls=rf_group_stalls,
-            alu_input_stalls=alu_input_stalls,
-            alu_reexecutions=alu_reexecutions,
-            dcache_width_stalls=dcache_width_stalls,
-            btb_memoization_stalls=btb_memoization_stalls,
-        )
         activity = plan.build_activity(
             rf1, rf4, first_rf, alu1, alu4, l1d1, l1d4, sched_die
         )
-        self.counters = activity
-        self.frontend.stats = plan.branch_stats
+        width_stats = None
+        herding: Dict[str, float] = {}
         if th:
             predictions = plan.wp_predictions
             if oracle_kind:
-                self.width_predictor.stats = WidthPredictorStats(
+                width_stats = WidthPredictorStats(
                     predictions=predictions, correct=predictions
                 )
             else:
-                self.width_predictor.stats = WidthPredictorStats(
+                width_stats = WidthPredictorStats(
                     predictions=predictions,
                     correct=wp_hits,
                     unsafe_mispredictions=wp_unsafe,
                     safe_mispredictions=wp_safe,
                 )
-            self.pam.broadcasts = plan.pam_broadcasts
-            self.pam.herded = plan.pam_herded_count
-            self.dcache_model.loads = plan.dc_loads
-            self.dcache_model.herded_loads = dc_herded
-            self.dcache_model.unsafe_stalls = dc_unsafe
-            self.scheduler.broadcasts = plan.sched_broadcasts
-            self.scheduler.broadcast_die_sum = (
-                sched_die[0] + sched_die[1] + sched_die[2] + sched_die[3]
+            # Fractions of address broadcasts, L1D loads and memoized-BTB
+            # hits confined to the top die, and mean dies per scheduler
+            # tag broadcast.
+            broadcasts = plan.pam_broadcasts
+            herding["pam_herded"] = (
+                plan.pam_herded_count / broadcasts if broadcasts else 0.0
             )
-            memoized = self.frontend.memoized_btb
-            memoized.lookups = plan.memo_btb_lookups
-            memoized.far_target_stalls = plan.memo_btb_far
+            loads = plan.dc_loads
+            herding["dcache_herded_loads"] = dc_herded / loads if loads else 0.0
+            broadcasts = plan.sched_broadcasts
+            herding["scheduler_dies_per_broadcast"] = (
+                (sched_die[0] + sched_die[1] + sched_die[2] + sched_die[3])
+                / broadcasts if broadcasts else 0.0
+            )
+            lookups = plan.memo_btb_lookups
+            herding["btb_herded"] = (
+                1.0 - plan.memo_btb_far / lookups if lookups else 0.0
+            )
+        for name, module in activity.modules().items():
+            if module.total:
+                herding[f"herded::{name}"] = module.herded_fraction
 
         total_cycles = (last_commit_cycle - cycle_base) if n else 0
-        herding = self._herding_metrics()
         return SimulationResult(
             benchmark=pre.name,
             benchmark_class=pre.benchmark_class,
@@ -727,28 +718,17 @@ class TimingSimulator:
             activity=activity,
             branch_stats=plan.branch_stats,
             cache_stats=plan.cache_stats,
-            width_stats=self.width_predictor.stats if th else None,
-            stalls=self.stalls,
+            width_stats=width_stats,
+            stalls=StallBreakdown(
+                rf_group_stalls=rf_group_stalls,
+                alu_input_stalls=alu_input_stalls,
+                alu_reexecutions=alu_reexecutions,
+                dcache_width_stalls=dcache_width_stalls,
+                btb_memoization_stalls=btb_memoization_stalls,
+            ),
             herding=herding,
             cpi_stack=cpi_stack,
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _herding_metrics(self) -> Dict[str, float]:
-        metrics: Dict[str, float] = {}
-        if self.pam is not None:
-            metrics["pam_herded"] = self.pam.herded_fraction
-        if self.dcache_model is not None:
-            metrics["dcache_herded_loads"] = self.dcache_model.herded_load_fraction
-        if self.scheduler is not None:
-            metrics["scheduler_dies_per_broadcast"] = self.scheduler.mean_dies_per_broadcast
-        if self.frontend.memoized_btb is not None:
-            metrics["btb_herded"] = self.frontend.memoized_btb.herded_fraction
-        for name, module in self.counters.modules().items():
-            if module.total:
-                metrics[f"herded::{name}"] = module.herded_fraction
-        return metrics
 
 
 def simulate(trace: Union[Trace, CompiledTrace], config: CPUConfig,

@@ -26,7 +26,7 @@ The batched wavefront split (:mod:`repro.cpu.wavefront`) adds a second
 family of derived columns: dependency writer indices (which earlier
 instruction produced each source operand), width-predictor index
 streams, PAM/partial-value-encoding outcomes, and BTB target nearness —
-everything the Thermal Herding models compute per instruction that does
+everything the Thermal Herding techniques need per instruction that does
 not depend on dynamic cycle counts.  Those columns are lazy (a config
 sweep that never enables herding never pays for them) and, like the
 geometry columns, are shared across every configuration replaying the
@@ -212,10 +212,10 @@ class PreDecodedTrace:
     def geometry(self, line_bytes: int, page_bytes: int) -> tuple:
         """Cache-line and TLB-page index columns for one cache geometry.
 
-        Returns ``(pc_lines, pc_pages, mem_lines, mem_pages)``.  The
-        hierarchy's line-based access paths require L1I/L1D/L2 to share
-        ``line_bytes``, which :func:`~repro.cpu.caches.build_hierarchy`
-        guarantees (one ``config.line_bytes`` feeds all three).
+        Returns ``(pc_lines, pc_pages, mem_lines, mem_pages)``.  One
+        ``line_bytes`` serves the L1I, the L1D and the L2 alike (a
+        configuration has a single ``line_bytes``), so a line number
+        indexes all three and the next-line prefetch is ``line + 1``.
         """
         key = (line_bytes, page_bytes)
         cached = self._geometry.get(key)
@@ -283,8 +283,10 @@ class PreDecodedTrace:
         return install
 
     def width_profile(self) -> Dict[int, bool]:
-        """Majority width class per static PC, identical (including dict
-        order) to :func:`repro.core.static_width.build_width_profile`."""
+        """The static width predictor's profile: per static PC, True
+        when a strict majority of its integer-datapath occurrences are
+        low width (a tie means full width).  Other ops are not profiled.
+        Keys appear in first-occurrence order."""
         profile = self._width_profile
         if profile is None:
             totals: Dict[int, int] = {}
@@ -368,16 +370,19 @@ class PreDecodedTrace:
         return cached
 
     def dc_columns(self, scheme_value: str) -> Tuple[List[bool], List[bool]]:
-        """Partial-value-encoding outcomes for the L1D model (Section 3.6).
+        """Partial-value-encoding outcomes of the L1D (Section 3.6).
 
-        Returns ``(load_compressed, store_compressed)``: per-index, is
-        the encoding the access observes/installs compressible?  Stores
-        always reclassify their value (fully vectorized); loads see the
-        get-or-install evolution of the per-double-word encoding dict,
-        replayed here once per scheme in program order — identical to the
-        call sequence :class:`~repro.core.dcache_encoding.PartialValueCache`
-        would see called once per access (every load and store
-        participates, regardless of width prediction).
+        Returns ``(load_compressed, store_compressed)``: per index, is
+        the encoding the access observes or installs compressible?  A
+        value compresses under ``two_bit`` when its upper 48 bits are all
+        zeros, all ones, or equal to its address's upper bits, and under
+        ``one_bit`` only when they are all zeros.  Encodings are kept per
+        8-byte double word: a store installs its value's encoding (fully
+        vectorized); a load observes the installed encoding, or installs
+        its own value's encoding if the double word holds none yet.
+        Every load and store takes part, whatever its width prediction;
+        the get-or-install evolution is replayed once per scheme in
+        program order.
         """
         cached = self._dc_cols.get(scheme_value)
         if cached is None:

@@ -30,11 +30,10 @@ of the loop, in two shared walks plus vectorized column algebra:
   state.  The loop returns a handful of dynamic tallies (register-file
   read splits, ALU/L1D width outcomes, scheduler broadcast dies) and
   :meth:`WavefrontPlan.build_activity` assembles the final
-  :class:`~repro.core.activity.ActivityCounters` — identical to
-  recording each event through the :mod:`repro.core` models, including
-  module *creation order*, which is
-  reconstructed from first-occurrence positions (instruction index ×
-  within-instruction event rank).
+  :class:`~repro.core.activity.ActivityCounters`.  Module order is the
+  order in which the trace first touches each module, reconstructed
+  from first-occurrence positions (instruction index × within-instruction
+  event rank).
 """
 
 from __future__ import annotations
@@ -126,10 +125,20 @@ class MemoryWalk:
 def frontend_walk(pre: PreDecodedTrace, cfg) -> FrontendWalk:
     """Replay direction predictor + BTB + RAS over control instructions.
 
-    Replicates :meth:`repro.cpu.branch_predictor.FrontEndPredictor.process`
-    exactly — same table indices, same update order, same RAS bounding —
-    but touches only the control indices and emits boolean columns
-    instead of per-call outcome objects.
+    In program order, per control instruction:
+
+    * a conditional branch predicts, then trains the hybrid predictor;
+      a wrong direction mispredicts.  A correctly predicted taken branch
+      looks up the BTB, and a BTB miss mispredicts.
+    * a call pushes ``pc + 4`` on the return-address stack (dropping the
+      oldest entry beyond ``ras_depth``); a call or jump looks up the
+      BTB, and a miss mispredicts when the transfer is taken.
+    * a return pops the stack; it hits when the popped address equals
+      its target and mispredicts otherwise, including on an empty stack.
+
+    The BTB is a set-associative cache of 4-byte entries indexed by PC;
+    every lookup allocates on a miss.  Emits boolean columns over the
+    whole trace; non-control rows stay False.
     """
     key = (cfg.btb_entries, cfg.btb_assoc, cfg.ras_depth)
     walk = pre.frontend_walks.get(key)
@@ -217,12 +226,15 @@ def memory_walk(pre: PreDecodedTrace, cfg, fe: FrontendWalk,
     """Replay TLB/L1I/L1D/L2 LRU evolution, recording per-access misses.
 
     One pass in program order over the union of fetch-group starts and
-    memory operations — the exact access/install sequence of the
-    hierarchy's ``*_line`` paths, including the next-line prefetch
-    installs and the L2 prewarm preamble.  Latency parameters don't
-    affect hit/miss behaviour, so the walk is shared across clock and
-    latency variants (keyed by structure + the front-end walk that
-    determined the fetch groups).
+    memory operations.  After the L2 prewarm preamble
+    (:meth:`~repro.cpu.predecode.PreDecodedTrace.prewarm_lines`), a fetch
+    group accesses the ITLB and the L1I, an L1I miss accesses the L2, and
+    the next line is installed in the L1I and the L2 (the next-line
+    prefetcher).  A load or store does the same through the DTLB and the
+    L1D.  An L2 miss goes to DRAM.  Latency parameters don't affect
+    hit/miss behaviour, so the walk is shared across clock and latency
+    variants (keyed by structure + the front-end walk that determined
+    the fetch groups).
     """
     key = fe.key + (
         prewarm, cfg.line_bytes, cfg.page_bytes,
@@ -332,9 +344,9 @@ class WavefrontPlan:
         # loop columns (plain lists, full trace length)
         "new_line", "fetch_extra", "bubbles", "mispredicted",
         "load_cycles", "load_dram", "memory_miss",
-        "dc_load_comp", "pidx", "w0", "w1",
+        "dc_load_comp",
         # static result pieces
-        "branch_stats", "cache_stats", "btb_memo_stalls", "wp_predictions",
+        "branch_stats", "cache_stats", "wp_predictions",
         "pam_broadcasts", "pam_herded_count", "dc_loads",
         "sched_broadcasts", "memo_btb_lookups", "memo_btb_far",
         # static activity scalars
@@ -391,7 +403,6 @@ class WavefrontPlan:
         self.load_dram = (LD & DL2).tolist()
         self.memory_miss = (LD & (DM | DTM)).tolist()
         self.mispredicted = fe.mispredicted.tolist()
-        self.w0, self.w1 = pre.writers()
 
         if th:
             NEAR = (cols["target"] >> _U16) == (cols["pc"] >> _U16)
@@ -402,7 +413,6 @@ class WavefrontPlan:
             BUB = None
             self.bubbles = [0] * n
             self.dc_load_comp = None
-        self.pidx = None  # set by the caller for the dynamic predictor kind
 
         # ---- windowed sums / firsts for the static result pieces ---- #
         def S(mask) -> int:
@@ -452,7 +462,6 @@ class WavefrontPlan:
             self.sched_broadcasts = s_dst
             self.memo_btb_lookups = S(LKP & HIT & HT)
             self.memo_btb_far = S(BUB)
-            self.btb_memo_stalls = self.memo_btb_far
         else:
             pamh = None
             self.pam_broadcasts = 0
@@ -461,7 +470,6 @@ class WavefrontPlan:
             self.sched_broadcasts = 0
             self.memo_btb_lookups = 0
             self.memo_btb_far = 0
-            self.btb_memo_stalls = 0
 
         # ---- static activity scalars + first-touch indices ---- #
         store_comp = None
@@ -511,7 +519,7 @@ class WavefrontPlan:
         sched_die: List[int],
     ) -> ActivityCounters:
         """Assemble the final activity counters from static sums plus the
-        loop's dynamic tallies, in the models' module creation order."""
+        loop's dynamic tallies, in first-touch module order."""
         st = self._static
         fi = self._firsts
         warmup = self.warmup

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -38,8 +39,9 @@ from repro.isa.opcodes import OpClass
 from repro.isa.trace import Trace
 
 #: Bump on any change to the structured dtype or the sidecar layout so
-#: stale on-disk compiled traces never load.
-TRACE_SCHEMA_VERSION = 1
+#: stale on-disk compiled traces never load.  Version 2 added the
+#: sidecar's ``crc32`` of the array bytes.
+TRACE_SCHEMA_VERSION = 2
 
 #: Op classes in enum-definition order; the ``op`` column stores indices
 #: into this list.
@@ -196,18 +198,25 @@ def meta_path_for(npy_path: os.PathLike) -> str:
     return (path[:-4] if path.endswith(".npy") else path) + ".json"
 
 
+def _crc32(array: np.ndarray) -> int:
+    """CRC-32 of a contiguous array's row bytes."""
+    return zlib.crc32(array.view(np.uint8))
+
+
 def write_compiled(compiled: CompiledTrace, npy_path, meta_path=None) -> None:
     """Serialize ``compiled`` (non-atomic; callers rename into place)."""
     if meta_path is None:
         meta_path = meta_path_for(npy_path)
+    array = np.ascontiguousarray(compiled.array)
     with open(npy_path, "wb") as stream:
-        np.save(stream, np.ascontiguousarray(compiled.array))
+        np.save(stream, array)
     meta = {
         "schema": TRACE_SCHEMA_VERSION,
         "name": compiled.name,
         "benchmark_class": compiled.benchmark_class,
         "seed": compiled.seed,
-        "length": len(compiled.array),
+        "length": len(array),
+        "crc32": _crc32(array),
     }
     with open(meta_path, "w", encoding="utf-8") as stream:
         json.dump(meta, stream, sort_keys=True)
@@ -218,8 +227,9 @@ def read_compiled(npy_path, meta_path=None, mmap: bool = True) -> CompiledTrace:
     """Load an on-disk compiled trace, memory-mapping the array.
 
     Raises :class:`TraceReadError` on any damage or incompatibility —
-    missing files, bad magic, wrong dtype, schema drift, or metadata
-    that disagrees with the array — so callers can evict and regenerate
+    missing files, bad magic, wrong dtype, schema drift, metadata that
+    disagrees with the array, or array bytes whose CRC-32 differs from
+    the one recorded at write time — so callers can evict and regenerate
     instead of simulating garbage.
     """
     if meta_path is None:
@@ -239,8 +249,9 @@ def read_compiled(npy_path, meta_path=None, mmap: bool = True) -> CompiledTrace:
     benchmark_class = meta.get("benchmark_class")
     seed = meta.get("seed")
     length = meta.get("length")
+    crc = meta.get("crc32")
     if not isinstance(name, str) or not isinstance(benchmark_class, str) \
-            or not isinstance(length, int) \
+            or not isinstance(length, int) or not isinstance(crc, int) \
             or not (seed is None or isinstance(seed, int)):
         raise TraceReadError(f"trace metadata {meta_path} is malformed: {meta}")
     try:
@@ -258,6 +269,8 @@ def read_compiled(npy_path, meta_path=None, mmap: bool = True) -> CompiledTrace:
         raise TraceReadError(
             f"trace array {npy_path} holds {len(array)} rows, metadata says {length}"
         )
+    if _crc32(array) != crc:
+        raise TraceReadError(f"trace array {npy_path} fails its CRC-32 check")
     return CompiledTrace(
         name=name, benchmark_class=benchmark_class, seed=seed, array=array
     )

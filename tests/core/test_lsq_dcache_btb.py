@@ -1,182 +1,180 @@
-"""Tests for PAM (3.5), the partial-value cache (3.6), and BTB memoization (3.7)."""
+"""PAM (3.5), the partial-value L1D (3.6), BTB memoization and the split
+direction arrays (3.7), as the timing core computes them on tiny traces."""
 
-from repro.core.activity import ActivityCounters, NUM_DIES
-from repro.core.btb_memoization import MemoizedBTB
-from repro.core.dcache_encoding import EncodingScheme, PartialValueCache
-from repro.core.direction_split import SplitDirectionPredictorActivity
-from repro.core.lsq_pam import PartialAddressMemoization
+from repro.core.activity import NUM_DIES
+from repro.core.dcache_encoding import EncodingScheme
 from repro.isa.values import to_unsigned, upper_bits
+from tests.tiny_traces import (
+    HEAP_ADDR,
+    STACK_ADDR,
+    WIDE,
+    base_config,
+    branch,
+    jump,
+    load,
+    oracle_config,
+    pre,
+    run,
+    store,
+    th_config,
+)
 
-STACK_ADDR = 0x7FFF_FFFF_0100
-HEAP_ADDR = 0x2AAA_0000_1000
+FAR = 0x7F00_0000_0000
 
 
 class TestPAM:
-    def make(self):
-        counters = ActivityCounters()
-        return PartialAddressMemoization(counters), counters
-
     def test_first_broadcast_is_full(self):
-        pam, _ = self.make()
-        assert not pam.store_broadcast(STACK_ADDR)
+        trace = [store(0x100, STACK_ADDR)]
+        assert pre(trace).pam_herded() == [False]
+        assert run(trace).activity.modules()["load_queue"].per_die == [1] * NUM_DIES
 
     def test_matching_uppers_herd(self):
-        pam, counters = self.make()
-        pam.store_broadcast(STACK_ADDR)
-        assert pam.load_broadcast(STACK_ADDR + 8)
-        assert counters.module("store_queue").top_only == 1
+        trace = [store(0x100, STACK_ADDR), load(0x104, STACK_ADDR + 8)]
+        assert pre(trace).pam_herded()[1]
+        assert run(trace).activity.modules()["store_queue"].top_only == 1
 
     def test_loads_do_not_update_memo(self):
-        pam, _ = self.make()
-        pam.store_broadcast(STACK_ADDR)
-        pam.load_broadcast(HEAP_ADDR)          # mismatch, no update
-        assert pam.load_broadcast(STACK_ADDR)  # still matches the store
+        trace = [store(0x100, STACK_ADDR),
+                 load(0x104, HEAP_ADDR),     # mismatch, no update
+                 load(0x108, STACK_ADDR)]    # still matches the store
+        assert pre(trace).pam_herded() == [False, False, True]
 
     def test_stores_update_memo(self):
-        pam, _ = self.make()
-        pam.store_broadcast(STACK_ADDR)
-        pam.store_broadcast(HEAP_ADDR)
-        assert not pam.load_broadcast(STACK_ADDR)
-        assert pam.load_broadcast(HEAP_ADDR + 16)
+        trace = [store(0x100, STACK_ADDR), store(0x104, HEAP_ADDR),
+                 load(0x108, STACK_ADDR), load(0x10C, HEAP_ADDR + 16)]
+        assert pre(trace).pam_herded() == [False, False, False, True]
 
     def test_herded_fraction(self):
-        pam, _ = self.make()
-        pam.store_broadcast(STACK_ADDR)
-        pam.load_broadcast(STACK_ADDR + 8)
-        pam.load_broadcast(HEAP_ADDR)
-        assert abs(pam.herded_fraction - 1 / 3) < 1e-9
+        trace = [store(0x100, STACK_ADDR), load(0x104, STACK_ADDR + 8),
+                 load(0x108, HEAP_ADDR)]
+        assert abs(run(trace).herding["pam_herded"] - 1 / 3) < 1e-9
 
     def test_queue_modules_charged(self):
-        pam, counters = self.make()
-        pam.store_broadcast(STACK_ADDR)   # store searches the load queue
-        pam.load_broadcast(STACK_ADDR)    # load searches the store queue
-        assert counters.module("load_queue").total == 1
-        assert counters.module("store_queue").total == 1
+        # A store searches the load queue; a load searches the store queue.
+        modules = run([store(0x100, STACK_ADDR),
+                       load(0x104, STACK_ADDR)]).activity.modules()
+        assert modules["load_queue"].total == 1
+        assert modules["store_queue"].total == 1
+
+
+def _trained_load(addr, value, scheme=EncodingScheme.TWO_BIT):
+    """A load at a PC the dynamic predictor has just seen load a low
+    value, so it is predicted low width, after a store of ``value``."""
+    return run([load(0x100, HEAP_ADDR + 64, 5),
+                store(0x104, addr, value),
+                load(0x100, addr, value)],
+               th_config(dcache_encoding=scheme))
 
 
 class TestPartialValueCache:
-    def make(self, scheme=EncodingScheme.TWO_BIT):
-        counters = ActivityCounters()
-        return PartialValueCache(counters, scheme=scheme), counters
-
     def test_store_of_narrow_value_herds(self):
-        cache, counters = self.make()
-        outcome = cache.record_store(HEAP_ADDR, 42)
-        assert outcome.herded
-        assert outcome.stall_cycles == 0
+        trace = [store(0x100, HEAP_ADDR, 42)]
+        assert pre(trace).dc_columns("two_bit")[1] == [True]
+        result = run(trace)
+        assert result.activity.modules()["l1_dcache"].top_only == 1
+        assert result.stalls.dcache_width_stalls == 0
 
     def test_store_of_wide_value_full(self):
-        cache, _ = self.make()
-        outcome = cache.record_store(HEAP_ADDR, 0xDEAD_BEEF_0001_0002)
-        assert not outcome.herded
-        assert outcome.dies_active == NUM_DIES
+        trace = [store(0x100, HEAP_ADDR, 0xDEAD_BEEF_0001_0002)]
+        assert pre(trace).dc_columns("two_bit")[1] == [False]
+        assert run(trace).activity.modules()["l1_dcache"].per_die == [1] * NUM_DIES
 
     def test_predicted_low_load_of_compressed_value(self):
-        cache, _ = self.make()
-        cache.record_store(HEAP_ADDR, 42)
-        outcome = cache.record_load(HEAP_ADDR, 42, predicted_low=True)
-        assert outcome.herded
-        assert outcome.stall_cycles == 0
+        result = run([store(0x100, HEAP_ADDR, 42), load(0x104, HEAP_ADDR, 42)],
+                     oracle_config())
+        assert result.herding["dcache_herded_loads"] == 1.0
+        assert result.stalls.dcache_width_stalls == 0
 
     def test_unsafe_load_stalls_one_cycle(self):
-        cache, _ = self.make()
-        wide = 0xDEAD_BEEF_0001_0002
-        cache.record_store(HEAP_ADDR, wide)
-        outcome = cache.record_load(HEAP_ADDR, wide, predicted_low=True)
-        assert outcome.stall_cycles == 1
-        assert cache.unsafe_stalls == 1
+        result = _trained_load(HEAP_ADDR, 0xDEAD_BEEF_0001_0002)
+        assert result.stalls.dcache_width_stalls == 1
 
     def test_full_prediction_never_stalls(self):
-        cache, _ = self.make()
-        wide = 0xDEAD_BEEF_0001_0002
-        cache.record_store(HEAP_ADDR, wide)
-        outcome = cache.record_load(HEAP_ADDR, wide, predicted_low=False)
-        assert outcome.stall_cycles == 0
+        # A fresh predictor entry predicts full width: the read enables
+        # every die and never stalls.
+        result = run([store(0x104, HEAP_ADDR, WIDE), load(0x100, HEAP_ADDR, WIDE)])
+        assert result.stalls.dcache_width_stalls == 0
+        assert result.activity.modules()["l1_dcache"].top_only == 0
 
     def test_negative_values_compress(self):
-        cache, _ = self.make()
         value = to_unsigned(-100)
-        cache.record_store(HEAP_ADDR, value)
-        outcome = cache.record_load(HEAP_ADDR, value, predicted_low=True)
-        assert outcome.herded
+        trace = [store(0x100, HEAP_ADDR, value), load(0x104, HEAP_ADDR, value)]
+        loads, stores = pre(trace).dc_columns("two_bit")
+        assert stores[0] and loads[1]
+        assert run(trace, oracle_config()).herding["dcache_herded_loads"] == 1.0
 
     def test_near_pointer_compresses_in_two_bit(self):
-        cache, _ = self.make()
         pointer = (upper_bits(HEAP_ADDR) << 16) | 0x42
-        cache.record_store(HEAP_ADDR, pointer)
-        outcome = cache.record_load(HEAP_ADDR, pointer, predicted_low=True)
-        assert outcome.herded
+        trace = [store(0x100, HEAP_ADDR, pointer)]
+        assert pre(trace).dc_columns("two_bit")[1] == [True]
+        assert _trained_load(HEAP_ADDR, pointer).stalls.dcache_width_stalls == 0
 
     def test_near_pointer_misses_in_one_bit(self):
         """The ablation scheme only compresses all-zero uppers."""
-        cache, _ = self.make(EncodingScheme.ONE_BIT)
         pointer = (upper_bits(HEAP_ADDR) << 16) | 0x42
-        cache.record_store(HEAP_ADDR, pointer)
-        outcome = cache.record_load(HEAP_ADDR, pointer, predicted_low=True)
-        assert outcome.stall_cycles == 1
+        trace = [store(0x100, HEAP_ADDR, pointer)]
+        assert pre(trace).dc_columns("one_bit")[1] == [False]
+        result = _trained_load(HEAP_ADDR, pointer, EncodingScheme.ONE_BIT)
+        assert result.stalls.dcache_width_stalls == 1
 
     def test_one_bit_negative_misses(self):
-        cache, _ = self.make(EncodingScheme.ONE_BIT)
         value = to_unsigned(-100)
-        cache.record_store(HEAP_ADDR, value)
-        outcome = cache.record_load(HEAP_ADDR, value, predicted_low=True)
-        assert outcome.stall_cycles == 1
+        trace = [store(0x100, HEAP_ADDR, value), load(0x104, HEAP_ADDR, value)]
+        assert pre(trace).dc_columns("one_bit") == ([False, False], [False, False])
+        result = run(trace, oracle_config(dcache_encoding=EncodingScheme.ONE_BIT))
+        assert result.stalls.dcache_width_stalls == 1
 
     def test_fill_touches_all_dies(self):
-        cache, counters = self.make()
-        cache.record_fill()
-        assert counters.module("l1_dcache").per_die == [1] * NUM_DIES
+        # A cold load misses: the herded read touches the top die and
+        # the L2 fill writes all four.
+        result = run([load(0x100, HEAP_ADDR, 1)], oracle_config(), prewarm=False)
+        dcache = result.activity.modules()["l1_dcache"]
+        assert dcache.per_die == [2, 1, 1, 1]
+        assert dcache.top_only == 1
 
     def test_herded_fraction_metric(self):
-        cache, _ = self.make()
-        cache.record_store(HEAP_ADDR, 1)
-        cache.record_load(HEAP_ADDR, 1, predicted_low=True)
-        cache.record_load(HEAP_ADDR + 8, 1 << 40, predicted_low=True)
-        assert cache.herded_load_fraction == 0.5
+        result = run([store(0x100, HEAP_ADDR, 1), load(0x104, HEAP_ADDR, 1),
+                      load(0x108, HEAP_ADDR + 8, WIDE)], oracle_config())
+        assert result.herding["dcache_herded_loads"] == 0.5
 
 
 class TestBTBMemoization:
     def test_near_target_herds(self):
-        counters = ActivityCounters()
-        btb = MemoizedBTB(counters)
-        lookup = btb.read_target(0x40_0000, 0x40_0100)
-        assert lookup.herded
-        assert lookup.stall_cycles == 0
+        result = run([jump(0x40_0000, 0x40_0100)] * 2)
+        assert result.stalls.btb_memoization_stalls == 0
+        assert result.herding["btb_herded"] == 1.0
 
     def test_far_target_stalls(self):
-        counters = ActivityCounters()
-        btb = MemoizedBTB(counters)
-        lookup = btb.read_target(0x40_0000, 0x7F00_0000_0000)
-        assert not lookup.herded
-        assert lookup.stall_cycles == 1
-        assert btb.far_target_stalls == 1
+        trace = [jump(0x40_0000, FAR)] * 2  # the first allocates the entry
+        result = run(trace)
+        assert result.stalls.btb_memoization_stalls == 1
+        assert result.herding["btb_herded"] == 0.0
+        assert run(trace, base_config()).stalls.btb_memoization_stalls == 0
 
     def test_herded_fraction(self):
-        counters = ActivityCounters()
-        btb = MemoizedBTB(counters)
-        btb.read_target(0x40_0000, 0x40_0100)
-        btb.read_target(0x40_0004, 0x7F00_0000_0000)
-        assert btb.herded_fraction == 0.5
+        near, far = jump(0x40_0000, 0x40_0100), jump(0x40_0004, FAR)
+        assert run([near, far, near, far]).herding["btb_herded"] == 0.5
 
 
 class TestDirectionSplit:
+    BRANCHES = 3
+
+    def _dir_predictor(self, config=None):
+        trace = [branch(0x100 + 4 * i, taken=False) for i in range(self.BRANCHES)]
+        return run(trace, config).activity.modules()["dir_predictor"]
+
     def test_prediction_touches_top_half(self):
-        counters = ActivityCounters()
-        split = SplitDirectionPredictorActivity(counters)
-        split.record_prediction()
-        activity = counters.module("dir_predictor")
-        assert activity.per_die == [1, 1, 0, 0]
+        per_die = self._dir_predictor().per_die
+        # Predictions read dies 0-1 only: one more touch up top per branch.
+        assert per_die[0] - per_die[2] == self.BRANCHES
+        assert per_die[0] == per_die[1]
 
     def test_update_touches_everything(self):
-        counters = ActivityCounters()
-        split = SplitDirectionPredictorActivity(counters)
-        split.record_update()
-        assert counters.module("dir_predictor").per_die == [1, 1, 1, 1]
+        assert self._dir_predictor().per_die[2:] == [self.BRANCHES] * 2
+        # Without herding, both accesses touch the whole stack.
+        assert self._dir_predictor(base_config()).per_die == [2 * self.BRANCHES] * 4
 
     def test_top_half_fraction(self):
-        counters = ActivityCounters()
-        split = SplitDirectionPredictorActivity(counters)
-        split.record_prediction()
-        split.record_update()
+        per_die = self._dir_predictor().per_die
         # top touches 4 of 6 total.
-        assert abs(split.top_half_fraction - 4 / 6) < 1e-9
+        assert abs((per_die[0] + per_die[1]) / sum(per_die) - 4 / 6) < 1e-9

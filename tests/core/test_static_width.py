@@ -1,21 +1,26 @@
-"""Tests for profile-based static and oracle width prediction."""
+"""Profile-based static and oracle width prediction (ablation
+baselines), as the timing core runs them on tiny traces."""
 
-import pytest
-
-from repro.core.static_width import (
-    OracleWidthPredictor,
-    StaticWidthPredictor,
-    actual_width_class,
-    build_width_profile,
-)
+from repro.cpu.config import WidthPredictorKind
 from repro.isa.instruction import TraceInstruction
 from repro.isa.opcodes import OpClass
 from repro.workloads.suite import generate
+from tests.tiny_traces import (
+    WIDE,
+    alu,
+    gated,
+    occurrences,
+    oracle_config,
+    pre,
+    run,
+    th_config,
+)
+
+STATIC = th_config(width_predictor_kind=WidthPredictorKind.STATIC)
 
 
-def alu(pc, result, src_values=(1,)):
-    return TraceInstruction(pc=pc, op=OpClass.IALU, srcs=(1,) * len(src_values),
-                            dst=2, result=result, src_values=src_values)
+def op(pc, result, src_values=(1,)):
+    return alu(pc, result, srcs=(1,) * len(src_values), values=src_values)
 
 
 def load(pc, value):
@@ -27,73 +32,71 @@ def load(pc, value):
 class TestActualWidthClass:
     def test_load_classifies_data_not_address(self):
         """Wide address operand, narrow data: loads classify the data."""
-        assert actual_width_class(load(0, 5))
+        assert pre([load(0, 5)]).actual_low == [True]
 
     def test_store_classifies_data(self):
         store = TraceInstruction(pc=0, op=OpClass.STORE, srcs=(1, 2),
                                  src_values=(1 << 40, 7),
                                  mem_addr=0x1000, mem_value=7)
-        assert actual_width_class(store)
+        assert pre([store]).actual_low == [True]
 
     def test_alu_includes_operands(self):
-        assert not actual_width_class(alu(0, 5, src_values=(1 << 40,)))
-        assert actual_width_class(alu(0, 5, src_values=(3,)))
+        assert pre([op(0, 5, src_values=(1 << 40,)),
+                    op(4, 5, src_values=(3,))]).actual_low == [False, True]
 
 
 class TestProfile:
     def test_majority_wins(self):
-        insts = [alu(0x40, 1)] * 3 + [alu(0x40, 1 << 40)] * 2
-        profile = build_width_profile(insts)
-        assert profile[0x40] is True
+        insts = [op(0x40, 1)] * 3 + [op(0x40, 1 << 40)] * 2
+        assert pre(insts).width_profile()[0x40] is True
 
     def test_tie_resolves_full_width(self):
-        insts = [alu(0x40, 1), alu(0x40, 1 << 40)]
-        profile = build_width_profile(insts)
-        assert profile[0x40] is False
+        insts = [op(0x40, 1), op(0x40, 1 << 40)]
+        assert pre(insts).width_profile()[0x40] is False
 
     def test_non_datapath_excluded(self):
         branch = TraceInstruction(pc=0x80, op=OpClass.BRANCH, taken=False)
-        profile = build_width_profile([branch])
-        assert 0x80 not in profile
+        assert 0x80 not in pre([branch]).width_profile()
 
 
 class TestStaticPredictor:
     def test_uses_profile(self):
-        predictor = StaticWidthPredictor({0x40: True, 0x44: False})
-        assert predictor.predict_low_width(0x40)
-        assert not predictor.predict_low_width(0x44)
+        trace = occurrences([True, True, False]) \
+            + occurrences([False, False, True], pc=0x44)
+        # Every occurrence follows its PC's majority, from the first one.
+        assert gated(trace, STATIC) == [True] * 3 + [False] * 3
 
     def test_unprofiled_defaults_full(self):
-        assert not StaticWidthPredictor({}).predict_low_width(0x999)
+        # Without a low-width majority a PC predicts full width.
+        assert gated(occurrences([False]), STATIC) == [False]
 
     def test_correction_is_sticky(self):
-        predictor = StaticWidthPredictor({0x40: True})
-        predictor.correct_prediction(0x40)
-        assert not predictor.predict_low_width(0x40)
+        wide_read = alu(0x40, 1, srcs=(9,), values=(WIDE,))
+        trace = occurrences([True] * 4) + [wide_read] + occurrences([True] * 3)
+        # The register file's override latch pins the PC to full width
+        # for the rest of the run, though its profile stays low.
+        assert gated(trace, STATIC)[-3:] == [False] * 3
 
     def test_stats_accounting(self):
-        predictor = StaticWidthPredictor({0x40: True})
-        assert predictor.observe(0x40, actual_low=False)  # unsafe
-        predictor.correct_prediction(0x40)                # hardware override
-        assert not predictor.observe(0x40, actual_low=False)
-        stats = predictor.stats
-        assert stats.predictions == 2
-        assert stats.unsafe_mispredictions == 1
+        wide_read = alu(0x40, 1, srcs=(9,), values=(WIDE,))
+        trace = occurrences([True] * 4) + [wide_read, wide_read]
+        result = run(trace, STATIC)
+        stats = result.width_stats
+        assert stats.predictions == 6
+        assert stats.unsafe_mispredictions == 1  # before the override
+        assert result.stalls.rf_group_stalls == 1
 
 
 class TestOracle:
     def test_never_wrong(self):
-        oracle = OracleWidthPredictor()
-        for actual in (True, False, True, True):
-            assert oracle.observe(0x40, actual) is False
-        assert oracle.stats.accuracy == 1.0
+        result = run(occurrences([True, False, True, True]), oracle_config())
+        assert result.width_stats.accuracy == 1.0
+        assert result.stalls.total == 0
 
     def test_prime_controls_prediction(self):
-        oracle = OracleWidthPredictor()
-        oracle.prime(True)
-        assert oracle.predict_low_width(0)
-        oracle.prime(False)
-        assert not oracle.predict_low_width(0)
+        # The oracle predicts each occurrence's own width class.
+        outcomes = [True, False, False, True, False]
+        assert gated(occurrences(outcomes), oracle_config()) == outcomes
 
 
 class TestEndToEnd:

@@ -1,10 +1,11 @@
-"""Tests for the hybrid direction predictor and front-end machinery."""
+"""Tests for the hybrid direction predictor and the front-end walk."""
 
 import pytest
 
-from repro.core.activity import ActivityCounters
-from repro.cpu.branch_predictor import FrontEndPredictor, HybridPredictor, _CounterTable
-from repro.isa.opcodes import OpClass
+from repro.cpu.branch_predictor import HybridPredictor, _CounterTable
+from repro.cpu.config import baseline_config, thermal_herding_config
+from repro.cpu.wavefront import build_plan, frontend_walk
+from tests.tiny_traces import base_config, branch, call, jump, pre, ret, run
 
 
 class TestCounterTable:
@@ -68,67 +69,60 @@ class TestHybridPredictor:
 
 
 class TestFrontEnd:
-    def make(self, thermal_herding=False):
-        return FrontEndPredictor(ActivityCounters(), thermal_herding=thermal_herding)
+    """:func:`~repro.cpu.wavefront.frontend_walk` replays the direction
+    predictor, BTB and return-address stack over a trace."""
+
+    def walk(self, trace, config=None):
+        return frontend_walk(pre(trace), config or baseline_config())
+
+    def bubbles(self, trace, config):
+        return build_plan(pre(trace), config.resolved(), 0, True).bubbles
 
     def test_conditional_trains_and_counts(self):
-        frontend = self.make()
-        for _ in range(6):
-            frontend.process(OpClass.BRANCH, 0x1000, True, 0x1100)
-        assert frontend.stats.conditional_branches == 6
-        outcome = frontend.process(OpClass.BRANCH, 0x1000, True, 0x1100)
-        assert not outcome.mispredicted
+        trace = [branch(0x1000, True, 0x1100)] * 7
+        assert run(trace).branch_stats.conditional_branches == 7
+        assert not self.walk(trace).mispredicted[-1]
 
     def test_first_taken_branch_mispredicts(self):
         """Counters start weakly not-taken, so a first taken branch misses."""
-        frontend = self.make()
-        outcome = frontend.process(OpClass.BRANCH, 0x1000, True, 0x1100)
-        assert outcome.mispredicted
+        fe = self.walk([branch(0x1000, True, 0x1100)])
+        assert fe.mispredicted[0] and fe.dir_mispred[0]
 
     def test_btb_learns_targets(self):
-        frontend = self.make()
-        frontend.process(OpClass.JUMP, 0x1000, True, 0x2000)
-        outcome = frontend.process(OpClass.JUMP, 0x1000, True, 0x2000)
-        assert outcome.target_known
+        fe = self.walk([jump(0x1000, 0x2000)] * 2)
+        assert fe.btb_hit.tolist() == [False, True]
 
     def test_call_return_ras(self):
-        frontend = self.make()
-        frontend.process(OpClass.CALL, 0x1000, True, 0x8000)
-        outcome = frontend.process(OpClass.RETURN, 0x8010, True, 0x1004)
-        assert not outcome.mispredicted
-        assert frontend.stats.ras_mispredicts == 0
+        trace = [call(0x1000, 0x8000), ret(0x8010, 0x1004)]
+        fe = self.walk(trace)
+        assert fe.ras_hit[1] and not fe.mispredicted[1]
+        assert run(trace).branch_stats.ras_mispredicts == 0
 
     def test_return_without_call_mispredicts(self):
-        frontend = self.make()
-        outcome = frontend.process(OpClass.RETURN, 0x8010, True, 0x1234)
-        assert outcome.mispredicted
-        assert frontend.stats.ras_mispredicts == 1
+        trace = [ret(0x8010, 0x1234)]
+        assert self.walk(trace).mispredicted[0]
+        assert run(trace).branch_stats.ras_mispredicts == 1
 
     def test_nested_calls(self):
-        frontend = self.make()
-        frontend.process(OpClass.CALL, 0x1000, True, 0x8000)
-        frontend.process(OpClass.CALL, 0x8004, True, 0x9000)
-        inner = frontend.process(OpClass.RETURN, 0x9010, True, 0x8008)
-        outer = frontend.process(OpClass.RETURN, 0x8010, True, 0x1004)
-        assert not inner.mispredicted
-        assert not outer.mispredicted
+        fe = self.walk([call(0x1000, 0x8000), call(0x8004, 0x9000),
+                        ret(0x9010, 0x8008), ret(0x8010, 0x1004)])
+        assert fe.mispredicted.tolist() == [True, True, False, False]
+        assert fe.ras_hit[2:].all()
 
     def test_memoized_btb_far_target_bubble(self):
-        frontend = self.make(thermal_herding=True)
         far = 0x7F00_0000_0000
-        frontend.process(OpClass.JUMP, 0x1000, True, far)  # allocate
-        outcome = frontend.process(OpClass.JUMP, 0x1000, True, far)
-        assert outcome.extra_bubbles == 1
+        trace = [jump(0x1000, far)] * 2  # the first allocates the entry
+        assert self.bubbles(trace, thermal_herding_config()) == [0, 1]
+        assert self.bubbles(trace, baseline_config()) == [0, 0]
 
     def test_memoized_btb_near_target_free(self):
-        frontend = self.make(thermal_herding=True)
-        frontend.process(OpClass.JUMP, 0x1000, True, 0x1400)
-        outcome = frontend.process(OpClass.JUMP, 0x1000, True, 0x1400)
-        assert outcome.extra_bubbles == 0
+        trace = [jump(0x1000, 0x1400)] * 2
+        assert self.bubbles(trace, thermal_herding_config()) == [0, 0]
 
     def test_split_arrays_active_with_th(self):
-        frontend = self.make(thermal_herding=True)
-        frontend.process(OpClass.BRANCH, 0x1000, False, None)
-        assert frontend.split_arrays is not None
-        assert frontend.split_arrays.predictions == 1
-        assert frontend.split_arrays.updates == 1
+        trace = [branch(0x1000, False)]
+        # One prediction on dies 0-1 plus one update on all four dies.
+        herded = run(trace).activity.modules()["dir_predictor"]
+        assert herded.per_die == [2, 2, 1, 1]
+        flat = run(trace, base_config()).activity.modules()["dir_predictor"]
+        assert flat.per_die == [2, 2, 2, 2]

@@ -1,15 +1,11 @@
-"""Tests for the cache/TLB models and the memory hierarchy."""
+"""Tests for the cache/TLB models and the memory hierarchy walk."""
 
 import pytest
 
-from repro.core.activity import ActivityCounters
-from repro.cpu.caches import (
-    MemoryHierarchy,
-    SetAssociativeCache,
-    TLB,
-    build_hierarchy,
-)
+from repro.cpu.caches import SetAssociativeCache, TLB
 from repro.cpu.config import baseline_config
+from repro.cpu.wavefront import build_plan, frontend_walk, memory_walk
+from tests.tiny_traces import alu, jump, load, pre, run, store
 
 
 def small_cache(assoc=2):
@@ -105,67 +101,83 @@ class TestTLB:
 
 
 class TestMemoryHierarchy:
-    @pytest.fixture
-    def hierarchy(self):
-        return build_hierarchy(ActivityCounters(), baseline_config())
+    """:func:`~repro.cpu.wavefront.memory_walk` replays the hierarchy over
+    a trace (no L2 prewarm here); the plan turns its misses into cycles."""
 
-    def test_l1_hit_latency(self, hierarchy):
-        hierarchy.load(0x1000)
-        result = hierarchy.load(0x1000)
-        assert result.cycles == hierarchy.l1_latency
-        assert result.level == "l1"
+    CONFIG = baseline_config().resolved()
 
-    def test_cold_miss_goes_to_dram(self, hierarchy):
-        result = hierarchy.load(0x5000_0000)
-        assert result.level == "dram"
-        assert result.cycles >= hierarchy.dram_cycles
+    def walk(self, trace):
+        columns = pre(trace)
+        plan = build_plan(columns, self.CONFIG, 0, prewarm=False)
+        fe = frontend_walk(columns, self.CONFIG)
+        return plan, memory_walk(columns, self.CONFIG, fe, prewarm=False)
 
-    def test_l2_hit_after_l1_eviction(self, hierarchy):
-        cfg = baseline_config()
+    def loads(self, *addrs):
+        return self.walk([load(0x1000 + 4 * i, addr) for i, addr in enumerate(addrs)])
+
+    def test_l1_hit_latency(self):
+        plan, mem = self.loads(0x1000_0000, 0x1000_0000)
+        assert plan.load_cycles[1] == self.CONFIG.l1_latency
+        assert not mem.l1d_miss[1]
+
+    def test_cold_miss_goes_to_dram(self):
+        plan, mem = self.loads(0x5000_0000)
+        assert mem.l1d_miss[0] and mem.dl2_miss[0]
+        assert plan.load_dram[0]
+        cfg = self.CONFIG
+        assert plan.load_cycles[0] == (cfg.l1_latency + cfg.l2_latency
+                                       + cfg.dram_cycles + cfg.tlb_miss_penalty)
+
+    def test_l2_hit_after_l1_eviction(self):
+        cfg = self.CONFIG
         # Touch enough conflicting lines to evict from L1 but stay in L2.
         base = 0x10_0000
-        stride = hierarchy.l1d.num_sets * 64
+        stride = cfg.l1d_size // cfg.l1d_assoc
         addrs = [base + i * stride for i in range(cfg.l1d_assoc + 2)]
-        for addr in addrs:
-            hierarchy.load(addr)
-        result = hierarchy.load(addrs[0])
-        assert result.level == "l2"
-        assert result.cycles == hierarchy.l1_latency + hierarchy.l2_latency
+        plan, mem = self.loads(*addrs, addrs[0])
+        assert mem.l1d_miss[-1] and not mem.dl2_miss[-1]
+        assert not mem.dtlb_miss[-1]
+        assert plan.load_cycles[-1] == cfg.l1_latency + cfg.l2_latency
 
-    def test_next_line_prefetch(self, hierarchy):
-        hierarchy.load(0x8000)
-        result = hierarchy.load(0x8040)  # next line, prefetched
-        assert result.level == "l1"
+    def test_next_line_prefetch(self):
+        _, mem = self.loads(0x8000, 0x8040)  # next line, prefetched
+        assert not mem.l1d_miss[1]
 
-    def test_prefetch_covers_streams(self, hierarchy):
-        hierarchy.load(0x20_0000)
-        misses = 0
-        for i in range(1, 64):
-            if hierarchy.load(0x20_0000 + i * 8).level != "l1":
-                misses += 1
-        assert misses == 0
+    def test_prefetch_covers_streams(self):
+        _, mem = self.loads(*(0x20_0000 + i * 8 for i in range(64)))
+        assert mem.l1d_miss[0]
+        assert not mem.l1d_miss[1:].any()
 
-    def test_tlb_miss_penalty(self, hierarchy):
-        first = hierarchy.load(0x77_0000)
-        assert first.tlb_miss
-        assert first.cycles >= hierarchy.tlb_miss_penalty
-        again = hierarchy.load(0x77_0000)
-        assert not again.tlb_miss
+    def test_tlb_miss_penalty(self):
+        # The last line of a page prefetches the first line of the next
+        # page into the L1D, but not its translation.
+        plan, mem = self.loads(0x77_0FC0, 0x77_1000, 0x77_1000)
+        assert mem.dtlb_miss[0] and mem.dtlb_miss[1] and not mem.dtlb_miss[2]
+        assert not mem.l1d_miss[1]
+        assert plan.load_cycles[1] == (self.CONFIG.l1_latency
+                                       + self.CONFIG.tlb_miss_penalty)
 
-    def test_instruction_fetch_paths(self, hierarchy):
-        first = hierarchy.instruction_fetch(0x40_0000)
-        assert first.level == "dram"
-        hit = hierarchy.instruction_fetch(0x40_0000)
-        assert hit.level == "l1"
+    def test_instruction_fetch_paths(self):
+        # The jump's redirect opens a second fetch group on the same line.
+        plan, mem = self.walk([jump(0x40_0000, 0x40_0000), alu(0x40_0000)])
+        assert mem.l1i_miss[0] and mem.il2_miss[0]
+        assert not mem.l1i_miss[1]
+        cfg = self.CONFIG
+        assert plan.fetch_extra == [
+            cfg.l2_latency + cfg.dram_cycles + cfg.tlb_miss_penalty, 0
+        ]
 
-    def test_store_is_non_blocking(self, hierarchy):
-        result = hierarchy.store(0x99_0000)
-        assert result.cycles == 0
+    def test_store_is_non_blocking(self):
+        plan, mem = self.walk([store(0x1000, 0x99_0000)])
+        assert mem.l1d_miss[0] and mem.dl2_miss[0]
+        # A store never waits for its miss or holds an MSHR.
+        assert not plan.memory_miss[0]
+        assert not plan.load_dram[0]
 
     def test_activity_recorded(self):
-        counters = ActivityCounters()
-        hierarchy = build_hierarchy(counters, baseline_config())
-        hierarchy.load(0x4000)
-        assert counters.module("dtlb").total == 1
-        assert counters.module("l2_cache").total == 1
-        assert counters.module("dram").total == 1
+        result = run([load(0x1000, 0x4000)], baseline_config(), prewarm=False)
+        modules = result.activity.modules()
+        assert modules["dtlb"].total == 1
+        # The cold fetch and the cold load each go to L2 and on to DRAM.
+        assert modules["l2_cache"].total == 2
+        assert modules["dram"].total == 2

@@ -1,5 +1,7 @@
 """Tests for the processor configurations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.dcache_encoding import EncodingScheme
@@ -11,6 +13,7 @@ from repro.cpu.config import (
     pipeline_config,
     thermal_herding_config,
 )
+from repro.cpu.pipeline import TimingSimulator
 
 
 class TestBaseline:
@@ -88,3 +91,21 @@ class TestRegistry:
     def test_descriptions_present(self):
         for pc in paper_configurations().values():
             assert pc.description
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"width_predictor_entries": 1000}, "power of two"),
+    ({"width_predictor_entries": 0}, "power of two"),
+    ({"width_counter_bits": 0}, "width_counter_bits"),
+    ({"rs_size": 30}, "multiple of 4"),
+    ({"rs_size": 0}, "multiple of 4"),
+    ({"btb_assoc": 3}, "btb: 2048 entries not divisible"),
+    ({"btb_entries": 0}, "btb: sizes must be positive"),
+    ({"ibtb_assoc": 0}, "ibtb: sizes must be positive"),
+    ({"ibtb_entries": 514}, "ibtb: 514 entries not divisible"),
+])
+def test_simulator_rejects_unbuildable_configs(overrides, message):
+    """A configuration whose predictor table, scheduler or target
+    buffers cannot be built fails at construction, before any run."""
+    with pytest.raises(ValueError, match=message):
+        TimingSimulator(replace(thermal_herding_config(), **overrides))

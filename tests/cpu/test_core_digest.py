@@ -222,13 +222,16 @@ def test_simulate_accepts_compiled_trace():
 
 
 class TestMemoryHierarchy:
-    """The core reads precomputed miss columns; no simulation builds the
-    per-access cache/TLB hierarchy."""
+    """The core reads precomputed miss columns: once the trace's walks
+    are cached, a simulation makes no cache or TLB access at all."""
 
     def test_batched_simulate_builds_no_hierarchy(self, traces, monkeypatch):
         def refuse(self, *args, **kwargs):
-            raise AssertionError("simulation built a MemoryHierarchy")
+            raise AssertionError("the timing loop accessed a cache")
 
-        monkeypatch.setattr(caches.MemoryHierarchy, "__init__", refuse)
+        pre = predecode(traces["mpeg2"].compiled())
+        _run(pre, CONFIGS["3D"])  # fills the front-end and memory walks
+        monkeypatch.setattr(caches.SetAssociativeCache, "access_line", refuse)
+        monkeypatch.setattr(caches.SetAssociativeCache, "install_line", refuse)
         result = simulate(traces["mpeg2"], CONFIGS["3D"], warmup=WARMUP)
         assert _digest(result) == GOLDEN["mpeg2/3D"]

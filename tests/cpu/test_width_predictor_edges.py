@@ -1,13 +1,13 @@
 """Width-predictor saturating-counter edge cases.
 
-The timing core inlines the predictor's counter arithmetic (table
-reads, saturating increments/decrements, the in-flight correction that
-pins an entry to max) instead of calling the model.  These tests pin the
-counter state machine at its boundaries — saturation at both ends, the
-threshold flip, index aliasing in tiny tables — check that the inlined
-update stream stays in lock-step with the model, and that stats reset at
-warmup for every predictor kind.  The core's tiny-table runs are pinned
-by golden digests in ``test_core_digest.py``.
+The timing core keeps the predictor's counters inline (table reads,
+saturating increments/decrements, the in-flight correction that pins an
+entry to max).  These tests pin the counter state machine at its
+boundaries — saturation at both ends, the threshold flip, index aliasing
+in tiny tables — check the core's predictions against a reference
+counter table on a random stream with corrections, and check that stats
+reset at warmup for every predictor kind.  The core's tiny-table runs on
+real traces are pinned by golden digests in ``test_core_digest.py``.
 """
 
 from __future__ import annotations
@@ -17,90 +17,88 @@ import random
 
 import pytest
 
-from repro.core.width_prediction import WidthPredictor
 from repro.cpu.config import WidthPredictorKind
 from repro.cpu.pipeline import TimingSimulator
 from repro.cpu.predecode import predecode
 from repro.experiments.context import _all_configurations
+from repro.isa.values import is_low_width
 from repro.workloads.suite import generate
+from tests.tiny_traces import WIDE, alu, gated, occurrences, run, th_config
+
+
+def tiny(bits=2):
+    return th_config(width_predictor_entries=4, width_counter_bits=bits)
 
 
 class TestCounterSaturation:
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_saturates_at_max(self, bits):
-        predictor = WidthPredictor(table_size=4, counter_bits=bits)
         max_count = (1 << bits) - 1
-        for _ in range(3 * max_count):
-            predictor.record_and_train(0x40, predicted_low=False, actual_low=False)
-        assert predictor._table[predictor._index(0x40)] == max_count
-        assert not predictor.predict_low_width(0x40)
+        threshold = 1 << (bits - 1)
+        # From max, exactly max - threshold + 1 low outcomes flip the
+        # prediction; a counter that kept counting up would need more.
+        lows = max_count - threshold + 1
+        flags = gated(occurrences([False] * 3 * max_count + [True] * (lows + 1)),
+                      tiny(bits))
+        assert flags[-(lows + 1):] == [False] * lows + [True]
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_saturates_at_zero(self, bits):
-        predictor = WidthPredictor(table_size=4, counter_bits=bits)
-        for _ in range(3 * (1 << bits)):
-            predictor.record_and_train(0x40, predicted_low=True, actual_low=True)
-        assert predictor._table[predictor._index(0x40)] == 0
-        assert predictor.predict_low_width(0x40)
+        threshold = 1 << (bits - 1)
+        flags = gated(occurrences([True] * 3 * (1 << bits) + [False] * (threshold + 1)),
+                      tiny(bits))
+        assert flags[-(threshold + 1):] == [True] * threshold + [False]
 
     def test_threshold_flip_is_exact(self):
         """With 2-bit counters the prediction flips at exactly 2 -> 1."""
-        predictor = WidthPredictor(table_size=4, counter_bits=2)
         # Initialized to the threshold: weakly full width.
-        assert not predictor.predict_low_width(0x40)
-        predictor.record_and_train(0x40, predicted_low=False, actual_low=True)
-        assert predictor.predict_low_width(0x40)
-        predictor.record_and_train(0x40, predicted_low=True, actual_low=False)
-        assert not predictor.predict_low_width(0x40)
+        assert gated(occurrences([True, False, True]), tiny()) == [False, True, False]
 
     def test_correction_pins_to_max(self):
-        predictor = WidthPredictor(table_size=4, counter_bits=2)
-        for _ in range(4):
-            predictor.record_and_train(0x40, predicted_low=False, actual_low=True)
-        assert predictor.predict_low_width(0x40)
-        predictor.correct_prediction(0x40)
-        assert predictor._table[predictor._index(0x40)] == predictor._max_count
-        assert not predictor.predict_low_width(0x40)
+        wide_read = alu(0x40, 1, srcs=(9,), values=(WIDE,))
+        flags = gated(occurrences([True] * 4) + [wide_read]
+                      + occurrences([True] * 3), tiny())
+        # Pinned to 3, the counter needs two low outcomes to predict low.
+        assert flags[-3:] == [False, False, True]
 
     def test_index_aliasing_in_tiny_table(self):
         """PCs 4 entries apart share a counter (the wraparound case)."""
-        predictor = WidthPredictor(table_size=4, counter_bits=2)
-        assert predictor._index(0x40) == predictor._index(0x40 + 4 * 4)
-        predictor.record_and_train(0x40, predicted_low=False, actual_low=True)
-        predictor.record_and_train(0x40 + 16, predicted_low=False, actual_low=True)
-        # Both updates landed on one counter: threshold(2) - 2 == 0.
-        assert predictor._table[predictor._index(0x40)] == 0
+        trace = occurrences([True]) + occurrences([True], pc=0x40 + 4 * 4)
+        # The second PC sees the first one's update on the shared counter.
+        assert gated(trace, tiny()) == [False, True]
+        assert gated(trace) == [False, False]
 
 
 class TestInlinedCounterEquivalence:
-    """The wavefront loop's inlined arithmetic == the model, step by step."""
+    """The core's predictions == a reference counter table, step by step."""
 
     @pytest.mark.parametrize("bits", [1, 2])
     def test_random_stream_with_corrections(self, bits):
         table_size = 8
-        model = WidthPredictor(table_size=table_size, counter_bits=bits)
-        # The inlined mirror, exactly as run_compiled maintains it.
         table = [1 << (bits - 1)] * table_size
         threshold = 1 << (bits - 1)
         max_count = (1 << bits) - 1
         mask = table_size - 1
 
         rng = random.Random(1234)
-        for _ in range(2_000):
+        trace, expected_gated, expected_stalls = [], [], 0
+        for i in range(2_000):
             pc = rng.randrange(0, 64) * 4
-            actual = rng.random() < 0.5
+            operand = 1 if rng.random() < 0.9 else WIDE
+            result = 1 if rng.random() < 0.5 else WIDE
+            # Each op reads its own never-written register, so the read
+            # comes from the register file and its memoization bit is the
+            # operand's own width.
+            trace.append(alu(pc, result, srcs=(100 + i,), values=(operand,)))
             index = (pc >> 2) & mask
-
-            predicted_model = model.predict_low_width(pc)
-            predicted_inline = table[index] < threshold
-            assert predicted_inline == predicted_model
-
-            if predicted_inline and rng.random() < 0.1:
+            predicted = table[index] < threshold
+            if predicted and not is_low_width(operand):
                 # The register file's in-flight correction path.
-                model.correct_prediction(pc)
+                expected_stalls += 1
                 table[index] = max_count
-
-            model.record_and_train(pc, predicted_model, actual)
+                predicted = False
+            expected_gated.append(predicted)
+            actual = is_low_width(operand) and is_low_width(result)
             counter = table[index]
             if actual:
                 if counter > 0:
@@ -108,7 +106,10 @@ class TestInlinedCounterEquivalence:
             elif counter < max_count:
                 table[index] = counter + 1
 
-            assert table == model._table
+        config = th_config(width_predictor_entries=table_size,
+                           width_counter_bits=bits)
+        assert gated(trace, config) == expected_gated
+        assert run(trace, config).stalls.rf_group_stalls == expected_stalls
 
 
 class TestPerKindResetAtWarmup:

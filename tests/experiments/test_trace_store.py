@@ -9,12 +9,16 @@ store entry must cost one regeneration — never a wrong result.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+
+import numpy as np
 
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, TraceStore, trace_store_key
 from repro.experiments.context import ExperimentContext, ExperimentSettings
-from repro.isa.compiled import compile_trace
+from repro.isa.compiled import TRACE_DTYPE, compile_trace
 from repro.workloads.suite import fingerprint, generate
 
 TINY = ExperimentSettings(
@@ -184,6 +188,37 @@ class TestSweepReuse:
         assert payload["trace_compile_seconds"] >= 0.0
         assert payload["instructions_simulated"] == 4 * TINY.trace_length
         assert payload["instructions_per_second"] > 0
+
+
+class TestDataBitFlip:
+    def test_flipped_data_bit_is_an_evicting_miss(self, tmp_path):
+        """One flipped address bit in a stored array is caught by the
+        sidecar's CRC-32: the load misses, the entry is evicted, and the
+        regenerated trace is the emulator's exact output."""
+        from tests.workloads.test_trace_digest import GOLDEN
+
+        settings = dataclasses.replace(TINY, trace_length=137, warmup=37,
+                                       benchmarks=("gzip",))
+        first = ExperimentContext(settings, jobs=1, cache=ResultCache(tmp_path))
+        first.run("gzip", "Base")
+        (npy,) = first.cache.trace_store().entries()
+        array = np.load(npy)
+        row = int(np.flatnonzero(array["has_mem_addr"])[0])
+        header = npy.stat().st_size - array.nbytes
+        offset = (header + row * TRACE_DTYPE.itemsize
+                  + TRACE_DTYPE.fields["mem_addr"][1])
+        data = bytearray(npy.read_bytes())
+        data[offset + 2] ^= 1 << 6  # bit 22 of the little-endian address
+        npy.write_bytes(bytes(data))
+
+        second = ExperimentContext(settings, jobs=1, cache=ResultCache(tmp_path))
+        compiled = second._compiled_for("gzip")
+        store = second.cache.trace_store()
+        assert second.stats.trace_cache_hits == 0
+        assert second.stats.traces_generated == 1
+        assert store.misses == 1 and store.evictions == 1
+        assert hashlib.sha256(compiled.array.tobytes()).hexdigest() \
+            == GOLDEN["gzip", 137, None]
 
 
 class TestWorkerTransport:

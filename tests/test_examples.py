@@ -1,0 +1,26 @@
+"""Every example script imports cleanly.
+
+The examples run only by hand, so nothing else would notice one that
+imports a module or name the package no longer has.  Importing each as
+an ordinary module (not ``__main__``) resolves its imports without
+running its ``main()``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
+
+
+def test_examples_found():
+    assert len(EXAMPLES) >= 7
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports(path):
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(getattr(module, "main", None)), path.name
