@@ -1,13 +1,13 @@
-"""Microbenchmark of the result cache's sharded size ledger.
+"""Microbenchmark of the result cache's SQLite index.
 
 Times the cache paths a report run pays: store throughput with the
-ledger appending a delta per store (unbounded), warm load throughput,
-ledger compaction, a full repair scan, and store throughput under a
-tight ``REPRO_CACHE_MAX_MB`` cap where every store runs ledger-driven
-eviction.  Asserts the ledger invariants while doing so — the ledger
-total must equal recursive disk usage exactly after each phase, and the
-watermark must hold after the capped phase — so the benchmark doubles
-as an exactness gate.  Emits a ``BENCH_cache.json`` payload that CI
+index recording a row per store (unbounded), warm load throughput (each
+load updates its row's ``atime``), a full repair scan, and store
+throughput under a tight ``REPRO_CACHE_MAX_MB`` cap where every store
+runs index-driven eviction.  Asserts the index invariants while doing
+so — the index total must equal recursive disk usage exactly after each
+phase, and the watermark must hold after the capped phase — so the
+benchmark doubles as an exactness gate.  Emits a ``BENCH_cache.json`` payload that CI
 records next to ``BENCH_report.json``.
 
 Usage::
@@ -25,7 +25,7 @@ import shutil
 import tempfile
 import time
 
-from repro.experiments.cache import LEDGER_SHARDS, ResultCache
+from repro.experiments.cache import ResultCache
 
 #: Stores per phase; payloads are incompressible so sizes are honest.
 ENTRIES = 200
@@ -52,17 +52,14 @@ def run(out_path: str) -> dict:
         for key, blob in zip(keys, payloads):
             cache.store(key, blob)
         t_store = time.perf_counter() - t0
-        assert _exact(cache), "ledger drifted from du after unbounded stores"
+        assert _exact(cache), "index drifted from du after unbounded stores"
 
         t0 = time.perf_counter()
         for key in keys:
             assert cache.load(key, expected_type=bytes) is not None
         t_load = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        compacted = cache.ledger.compact()
-        t_compact = time.perf_counter() - t0
-        assert _exact(cache), "compaction changed the ledger total"
+        assert _exact(cache), "load touches changed the index total"
 
         t0 = time.perf_counter()
         repaired = cache.repair_ledger()
@@ -74,7 +71,7 @@ def run(out_path: str) -> dict:
         for key, blob in zip(keys, payloads):
             capped.store(key, blob)
         t_capped = time.perf_counter() - t0
-        assert _exact(capped), "ledger drifted from du under eviction"
+        assert _exact(capped), "index drifted from du under eviction"
         assert capped.ledger.total_bytes() <= capped.max_bytes, \
             "watermark violated after the capped phase"
 
@@ -83,23 +80,19 @@ def run(out_path: str) -> dict:
                 "entries": ENTRIES,
                 "payload_bytes": PAYLOAD_BYTES,
                 "cap_bytes": capped.max_bytes,
-                "ledger_shards": LEDGER_SHARDS,
             },
             "stage_seconds": {
                 "store": round(t_store, 3),
                 "load": round(t_load, 3),
-                "compact": round(t_compact, 4),
                 "repair": round(t_repair, 4),
                 "capped_store": round(t_capped, 3),
             },
             "stores_per_second": round(ENTRIES / t_store, 1),
             "loads_per_second": round(ENTRIES / t_load, 1),
             "capped_stores_per_second": round(ENTRIES / t_capped, 1),
-            "ledger": {
-                "appends": cache.ledger.appends + capped.ledger.appends,
-                "compactions": cache.ledger.compactions
-                + capped.ledger.compactions,
-                "explicit_compaction_ran": bool(compacted),
+            "index": {
+                "entry_rows": cache.ledger.entry_count()
+                + capped.ledger.entry_count(),
                 "size_evictions": capped.evictions_size,
                 "exact_after_every_phase": True,  # the asserts above
                 "watermark_holds": True,
@@ -123,9 +116,8 @@ def main() -> int:
     print(f"store {payload['stores_per_second']}/s  "
           f"load {payload['loads_per_second']}/s  "
           f"capped store {payload['capped_stores_per_second']}/s "
-          f"({payload['ledger']['size_evictions']} size evictions)")
-    print(f"compact {stages['compact']}s  repair {stages['repair']}s  "
-          f"ledger exact after every phase")
+          f"({payload['index']['size_evictions']} size evictions)")
+    print(f"repair {stages['repair']}s  index exact after every phase")
     print(f"wrote {args.out}")
     return 0
 

@@ -163,7 +163,7 @@ def _cmd_cache(args) -> int:
               f"{pruned['tmp_files']} temp file(s), "
               f"{pruned['claims']} abandoned claim(s)")
         print(f"cache size now {pruned['size_bytes'] / 1024:.1f} KiB "
-              f"(ledger {pruned['ledger_bytes'] / 1024:.1f} KiB, "
+              f"(index rebuilt: {pruned['index_bytes'] / 1024:.1f} KiB, "
               f"evictions_size={cache.evictions_size})")
     elif args.action == "list":
         entries = cache.entries()
@@ -214,7 +214,7 @@ def _cmd_report(args) -> int:
     if args.stats or args.log_json:
         import json
 
-        # Run telemetry plus the cache/ledger metrics section — see
+        # Run telemetry plus the cache/index metrics section — see
         # repro.experiments.report.stats_payload.
         payload = stats_payload(context, wall_s, args.fast)
         if args.stats:
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 30)")
 
     metrics = add("metrics", _cmd_metrics,
-                  "machine-readable cache/ledger/solver metrics snapshot",
+                  "machine-readable cache/index/solver metrics snapshot",
                   fast=False)
     metrics.add_argument("--out", metavar="FILE",
                          help="write the JSON snapshot to a file instead "

@@ -15,7 +15,8 @@ from typing import List, Tuple
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters of one cache or TLB."""
+    """Hit/miss counters of one cache or TLB, as a simulation result
+    reports them (:attr:`repro.cpu.results.SimulationResult.cache_stats`)."""
 
     accesses: int = 0
     misses: int = 0
@@ -44,7 +45,6 @@ class SetAssociativeCache:
         self.num_sets = lines // assoc
         # Each set is an LRU-ordered list of tags (index 0 = MRU).
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self.stats = CacheStats()
 
     def _locate(self, addr: int) -> Tuple[int, int]:
         line = addr // self.line_bytes
@@ -60,7 +60,6 @@ class SetAssociativeCache:
         columns so the hierarchy's hot path skips the per-access divide."""
         tag, index = divmod(line, self.num_sets)
         entries = self._sets[index]
-        self.stats.accesses += 1
         if entries and entries[0] == tag:
             # MRU hit: remove-then-reinsert at the head is a no-op.
             return True
@@ -68,19 +67,18 @@ class SetAssociativeCache:
             entries.remove(tag)
             entries.insert(0, tag)
             return True
-        self.stats.misses += 1
         entries.insert(0, tag)
         if len(entries) > self.assoc:
             entries.pop()
         return False
 
     def probe(self, addr: int) -> bool:
-        """Check residency without updating LRU or stats."""
+        """Check residency without updating LRU."""
         index, tag = self._locate(addr)
         return tag in self._sets[index]
 
     def install(self, addr: int) -> None:
-        """Insert a line without touching stats (prefetch fill)."""
+        """Insert a line without counting an access (prefetch fill)."""
         self.install_line(addr // self.line_bytes)
 
     def install_line(self, line: int) -> None:

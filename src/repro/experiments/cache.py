@@ -41,39 +41,43 @@ removes them.
 The cache is on by default; ``REPRO_CACHE=0`` disables it and
 ``REPRO_CACHE_DIR`` relocates it.
 
-Two cross-process concerns are handled here as well:
+Cross-process coordination lives in one WAL-mode SQLite index,
+``v<N>/index.sqlite`` (:class:`CacheIndex`), with two tables:
 
-* **claim files** — ``<key>.claim`` markers (created with
-  ``O_CREAT|O_EXCL``, carrying the claimant's pid and a timestamp) let
-  concurrent cold starts on the same key deduplicate to one simulation:
-  the loser waits for the winner's entry instead of re-simulating, and
-  takes over stale claims whose holder died.  Claims are advisory —
-  losing one never blocks progress, it only avoids duplicate work.
-* **size bound** — ``REPRO_CACHE_MAX_MB`` sets a high-water mark; every
-  ``store`` evicts entries until the cache fits.  Sizes come from an
-  exact, crash-safe, sharded on-disk **size ledger**
-  (:class:`SizeLedger`): each store/unlink appends a delta record to
-  one of ``LEDGER_SHARDS`` append-only shard files (serialized by the
-  same ``O_CREAT|O_EXCL`` lock-file protocol the claims use), and a
-  compaction pass periodically folds the shards into a checkpoint.
-  ``enforce_size_cap`` therefore reads the ledger total instead of
-  re-``stat``-ing the whole directory on every store, concurrent
-  writers share one exact total (a single cross-process eviction lock
-  stops them from each evicting below the watermark), compiled-trace
-  entries count against the cap and are evicted *first* (they are
-  large and cheap to regenerate), and entries another process holds a
-  live claim on are never eviction victims.  Loads still touch their
-  entry's mtime *before* reading, so an entry being read sorts
-  freshest among the remaining victims and survives.
+* ``entries(kind, key, bytes, atime)`` — one row per result or
+  compiled-trace entry.  A store records its row after the blob's
+  ``os.replace``; a load sets ``atime`` before it reads the blob.
+  ``REPRO_CACHE_MAX_MB`` sets a high-water mark: after every store,
+  :meth:`ResultCache.enforce_size_cap` sums the rows and, if the cache
+  is over the mark, evicts inside one ``BEGIN IMMEDIATE`` transaction —
+  compiled traces first (large, cheap to regenerate), then results,
+  least recently used first — skipping the entry just stored and any
+  key a live process holds a claim on.  The transaction is the
+  cross-process eviction lock, so two writers never both evict below
+  the mark.
+* ``claims(key, pid, ts)`` — one row per key a process is computing, so
+  concurrent cold starts on the same key deduplicate to one
+  computation: the loser waits for the winner's entry instead of
+  recomputing, and takes over claims whose holder died (or that are
+  older than :data:`DEFAULT_CLAIM_STALE_S`).  Claims are advisory:
+  losing one never blocks progress.
+
+The blobs stay plain files, so workers can memory-map traces and a
+cache without an index (an older layout, or a deleted index) is
+rebuilt from one directory scan on first open.  Any ``sqlite3`` error
+degrades to uncoordinated operation: a claim is then always won, a
+store still lands its blob and a load still serves a hit.  WAL needs
+shared memory between the processes that use one index, so
+``REPRO_CACHE_DIR`` must be on a local filesystem, not NFS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -83,7 +87,7 @@ import time
 import warnings
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.results import SimulationResult
@@ -115,30 +119,25 @@ ENV_CACHE_MAX_MB = "REPRO_CACHE_MAX_MB"
 
 _DISABLED_VALUES = frozenset({"0", "off", "no", "false"})
 
-#: Suffix of cross-process claim markers (next to their ``.pkl`` entry).
-CLAIM_SUFFIX = ".claim"
-
 #: Age beyond which a claim is stale even if its holder pid is alive
 #: (a wedged holder must not block other processes forever).
 DEFAULT_CLAIM_STALE_S = 1800.0
 
-#: Shard files the size ledger spreads its append-only delta records
-#: across (more shards = less lock contention between writers).
-LEDGER_SHARDS = 4
+#: File name of the coordination index inside the version directory.
+INDEX_NAME = "index.sqlite"
 
-#: A shard larger than this triggers an opportunistic compaction pass
-#: that folds every shard into the checkpoint.
-LEDGER_COMPACT_BYTES = 32 * 1024
+#: How long an index statement waits for a peer's write lock before it
+#: gives up and the operation runs uncoordinated.
+INDEX_BUSY_TIMEOUT_S = 5.0
 
-#: Age beyond which a ledger lock held by a live pid is broken anyway
-#: (appends and compactions take milliseconds; a minute-old lock is a
-#: wedged or killed holder).
-LEDGER_LOCK_STALE_S = 60.0
-
-#: Bounded wait for the cross-process eviction lock before enforcing
-#: the size cap uncoordinated (never starve; duplicate eviction only
-#: risks dipping below the watermark, not correctness).
-EVICT_LOCK_WAIT_S = 5.0
+#: The index's tables, created by the first rebuild.
+_INDEX_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS entries (kind TEXT NOT NULL, key TEXT NOT NULL,"
+    " bytes INTEGER NOT NULL, atime REAL NOT NULL, PRIMARY KEY (kind, key))"
+    " WITHOUT ROWID",
+    "CREATE TABLE IF NOT EXISTS claims (key TEXT PRIMARY KEY,"
+    " pid INTEGER NOT NULL, ts REAL NOT NULL) WITHOUT ROWID",
+)
 
 
 def _canonical(value):
@@ -331,393 +330,175 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-#: Per-process tiebreak so two records of one process sharing a wall-clock
-#: timestamp still fold in append order.
-_LEDGER_SEQ = itertools.count()
+def _stale(pid: int, ts: float, max_age_s: float) -> bool:
+    """Whether a claim by ``pid`` taken at ``ts`` is abandoned: its holder
+    died, or it is older than ``max_age_s`` (a wedged holder)."""
+    return not _pid_alive(pid) or (time.time() - ts) > max_age_s
 
 
-class SizeLedger:
-    """Exact, crash-safe, sharded on-disk accounting of cache entry sizes.
+def _connect(path: str):
+    """An autocommit connection to the index at ``path`` — the one factory
+    :mod:`repro.experiments.faults` wraps.  ``sqlite3`` loads here, so
+    commands that never touch the cache never import it."""
+    import sqlite3
 
-    Layout (inside the cache's version directory)::
+    return sqlite3.connect(path, timeout=INDEX_BUSY_TIMEOUT_S,
+                           isolation_level=None, check_same_thread=False)
 
-        ledger/
-            checkpoint.json      <- folded state: {"gen": G, "entries":
-                                    {"<kind>:<key>": [bytes, ts]}, "total": N}
-            shard-00.g<G>.jsonl  <- append-only delta records of generation G
-            shard-00.lock        <- O_CREAT|O_EXCL writer lock (pid + ts)
-            compact.lock, evict.lock
 
-    Every ``store``/``unlink`` appends one JSON record — ``{"op", "kind",
-    "key", "bytes", "ts", "seq", "pid"}`` — to one of :data:`LEDGER_SHARDS`
-    shard files, serialized by the same ``O_CREAT|O_EXCL`` lock-file
-    protocol the cache's claims use (stale locks of dead or wedged
-    holders are broken).  Reading the total folds the checkpoint with
-    every current-generation shard record: O(shards) small-file reads,
-    never an O(entries) directory scan.
+def _index_errors() -> tuple:
+    """The exceptions that degrade an index operation to uncoordinated
+    (evaluated only when an ``except`` clause needs them)."""
+    import sqlite3
 
-    Crash model:
+    return (sqlite3.Error, OSError)
 
-    * A writer killed mid-append leaves at most one torn trailing line;
-      readers skip lines that do not parse, and :meth:`rebuild` (driven
-      by :meth:`ResultCache.repair_ledger`'s directory scan) restores
-      exactness.
-    * Compaction is generation-based: it folds the generation-``G``
-      shards, atomically replaces the checkpoint with generation
-      ``G+1``, *then* deletes the folded shards.  A crash between the
-      two steps leaves stale shards whose generation no longer matches
-      the checkpoint; readers ignore them and the next compaction
-      deletes them — deltas are never double-counted.
-    * Records fold by ``(ts, seq)`` order, so a store and an unlink of
-      the same key in different shards resolve the same way for every
-      reader.
+
+@contextlib.contextmanager
+def _transaction(conn):
+    """``BEGIN IMMEDIATE`` … ``COMMIT``: holds the index's write lock, so
+    peers' writes wait (up to :data:`INDEX_BUSY_TIMEOUT_S`) until it ends."""
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield conn
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.rollback()
+        raise
+
+
+#: Connections a forked child inherited from its parent.  The child must
+#: neither use nor close them (closing would drop locks the parent holds),
+#: so they are kept referenced here for the child's lifetime.
+_INHERITED: List = []
+
+
+class CacheIndex:
+    """The cache's WAL-mode SQLite index (see the module docstring).
+
+    Each process holds one connection, opened on first use and reopened
+    when :func:`os.getpid` changes (pool workers fork from a parent that
+    may hold one).  An index that was never built is rebuilt from
+    ``scan``, a callable returning ``{(kind, key): (bytes, atime)}`` for
+    every entry on disk.  :meth:`write` and :meth:`read` degrade: they
+    return ``None`` and ``[]`` when the index is unavailable.
     """
 
-    def __init__(self, directory: os.PathLike, shards: int = LEDGER_SHARDS):
-        self.dir = Path(directory)
-        self.shards = max(1, int(shards))
-        self._checkpoint_cache: Optional[Tuple[tuple, dict]] = None
-        #: per-process telemetry for the metrics snapshot
-        self.appends = 0
-        self.compactions = 0
+    def __init__(self, path: os.PathLike, scan):
+        self.path = Path(path)
+        self._scan = scan
+        self._conn = None
+        self._pid: Optional[int] = None
+        #: directory-scan rebuilds this process ran (metrics)
         self.rebuilds = 0
 
-    # -------------------------------------------------------------- #
-    # Lock files (same O_CREAT|O_EXCL protocol as the cache claims)
-
-    def _lock_path(self, name: str) -> Path:
-        return self.dir / f"{name}.lock"
-
-    def _try_lock(self, name: str) -> bool:
-        """One non-blocking attempt at ``name``'s lock; breaks stale locks
-        (dead holder, or older than :data:`LEDGER_LOCK_STALE_S`) first."""
-        path = self._lock_path(name)
+    def connection(self):
+        """This process's connection (raises when the index cannot open)."""
+        if self._pid == os.getpid():
+            return self._conn
+        if self._conn is not None:
+            _INHERITED.append(self._conn)
+            self._conn = None
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        conn = _connect(str(self.path))
         try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if self._lock_stale(path):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            return False
-        except OSError:
-            return True  # filesystem refused coordination: run uncoordinated
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            if conn.execute("PRAGMA user_version").fetchone()[0] == 0:
+                self._rebuild(conn, bootstrap=True)
+        except BaseException:
+            conn.close()
+            raise
+        self._conn, self._pid = conn, os.getpid()
+        return conn
+
+    def close(self) -> None:
+        """Close this process's connection; the next use reopens it."""
+        if self._conn is not None and self._pid == os.getpid():
+            self._conn.close()
+        self._conn = self._pid = None
+
+    def transaction(self):
+        """A write transaction on this process's connection."""
+        return _transaction(self.connection())
+
+    def write(self, sql: str, args: tuple = ()) -> Optional[int]:
+        """Run one autocommit statement; its row count, or ``None`` when
+        the index is unavailable."""
         try:
-            os.write(fd, json.dumps(
-                {"pid": os.getpid(), "ts": time.time()}).encode("utf-8"))
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-        return True
-
-    @staticmethod
-    def _lock_stale(path: Path) -> bool:
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return False  # vanished (released) or unreadable: retry instead
-        try:
-            holder = json.loads(raw)
-        except ValueError:
-            return True  # garbled lock: whoever wrote it died mid-write
-        pid = holder.get("pid") if isinstance(holder, dict) else None
-        if not isinstance(pid, int) or not _pid_alive(pid):
-            return True
-        ts = holder.get("ts")
-        if not isinstance(ts, (int, float)):
-            return True
-        return (time.time() - ts) > LEDGER_LOCK_STALE_S
-
-    def _unlock(self, name: str) -> None:
-        try:
-            self._lock_path(name).unlink()
-        except OSError:
-            pass
-
-    def _acquire(self, name: str, wait_s: float) -> bool:
-        """Acquire ``name``'s lock within ``wait_s`` seconds (False = give up)."""
-        deadline = time.monotonic() + wait_s
-        while not self._try_lock(name):
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.001)
-        return True
-
-    # -------------------------------------------------------------- #
-    # Checkpoint
-
-    def _checkpoint_path(self) -> Path:
-        return self.dir / "checkpoint.json"
-
-    @staticmethod
-    def _empty_checkpoint() -> dict:
-        return {"gen": 0, "entries": {}, "total": 0}
-
-    def _read_checkpoint(self) -> dict:
-        """The parsed checkpoint (cached by stat signature)."""
-        path = self._checkpoint_path()
-        try:
-            st = path.stat()
-        except OSError:
-            self._checkpoint_cache = None
-            return self._empty_checkpoint()
-        signature = (st.st_mtime_ns, st.st_size, st.st_ino)
-        cached = self._checkpoint_cache
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return self._empty_checkpoint()
-        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
-            return self._empty_checkpoint()
-        data.setdefault("gen", 0)
-        self._checkpoint_cache = (signature, data)
-        return data
-
-    def _write_checkpoint(self, gen: int, entries: Dict[str, list]) -> bool:
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "gen": gen,
-            "entries": entries,
-            "total": sum(int(v[0]) for v in entries.values()),
-            "ts": time.time(),
-        }
-        path = self._checkpoint_path()
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self._checkpoint_cache = None
-        return True
-
-    # -------------------------------------------------------------- #
-    # Shards
-
-    def _shard_path(self, index: int, gen: int) -> Path:
-        return self.dir / f"shard-{index:02d}.g{gen}.jsonl"
-
-    def _shard_files(self) -> List[Path]:
-        if not self.dir.is_dir():
-            return []
-        return sorted(self.dir.glob("shard-*.jsonl"))
-
-    @staticmethod
-    def _shard_gen(path: Path) -> Optional[int]:
-        try:
-            return int(path.name.rsplit(".g", 1)[1].split(".", 1)[0])
-        except (IndexError, ValueError):
+            return self.connection().execute(sql, args).rowcount
+        except _index_errors():
             return None
 
-    def _shard_records(self, gen: int) -> List[dict]:
-        """Parsed records of every generation-``gen`` shard (torn trailing
-        lines from writers killed mid-append are skipped)."""
-        records: List[dict] = []
-        for path in self._shard_files():
-            if self._shard_gen(path) != gen:
-                continue
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                continue
-            for line in raw.splitlines():
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict) and "op" in record:
-                    records.append(record)
-        return records
-
-    def shard_record_count(self) -> int:
-        """Unfolded delta records currently in the shards (metrics)."""
-        return len(self._shard_records(self._read_checkpoint().get("gen", 0)))
-
-    def initialized(self) -> bool:
-        """Whether the ledger has ever recorded anything (checkpoint or
-        shard present).  False on a pre-ledger cache directory — the
-        owner should bootstrap with :meth:`rebuild` from a scan."""
-        return self._checkpoint_path().exists() or bool(self._shard_files())
-
-    # -------------------------------------------------------------- #
-    # Appends
-
-    def record_store(self, kind: str, key: str, nbytes: int) -> bool:
-        """Account a stored (or replaced) entry of ``nbytes`` bytes."""
-        return self._append({"op": "store", "kind": kind, "key": key,
-                             "bytes": int(nbytes)})
-
-    def record_unlink(self, kind: str, key: str) -> bool:
-        """Account a removed entry."""
-        return self._append({"op": "unlink", "kind": kind, "key": key})
-
-    def _append(self, record: dict) -> bool:
-        """Append one delta record to a shard, under that shard's lock.
-
-        Writers start at a pid-spread shard and probe the others when it
-        is busy; with every shard locked they retry briefly, then append
-        to their home shard *unlocked* as a last resort (a torn line is
-        skipped by readers and healed by the next repair — blocking a
-        store on ledger contention would be worse).  Appending re-reads
-        the checkpoint generation under the lock, so a record can never
-        land in a shard file a concurrent compaction already folded.
-        """
-        record = {**record, "ts": time.time(), "seq": next(_LEDGER_SEQ),
-                  "pid": os.getpid()}
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        base = os.getpid() % self.shards
-        shard_size = None
-        locked = False
-        for attempt in range(4 * self.shards):
-            index = (base + attempt) % self.shards
-            if not self._try_lock(f"shard-{index:02d}"):
-                if attempt >= 2 * self.shards:
-                    time.sleep(0.001)
-                continue
-            locked = True
-            break
-        if not locked:
-            index = base
+    def read(self, sql: str, args: tuple = ()) -> list:
+        """All rows of one query (``[]`` when the index is unavailable)."""
         try:
-            gen = self._read_checkpoint().get("gen", 0)
-            path = self._shard_path(index, gen)
-            try:
-                self.dir.mkdir(parents=True, exist_ok=True)
-                with open(path, "ab") as stream:
-                    stream.write(line)
-                shard_size = path.stat().st_size
-            except OSError:
-                return False  # degraded filesystem: repair will resync
-        finally:
-            if locked:
-                self._unlock(f"shard-{index:02d}")
-        self.appends += 1
-        if shard_size is not None and shard_size >= LEDGER_COMPACT_BYTES:
-            self.compact()
-        return True
+            return self.connection().execute(sql, args).fetchall()
+        except _index_errors():
+            return []
 
-    # -------------------------------------------------------------- #
-    # Reads
+    # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _fold(entries: Dict[str, list], records: Iterable[dict]) -> Dict[str, list]:
-        """Apply delta records to a checkpoint's entry map, in record order."""
-        folded = {k: list(v) for k, v in entries.items()}
-        def order(record):
-            return (record.get("ts", 0.0), record.get("seq", 0))
-        for record in sorted(records, key=order):
-            key = record.get("key")
-            kind = record.get("kind", "result")
-            if not isinstance(key, str):
-                continue
-            composite = f"{kind}:{key}"
-            if record.get("op") == "store":
-                nbytes = record.get("bytes")
-                if isinstance(nbytes, int) and nbytes >= 0:
-                    folded[composite] = [nbytes, record.get("ts", 0.0)]
-            else:
-                folded.pop(composite, None)
-        return folded
+    def record_store(self, kind: str, key: str, nbytes: int) -> None:
+        """Account a stored (or replaced) entry of ``nbytes`` bytes."""
+        self.write("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
+                   (kind, key, int(nbytes), time.time()))
 
-    def state(self) -> Dict[str, list]:
-        """The folded entry map: ``{"<kind>:<key>": [bytes, store_ts]}``.
+    def record_unlink(self, kind: str, key: str) -> None:
+        """Account a removed entry."""
+        self.write("DELETE FROM entries WHERE kind = ? AND key = ?", (kind, key))
 
-        Retries when a compaction replaces the checkpoint between the
-        checkpoint read and the shard read, so the snapshot is always
-        internally consistent.
-        """
-        for _ in range(3):
-            checkpoint = self._read_checkpoint()
-            gen = checkpoint.get("gen", 0)
-            records = self._shard_records(gen)
-            after = self._read_checkpoint()
-            if after.get("gen", 0) == gen:
-                return self._fold(checkpoint.get("entries", {}), records)
-        return self._fold(after.get("entries", {}),
-                          self._shard_records(after.get("gen", 0)))
+    def touch(self, kind: str, key: str) -> None:
+        """Mark an entry as just used, so eviction takes it last."""
+        self.write("UPDATE entries SET atime = ? WHERE kind = ? AND key = ?",
+                   (time.time(), kind, key))
+
+    def _scalar(self, sql: str) -> int:
+        rows = self.read(sql)
+        return rows[0][0] if rows else 0
 
     def total_bytes(self) -> int:
-        """The exact tracked size of every accounted entry."""
-        return sum(int(v[0]) for v in self.state().values())
+        """The tracked size of every entry."""
+        return self._scalar("SELECT COALESCE(SUM(bytes), 0) FROM entries")
 
     def entry_count(self) -> int:
-        return len(self.state())
+        return self._scalar("SELECT COUNT(*) FROM entries")
 
-    # -------------------------------------------------------------- #
-    # Compaction / rebuild
+    def claim_count(self) -> int:
+        return self._scalar("SELECT COUNT(*) FROM claims")
 
-    def compact(self) -> bool:
-        """Fold every current-generation shard into a new checkpoint.
+    def rows(self) -> Dict[Tuple[str, str], int]:
+        """``{(kind, key): bytes}`` for every entry row."""
+        return {(kind, key): nbytes for kind, key, nbytes
+                in self.read("SELECT kind, key, bytes FROM entries")}
 
-        Takes the compaction lock plus every shard lock (so no append is
-        in flight), writes the generation-``G+1`` checkpoint atomically,
-        then deletes the folded (and any orphaned older-generation)
-        shard files.  Returns False when another process is compacting
-        or a lock could not be acquired in time — never blocks progress.
-        """
-        if not self._try_lock("compact"):
-            return False
-        held: List[str] = []
-        try:
-            for index in range(self.shards):
-                name = f"shard-{index:02d}"
-                if not self._acquire(name, wait_s=1.0):
-                    return False
-                held.append(name)
-            checkpoint = self._read_checkpoint()
-            gen = checkpoint.get("gen", 0)
-            entries = self._fold(checkpoint.get("entries", {}),
-                                 self._shard_records(gen))
-            if not self._write_checkpoint(gen + 1, entries):
-                return False
-            for path in self._shard_files():
-                shard_gen = self._shard_gen(path)
-                if shard_gen is None or shard_gen <= gen:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-            self.compactions += 1
-            return True
-        finally:
-            for name in held:
-                self._unlock(name)
-            self._unlock("compact")
+    def rebuild(self) -> int:
+        """Replace every entry row with a directory scan; returns the
+        tracked byte total.  This is the crash-recovery path: writers
+        killed between a rename and its row, or out-of-band deletions,
+        resync here."""
+        return self._rebuild(self.connection())
 
-    def rebuild(self, entries: Dict[str, list]) -> bool:
-        """Replace the ledger state with ``entries`` (a repair scan's
-        ground truth), resetting every shard."""
-        self._acquire("compact", wait_s=EVICT_LOCK_WAIT_S)
-        held: List[str] = []
-        try:
-            for index in range(self.shards):
-                name = f"shard-{index:02d}"
-                if self._acquire(name, wait_s=1.0):
-                    held.append(name)
-            gen = self._read_checkpoint().get("gen", 0)
-            if not self._write_checkpoint(gen + 1, entries):
-                return False
-            for path in self._shard_files():
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            self.rebuilds += 1
-            return True
-        finally:
-            for name in held:
-                self._unlock(name)
-            self._unlock("compact")
+    def _rebuild(self, conn, bootstrap: bool = False) -> int:
+        # The scan runs under the write lock: a concurrent store records
+        # its row either before the scan (its blob is already renamed into
+        # place, so the scan sees it too) or after the rebuild commits.
+        with _transaction(conn):
+            for statement in _INDEX_SCHEMA:
+                conn.execute(statement)
+            if bootstrap and conn.execute("PRAGMA user_version").fetchone()[0]:
+                return 0  # a peer process built it first
+            scanned = self._scan()
+            conn.execute("DELETE FROM entries")
+            conn.executemany(
+                "INSERT INTO entries VALUES (?, ?, ?, ?)",
+                [(kind, key, nbytes, atime)
+                 for (kind, key), (nbytes, atime) in scanned.items()])
+            conn.execute("PRAGMA user_version = 1")
+        # An older cache's size ledger: this index supersedes it.
+        shutil.rmtree(self.path.parent / "ledger", ignore_errors=True)
+        self.rebuilds += 1
+        return sum(nbytes for nbytes, _ in scanned.values())
 
 
 class ResultCache:
@@ -743,7 +524,8 @@ class ResultCache:
         self.evictions = 0
         #: good entries evicted to respect the size high-water mark
         self.evictions_size = 0
-        self._ledger: Optional[SizeLedger] = None
+        self._index = CacheIndex(self.version_dir / INDEX_NAME,
+                                 scan=lambda: self._scan_entries())
 
     @staticmethod
     def _max_bytes_from_env() -> Optional[int]:
@@ -781,37 +563,27 @@ class ResultCache:
         return cls()
 
     # ------------------------------------------------------------------ #
-    # Size ledger
+    # Index
 
     @property
-    def ledger(self) -> SizeLedger:
-        """The cache's size ledger, bootstrapped on first touch.
+    def ledger(self) -> CacheIndex:
+        """The cache's index, opened (and on a cache that has none,
+        rebuilt from a directory scan) on first touch in each process."""
+        try:
+            self._index.connection()
+        except _index_errors():
+            pass  # unavailable: every index operation degrades
+        return self._index
 
-        A pre-ledger cache directory (entries on disk but no checkpoint
-        or shard files) is brought up to date with one repair scan —
-        the only directory-wide scan outside compaction/repair, paid
-        once per cache lifetime, never per store.
-        """
-        if self._ledger is None:
-            self._ledger = SizeLedger(self.version_dir / "ledger")
-            if not self._ledger.initialized() and (
-                self.version_dir.is_dir()
-                and next(self.version_dir.glob(f"*/*{ENTRY_SUFFIX}"), None) is not None
-                or (self.version_dir / "traces").is_dir()
-            ):
-                self.repair_ledger()
-        return self._ledger
-
-    def _scan_entries(self) -> Dict[str, list]:
-        """Ground-truth ledger state from a full directory scan (repair)."""
-        entries: Dict[str, list] = {}
+    def _scan_entries(self) -> Dict[Tuple[str, str], Tuple[int, float]]:
+        """Ground-truth index rows from a full directory scan (rebuild)."""
+        entries: Dict[Tuple[str, str], Tuple[int, float]] = {}
         for path in self.entries():
             try:
                 st = path.stat()
             except OSError:
                 continue
-            key = path.name.split(".")[0]
-            entries[f"result:{key}"] = [st.st_size, st.st_mtime]
+            entries["result", path.name.split(".")[0]] = (st.st_size, st.st_mtime)
         store = self.trace_store()
         for npy in store.entries():
             key = npy.name[: -len(".npy")]
@@ -824,32 +596,23 @@ class ResultCache:
                     continue
                 total += st.st_size
                 ts = max(ts, st.st_mtime)
-            entries[f"trace:{key}"] = [total, ts]
+            entries["trace", key] = (total, ts)
         return entries
 
     def repair_ledger(self) -> int:
-        """Rebuild the ledger checkpoint from a directory scan; returns
-        the exact tracked byte total.  This is the crash-recovery path —
-        torn appends, evictors killed between unlink and record, or
-        out-of-band deletions all resync here."""
-        entries = self._scan_entries()
-        self.ledger.rebuild(entries)
-        return sum(int(v[0]) for v in entries.values())
+        """Rebuild the index's entry rows from a directory scan; returns
+        the exact tracked byte total (0 when the index is unavailable)."""
+        try:
+            return self._index.rebuild()
+        except _index_errors():
+            return 0
 
     def _entry_paths(self, kind: str, key: str) -> Tuple[Path, ...]:
-        """The on-disk files backing one ledger entry (primary first)."""
+        """The on-disk files backing one index entry (primary first)."""
         if kind == "trace":
             store = self.trace_store()
             return (store.npy_path(key), store._meta_path(key))
         return (self._path(key),)
-
-    def _claim_live(self, key: str) -> bool:
-        """Whether ``key`` has a live (non-stale) claim — a peer is
-        producing or loading it right now, so it is not an eviction
-        victim."""
-        if self.claim_holder(key) is None:
-            return False
-        return not self.claim_stale(key)
 
     # ------------------------------------------------------------------ #
 
@@ -865,14 +628,11 @@ class ResultCache:
         are deleted and treated as misses, so one damaged file costs one
         re-run, not a re-read-and-miss on every subsequent load.
         """
+        # Touch *before* reading: the size-cap evictor removes the least
+        # recently used entries first, so an entry being read is the
+        # freshest in the cache and never the victim.
+        self._index.touch("result", key)
         path = self._path(key)
-        try:
-            # Touch *before* reading: the size-cap evictor removes
-            # oldest-mtime entries first, so an entry being read is the
-            # freshest in the cache and never the victim.
-            os.utime(path)
-        except OSError:
-            pass
         try:
             result = _unpack_entry(path.read_bytes())
         except FileNotFoundError:
@@ -897,14 +657,10 @@ class ResultCache:
         except OSError:
             return
         self.evictions += 1
-        self.ledger.record_unlink("result", path.name.split(".")[0])
+        self._index.record_unlink("result", path.name.split(".")[0])
 
     def store(self, key: str, result) -> None:
         """Persist ``result`` under ``key`` (atomic within a filesystem)."""
-        # Touch the ledger *before* the entry lands on disk: on a truly
-        # fresh cache directory the bootstrap check then sees an empty
-        # directory and skips the repair scan entirely.
-        ledger = self.ledger
         path = self._path(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -923,36 +679,27 @@ class ResultCache:
                 pass
             return
         self.stores += 1
-        try:
-            nbytes = path.stat().st_size
-        except OSError:
-            nbytes = None
-        if nbytes is not None:
-            ledger.record_store("result", key, nbytes)
+        self._index.record_store("result", key, ENTRY_HEADER.size + len(payload))
         self.enforce_size_cap(protect=path)
 
     # ------------------------------------------------------------------ #
     # Size high-water mark
 
     def enforce_size_cap(self, protect=None) -> int:
-        """Evict entries until the ledger total fits ``max_bytes``.
+        """Evict entries until the index total fits ``max_bytes``.
 
-        The total comes from the size ledger — O(shards) small-file
-        reads, never a directory-wide ``stat`` scan — so every process
-        sharing the cache sees the same exact number, and a single
-        cross-process eviction lock keeps concurrent writers from each
-        evicting below the watermark.  Victim policy: compiled-trace
-        entries go first (large, cheap to regenerate), then result
-        entries, each oldest-mtime first; ``protect`` (the entry or
-        entries just stored), keys with a live claim (a peer is
-        producing or waiting on them), and the freshest-mtime survivor
-        an in-progress ``load`` just touched are never victims.
-        Returns the number of entries removed.
+        The total is one ``SUM`` over the index, never a directory-wide
+        ``stat`` scan, so every process sharing the cache sees the same
+        exact number.  Eviction runs in one write transaction, so
+        concurrent writers evict one at a time and never below the
+        watermark.  Victim policy: compiled-trace entries go first
+        (large, cheap to regenerate), then result entries, each least
+        recently used first; ``protect`` (the entry or entries just
+        stored) and keys with a live claim (a peer is producing or
+        waiting on them) are never victims.  Returns the number of
+        entries removed.
         """
-        if self.max_bytes is None:
-            return 0
-        ledger = self.ledger
-        if ledger.total_bytes() <= self.max_bytes:
+        if self.max_bytes is None or self._index.total_bytes() <= self.max_bytes:
             return 0
         if protect is None:
             protected = frozenset()
@@ -960,162 +707,105 @@ class ResultCache:
             protected = frozenset((Path(protect),))
         else:
             protected = frozenset(Path(p) for p in protect)
-        # One evictor at a time: everyone reads the same exact ledger
-        # total, so the loser can simply wait — two uncoordinated
-        # evictors would each pick victims and land below the watermark.
-        locked = ledger._acquire("evict", wait_s=EVICT_LOCK_WAIT_S)
+        removed = 0
         try:
-            state = ledger.state()
-            total = sum(int(v[0]) for v in state.values())
-            if total <= self.max_bytes:
-                return 0  # the previous lock holder already made room
-            candidates = []
-            for composite, (nbytes, _ts) in state.items():
-                kind, _, key = composite.partition(":")
-                paths = self._entry_paths(kind, key)
-                try:
-                    mtime = paths[0].stat().st_mtime
-                except OSError:
-                    # Vanished behind the ledger's back (peer evictor
-                    # died between unlink and record): heal the ledger.
-                    ledger.record_unlink(kind, key)
-                    total -= int(nbytes)
-                    continue
-                candidates.append(
-                    (kind != "trace", mtime, str(paths[0]), kind, key,
-                     int(nbytes), paths)
-                )
-            removed = 0
-            for _, _, _, kind, key, nbytes, paths in sorted(candidates):
-                if total <= self.max_bytes:
-                    break
-                if protected and not protected.isdisjoint(paths):
-                    continue
-                if kind == "result" and self._claim_live(key):
-                    continue
-                try:
-                    paths[0].unlink()
-                except FileNotFoundError:
-                    total -= nbytes  # a peer removed (and recorded) it
-                    continue
-                except OSError:
-                    continue
-                for extra in paths[1:]:
+            with self._index.transaction() as conn:
+                rows = conn.execute(
+                    "SELECT kind, key, bytes FROM entries"
+                    " ORDER BY kind != 'trace', atime").fetchall()
+                total = sum(nbytes for _, _, nbytes in rows)
+                claimed = {key for key, pid, ts
+                           in conn.execute("SELECT key, pid, ts FROM claims")
+                           if not _stale(pid, ts, DEFAULT_CLAIM_STALE_S)}
+                candidates = []
+                for kind, key, nbytes in rows:
+                    paths = self._entry_paths(kind, key)
+                    if paths[0].exists():
+                        candidates.append((kind, key, nbytes, paths))
+                        continue
+                    # Vanished behind the index's back (a writer killed
+                    # between unlink and row delete): heal the row.
+                    conn.execute("DELETE FROM entries WHERE kind = ? AND key = ?",
+                                 (kind, key))
+                    total -= nbytes
+                for kind, key, nbytes, paths in candidates:
+                    if total <= self.max_bytes:
+                        break
+                    if protected and not protected.isdisjoint(paths):
+                        continue
+                    if kind == "result" and key in claimed:
+                        continue
                     try:
-                        extra.unlink()
+                        paths[0].unlink()
+                    except FileNotFoundError:
+                        pass  # removed out of band a moment ago: heal
                     except OSError:
-                        pass
-                ledger.record_unlink(kind, key)
-                total -= nbytes
-                removed += 1
-                self.evictions_size += 1
-            return removed
-        finally:
-            if locked:
-                ledger._unlock("evict")
+                        continue
+                    else:
+                        removed += 1
+                        self.evictions_size += 1
+                    for extra in paths[1:]:
+                        try:
+                            extra.unlink()
+                        except OSError:
+                            pass
+                    conn.execute("DELETE FROM entries WHERE kind = ? AND key = ?",
+                                 (kind, key))
+                    total -= nbytes
+        except _index_errors():
+            pass  # index unavailable: the next store enforces again
+        return removed
 
     # ------------------------------------------------------------------ #
     # Cross-process claims
 
-    def _claim_path(self, key: str) -> Path:
-        return self.version_dir / key[:2] / f"{key}{CLAIM_SUFFIX}"
-
     def try_claim(self, key: str) -> bool:
         """Atomically claim ``key`` for this process.
 
-        True means "go simulate" — either the claim file was created
-        (``O_CREAT|O_EXCL``: exactly one process wins) or the filesystem
-        refused coordination (read-only etc.), in which case running
-        uncoordinated is the only safe degradation.  False means another
-        live process holds the claim; wait for its entry instead.
+        True means "go compute" — either this process inserted the claim
+        row (exactly one process can) or the index is unavailable, in
+        which case running uncoordinated is the only safe degradation.
+        False means another process holds the claim; wait for its entry
+        instead.
         """
-        path = self._claim_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return True
-        try:
-            os.write(fd, json.dumps(
-                {"pid": os.getpid(), "ts": time.time()}).encode("utf-8"))
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-        return True
+        return self._index.write("INSERT OR IGNORE INTO claims VALUES (?, ?, ?)",
+                                (key, os.getpid(), time.time())) != 0
 
     def claim_holder(self, key: str) -> Optional[dict]:
-        """The claim's ``{"pid": ..., "ts": ...}`` payload; ``{}`` when the
-        claim exists but is unreadable/garbled; ``None`` when unclaimed."""
-        path = self._claim_path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return {}
-        try:
-            data = json.loads(raw)
-        except ValueError:
-            return {}
-        return data if isinstance(data, dict) else {}
+        """The claim's ``{"pid": ..., "ts": ...}``, or ``None`` when unclaimed."""
+        rows = self._index.read("SELECT pid, ts FROM claims WHERE key = ?", (key,))
+        return {"pid": rows[0][0], "ts": rows[0][1]} if rows else None
 
     def claim_stale(
         self, key: str, max_age_s: float = DEFAULT_CLAIM_STALE_S
     ) -> bool:
         """Whether ``key``'s claim is abandoned (dead holder or too old)."""
         holder = self.claim_holder(key)
-        if holder is None:
-            return False
-        pid = holder.get("pid")
-        if not isinstance(pid, int) or not _pid_alive(pid):
-            return True
-        ts = holder.get("ts")
-        if not isinstance(ts, (int, float)):
-            try:
-                ts = self._claim_path(key).stat().st_mtime
-            except OSError:
-                return False  # claim vanished between reads: not stale, gone
-        return (time.time() - ts) > max_age_s
+        return holder is not None and _stale(holder["pid"], holder["ts"], max_age_s)
 
     def break_claim(self, key: str) -> None:
         """Forcibly remove ``key``'s claim (stale-claim takeover)."""
-        try:
-            self._claim_path(key).unlink()
-        except OSError:
-            pass
+        self._index.write("DELETE FROM claims WHERE key = ?", (key,))
 
     def release_claim(self, key: str) -> None:
-        """Remove ``key``'s claim if this process owns it (or it is garbled)."""
-        holder = self.claim_holder(key)
-        if holder is None:
-            return
-        pid = holder.get("pid")
-        if isinstance(pid, int) and pid != os.getpid():
-            return
-        self.break_claim(key)
+        """Remove ``key``'s claim if this process holds it."""
+        self._index.write("DELETE FROM claims WHERE key = ? AND pid = ?",
+                         (key, os.getpid()))
 
-    def claims(self) -> List[Path]:
-        """All claim files of the current schema version, sorted."""
-        if not self.version_dir.is_dir():
-            return []
-        return sorted(self.version_dir.glob(f"*/*{CLAIM_SUFFIX}"))
+    def claims(self) -> List[str]:
+        """The keys of every claim row, sorted."""
+        rows = self._index.read("SELECT key FROM claims ORDER BY key")
+        return [row[0] for row in rows]
 
     def sweep_claims(self, max_age_s: float = DEFAULT_CLAIM_STALE_S) -> int:
         """Delete claims abandoned by dead holders (or older than
         ``max_age_s``); returns the count removed."""
         removed = 0
-        for path in self.claims():
-            key = path.name[: -len(CLAIM_SUFFIX)]
-            if not self.claim_stale(key, max_age_s):
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
+        for key, pid, ts in self._index.read("SELECT key, pid, ts FROM claims"):
+            if _stale(pid, ts, max_age_s) and self._index.write(
+                    "DELETE FROM claims WHERE key = ? AND pid = ? AND ts = ?",
+                    (key, pid, ts)):
+                removed += 1
         return removed
 
     # ------------------------------------------------------------------ #
@@ -1193,6 +883,7 @@ class ResultCache:
     def clear(self) -> int:
         """Remove the whole cache directory; returns the entry count removed."""
         count = len(self.entries())
+        self._index.close()
         if self.root.is_dir():
             shutil.rmtree(self.root, ignore_errors=True)
         return count
@@ -1206,13 +897,13 @@ class ResultCache:
 
     def prune(self) -> dict:
         """One-shot hygiene pass: stale schema dirs, abandoned temp files
-        and claims, a ledger repair scan, and size-cap enforcement.
-        Returns what was removed."""
+        and claims, an index rebuild from a directory scan, and size-cap
+        enforcement.  Returns what was removed."""
         return {
             "stale_dirs": self.prune_stale(),
             "tmp_files": self.sweep_tmp(),
             "claims": self.sweep_claims(),
-            "ledger_bytes": self.repair_ledger(),
+            "index_bytes": self.repair_ledger(),
             "evicted": self.enforce_size_cap(),
             "size_bytes": self.size_bytes(),
         }
@@ -1223,7 +914,7 @@ class ResultCache:
     def trace_store(self) -> "TraceStore":
         """The compiled-trace store sharing this cache's directory.
 
-        The store shares this cache's size ledger and size cap: every
+        The store shares this cache's index and size cap: every
         stored trace is accounted (and triggers cap enforcement, with
         its own files protected), and trace entries are the *first*
         eviction victims when the cache outgrows ``REPRO_CACHE_MAX_MB``.
@@ -1231,7 +922,7 @@ class ResultCache:
         store = getattr(self, "_trace_store", None)
         if store is None:
             store = TraceStore(self.version_dir / "traces",
-                               ledger=self.ledger,
+                               index=self._index,
                                on_store=self.enforce_size_cap)
             self._trace_store = store
         return store
@@ -1243,7 +934,7 @@ class ResultCache:
             cap = f"{self.max_bytes / (1024 * 1024):.1f} MiB ({ENV_CACHE_MAX_MB})"
         else:
             cap = "unbounded"
-        ledger = self.ledger
+        index = self.ledger
         lines = [
             f"cache directory: {self.root.resolve()}",
             f"key schema:      v{CACHE_SCHEMA_VERSION}",
@@ -1251,9 +942,9 @@ class ResultCache:
             f"size:            {self.size_bytes() / 1024:.1f} KiB",
             f"size cap:        {cap}",
             f"size evictions:  {self.evictions_size} (this process)",
-            f"size ledger:     {ledger.total_bytes() / 1024:.1f} KiB tracked "
-            f"(gen {ledger._read_checkpoint().get('gen', 0)}, "
-            f"{ledger.shard_record_count()} unfolded record(s))",
+            f"index:           {index.total_bytes() / 1024:.1f} KiB tracked in "
+            f"{index.entry_count()} entry row(s), "
+            f"{index.claim_count()} claim row(s)",
         ]
         stale = self.stale_version_dirs()
         if stale:
@@ -1262,9 +953,6 @@ class ResultCache:
         tmp = self.tmp_files()
         if tmp:
             lines.append(f"temp files:      {len(tmp)} in-flight or abandoned")
-        claims = self.claims()
-        if claims:
-            lines.append(f"claims:          {len(claims)} in-flight or stale")
         traces = self.trace_store().entries()
         if traces:
             lines.append(f"compiled traces: {len(traces)}")
@@ -1300,10 +988,10 @@ class TraceStore:
     directory — ``REPRO_CACHE=0`` disables both together, and
     ``REPRO_CACHE_DIR`` relocates both together — and when constructed
     through :meth:`ResultCache.trace_store` its entries count against
-    ``REPRO_CACHE_MAX_MB`` through the shared size ledger.  Trace
+    ``REPRO_CACHE_MAX_MB`` through the shared index.  Trace
     entries are the *first* eviction victims: they are large, and a
     vanished trace costs one deterministic regeneration, not a lost
-    result.  A standalone ``TraceStore(directory)`` has no ledger and
+    result.  A standalone ``TraceStore(directory)`` has no index and
     stays unaccounted.
 
     Writes go through per-pid temp files and ``os.replace``; the array
@@ -1314,15 +1002,15 @@ class TraceStore:
     — and reported as a miss, costing one regeneration, not a failure.
     """
 
-    def __init__(self, directory: os.PathLike, ledger: Optional[SizeLedger] = None,
+    def __init__(self, directory: os.PathLike, index: Optional[CacheIndex] = None,
                  on_store=None):
         self.dir = Path(directory)
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        #: shared size ledger (set by :meth:`ResultCache.trace_store`)
-        self._ledger = ledger
+        #: shared index (set by :meth:`ResultCache.trace_store`)
+        self._index = index
         #: size-cap hook invoked after each store with the new entry's
         #: files as ``protect``
         self._on_store = on_store
@@ -1358,8 +1046,8 @@ class TraceStore:
                 pass
         if evicted:
             self.evictions += 1
-            if self._ledger is not None:
-                self._ledger.record_unlink("trace", key)
+            if self._index is not None:
+                self._index.record_unlink("trace", key)
 
     def store(self, key: str, compiled) -> Optional[Path]:
         """Persist ``compiled`` under ``key``; returns the ``.npy`` path
@@ -1385,14 +1073,14 @@ class TraceStore:
                     pass
             return None
         self.stores += 1
-        if self._ledger is not None:
+        if self._index is not None:
             nbytes = 0
             for part in (npy, meta):
                 try:
                     nbytes += part.stat().st_size
                 except OSError:
                     pass
-            self._ledger.record_store("trace", key, nbytes)
+            self._index.record_store("trace", key, nbytes)
         if self._on_store is not None:
             self._on_store(protect=(npy, meta))
         return npy

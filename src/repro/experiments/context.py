@@ -594,8 +594,8 @@ class ExperimentContext:
     def metrics(self) -> dict:
         """One scrapeable snapshot of this context's caches and telemetry.
 
-        Combines the on-disk cache/ledger state (exact sizes from the
-        sharded size ledger, result and trace entries broken out), this
+        Combines the on-disk cache state (exact sizes from the cache's
+        SQLite index, result and trace entries broken out), this
         process's cache hit/miss/eviction counters, the process-wide
         ``FACTORIZATION_STATS``, and :meth:`ContextStats.as_dict` (which
         carries ``stage_seconds``) — the payload behind

@@ -30,9 +30,10 @@ the faults actually happen, so this module makes them happen on demand:
   bit-flips a cache file in place, exercising the loader's
   delete-and-miss path.
 * **filesystem faults** — :func:`full_disk` and
-  :func:`read_only_filesystem` make every cache *write* under a root
-  fail with ``ENOSPC`` / ``EROFS`` while leaving reads (and the rest of
-  the filesystem) untouched, exercising the cacheless degradation path.
+  :func:`read_only_filesystem` make every cache *write* under a root —
+  blob files and index rows alike — fail with ``ENOSPC`` / ``EROFS``
+  while leaving reads (and the rest of the filesystem) untouched,
+  exercising the cacheless degradation path.
 
 The token directory also works across processes: CI arms kills with
 ``python -m repro.experiments.faults DIR --kills N`` and then runs a
@@ -298,19 +299,47 @@ def _failing_writes(root, errno_code: int, fail_mkdir: bool) -> Iterator[None]:
     """Patch the cache module's write syscalls to fail under ``root``.
 
     Injection happens at the module-reference layer (the ``open``/``os``
-    names inside :mod:`repro.experiments.cache` and ``Path.mkdir``), so
-    the cache's real degradation code runs — nothing is stubbed out of
-    the path under test — while the rest of the process is unaffected.
+    names and the ``_connect`` index factory inside
+    :mod:`repro.experiments.cache`, and ``Path.mkdir``), so the cache's
+    real degradation code runs — nothing is stubbed out of the path
+    under test — while the rest of the process is unaffected.  Index
+    connections opened under ``root`` during the scope deny every write
+    statement (an authorizer, lifted when the scope ends); under a
+    read-only filesystem an index that does not exist yet cannot be
+    created either.
     """
+    import sqlite3
+
     import repro.experiments.cache as cache_module
 
     root = Path(os.path.abspath(root))
+    active = True
 
     def oserror(path) -> OSError:
         return OSError(errno_code, os.strerror(errno_code), str(path))
 
     real_os_replace = cache_module.os.replace
     real_mkdir = Path.mkdir
+    real_connect = cache_module._connect
+
+    writes = {sqlite3.SQLITE_INSERT, sqlite3.SQLITE_UPDATE,
+              sqlite3.SQLITE_DELETE, sqlite3.SQLITE_CREATE_TABLE,
+              sqlite3.SQLITE_CREATE_INDEX, sqlite3.SQLITE_DROP_TABLE,
+              sqlite3.SQLITE_DROP_INDEX, sqlite3.SQLITE_ALTER_TABLE}
+
+    def deny_writes(action, *args):
+        if active and action in writes:
+            return sqlite3.SQLITE_DENY
+        return sqlite3.SQLITE_OK
+
+    def guarded_connect(path):
+        if _under(path, root):
+            if fail_mkdir and not os.path.exists(path):
+                raise sqlite3.OperationalError("unable to open database file")
+            conn = real_connect(path)
+            conn.set_authorizer(deny_writes)
+            return conn
+        return real_connect(path)
 
     def guarded_open(path, mode="r", *args, **kwargs):
         if any(flag in str(mode) for flag in "wxa+") and _under(path, root):
@@ -326,22 +355,27 @@ def _failing_writes(root, errno_code: int, fail_mkdir: bool) -> Iterator[None]:
                 raise oserror(dst)
             return real_os_replace(src, dst, **kwargs)
 
-    def guarded_mkdir(self, *args, **kwargs):
-        if _under(self, root):
+    def guarded_mkdir(self, mode=0o777, parents=False, exist_ok=False):
+        # An existing directory is no write: a read-only mount reports it
+        # as existing, which ``exist_ok`` accepts.
+        if _under(self, root) and not (exist_ok and self.is_dir()):
             raise oserror(self)
-        return real_mkdir(self, *args, **kwargs)
+        return real_mkdir(self, mode, parents, exist_ok)
 
     # A module global named ``open`` shadows the builtin for the cache
     # module's own calls only.
     cache_module.open = guarded_open
     cache_module.os = _OsShim()
+    cache_module._connect = guarded_connect
     if fail_mkdir:
         Path.mkdir = guarded_mkdir
     try:
         yield
     finally:
+        active = False
         del cache_module.open
         cache_module.os = os
+        cache_module._connect = real_connect
         Path.mkdir = real_mkdir
 
 

@@ -1,11 +1,11 @@
-"""Scrapeable metrics snapshot of the cache, ledger, and run telemetry.
+"""Scrapeable metrics snapshot of the cache, its index, and run telemetry.
 
 One JSON-serializable dictionary combining:
 
 * **cache-side state** read from disk — exact size/entry counts from the
-  :class:`repro.experiments.cache.SizeLedger` (result and trace entries
-  broken out), the configured size cap, ledger generation/compaction
-  health, and in-flight claim/temp-file counts;
+  :class:`repro.experiments.cache.CacheIndex` (result and trace entries
+  broken out), the configured size cap, the index's entry and claim
+  rows, and the in-flight temp-file count;
 * **per-process cache counters** — hit/miss/store/eviction counts of the
   live :class:`~repro.experiments.cache.ResultCache` and its trace
   store;
@@ -31,26 +31,21 @@ from repro.thermal.solver import FACTORIZATION_STATS
 from repro.thermal.transient import STEP_FACTORIZATION_STATS
 
 #: Bump when the snapshot layout changes incompatibly.
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
 def cache_metrics(cache) -> dict:
-    """The cache/ledger section of the snapshot (``cache`` may be None —
+    """The cache/index section of the snapshot (``cache`` may be None —
     the ``REPRO_CACHE=0`` configuration — which reports as disabled)."""
     from repro.experiments.cache import CACHE_SCHEMA_VERSION, ENV_CACHE_MAX_MB
 
     if cache is None:
         return {"enabled": False}
-    ledger = cache.ledger
-    state = ledger.state()
-    result_bytes = result_entries = trace_bytes = trace_entries = 0
-    for composite, (nbytes, _ts) in state.items():
-        if composite.startswith("trace:"):
-            trace_bytes += int(nbytes)
-            trace_entries += 1
-        else:
-            result_bytes += int(nbytes)
-            result_entries += 1
+    index = cache.ledger
+    by_kind = {kind: (rows, nbytes) for kind, rows, nbytes in index.read(
+        "SELECT kind, COUNT(*), SUM(bytes) FROM entries GROUP BY kind")}
+    result_entries, result_bytes = by_kind.get("result", (0, 0))
+    trace_entries, trace_bytes = by_kind.get("trace", (0, 0))
     store = cache.trace_store()
     return {
         "enabled": True,
@@ -64,15 +59,11 @@ def cache_metrics(cache) -> dict:
         "trace_entries": trace_entries,
         "max_bytes": cache.max_bytes,
         "max_bytes_env": ENV_CACHE_MAX_MB,
-        "ledger": {
-            "generation": ledger._read_checkpoint().get("gen", 0),
-            "shards": ledger.shards,
-            "unfolded_records": ledger.shard_record_count(),
-            "appends": ledger.appends,
-            "compactions": ledger.compactions,
-            "rebuilds": ledger.rebuilds,
+        "index": {
+            "entry_rows": result_entries + trace_entries,
+            "claim_rows": index.claim_count(),
+            "rebuilds": index.rebuilds,
         },
-        "claims": len(cache.claims()),
         "tmp_files": len(cache.tmp_files()),
         "counters": {
             "hits": cache.hits,

@@ -32,7 +32,7 @@ def stats_payload(context: ExperimentContext, wall_s: float,
     Run telemetry (:meth:`ContextStats.as_dict`, which includes
     ``stage_seconds`` and the ``FACTORIZATION_STATS`` snapshot) at the
     top level — the layout CI's ``BENCH_report.json`` assembles — plus
-    the cache/ledger metrics section under ``"metrics"`` so a single
+    the cache/index metrics section under ``"metrics"`` so a single
     file answers both "what ran" and "what the cache did".
     """
     from repro.experiments.metrics import cache_metrics

@@ -1,11 +1,12 @@
 """Cross-process cache coordination and the size high-water mark.
 
-Claim files must guarantee "N concurrent cold starts, one simulation"
-without ever blocking progress: a dead or wedged claim holder is taken
-over, a slow one is waited for (bounded), and losing a claim race only
-ever means *waiting* for the winner's bytes, never recomputing them.
-The ``REPRO_CACHE_MAX_MB`` cap must hold after every store while never
-evicting the entry a concurrent reader just touched.
+Claim rows in the cache's SQLite index must guarantee "N concurrent
+cold starts, one simulation" without ever blocking progress: a dead or
+wedged claim holder is taken over, a slow one is waited for (bounded),
+and losing a claim race only ever means *waiting* for the winner's
+bytes, never recomputing them.  The ``REPRO_CACHE_MAX_MB`` cap must
+hold after every store while never evicting the entry a concurrent
+reader just touched.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -22,13 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
-    CLAIM_SUFFIX,
     ENV_CACHE_DIR,
     ENV_CACHE_MAX_MB,
+    INDEX_NAME,
     ResultCache,
-    SizeLedger,
     trace_store_key,
 )
 from repro.experiments.context import ExperimentContext, ExperimentSettings
@@ -51,9 +49,15 @@ def _reap() -> int:
 
 
 def _plant_claim(cache: ResultCache, key: str, pid: int, ts: float) -> None:
-    path = cache._claim_path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"pid": pid, "ts": ts}), encoding="utf-8")
+    cache.ledger.connection().execute(
+        "INSERT OR REPLACE INTO claims VALUES (?, ?, ?)", (key, pid, ts))
+
+
+def _age(cache: ResultCache, key: str, seconds: float) -> None:
+    """Make result ``key`` look last used ``seconds`` ago."""
+    cache.ledger.connection().execute(
+        "UPDATE entries SET atime = ? WHERE kind = 'result' AND key = ?",
+        (time.time() - seconds, key))
 
 
 class TestClaimProtocol:
@@ -87,15 +91,6 @@ class TestClaimProtocol:
         _plant_claim(cache, KEY, pid=os.getpid(), ts=time.time() - 10_000)
         assert cache.claim_stale(KEY, max_age_s=3600)  # alive but wedged
         assert not cache.claim_stale("0" * 64)  # unclaimed is not stale
-
-    def test_garbled_claim_is_reclaimable(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache._claim_path(KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("not json", encoding="utf-8")
-        assert cache.claim_holder(KEY) == {}
-        cache.release_claim(KEY)  # garbled claims may be cleaned by anyone
-        assert cache.claim_holder(KEY) is None
 
     def test_sweep_claims(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -223,10 +218,11 @@ class TestSizeCap:
         assert len(cache.entries()) >= 1
 
     def test_oldest_mtime_goes_first(self, tmp_path):
+        """The least recently used entry (oldest index ``atime``) goes first."""
         cache = ResultCache(tmp_path, max_mb=10 / 1024)
         old = _filler(cache, "old")
         new = _filler(cache, "new")
-        os.utime(cache._path(old), (time.time() - 100, time.time() - 100))
+        _age(cache, old, 100)
         _filler(cache, "trigger")  # pushes the cache over 10 KiB
         assert not cache._path(old).exists()
         assert cache._path(new).exists()
@@ -236,9 +232,8 @@ class TestSizeCap:
         cache = ResultCache(tmp_path, max_mb=10 / 1024)
         hot = _filler(cache, "hot")
         cold = _filler(cache, "cold")
-        past = time.time() - 100
-        os.utime(cache._path(hot), (past, past))
-        os.utime(cache._path(cold), (past + 1, past + 1))
+        _age(cache, hot, 100)
+        _age(cache, cold, 99)
         assert cache.load(hot, expected_type=bytes) is not None  # touches it
         _filler(cache, "trigger")
         assert cache._path(hot).exists()  # read-touch saved it...
@@ -325,7 +320,7 @@ def _du(cache: ResultCache) -> int:
 
 
 class TestSizeLedger:
-    """The sharded ledger must agree with ``du`` exactly, at all times."""
+    """The index's entry rows must agree with ``du`` exactly, at all times."""
 
     def test_total_matches_disk_exactly(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -349,66 +344,10 @@ class TestSizeLedger:
         cache._path(bad).write_bytes(b"garbage")
         assert cache.load(bad, expected_type=bytes) is None  # evicts it
         assert cache.evictions == 1
-        state = cache.ledger.state()
-        assert f"result:{bad}" not in state
-        assert f"result:{good}" in state
+        rows = cache.ledger.rows()
+        assert ("result", bad) not in rows
+        assert ("result", good) in rows
         assert cache.ledger.total_bytes() == _du(cache)
-
-    def test_compaction_is_exact_and_clears_shards(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for index in range(5):
-            _filler(cache, f"entry-{index}")
-        ledger = cache.ledger
-        before = ledger.total_bytes()
-        gen = ledger._read_checkpoint().get("gen", 0)
-        assert ledger.shard_record_count() > 0
-        assert ledger.compact()
-        assert ledger.shard_record_count() == 0
-        assert ledger._read_checkpoint()["gen"] == gen + 1
-        assert ledger.total_bytes() == before == _du(cache)
-
-    def test_appends_trigger_automatic_compaction(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cache_module, "LEDGER_COMPACT_BYTES", 512)
-        cache = ResultCache(tmp_path)
-        for index in range(12):
-            _filler(cache, f"entry-{index}")
-        assert cache.ledger.compactions > 0
-        assert cache.ledger.total_bytes() == _du(cache)
-
-    def test_torn_trailing_append_is_skipped(self, tmp_path):
-        """A writer killed mid-append leaves half a line; readers must
-        ignore it and repair must restore exactness."""
-        cache = ResultCache(tmp_path)
-        for index in range(3):
-            _filler(cache, f"entry-{index}")
-        ledger = cache.ledger
-        before = ledger.total_bytes()
-        gen = ledger._read_checkpoint().get("gen", 0)
-        with open(ledger._shard_path(0, gen), "ab") as stream:
-            stream.write(b'{"op": "store", "kind": "result", "key": "dead')
-        assert ledger.total_bytes() == before
-        assert cache.repair_ledger() == _du(cache)
-        assert ledger.total_bytes() == _du(cache)
-
-    def test_stale_generation_shards_never_double_count(self, tmp_path):
-        """Crash between checkpoint rotation and shard deletion: the
-        leftover old-generation shards must be ignored, then cleaned."""
-        cache = ResultCache(tmp_path)
-        for index in range(4):
-            _filler(cache, f"entry-{index}")
-        ledger = cache.ledger
-        before = ledger.total_bytes()
-        folded = {p.name: p.read_bytes() for p in ledger._shard_files()}
-        assert folded
-        assert ledger.compact()
-        # Resurrect the folded shards, as if the compactor died after the
-        # os.replace of the checkpoint but before deleting them.
-        for name, blob in folded.items():
-            (ledger.dir / name).write_bytes(blob)
-        assert ledger.total_bytes() == before  # not before * 2
-        assert ledger.compact()  # the next pass sweeps the orphans
-        assert all(ledger._shard_gen(p) is None or ledger._shard_gen(p) > 0
-                   for p in ledger._shard_files())
 
     def test_repair_after_out_of_band_deletion(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -420,28 +359,23 @@ class TestSizeLedger:
         assert cache.ledger.entry_count() == 1
 
     def test_bootstrap_of_pre_ledger_directory(self, tmp_path):
-        """A cache populated before the ledger existed (or whose ledger
-        was deleted) is brought exact by one scan on first touch."""
+        """A cache populated before the index existed (or whose index was
+        deleted) is brought exact by one scan on first touch, and the
+        size ledger of the older layout is deleted."""
         seed = ResultCache(tmp_path)
         for index in range(3):
             _filler(seed, f"entry-{index}")
-        shutil.rmtree(seed.version_dir / "ledger")
+        seed.ledger.close()
+        for path in seed.version_dir.glob(f"{INDEX_NAME}*"):
+            path.unlink()
+        old_ledger = seed.version_dir / "ledger"
+        old_ledger.mkdir()
+        (old_ledger / "checkpoint.json").write_text("{}", encoding="utf-8")
         cache = ResultCache(tmp_path)
         assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.entry_count() == 3
         assert cache.ledger.rebuilds == 1
-
-    def test_stale_ledger_locks_are_broken(self, tmp_path):
-        ledger = SizeLedger(tmp_path / "ledger", shards=1)
-        ledger.dir.mkdir(parents=True, exist_ok=True)
-        dead = ledger._lock_path("shard-00")
-        dead.write_text(json.dumps({"pid": _reap(), "ts": time.time()}),
-                        encoding="utf-8")
-        assert ledger.record_store("result", KEY, 123)
-        assert ledger.total_bytes() == 123
-        garbled = ledger._lock_path("shard-00")
-        garbled.write_text("not json", encoding="utf-8")
-        assert ledger.record_unlink("result", KEY)
-        assert ledger.total_bytes() == 0
+        assert not old_ledger.exists()
 
     def test_store_hot_path_never_scans_the_directory(self, tmp_path):
         """The acceptance criterion: zero directory-wide stat scans per
@@ -465,8 +399,7 @@ class TestLedgerEviction:
         cache = ResultCache(tmp_path)
         claimed = _filler(cache, "claimed")
         doomed = _filler(cache, "doomed")
-        past = time.time() - 100
-        os.utime(cache._path(claimed), (past, past))  # oldest: first victim
+        _age(cache, claimed, 100)  # least recently used: first victim
         assert cache.try_claim(claimed)  # ...but a live process holds it
         cache.max_bytes = 10 * 1024
         _filler(cache, "trigger")
@@ -486,9 +419,8 @@ class TestLedgerEviction:
         assert npy is not None
         # Results are made *older* than the trace; the trace must still
         # be the first victim — kind outranks age.
-        past = time.time() - 100
         for result_key in results:
-            os.utime(cache._path(result_key), (past, past))
+            _age(cache, result_key, 100)
         cache.max_bytes = cache.ledger.total_bytes() - 1
         assert cache.enforce_size_cap() == 1
         assert not npy.exists()
@@ -497,13 +429,13 @@ class TestLedgerEviction:
         assert cache.ledger.total_bytes() == _du(cache)
 
     def test_vanished_entry_heals_the_ledger(self, tmp_path):
-        """An evictor that died between unlink and record leaves a ghost
-        ledger entry; enforcement heals it instead of evicting live data."""
+        """An evictor that died between unlink and row delete leaves a
+        ghost row; enforcement heals it instead of evicting live data."""
         cache = ResultCache(tmp_path)
         ghost = _filler(cache, "ghost")
         kept = _filler(cache, "kept")
         cache._path(ghost).unlink()
-        cache.max_bytes = 6 * 1024  # ledger thinks ~8 KiB; disk holds ~4
+        cache.max_bytes = 6 * 1024  # index thinks ~8 KiB; disk holds ~4
         assert cache.enforce_size_cap() == 0  # healing alone makes room
         assert cache._path(kept).exists()
         assert cache.ledger.entry_count() == 1
@@ -539,12 +471,14 @@ class TestMetricsSnapshot:
         assert snapshot["cache"]["entries"] == 1
         assert snapshot["cache"]["result_entries"] == 1
         assert snapshot["cache"]["trace_entries"] == 0
-        assert snapshot["cache"]["ledger"]["shards"] >= 1
+        assert snapshot["schema"] == 2
+        assert snapshot["cache"]["index"] == {
+            "entry_rows": 1, "claim_rows": 0, "rebuilds": 0}
 
 
 class TestLedgerStress:
     def test_multiprocess_stores_stay_exact_and_capped(self, tmp_path):
-        """N concurrent writers under a tight cap: the ledger total must
+        """N concurrent writers under a tight cap: the index total must
         equal du exactly at quiescence, the watermark must hold, and a
         claimed entry must survive every eviction pass."""
         script = tmp_path / "writer.py"
@@ -578,13 +512,11 @@ class TestLedgerStress:
         assert cache._path(pinned).exists()
         assert cache.ledger.total_bytes() == _du(cache)
         assert cache.ledger.total_bytes() <= cache.max_bytes
-        assert cache.ledger.compact()
-        assert cache.ledger.total_bytes() == _du(cache)
 
     def test_kill_mid_run_recovers(self, tmp_path):
-        """SIGKILL a writer mid-store: whatever half-state it leaves
-        (torn appends, stale locks), repair restores exactness and
-        subsequent appends are not blocked."""
+        """SIGKILL a writer mid-store: whatever half-state it leaves (a
+        renamed blob without its row, an open write transaction), repair
+        restores exactness and subsequent stores are not blocked."""
         script = tmp_path / "loop.py"
         script.write_text(
             "import hashlib, itertools, os, sys\n"
@@ -614,5 +546,44 @@ class TestLedgerStress:
             proc.wait(timeout=30)
         cache = ResultCache(cache_dir)
         assert cache.repair_ledger() == _du(cache)
-        _filler(cache, "after-the-crash")  # appends still work
+        _filler(cache, "after-the-crash")  # stores still work
         assert cache.ledger.total_bytes() == _du(cache)
+
+
+class TestIndexForkSafety:
+    def test_forked_child_reopens_the_index(self, tmp_path):
+        """Pool workers fork from a parent that holds the index open. The
+        child must open its own connection (never use the inherited one),
+        and the parent's connection must keep working afterwards."""
+        cache = ResultCache(tmp_path)
+        before = _filler(cache, "parent-before")  # the parent opens the index
+        to_parent_r, to_parent_w = os.pipe()
+        to_child_r, to_child_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: store and load through the same cache
+            status = 1
+            try:
+                child = _filler(cache, "child")
+                assert cache.load(child, expected_type=bytes) is not None
+                assert cache.load(before, expected_type=bytes) is not None
+                os.write(to_parent_w, child.encode("ascii"))
+                os.read(to_child_r, 64)  # the parent has stored again
+                keys = {key for _, key in cache.ledger.rows()}
+                after = hashlib.sha256(b"parent-after").hexdigest()
+                assert keys == {before, child, after}
+                status = 0
+            finally:
+                os._exit(status)
+        child = os.read(to_parent_r, 64).decode("ascii")
+        after = _filler(cache, "parent-after")
+        os.write(to_child_w, b"go")
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        conn = cache.ledger.connection()
+        assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
+        assert cache.ledger.total_bytes() == _du(cache)
+        assert {key for _, key in cache.ledger.rows()} == {before, child, after}
+        fresh = ResultCache(tmp_path)  # a new connection sees the same rows
+        assert fresh.ledger.rows() == cache.ledger.rows()
+        for fd in (to_parent_r, to_parent_w, to_child_r, to_child_w):
+            os.close(fd)

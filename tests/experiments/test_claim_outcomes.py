@@ -9,7 +9,6 @@ must behave the same for either kind.
 
 from __future__ import annotations
 
-import json
 import pickle
 import subprocess
 import sys
@@ -110,10 +109,8 @@ def _dead_pid() -> int:
 
 
 def _plant_claim(cache: ResultCache, key: str, pid: int) -> None:
-    path = cache._claim_path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"pid": pid, "ts": time.time()}),
-                    encoding="utf-8")
+    cache.ledger.connection().execute(
+        "INSERT OR REPLACE INTO claims VALUES (?, ?, ?)", (key, pid, time.time()))
 
 
 def _takeovers(context):

@@ -46,6 +46,16 @@ def _fields(result):
     }
 
 
+def _assert_index_matches_disk(cache: ResultCache) -> None:
+    """The index tracks exactly the bytes on disk, with no row whose file
+    is missing."""
+    index = cache.ledger
+    assert index.total_bytes() == \
+        cache.size_bytes() + cache.trace_store().size_bytes()
+    for kind, key in index.rows():
+        assert cache._entry_paths(kind, key)[0].exists(), (kind, key)
+
+
 def _fault_context(tmp_path, monkeypatch, *, kills=0, raises=0, jobs=2):
     """A parallel context with fault tokens armed in a scratch directory."""
     token_dir = tmp_path / "fault-tokens"
@@ -201,10 +211,14 @@ class TestCacheFaults:
         with faults.full_disk(root):
             context = ExperimentContext(TINY, jobs=1, cache=cache)
             result = context.run("adpcm", "Base")
+            # The index refuses the claim row too, so every claim is won.
+            assert cache.try_claim("0" * 64) and cache.try_claim("0" * 64)
         assert context.stats.simulated == 1
         assert cache.stores == 0
         assert cache.entries() == []
         assert cache.tmp_files() == []  # no leaked scratch files either
+        assert cache.claims() == []
+        _assert_index_matches_disk(cache)
         serial = ExperimentContext(TINY, jobs=1, cache=None)
         assert _fields(result) == _fields(serial.run("adpcm", "Base"))
 
@@ -226,8 +240,12 @@ class TestCacheFaults:
                 TINY, jobs=1, cache=ResultCache(tmp_path / "cache")
             )
             warm.run("adpcm", "Base")
+            assert warm.cache.try_claim("0" * 64)  # refused: run uncoordinated
+            assert warm.cache.claims() == []
         assert warm.stats.simulated == 0
         assert warm.stats.sim_disk_hits == 1
+        _assert_index_matches_disk(warm.cache)
+        _assert_index_matches_disk(cache)
 
 
 class TestTmpFileHygiene:

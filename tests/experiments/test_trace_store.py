@@ -110,7 +110,7 @@ class TestTraceStore:
 
 class TestLedgerAccounting:
     """Trace entries count against ``REPRO_CACHE_MAX_MB`` via the shared
-    size ledger when the store comes from :meth:`ResultCache.trace_store`."""
+    index when the store comes from :meth:`ResultCache.trace_store`."""
 
     def test_store_and_evict_are_ledger_accounted(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -119,7 +119,7 @@ class TestLedgerAccounting:
         npy = store.store(key, compile_trace(generate("adpcm", length=300)))
         expected = npy.stat().st_size + npy.with_suffix(".json").stat().st_size
         assert cache.ledger.total_bytes() == expected
-        assert list(cache.ledger.state()) == [f"trace:{key}"]
+        assert list(cache.ledger.rows()) == [("trace", key)]
         npy.write_bytes(b"garbage")
         assert store.load(key) is None  # damaged entry: evicted...
         assert cache.ledger.total_bytes() == 0  # ...and de-accounted
@@ -292,9 +292,9 @@ class TestWorkStealing:
         context.claim_poll_s = 0.01
         for benchmark, label in PAIRS:
             key = context._cache_key(benchmark, context._config_for(label))
-            path = cache._claim_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps({"pid": dead_pid, "ts": time.time()}))
+            cache.ledger.connection().execute(
+                "INSERT INTO claims VALUES (?, ?, ?)",
+                (key, dead_pid, time.time()))
         results = context.run_many(PAIRS)
         assert context.stats.claim_waits == 4
         assert context.stats.claim_takeovers == 4
