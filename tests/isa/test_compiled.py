@@ -20,6 +20,7 @@ from repro.isa.compiled import (
     compile_trace,
     meta_path_for,
     read_compiled,
+    rows_to_array,
     write_compiled,
 )
 from repro.isa.instruction import MAX_SOURCES, TraceInstruction
@@ -115,6 +116,26 @@ class TestStrictness:
         fields[field] = (-1,) if field == "src_values" else -1
         with pytest.raises(TraceCompileError, match="64-bit"):
             compile_trace(Trace("negative", [TraceInstruction(**fields)]))
+
+    @pytest.mark.parametrize("field,value", [
+        ("pc", -1),
+        ("result", 1 << 64),
+        ("mem_addr", -(1 << 63)),
+        ("target", (1 << 64) + 5),
+        ("op", 256),
+        ("src0", 1 << 15),
+        ("dst", -(1 << 15) - 1),
+    ])
+    def test_row_outside_its_column_refuses(self, field, value):
+        """The emulator's rows go straight to the array builder: a value
+        its column cannot hold raises, whatever the column."""
+        row = [0x1000, 1, 1, 1, 2, 0, 3, 7, 5, 0,
+               False, 0, False, 0, False, False, 0]
+        assert rows_to_array([tuple(row)])["pc"][0] == 0x1000
+        row[TRACE_DTYPE.names.index(field)] = value
+        with pytest.raises(TraceCompileError,
+                           match="outside the unsigned 64-bit range"):
+            rows_to_array([tuple(row)])
 
     def test_uncompilable_trace_cannot_be_simulated(self):
         from repro.cpu.config import baseline_config
