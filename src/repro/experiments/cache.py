@@ -79,6 +79,7 @@ import enum
 import functools
 import hashlib
 import json
+import math
 import os
 import pickle
 import shutil
@@ -534,10 +535,12 @@ class ResultCache:
             return None
         try:
             max_mb = float(raw)
+            if not math.isfinite(max_mb):
+                raise ValueError(raw)
         except ValueError:
             warnings.warn(
-                f"ignoring invalid {ENV_CACHE_MAX_MB}={raw!r} (not a number); "
-                f"cache size is unbounded",
+                f"ignoring invalid {ENV_CACHE_MAX_MB}={raw!r} (not a finite "
+                f"number); cache size is unbounded",
                 RuntimeWarning,
                 stacklevel=3,
             )

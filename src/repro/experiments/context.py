@@ -20,6 +20,7 @@ Two additional layers make repeated and large evaluations cheap:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import uuid
@@ -355,9 +356,11 @@ def _env_positive_number(name: str, convert=float) -> Optional[float]:
         return None
     try:
         value = convert(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
     except ValueError:
         warnings.warn(
-            f"ignoring invalid {name}={raw!r} (not a number)",
+            f"ignoring invalid {name}={raw!r} (not a finite number)",
             RuntimeWarning,
             stacklevel=3,
         )

@@ -68,6 +68,21 @@ class TestHybridPredictor:
         assert correct / total > 0.75
 
 
+    def test_step_predicts_then_trains(self):
+        """``step`` returns what ``predict`` would, then leaves the same
+        state as ``update``: two predictors fed one biased stream, one
+        through each path, agree on every prediction."""
+        import random
+        rng = random.Random(5)
+        fused, split = HybridPredictor(), HybridPredictor()
+        for _ in range(2_000):
+            pc = 0x1000 + 4 * rng.randrange(64)
+            taken = rng.random() < 0.7
+            expected = split.predict(pc)
+            split.update(pc, taken)
+            assert fused.step(pc, taken) == expected
+
+
 class TestFrontEnd:
     """:func:`~repro.cpu.wavefront.frontend_walk` replays the direction
     predictor, BTB and return-address stack over a trace."""
