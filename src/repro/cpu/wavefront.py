@@ -85,11 +85,16 @@ _R_DC_STORE = 24
 
 
 class FrontendWalk:
-    """Per-instruction front-end outcomes, shared across configurations."""
+    """Per-instruction front-end outcomes, shared across configurations.
+
+    ``loop_new_line`` and ``loop_mispredicted`` are the timing loop's
+    list copies of two masks, converted once per walk and only read.
+    """
 
     __slots__ = (
         "key", "new_line", "dir_mispred", "mispredicted",
         "btb_lookup", "btb_hit", "ras_hit",
+        "loop_new_line", "loop_mispredicted",
     )
 
     def __init__(self, key, new_line, dir_mispred, mispredicted,
@@ -101,24 +106,34 @@ class FrontendWalk:
         self.btb_lookup = btb_lookup
         self.btb_hit = btb_hit
         self.ras_hit = ras_hit
+        self.loop_new_line = new_line.tolist()
+        self.loop_mispredicted = mispredicted.tolist()
 
 
 class MemoryWalk:
-    """Per-instruction hierarchy miss outcomes (latency-independent)."""
+    """Per-instruction hierarchy miss outcomes (latency-independent).
+
+    ``loop_load_dram`` (a load that misses the L2) and
+    ``loop_memory_miss`` (a load that misses the L1D or the DTLB) are the
+    timing loop's list columns, converted once per walk and only read.
+    """
 
     __slots__ = (
         "itlb_miss", "l1i_miss", "il2_miss",
         "dtlb_miss", "l1d_miss", "dl2_miss",
+        "loop_load_dram", "loop_memory_miss",
     )
 
     def __init__(self, itlb_miss, l1i_miss, il2_miss,
-                 dtlb_miss, l1d_miss, dl2_miss):
+                 dtlb_miss, l1d_miss, dl2_miss, is_load):
         self.itlb_miss = itlb_miss
         self.l1i_miss = l1i_miss
         self.il2_miss = il2_miss
         self.dtlb_miss = dtlb_miss
         self.l1d_miss = l1d_miss
         self.dl2_miss = dl2_miss
+        self.loop_load_dram = (is_load & dl2_miss).tolist()
+        self.loop_memory_miss = (is_load & (l1d_miss | dtlb_miss)).tolist()
 
 
 def frontend_walk(pre: PreDecodedTrace, cfg) -> FrontendWalk:
@@ -286,6 +301,7 @@ def memory_walk(pre: PreDecodedTrace, cfg, fe: FrontendWalk,
         dtlb_miss=column(accesses, dtlb_m),
         l1d_miss=column(accesses, l1d_m),
         dl2_miss=column(accesses, l2_misses[nf:]),
+        is_load=cols["is_load"],
     )
     pre.memory_walks[key] = walk
     return walk
@@ -317,7 +333,8 @@ class WavefrontPlan:
 
     __slots__ = (
         "n", "warmup", "th",
-        # loop columns (plain lists, full trace length)
+        # loop columns (plain lists, full trace length; the walks'
+        # shared lists where they depend on the walks only)
         "new_line", "fetch_extra", "bubbles", "mispredicted",
         "load_cycles", "load_dram", "memory_miss",
         "dc_load_comp",
@@ -364,7 +381,7 @@ class WavefrontPlan:
         l2_lat = cfg.l2_latency
         dram_c = cfg.dram_cycles
         tlb_pen = cfg.tlb_miss_penalty
-        self.new_line = NL.tolist()
+        self.new_line = fe.loop_new_line
         self.fetch_extra = (
             LM.astype(np.int64) * l2_lat
             + IL2.astype(np.int64) * dram_c
@@ -376,9 +393,9 @@ class WavefrontPlan:
             + DL2.astype(np.int64) * dram_c
             + DTM.astype(np.int64) * tlb_pen
         ).tolist()
-        self.load_dram = (LD & DL2).tolist()
-        self.memory_miss = (LD & (DM | DTM)).tolist()
-        self.mispredicted = fe.mispredicted.tolist()
+        self.load_dram = mem.loop_load_dram
+        self.memory_miss = mem.loop_memory_miss
+        self.mispredicted = fe.loop_mispredicted
 
         if th:
             NEAR = (cols["target"] >> _U16) == (cols["pc"] >> _U16)

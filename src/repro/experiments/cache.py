@@ -31,12 +31,25 @@ For simulations: the key-schema version, the workload-generator version,
 the timing-simulator version, the benchmark name, the fidelity knobs
 (trace length, warmup), and every field of the :class:`CPUConfig`.  For
 thermal solves (:func:`thermal_key`): the thermal model version, the
-solver's geometry fingerprint, and the power grids' raw bytes.
+solver's geometry digest, and the power grids' raw bytes.
 Changing any of these yields a different key, so stale entries are never
 *returned* — and bumping :data:`CACHE_SCHEMA_VERSION` moves the cache to
 a fresh ``v<N>/`` directory, leaving old versions inert until
 ``python -m repro cache clear`` (or :meth:`ResultCache.prune_stale`)
 removes them.
+
+Every thermal-kind key (thermal, transient, leakage, interval trace)
+holds the same geometry digest,
+:meth:`~repro.thermal.solver.ThermalSolver.result_digest`: SHA-256 over
+``json.dumps`` of the solver's ``result_key()``, with the separators
+and key sorting :func:`content_key` uses, computed once per solver.  It
+skips :func:`_canonical`, the walk the config digest takes to spell
+enums and dict keys, because a result key holds neither, only nested
+tuples of strings and numbers, and ``json.dumps`` writes a tuple as the
+list ``_canonical`` would make.  So the digest, and every key built on
+it, equals ``content_key(_canonical(result_key))``
+(``tests/experiments/test_cache_keys.py`` checks every solver a report
+builds).
 
 The cache is on by default; ``REPRO_CACHE=0`` disables it and
 ``REPRO_CACHE_DIR`` relocates it.
@@ -160,14 +173,6 @@ def _config_digest(config: CPUConfig) -> str:
     return content_key(_canonical(dataclasses.asdict(config)))
 
 
-@functools.lru_cache(maxsize=64)
-def _geometry_digest(result_key: Tuple) -> str:
-    """Digest of a :meth:`~repro.thermal.solver.ThermalSolver.result_key`,
-    memoized by its value: equal geometries share one digest whichever
-    solver object they come from."""
-    return content_key(_canonical(result_key))
-
-
 def simulation_key(
     benchmark: str,
     config: CPUConfig,
@@ -216,7 +221,7 @@ def thermal_key(solver, die_power_grids) -> str:
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "thermal",
-        "geometry": _geometry_digest(solver.result_key()),
+        "geometry": solver.result_digest(),
     }
     return content_key(payload, die_power_grids)
 
@@ -242,7 +247,7 @@ def transient_key(solver, dt_s: float, duration_s: float,
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "transient",
         "transient": TRANSIENT_MODEL_VERSION,
-        "geometry": _geometry_digest(solver.result_key()),
+        "geometry": solver.result_digest(),
         "capacities": [
             layer.material.heat_capacity_j_m3k for layer in solver.stack.layers
         ],
@@ -265,7 +270,7 @@ def leakage_key(solver, dynamic_grids, leakage_grids, reference_k: float,
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "leakage_feedback",
         "feedback": FEEDBACK_MODEL_VERSION,
-        "geometry": _geometry_digest(solver.result_key()),
+        "geometry": solver.result_digest(),
         "dies": len(dynamic_grids),
         "reference_k": float(reference_k),
         "efold_k": float(efold_k),
@@ -298,7 +303,7 @@ def interval_trace_key(
         "interval_insts": interval_insts,
         "activity_scale": activity_scale,
         "core_count": core_count,
-        "geometry": _geometry_digest(solver.result_key()),
+        "geometry": solver.result_digest(),
     }
     return content_key(payload)
 
@@ -503,7 +508,12 @@ class CacheIndex:
 
 
 class ResultCache:
-    """Load/store :class:`SimulationResult` objects keyed by content hash."""
+    """Load/store :class:`SimulationResult` objects keyed by content hash.
+
+    ``max_mb`` caps the cache's size; ``None`` reads the cap from
+    ``REPRO_CACHE_MAX_MB`` and zero or a negative number means unbounded.
+    A non-finite ``max_mb`` raises :class:`ValueError`.
+    """
 
     def __init__(
         self,
@@ -516,6 +526,9 @@ class ResultCache:
         self.version_dir = self.root / f"v{CACHE_SCHEMA_VERSION}"
         if max_mb is None:
             self.max_bytes = self._max_bytes_from_env()
+        elif not math.isfinite(max_mb):
+            raise ValueError(
+                f"max_mb must be a finite number of megabytes, got {max_mb!r}")
         else:
             self.max_bytes = int(max_mb * 1024 * 1024) if max_mb > 0 else None
         self.hits = 0

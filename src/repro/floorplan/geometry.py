@@ -51,18 +51,26 @@ class Block:
 
 @dataclass
 class Floorplan:
-    """A complete chip floorplan across one or more dies."""
+    """A complete chip floorplan across one or more dies.
+
+    Change ``blocks`` only through :meth:`add`: it drops the memoized
+    :meth:`fingerprint` that the rasterizer and the thermal cache keys
+    are built on.
+    """
 
     name: str
     width_mm: float
     height_mm: float
     dies: int
     blocks: List[Block] = field(default_factory=list)
+    _fingerprint: Optional[Tuple] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add(self, block: Block) -> None:
         if not 0 <= block.die < self.dies:
             raise ValueError(f"block {block.name} on die {block.die}, but floorplan has {self.dies}")
         self.blocks.append(block)
+        self._fingerprint = None
 
     def blocks_on_die(self, die: int) -> List[Block]:
         return [b for b in self.blocks if b.die == die]
@@ -79,20 +87,24 @@ class Floorplan:
     def fingerprint(self) -> Tuple:
         """Hashable content snapshot of the floorplan geometry.
 
-        Used as a cache key by the rasterizer's block-mask memo and the
-        persistent thermal-result cache; adding or changing blocks
-        yields a different fingerprint, so stale entries never match.
+        Used as a cache key by the rasterizer's scatter-plan memo and
+        the persistent thermal-result cache; adding a block yields a
+        different fingerprint, so stale entries never match.  Built once
+        and kept until the next :meth:`add`: the same object comes back
+        from every call in between, so memos may compare it by identity.
         """
-        return (
-            self.name,
-            self.width_mm,
-            self.height_mm,
-            self.dies,
-            tuple(
-                (b.name, b.die, b.rect.x, b.rect.y, b.rect.w, b.rect.h)
-                for b in self.blocks
-            ),
-        )
+        if self._fingerprint is None:
+            self._fingerprint = (
+                self.name,
+                self.width_mm,
+                self.height_mm,
+                self.dies,
+                tuple(
+                    (b.name, b.die, b.rect.x, b.rect.y, b.rect.w, b.rect.h)
+                    for b in self.blocks
+                ),
+            )
+        return self._fingerprint
 
     def block_names(self) -> List[str]:
         seen: Dict[str, None] = {}

@@ -29,6 +29,7 @@ thermal results never load it.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -182,6 +183,8 @@ class ThermalSolver:
         self.chip_y0_mm = (self.spreader_h_mm - floorplan.height_mm) / 2.0
         self._solve_fn: Optional[Callable] = None
         self._conv_per_cell: Optional[float] = None
+        #: (floorplan fingerprint, :meth:`result_digest`) once computed
+        self._result_digest: Optional[Tuple[Tuple, str]] = None
         # Chip cell window within the spreader grid (shared by the
         # material mask and the power-map embedding).
         dx = self.spreader_w_mm / nx
@@ -237,6 +240,20 @@ class ThermalSolver:
             tuple(sorted(self._die_layer_map.items())),
             self.floorplan.fingerprint(),
         )
+
+    def result_digest(self) -> str:
+        """SHA-256 of :meth:`result_key` as compact JSON, the geometry
+        part of every thermal cache key (see :mod:`repro.experiments.cache`).
+        Computed once, and again only after the floorplan's fingerprint
+        changes."""
+        fingerprint = self.floorplan.fingerprint()
+        memo = self._result_digest
+        if memo is None or memo[0] is not fingerprint:
+            text = json.dumps(self.result_key(), sort_keys=True,
+                              separators=(",", ":"))
+            memo = (fingerprint, hashlib.sha256(text.encode("utf-8")).hexdigest())
+            self._result_digest = memo
+        return memo[1]
 
     # ------------------------------------------------------------------ #
 

@@ -286,6 +286,18 @@ class TestSizeCap:
         _filler(cache, "survives")
         assert len(cache.entries()) == 1
 
+    @pytest.mark.parametrize("max_mb", [float("inf"), float("-inf"),
+                                        float("nan")])
+    def test_non_finite_explicit_cap_is_rejected(self, tmp_path, max_mb):
+        """An explicit cap that is not a finite number is a caller error:
+        it neither crashes in the byte conversion nor means unbounded."""
+        with pytest.raises(ValueError, match=f"max_mb.*{max_mb!r}"):
+            ResultCache(tmp_path, max_mb=max_mb)
+
+    @pytest.mark.parametrize("max_mb", [0, -4.0])
+    def test_nonpositive_explicit_cap_means_unbounded(self, tmp_path, max_mb):
+        assert ResultCache(tmp_path, max_mb=max_mb).max_bytes is None
+
     def test_explicit_cap_beats_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_CACHE_MAX_MB, "100")
         assert ResultCache(tmp_path, max_mb=1).max_bytes == 1024 * 1024

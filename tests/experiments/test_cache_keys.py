@@ -14,15 +14,24 @@ import dataclasses
 import enum
 
 import numpy as np
+import pytest
 
+from repro.cli import FAST_SETTINGS
 from repro.cpu.config import CPUConfig, baseline_config
 from repro.experiments.cache import (
+    _canonical,
+    content_key,
     leakage_key,
     simulation_key,
     thermal_key,
     transient_key,
 )
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+from repro.experiments.sensitivity import SWEEPS, _stack_with
+from repro.floorplan.geometry import Block, Rect
 from repro.floorplan.stacked import stacked_floorplan
+from repro.power.model import StackKind
+from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.solver import ThermalSolver
 from repro.thermal.stack import stacked_3d_stack
 from repro.thermal.transient import PowerSchedule
@@ -128,3 +137,71 @@ class TestMemoSafety:
         keys, thicker_keys = _keys(base), _keys(thicker)
         for kind in ("thermal", "transient", "leakage"):
             assert thicker_keys[kind] != keys[kind], kind
+
+
+def _report_solvers(settings):
+    """Every solver a report with ``settings`` builds: the context's two
+    stacks, then one per packaging-sensitivity point, constructed as
+    :func:`repro.experiments.sensitivity.run_sensitivity` does (the
+    stacking-order ablation reuses the context's 3D solver)."""
+    context = ExperimentContext(settings, jobs=1, cache=None)
+    solvers = [context.solver(StackKind.PLANAR_2D),
+               context.solver(StackKind.STACKED_3D)]
+    plan = context.floorplan(StackKind.STACKED_3D)
+    grid = settings.thermal_grid
+    points = [(0.17, 50.0, 0.25)]
+    for parameter, _nominal, values in SWEEPS:
+        for value in values:
+            points.append((
+                value if parameter == "convection K/W" else 0.17,
+                value if parameter == "TIM W/mK" else 50.0,
+                value if parameter == "via copper fraction" else 0.25,
+            ))
+    solvers += [ThermalSolver(_stack_with(*point), plan, grid, grid)
+                for point in points]
+    return solvers
+
+
+class TestGeometryDigest:
+    """The per-solver geometry digest against the canonical-form route
+    every other key part takes."""
+
+    @pytest.mark.parametrize("settings", [FAST_SETTINGS, ExperimentSettings()],
+                             ids=["fast", "full"])
+    def test_report_solvers_match_the_canonical_route(self, settings):
+        solvers = _report_solvers(settings)
+        assert len(solvers) == 15
+        digests = set()
+        for solver in solvers:
+            expected = content_key(_canonical(solver.result_key()))
+            assert solver.result_digest() == expected
+            assert solver.result_digest() == expected  # the memo's answer
+            digests.add(expected)
+        # Every sweep repeats the nominal point, so 13 sweep solvers have
+        # 10 geometries; the nominal one differs from the context's 3D
+        # solver by its stack's name.
+        assert len(digests) == 12
+
+    def test_adding_a_block_changes_fingerprint_digest_and_raster(self):
+        solver = _solver()
+        plan = solver.floorplan
+        fingerprint = plan.fingerprint()
+        assert plan.fingerprint() is fingerprint
+        digest = solver.result_digest()
+        watts = {key: 1.0 for key in build_power_map(plan, [])}
+        ny, nx = solver.chip_grid_shape()
+        before = [grid.copy() for grid in rasterize(plan, watts, nx, ny)]
+        grids = _grids(solver)
+        key = thermal_key(solver, grids)
+
+        extra = Block("extra", Rect(0.2, 0.2, 0.4, 0.3), die=1)
+        plan.add(extra)
+        watts[(extra.name, extra.die)] = 2.0
+        assert plan.fingerprint() != fingerprint
+        assert solver.result_digest() != digest
+        assert solver.result_digest() == content_key(
+            _canonical(solver.result_key()))
+        assert thermal_key(solver, grids) != key
+        after = rasterize(plan, watts, nx, ny)
+        assert after[1].sum() == pytest.approx(before[1].sum() + 2.0)
+        assert after[0].tobytes() == before[0].tobytes()
