@@ -1,10 +1,25 @@
 """Mechanism-isolation tests: each kernel triggers exactly its mechanism."""
 
+import hashlib
+
 import pytest
 
 from repro.cpu.config import baseline_config, thermal_herding_config
 from repro.cpu.pipeline import simulate
+from repro.experiments.mechanisms import run_mechanisms
 from repro.workloads.microbench import KERNELS, all_kernels
+
+#: sha256 over every kernel's compiled ``TRACE_DTYPE`` rows, in
+#: ``KERNELS`` order.
+KERNEL_ROWS_DIGEST = (
+    "82fae2a3fda942cd7614aa263e24134239c26df8b3176602d756d302078d14a1"
+)
+
+#: sha256 of ``run_mechanisms().format()``: the mechanism table is not
+#: part of the report, so nothing else pins it.
+MECHANISMS_TABLE_DIGEST = (
+    "f56afd1dcc2694e6d47d437cd7768ce8963916c05f7bcff9ed23c46df923b672"
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +42,19 @@ class TestKernelStructure:
         for trace in all_kernels():
             for a, b in zip(trace, trace.instructions[1:]):
                 assert a.next_pc == b.pc, trace.name
+
+
+class TestGoldenDigests:
+    def test_kernel_rows(self):
+        digest = hashlib.sha256()
+        for build in KERNELS.values():
+            digest.update(build().compiled().array.tobytes())
+        assert digest.hexdigest() == KERNEL_ROWS_DIGEST
+
+    def test_mechanisms_table(self):
+        text = run_mechanisms().format()
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == MECHANISMS_TABLE_DIGEST
 
 
 class TestNarrowAlu:
