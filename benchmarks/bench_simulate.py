@@ -1,8 +1,8 @@
 """Microbenchmark of the simulate pipeline: per-stage wall-clock + IPS.
 
 Times the three stages a cold ``repro report --fast`` pays per workload —
-trace generation, compilation to columnar form (+ pre-decode), and the
-timing simulation itself — over the fast-report workload set (six
+trace generation, pre-decode (reported as ``compile``), and the timing
+simulation itself — over the fast-report workload set (six
 benchmarks x the six pinned configurations), single-process.  Emits a
 ``BENCH_simulate.json`` payload that CI records next to
 ``BENCH_report.json`` and gates against
@@ -41,9 +41,8 @@ def run(out_path: str) -> dict:
     predecoded = {}
     compiled_bytes = 0
     for name, trace in traces.items():
-        compiled = trace.compiled()
-        compiled_bytes += compiled.nbytes
-        predecoded[name] = predecode(compiled)
+        compiled_bytes += trace.nbytes
+        predecoded[name] = predecode(trace)
     t_compile = time.perf_counter() - t0
 
     simulations = 0
@@ -65,9 +64,8 @@ def run(out_path: str) -> dict:
         },
         "stage_seconds": {
             "generate": round(t_generate, 3),
-            # The emulator writes the compiled rows itself, so for these
-            # generated traces ``compile`` is pre-decode alone: its
-            # compile share is ~0.
+            # The emulator writes the trace rows itself, so ``compile``
+            # is pre-decode alone.
             "compile": round(t_compile, 3),
             "simulate": round(t_simulate, 3),
         },

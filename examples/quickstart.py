@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py [benchmark] [length]
 import sys
 
 from repro.cpu import paper_configurations, simulate
-from repro.workloads import benchmark_names, generate
+from repro.workloads import TraceStats, benchmark_names, generate
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     print(f"generating {benchmark} trace ({length} instructions)...")
     trace = generate(benchmark, length=length)
-    stats = trace.stats()
+    stats = TraceStats.from_trace(trace)
     print(f"  low-width results: {stats.low_width_result_fraction:.1%}, "
           f"memory: {stats.memory_fraction:.1%}, branches: {stats.branch_fraction:.1%}")
 

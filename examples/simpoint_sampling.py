@@ -38,7 +38,7 @@ def main() -> None:
     # SimPoint methodology: simulate each representative interval on its
     # own, warmed by the interval that precedes it, then combine the
     # per-point IPCs with the cluster weights.
-    from repro.isa.trace import Trace
+    from repro.isa.compiled import CompiledTrace
     from repro.workloads.phases import weighted_metric
 
     t0 = time.time()
@@ -46,9 +46,10 @@ def main() -> None:
     simulated_insts = 0
     for point in points:
         start = max(0, point.start_instruction - interval)
-        window = trace.instructions[start:point.start_instruction + interval]
+        window = trace.array[start:point.start_instruction + interval]
         warmup = point.start_instruction - start
-        piece = Trace(name=f"{benchmark}@{point.interval_index}", instructions=window)
+        piece = CompiledTrace(f"{benchmark}@{point.interval_index}",
+                              trace.benchmark_class, trace.seed, window)
         # The L2 prewarm sees only this window (the preceding interval
         # plus the point), not the full trace a SimPoint checkpoint would
         # warm from; the preceding interval then warms the

@@ -12,7 +12,7 @@ Run:  python examples/width_locality_study.py [length]
 import sys
 
 from repro.isa.values import UpperBitsEncoding
-from repro.workloads import BENCHMARKS, generate
+from repro.workloads import BENCHMARKS, TraceStats, generate
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
     print("-" * len(header))
     per_class = {}
     for name, spec in BENCHMARKS.items():
-        stats = generate(name, length=length).stats()
+        stats = TraceStats.from_trace(generate(name, length=length))
         compressible = sum(
             fraction
             for encoding, fraction in stats.dcache_encoding_mix.items()

@@ -4,7 +4,8 @@ Controlling Hotspots in High-Performance 3D-Integrated Processors*
 
 The package is organized bottom-up:
 
-* :mod:`repro.isa` — trace instruction format and value-width utilities.
+* :mod:`repro.isa` — the trace format (one numpy row per committed
+  instruction) and value-width utilities.
 * :mod:`repro.workloads` — synthetic benchmark generators (six suites).
 * :mod:`repro.circuits` — 2D/3D latency and energy models (HSpice stand-in).
 * :mod:`repro.core` — the Thermal Herding techniques themselves.

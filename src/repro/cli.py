@@ -21,7 +21,7 @@ Usage::
                              [--stats stats.json] [--log-json events.jsonl]
     python -m repro metrics  [--out metrics.json]
     python -m repro simulate BENCHMARK [--config 3D] [--length N]
-    python -m repro trace BENCHMARK [--length N] [-o trace.jsonl.gz]
+    python -m repro trace BENCHMARK [--length N] [-o trace.npy]
     python -m repro cache [info|list|clear|prune]
     python -m repro list
 
@@ -280,15 +280,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.isa.serialization import save_trace
+    from repro.isa.compiled import meta_path_for, write_compiled
     from repro.workloads.suite import generate
+    from repro.workloads.validation import TraceStats
 
     trace = generate(args.benchmark, length=args.length)
-    output = args.output or f"{args.benchmark}.trace.jsonl.gz"
-    save_trace(trace, output)
-    stats = trace.stats()
-    print(f"wrote {output} ({len(trace)} instructions)")
-    print(stats.format())
+    output = args.output or f"{args.benchmark}.trace.npy"
+    write_compiled(trace, output)
+    print(f"wrote {output} and {meta_path_for(output)} "
+          f"({len(trace)} instructions)")
+    print(TraceStats.from_trace(trace).format())
     return 0
 
 

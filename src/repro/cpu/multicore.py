@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from repro.cpu.config import CPUConfig
 from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
-from repro.isa.trace import Trace
+from repro.isa.compiled import CompiledTrace
 
 
 @dataclass
@@ -51,8 +51,8 @@ class DualCoreRun:
 
 
 def simulate_dual_core(
-    trace0: Trace,
-    trace1: Trace,
+    trace0: CompiledTrace,
+    trace1: CompiledTrace,
     config: CPUConfig,
     warmup: int = 0,
     shared_l2: bool = True,

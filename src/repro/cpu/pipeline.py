@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right, insort
 from collections import deque
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.core.activity import NUM_DIES
 from repro.core.scheduler_allocation import AllocationPolicy
@@ -44,7 +44,6 @@ from repro.cpu.results import SimulationResult, StallBreakdown
 from repro.cpu.wavefront import build_plan
 from repro.isa.compiled import CompiledTrace, OPCLASS_LIST
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 
 #: Timing-model version, part of the on-disk result-cache key.  Bump on
 #: any change that alters simulation outcomes so stale entries never hit
@@ -757,19 +756,12 @@ class TimingSimulator:
         )
 
 
-def simulate(trace: Union[Trace, CompiledTrace], config: CPUConfig,
+def simulate(trace: CompiledTrace, config: CPUConfig,
              warmup: int = 0) -> SimulationResult:
     """Convenience wrapper: run ``trace`` under ``config``.
 
     ``warmup`` instructions at the head of the trace warm caches and
     predictors without contributing to the reported metrics (the trace
     analogue of SimPoint's warmed simulation points).
-
-    Accepts either an object-form :class:`Trace` (compiled on first use,
-    raising :class:`~repro.isa.compiled.TraceCompileError` if the
-    columnar layout cannot represent it) or a
-    :class:`~repro.isa.compiled.CompiledTrace`.
     """
-    if isinstance(trace, Trace):
-        trace = trace.compiled()
     return TimingSimulator(config).run_compiled(predecode(trace), warmup=warmup)

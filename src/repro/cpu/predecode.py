@@ -41,16 +41,19 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.isa.compiled import CompiledTrace, OPCLASS_LIST
+from repro.isa.compiled import (
+    IS_CONTROL,
+    IS_FP,
+    IS_INTDP,
+    IS_MEMORY,
+    OPCLASS_LIST,
+    CompiledTrace,
+)
 from repro.isa.opcodes import OpClass, OP_LATENCY
 
 _LOW_POS = np.uint64(1 << 15)
 _LOW_NEG = np.uint64((1 << 64) - (1 << 15))
 
-_IS_CONTROL = np.array([op.is_control for op in OPCLASS_LIST])
-_IS_MEMORY = np.array([op.is_memory for op in OPCLASS_LIST])
-_IS_INTDP = np.array([op.is_integer_datapath for op in OPCLASS_LIST])
-_IS_FP = np.array([op.is_fp for op in OPCLASS_LIST])
 _LATENCY = np.array([OP_LATENCY[op] for op in OPCLASS_LIST], dtype=np.int64)
 #: Only FDIV occupies its unit for more than one cycle (see the issue stage).
 _BUSY = np.array(
@@ -67,9 +70,10 @@ CALL_CODE = OPCLASS_LIST.index(OpClass.CALL)
 JUMP_CODE = OPCLASS_LIST.index(OpClass.JUMP)
 
 #: 16-bit word size: values and addresses split upper bits at this shift
-#: (mirrors repro.isa.values.WORD_BITS for the vectorized columns below).
-_UPPER_SHIFT = np.uint64(16)
-_UPPER_ONES = np.uint64((1 << 48) - 1)
+#: (mirrors repro.isa.values.WORD_BITS for the vectorized columns below),
+#: and the upper 48 bits of an all-ones value.
+UPPER_SHIFT = np.uint64(16)
+UPPER_ONES = np.uint64((1 << 48) - 1)
 _ENC_ALIGN = np.uint64(~np.uint64(0x7))
 
 
@@ -114,9 +118,29 @@ def _last_writers(rows: np.ndarray) -> Tuple[List[int], List[int]]:
     return w0.tolist(), w1.tolist()
 
 
-def _low_width(values: np.ndarray) -> np.ndarray:
+def low_width(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.isa.values.is_low_width` over u64 values."""
     return (values < _LOW_POS) | (values >= _LOW_NEG)
+
+
+def preceding_store_match(is_store: np.ndarray,
+                          mem_addr: np.ndarray) -> np.ndarray:
+    """Per row: do ``mem_addr``'s upper 48 bits match those of the most
+    recent *strictly earlier* store's?  False where no store precedes.
+
+    This is the PAM comparison (Section 3.5): a store compares against
+    the previous store before installing its own upper bits, so loads
+    and stores alike use the strictly-preceding store.  Entries at
+    non-memory rows are meaningless.
+    """
+    n = len(mem_addr)
+    idx = np.arange(n, dtype=np.int64)
+    last_incl = np.maximum.accumulate(np.where(is_store, idx, -1))
+    prev = np.empty(n, dtype=np.int64)
+    prev[:1] = -1
+    prev[1:] = last_incl[:-1]
+    uppers = mem_addr >> UPPER_SHIFT
+    return (prev >= 0) & (uppers == uppers[np.maximum(prev, 0)])
 
 
 class PreDecodedTrace:
@@ -157,8 +181,8 @@ class PreDecodedTrace:
 
         is_load = codes == LOAD_CODE
         is_store = codes == STORE_CODE
-        is_intdp = _IS_INTDP[codes]
-        self.is_memory = _IS_MEMORY[codes].tolist()
+        is_intdp = IS_INTDP[codes]
+        self.is_memory = IS_MEMORY[codes].tolist()
         self.is_intdp = is_intdp.tolist()
         self.is_load = is_load.tolist()
         self.is_store = is_store.tolist()
@@ -185,10 +209,10 @@ class PreDecodedTrace:
         # Width classification (Section 3): operands, result, and the
         # per-op "actual" class the predictor trains on.  Padding src
         # values are 0 (low), so the nvals == 1 case reduces to low0.
-        low0 = _low_width(np.ascontiguousarray(rows["sval0"]))
-        low1 = _low_width(np.ascontiguousarray(rows["sval1"]))
-        low_result = _low_width(result)
-        low_mv = _low_width(mem_value)
+        low0 = low_width(np.ascontiguousarray(rows["sval0"]))
+        low1 = low_width(np.ascontiguousarray(rows["sval1"]))
+        low_result = low_width(result)
+        low_mv = low_width(mem_value)
         operands_low = (nvals == 0) | (low0 & low1)
         inst_low = low_result & operands_low
         self.operands_low = operands_low.tolist()
@@ -226,10 +250,10 @@ class PreDecodedTrace:
             "pc": pc,
             "codes": codes,
             "fetch_lines": pc // 64,
-            "is_control": _IS_CONTROL[codes],
-            "is_memory": _IS_MEMORY[codes],
+            "is_control": IS_CONTROL[codes],
+            "is_memory": IS_MEMORY[codes],
             "is_intdp": is_intdp,
-            "is_fp": _IS_FP[codes],
+            "is_fp": IS_FP[codes],
             "is_load": is_load,
             "is_store": is_store,
             "is_cond": codes == BRANCH_CODE,
@@ -379,23 +403,11 @@ class PreDecodedTrace:
         return cached
 
     def pam_herded(self) -> List[bool]:
-        """Per-memory-op PAM outcome: does the address's upper 48 bits
-        match the most recent *earlier* store's (Section 3.5)?  Stores
-        compare against the previous store before installing their own
-        upper bits, so both loads and stores use the strictly-preceding
-        store.  Entries at non-memory indices are meaningless."""
+        """Per-memory-op PAM outcome (:func:`preceding_store_match`)."""
         cached = self._pam_herded
         if cached is None:
-            n = self.n
-            idx = np.arange(n, dtype=np.int64)
-            store_pos = np.where(self.np_cols["is_store"], idx, -1)
-            last_incl = np.maximum.accumulate(store_pos)
-            prev = np.empty(n, dtype=np.int64)
-            prev[0] = -1
-            prev[1:] = last_incl[:-1]
-            uppers = self._mem_arr >> _UPPER_SHIFT
-            herded = (prev >= 0) & (uppers == uppers[np.maximum(prev, 0)])
-            cached = herded.tolist()
+            cached = preceding_store_match(self.np_cols["is_store"],
+                                           self._mem_arr).tolist()
             self._pam_herded = cached
         return cached
 
@@ -419,10 +431,10 @@ class PreDecodedTrace:
             cols = self.np_cols
             value = cols["mem_value_or_zero"]
             addr = cols["mem_addr"]
-            upper = value >> _UPPER_SHIFT
+            upper = value >> UPPER_SHIFT
             if scheme_value == "two_bit":
-                comp = (upper == 0) | (upper == _UPPER_ONES) \
-                    | (upper == (addr >> _UPPER_SHIFT))
+                comp = (upper == 0) | (upper == UPPER_ONES) \
+                    | (upper == (addr >> UPPER_SHIFT))
             else:  # one_bit ablation: only the all-zeros pattern compresses
                 comp = upper == 0
             comp_list = comp.tolist()

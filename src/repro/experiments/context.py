@@ -53,7 +53,6 @@ from repro.experiments.cache import (
 )
 from repro.floorplan import Floorplan, planar_floorplan, stacked_floorplan
 from repro.isa.compiled import CompiledTrace
-from repro.isa.trace import Trace
 from repro.power.model import (
     PowerBreakdown,
     PowerModel,
@@ -205,8 +204,6 @@ class ContextStats:
     traces_generated: int = 0
     #: compiled traces served from the on-disk trace store
     trace_cache_hits: int = 0
-    #: wall-clock spent compiling traces to columnar form
-    trace_compile_seconds: float = 0.0
     #: committed instructions simulated in this process (incl. warmup)
     instructions_simulated: int = 0
     #: thermal batches solved in a supervised subprocess
@@ -289,19 +286,15 @@ class ContextStats:
     def as_dict(self) -> dict:
         """Telemetry payload for ``--stats`` files and the CI benchmark report.
 
-        ``run_id`` and every counter field (floats rounded to 3 places),
-        then the derived simulation rate, the process-wide factorization
-        LRU snapshots (parent process only; worker-side factorizations
-        are counted in the fields) and the sorted ``stage_seconds``.
+        ``run_id`` and every counter field, then the derived simulation
+        rate, the process-wide factorization LRU snapshots (parent
+        process only; worker-side factorizations are counted in the
+        fields) and the sorted ``stage_seconds``, rounded to 3 places.
         """
-        payload = {}
-        for item in fields(self):
-            if item.name in _UNREPORTED:
-                continue
-            value = getattr(self, item.name)
-            payload[item.name] = (
-                round(value, 3) if isinstance(value, float) else value
-            )
+        payload = {
+            item.name: getattr(self, item.name)
+            for item in fields(self) if item.name not in _UNREPORTED
+        }
         payload.update(
             instructions_per_second=self.instructions_per_second(),
             factorizations=FACTORIZATION_STATS.factorizations,
@@ -582,8 +575,7 @@ class ExperimentContext:
         self.claim_wait_s = CLAIM_WAIT_S
         self.claim_poll_s = CLAIM_POLL_S
         self.claim_stale_s = DEFAULT_CLAIM_STALE_S
-        self._traces: Dict[str, Trace] = {}
-        self._compiled: Dict[str, CompiledTrace] = {}
+        self._traces: Dict[str, CompiledTrace] = {}
         self._trace_files: Dict[str, Optional[str]] = {}
         self._runs: Dict[Tuple[str, str], SimulationResult] = {}
         self._config_runs: Dict[Tuple[str, str], SimulationResult] = {}
@@ -610,60 +602,48 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------ #
 
-    def trace(self, benchmark: str) -> Trace:
-        trace = self._traces.get(benchmark)
-        if trace is None:
-            start = time.perf_counter()
-            trace = generate(benchmark, length=self.settings.trace_length)
-            # ``generate``/``compile`` stage seconds count the emulator
-            # and compiler wherever they run — including nested inside
-            # the ``simulate`` stage on cold sweeps — so the per-stage
-            # breakdown shows the next bottleneck without re-profiling.
-            self.stats.add_stage("generate", time.perf_counter() - start)
-            self.stats.traces_generated += 1
-            self._traces[benchmark] = trace
-        return trace
-
-    def _compiled_for(self, benchmark: str) -> CompiledTrace:
-        """The compiled columnar trace: memo -> disk store -> generate.
+    def trace(self, benchmark: str) -> CompiledTrace:
+        """The benchmark's trace: memo -> disk store -> generate.
 
         A store hit skips the emulator entirely — a config sweep (and
         every later process pointed at the same cache directory) pays
-        for each workload's generation and compilation once.
+        for each workload's generation once.
         """
-        compiled = self._compiled.get(benchmark)
-        if compiled is not None:
-            return compiled
+        trace = self._traces.get(benchmark)
+        if trace is not None:
+            return trace
         store = key = None
         if self.cache is not None:
             store = self.cache.trace_store()
             key = trace_store_key(
                 fingerprint(benchmark, self.settings.trace_length)
             )
-            compiled = store.load(key)
-            if compiled is not None:
+            trace = store.load(key)
+            if trace is not None:
                 self.stats.trace_cache_hits += 1
                 self._trace_files[benchmark] = os.fspath(store.npy_path(key))
-        if compiled is None:
-            trace = self.trace(benchmark)
+        if trace is None:
             start = time.perf_counter()
-            compiled = trace.compiled()
-            elapsed = time.perf_counter() - start
-            self.stats.trace_compile_seconds += elapsed
-            self.stats.add_stage("compile", elapsed)
+            trace = generate(benchmark, length=self.settings.trace_length)
+            # ``generate`` stage seconds count the emulator wherever it
+            # runs — including nested inside the ``simulate`` stage on
+            # cold sweeps — so the per-stage breakdown shows the next
+            # bottleneck without re-profiling.
+            self.stats.add_stage("generate", time.perf_counter() - start)
+            self.stats.traces_generated += 1
             if store is not None:
-                path = store.store(key, compiled)
+                path = store.store(key, trace)
                 self._trace_files[benchmark] = (
                     None if path is None else os.fspath(path)
                 )
-        self._compiled[benchmark] = compiled
-        return compiled
+        self._traces[benchmark] = trace
+        return trace
 
     def _trace_file(self, benchmark: str) -> Optional[str]:
         """The on-disk compiled trace workers should map, or ``None``
         (store disabled or unusable) — in which case workers regenerate
         the trace themselves."""
-        self._compiled_for(benchmark)
+        self.trace(benchmark)
         return self._trace_files.get(benchmark)
 
     def _config_for(self, config_label: str) -> CPUConfig:
@@ -947,7 +927,7 @@ class ExperimentContext:
         """One in-process simulation (also each step of a group task's
         serial fallback)."""
         return simulate(
-            self._compiled_for(benchmark), config, warmup=self.settings.warmup
+            self.trace(benchmark), config, warmup=self.settings.warmup
         )
 
     def _new_pool(self, workers: int):

@@ -45,9 +45,5 @@ class Figure7Result:
 
 
 def run_figure7() -> Figure7Result:
-    """Build and validate both floorplans."""
-    planar = planar_floorplan()
-    stacked = stacked_floorplan()
-    planar.validate()
-    stacked.validate()
-    return Figure7Result(planar=planar, stacked=stacked)
+    """Build both floorplans (their builders validate them)."""
+    return Figure7Result(planar=planar_floorplan(), stacked=stacked_floorplan())

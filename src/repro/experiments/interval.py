@@ -113,7 +113,7 @@ def extract_interval_trace(
             return cached
 
     start = time.perf_counter()
-    pre = predecode(context._compiled_for(benchmark))
+    pre = predecode(context.trace(benchmark))
     warmup = context.settings.warmup
     capture = IntervalCapture(interval_insts)
     result = TimingSimulator(config).run_compiled(

@@ -31,7 +31,7 @@ from repro.thermal.solver import FACTORIZATION_STATS
 from repro.thermal.transient import STEP_FACTORIZATION_STATS
 
 #: Bump when the snapshot layout changes incompatibly.
-METRICS_SCHEMA_VERSION = 2
+METRICS_SCHEMA_VERSION = 3
 
 
 def cache_metrics(cache) -> dict:

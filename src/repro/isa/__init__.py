@@ -1,23 +1,22 @@
 """Trace instruction-set layer.
 
 The reproduction is trace driven: workload generators (:mod:`repro.workloads`)
-emit streams of :class:`~repro.isa.instruction.TraceInstruction` records that
-the timing model (:mod:`repro.cpu`) replays.  This package defines the
-instruction record format, the opcode classes, the register namespace, and
+emit committed-instruction traces that the timing model (:mod:`repro.cpu`)
+replays.  A trace is one :data:`~repro.isa.compiled.TRACE_DTYPE` row per
+instruction (:class:`~repro.isa.compiled.CompiledTrace`).  This package
+defines that row format, the opcode classes, the register namespace, and
 the value-width utilities that the Thermal Herding techniques build on.
 """
 
 from repro.isa.opcodes import OpClass, FunctionalUnit, FU_FOR_OP, OP_LATENCY
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import CompiledTrace, compile_trace, trace_row
 from repro.isa.registers import (
     NUM_INT_REGS,
     NUM_FP_REGS,
     RegisterClass,
     register_class,
 )
-from repro.isa.trace import Trace, TraceStats
 from repro.isa.builder import TraceBuilder
-from repro.isa.serialization import load_trace, save_trace
 from repro.isa.values import (
     LOW_WIDTH_BITS,
     WORD_BITS,
@@ -38,16 +37,14 @@ __all__ = [
     "FunctionalUnit",
     "FU_FOR_OP",
     "OP_LATENCY",
-    "TraceInstruction",
+    "CompiledTrace",
+    "compile_trace",
+    "trace_row",
     "NUM_INT_REGS",
     "NUM_FP_REGS",
     "RegisterClass",
     "register_class",
-    "Trace",
-    "TraceStats",
     "TraceBuilder",
-    "load_trace",
-    "save_trace",
     "LOW_WIDTH_BITS",
     "WORD_BITS",
     "WORDS_PER_VALUE",

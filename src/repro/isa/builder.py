@@ -1,10 +1,11 @@
 """Fluent builder for hand-written traces.
 
 Microbenchmarks and tests need small, precisely controlled instruction
-streams; constructing :class:`TraceInstruction` records by hand is
-verbose and error prone (PCs, srcs/values pairing, branch targets).  The
-builder assigns sequential PCs, tracks register values so ``src_values``
-always match the dataflow, and checks branch-target consistency.
+streams; writing trace rows by hand is verbose and error prone (PCs,
+srcs/values pairing, branch targets).  The builder assigns sequential
+PCs, tracks register values so ``src_values`` always match the
+dataflow, builds each row with :func:`~repro.isa.compiled.trace_row`,
+and checks branch-target consistency.
 
 Example::
 
@@ -20,35 +21,41 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instruction import TraceInstruction
+import numpy as np
+
+from repro.isa.compiled import IS_CONTROL, CompiledTrace, compile_trace, trace_row
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 from repro.isa.values import to_unsigned
 
 DEFAULT_PC = 0x40_0000
 
 
 class TraceBuilder:
-    """Accumulates instructions with consistent PCs and dataflow."""
+    """Accumulates trace rows with consistent PCs and dataflow."""
 
     def __init__(self, name: str = "built", start_pc: int = DEFAULT_PC):
         if start_pc % 4:
             raise ValueError(f"start pc must be 4-byte aligned, got {start_pc:#x}")
         self.name = name
         self._pc = start_pc
-        self._instructions: List[TraceInstruction] = []
+        self._rows: List[tuple] = []
         self._regs: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
 
-    def _values_for(self, srcs: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(self._regs.get(reg, 0) for reg in srcs)
-
-    def _advance(self, inst: TraceInstruction) -> "TraceBuilder":
-        self._instructions.append(inst)
-        self._pc = inst.next_pc
-        if inst.dst is not None:
-            self._regs[inst.dst] = to_unsigned(inst.result)
+    def _advance(self, op: OpClass, srcs: Tuple[int, ...] = (),
+                 dst: Optional[int] = None, result: int = 0,
+                 mem_addr: Optional[int] = None,
+                 mem_value: Optional[int] = None, taken: bool = False,
+                 target: Optional[int] = None) -> "TraceBuilder":
+        """Append one row at the current PC, reading ``srcs``' values
+        from the tracked registers."""
+        values = tuple(self._regs.get(reg, 0) for reg in srcs)
+        self._rows.append(trace_row(self._pc, op, srcs, dst, result, values,
+                                    mem_addr, mem_value, taken, target))
+        self._pc = target if op.is_control and taken else self._pc + 4
+        if dst is not None:
+            self._regs[dst] = result
         return self
 
     @property
@@ -63,38 +70,27 @@ class TraceBuilder:
         """An integer ALU instruction producing ``result``."""
         if not op.is_integer_datapath or op.is_memory:
             raise ValueError(f"{op} is not an ALU opcode")
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=op, srcs=srcs, dst=dst,
-            result=to_unsigned(result), src_values=self._values_for(srcs),
-        ))
+        return self._advance(op, srcs, dst, to_unsigned(result))
 
     def fp(self, dst: int, srcs: Tuple[int, ...] = (),
            op: OpClass = OpClass.FADD, result: int = 0) -> "TraceBuilder":
         """A floating point instruction (bit pattern is opaque)."""
         if not op.is_fp:
             raise ValueError(f"{op} is not a floating point opcode")
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=op, srcs=srcs, dst=dst,
-            result=to_unsigned(result), src_values=self._values_for(srcs),
-        ))
+        return self._advance(op, srcs, dst, to_unsigned(result))
 
     def load(self, dst: int, addr: int, value: int,
              srcs: Tuple[int, ...] = ()) -> "TraceBuilder":
         """A load of ``value`` from ``addr``."""
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=OpClass.LOAD, srcs=srcs, dst=dst,
-            result=to_unsigned(value), src_values=self._values_for(srcs),
-            mem_addr=addr, mem_value=to_unsigned(value),
-        ))
+        value = to_unsigned(value)
+        return self._advance(OpClass.LOAD, srcs, dst, value,
+                             mem_addr=addr, mem_value=value)
 
     def store(self, addr: int, value: int,
               srcs: Tuple[int, ...] = ()) -> "TraceBuilder":
         """A store of ``value`` to ``addr``."""
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=OpClass.STORE, srcs=srcs,
-            src_values=self._values_for(srcs),
-            mem_addr=addr, mem_value=to_unsigned(value),
-        ))
+        return self._advance(OpClass.STORE, srcs, mem_addr=addr,
+                             mem_value=to_unsigned(value))
 
     def branch(self, taken: bool, target: Optional[int] = None,
                srcs: Tuple[int, ...] = ()) -> "TraceBuilder":
@@ -104,26 +100,17 @@ class TraceBuilder:
                 raise ValueError("taken branches need a target")
             if target % 4:
                 raise ValueError(f"target must be 4-byte aligned, got {target:#x}")
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=OpClass.BRANCH, srcs=srcs,
-            src_values=self._values_for(srcs),
-            taken=taken, target=target if taken else None,
-        ))
+        return self._advance(OpClass.BRANCH, srcs, taken=taken,
+                             target=target if taken else None)
 
     def jump(self, target: int) -> "TraceBuilder":
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=OpClass.JUMP, taken=True, target=target,
-        ))
+        return self._advance(OpClass.JUMP, taken=True, target=target)
 
     def call(self, target: int) -> "TraceBuilder":
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=OpClass.CALL, taken=True, target=target,
-        ))
+        return self._advance(OpClass.CALL, taken=True, target=target)
 
     def ret(self, target: int) -> "TraceBuilder":
-        return self._advance(TraceInstruction(
-            pc=self._pc, op=OpClass.RETURN, taken=True, target=target,
-        ))
+        return self._advance(OpClass.RETURN, taken=True, target=target)
 
     def repeat(self, times: int, body) -> "TraceBuilder":
         """Apply ``body(builder, iteration)`` ``times`` times."""
@@ -135,16 +122,17 @@ class TraceBuilder:
 
     # ------------------------------------------------------------------ #
 
-    def build(self, benchmark_class: str = "microbench") -> Trace:
-        """Finalize into a :class:`Trace`, validating path continuity."""
-        for a, b in zip(self._instructions, self._instructions[1:]):
-            if a.next_pc != b.pc:
-                raise ValueError(
-                    f"committed path breaks between {a.pc:#x} (next "
-                    f"{a.next_pc:#x}) and {b.pc:#x}"
-                )
-        return Trace(
-            name=self.name,
-            instructions=list(self._instructions),
-            benchmark_class=benchmark_class,
-        )
+    def build(self, benchmark_class: str = "microbench") -> CompiledTrace:
+        """Pack the rows into a trace, validating path continuity."""
+        trace = compile_trace(self.name, self._rows, benchmark_class)
+        rows = trace.array
+        next_pc = np.where(IS_CONTROL[rows["op"]] & rows["taken"],
+                           rows["target"], rows["pc"] + np.uint64(4))
+        breaks = np.flatnonzero(next_pc[:-1] != rows["pc"][1:])
+        if len(breaks):
+            i = int(breaks[0])
+            raise ValueError(
+                f"committed path breaks between {int(rows['pc'][i]):#x} "
+                f"(next {int(next_pc[i]):#x}) and {int(rows['pc'][i + 1]):#x}"
+            )
+        return trace

@@ -1,29 +1,25 @@
-"""Columnar (structure-of-arrays) trace representation.
+"""The trace representation: one numpy row per committed instruction.
 
-The *compiled* form of a trace is one numpy structured array with one
-:data:`TRACE_DTYPE` row per committed instruction.  It is the form the
-emulator writes (rows packed with :data:`TRACE_ROW` into one buffer as
-they are emitted) and the only
-form the timing core replays: every loop-invariant per-instruction
-property (op-class predicates, 16-bit significance classification, cache
-line/page indices) is derived from it once, vectorized, and shared
-across every configuration that replays the trace (see
-:mod:`repro.cpu.predecode`).  Hand-built traces, lists of
-:class:`~repro.isa.instruction.TraceInstruction` records, compile
-through :func:`compile_trace` into the same row layout.
+A trace is one numpy structured array with one :data:`TRACE_DTYPE` row
+per committed instruction, plus its name, benchmark class and generator
+seed (:class:`CompiledTrace`).  The emulator writes it (rows packed with
+:data:`TRACE_ROW` into one buffer as they are emitted); hand-built
+traces build each row with :func:`trace_row`, which checks it, and pack
+the rows with :func:`compile_trace`.  The timing core replays only this
+form: every loop-invariant per-instruction property (op-class
+predicates, 16-bit significance classification, cache line/page indices)
+is derived from it once, vectorized, and shared across every
+configuration that replays the trace (see :mod:`repro.cpu.predecode`).
 
-The compiled form is also the *transport* form: it round-trips through
-``.npy`` + JSON-sidecar files (:func:`write_compiled` /
-:func:`read_compiled`) and is memory-mapped back in, so worker processes
-share one on-disk copy per workload instead of each re-running the
-emulator or unpickling a private instruction list.
+The same array is the *transport* form: it round-trips through ``.npy``
++ JSON-sidecar files (:func:`write_compiled` / :func:`read_compiled`)
+and is memory-mapped back in, so worker processes share one on-disk copy
+per workload instead of each re-running the emulator.
 
-Compilation is strict: any trace the fixed-width columns cannot represent
-exactly (more than two sources, values outside 64-bit range, register ids
-outside int16) raises :class:`TraceCompileError`; the timing core only
-replays compiled traces, so such a trace cannot be simulated.
-:meth:`CompiledTrace.to_trace` reconstructs the instruction list exactly;
-it is how a generated trace's lazy ``instructions`` view is built.
+Rows are strict: an instruction the fixed-width columns cannot represent
+exactly (more than :data:`MAX_SOURCES` sources, values outside 64-bit
+range, register ids outside int16) raises :class:`TraceCompileError`, so
+such a trace cannot be simulated.
 """
 
 from __future__ import annotations
@@ -32,13 +28,11 @@ import json
 import os
 import struct
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.isa.instruction import MAX_SOURCES, TraceInstruction
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 
 #: Bump on any change to the structured dtype or the sidecar layout so
 #: stale on-disk compiled traces never load.  Version 2 added the
@@ -50,6 +44,13 @@ TRACE_SCHEMA_VERSION = 2
 OPCLASS_LIST: List[OpClass] = list(OpClass)
 
 OP_CODE: Dict[OpClass, int] = {op: code for code, op in enumerate(OPCLASS_LIST)}
+
+#: Op-class predicates indexed by ``op`` column codes, for vectorized
+#: masks over a trace's rows.
+IS_CONTROL = np.array([op.is_control for op in OPCLASS_LIST])
+IS_MEMORY = np.array([op.is_memory for op in OPCLASS_LIST])
+IS_INTDP = np.array([op.is_integer_datapath for op in OPCLASS_LIST])
+IS_FP = np.array([op.is_fp for op in OPCLASS_LIST])
 
 #: One row per committed instruction.  ``dst`` uses -1 for "no
 #: destination"; optional fields pair a value column with a presence
@@ -79,7 +80,12 @@ TRACE_DTYPE = np.dtype([
 TRACE_ROW = struct.Struct("<QBBBhhhQQQ?Q?Q??Q")
 assert TRACE_ROW.size == TRACE_DTYPE.itemsize
 
+#: Maximum architectural sources per instruction: a row has exactly
+#: this many source register/value columns.
+MAX_SOURCES = 2
+
 _REG_MAX = (1 << 15) - 1
+_U64_MAX = (1 << 64) - 1
 
 
 class TraceCompileError(ValueError):
@@ -127,26 +133,14 @@ class CompiledTrace:
         """
         return int(self.array.nbytes)
 
-    def to_trace(self) -> Trace:
-        """Reconstruct the exact object-form :class:`Trace`."""
-        instructions = [
-            TraceInstruction(
-                pc, OPCLASS_LIST[op], (src0, src1)[:nsrcs],
-                None if dst < 0 else dst, result, (sval0, sval1)[:nvals],
-                mem_addr if has_mem_addr else None,
-                mem_value if has_mem_value else None,
-                taken, target if has_target else None,
-            )
-            for (pc, op, nsrcs, nvals, src0, src1, dst, result, sval0, sval1,
-                 has_mem_addr, mem_addr, has_mem_value, mem_value, taken,
-                 has_target, target) in self.array.tolist()
-        ]
-        return Trace(
-            name=self.name,
-            instructions=instructions,
-            benchmark_class=self.benchmark_class,
-            seed=self.seed,
-        )
+    def compiled(self) -> "CompiledTrace":
+        """This trace.
+
+        Kept only for ``benchmarks/e2e/jobs.py``, which calls
+        ``suite.generate(...).compiled()``; ROADMAP item 6 removes it
+        together with that call.
+        """
+        return self
 
 
 def rows_to_array(rows: List[tuple]) -> np.ndarray:
@@ -173,38 +167,72 @@ def out_of_range(exc: struct.error) -> TraceCompileError:
     )
 
 
-def compile_trace(trace: Trace) -> CompiledTrace:
-    """Compile ``trace`` into columnar form (strict; see module docstring)."""
-    rows = []
-    for inst in trace.instructions:
-        pc, srcs, values, dst = inst.pc, inst.srcs, inst.src_values, inst.dst
-        if len(srcs) > MAX_SOURCES:
-            raise TraceCompileError(
-                f"{len(srcs)} sources at pc={pc:#x} exceed the "
-                f"{MAX_SOURCES}-column layout"
-            )
-        # numpy's int16 cast takes negative ids silently: check both bounds.
-        registers = srcs if dst is None else (*srcs, dst)
-        if not all(0 <= reg <= _REG_MAX for reg in registers):
-            raise TraceCompileError(
-                f"register ids {registers} at pc={pc:#x} are not all within int16"
-            )
-        # Packing refuses a negative too, but without naming the pc;
-        # values above 2**64 - 1 raise in rows_to_array.
-        if min(pc, inst.result, *values, inst.mem_addr or 0,
-               inst.mem_value or 0, inst.target or 0) < 0:
-            raise TraceCompileError(
-                f"a negative value at pc={pc:#x} is outside the unsigned 64-bit range"
-            )
-        rows.append((
-            pc, OP_CODE[inst.op], len(srcs), len(values), *(srcs + (0, 0))[:2],
-            -1 if dst is None else dst, inst.result, *(values + (0, 0))[:2],
-            inst.mem_addr is not None, inst.mem_addr or 0,
-            inst.mem_value is not None, inst.mem_value or 0,
-            inst.taken, inst.target is not None, inst.target or 0,
-        ))
-    return CompiledTrace(trace.name, trace.benchmark_class, trace.seed,
-                         rows_to_array(rows))
+def trace_row(
+    pc: int,
+    op: OpClass,
+    srcs: Tuple[int, ...] = (),
+    dst: Optional[int] = None,
+    result: int = 0,
+    src_values: Tuple[int, ...] = (),
+    mem_addr: Optional[int] = None,
+    mem_value: Optional[int] = None,
+    taken: bool = False,
+    target: Optional[int] = None,
+) -> tuple:
+    """One :data:`TRACE_DTYPE` row tuple for one committed instruction.
+
+    ``srcs`` are architectural source register ids and ``src_values``
+    their 64-bit unsigned values at execution (empty, or one per
+    source); ``dst`` is the destination register id or ``None``, and
+    ``result`` the value written to it.  Loads and stores carry
+    ``mem_addr`` (and usually ``mem_value``); control ops carry their
+    resolved direction ``taken`` and, when taken, the next PC
+    ``target``.  Absent optional fields pack as a cleared presence flag
+    and a zero value, and ``dst`` as -1.
+
+    Raises :class:`ValueError` for an inconsistent instruction and
+    :class:`TraceCompileError` for one the columns cannot hold exactly.
+    """
+    if op.is_memory and mem_addr is None:
+        raise ValueError(f"{op} at pc={pc:#x} requires mem_addr")
+    if op.is_control and taken and target is None:
+        raise ValueError(f"taken {op} at pc={pc:#x} requires target")
+    if len(src_values) not in (0, len(srcs)):
+        raise ValueError(
+            f"src_values length {len(src_values)} does not match "
+            f"srcs length {len(srcs)}"
+        )
+    if len(srcs) > MAX_SOURCES:
+        raise TraceCompileError(
+            f"{len(srcs)} sources at pc={pc:#x} exceed the "
+            f"{MAX_SOURCES}-column layout"
+        )
+    # The int16 columns would pack a negative id: check both bounds.
+    registers = srcs if dst is None else (*srcs, dst)
+    if not all(0 <= reg <= _REG_MAX for reg in registers):
+        raise TraceCompileError(
+            f"register ids {registers} at pc={pc:#x} are not all within int16"
+        )
+    values = (pc, result, *src_values, mem_addr or 0, mem_value or 0,
+              target or 0)
+    if min(values) < 0 or max(values) > _U64_MAX:
+        raise TraceCompileError(
+            f"a value at pc={pc:#x} is outside the unsigned 64-bit range"
+        )
+    return (
+        pc, OP_CODE[op], len(srcs), len(src_values), *(srcs + (0, 0))[:2],
+        -1 if dst is None else dst, result, *(src_values + (0, 0))[:2],
+        mem_addr is not None, mem_addr or 0,
+        mem_value is not None, mem_value or 0,
+        taken, target is not None, target or 0,
+    )
+
+
+def compile_trace(name: str, rows: List[tuple],
+                  benchmark_class: str = "unknown",
+                  seed: Optional[int] = None) -> CompiledTrace:
+    """Pack :func:`trace_row` tuples into a :class:`CompiledTrace`."""
+    return CompiledTrace(name, benchmark_class, seed, rows_to_array(rows))
 
 
 # ---------------------------------------------------------------------- #
@@ -278,7 +306,7 @@ def read_compiled(npy_path, meta_path=None, mmap: bool = True) -> CompiledTrace:
     try:
         array = np.load(npy_path, mmap_mode="r" if mmap else None,
                         allow_pickle=False)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError) as exc:
         raise TraceReadError(f"unreadable trace array {npy_path}: {exc}") from exc
     if not isinstance(array, np.ndarray) or array.ndim != 1 \
             or array.dtype != TRACE_DTYPE:

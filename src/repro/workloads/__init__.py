@@ -25,6 +25,7 @@ from repro.workloads.emulator import Emulator, generate_trace
 from repro.workloads.validation import (
     CLASS_EXPECTATIONS,
     ClassExpectations,
+    TraceStats,
     validate_suite,
     validate_trace,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "standard_suite",
     "CLASS_EXPECTATIONS",
     "ClassExpectations",
+    "TraceStats",
     "validate_suite",
     "validate_trace",
 ]

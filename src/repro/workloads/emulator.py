@@ -32,7 +32,6 @@ from repro.isa.compiled import (
 )
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import TOTAL_REGS, STACK_POINTER_REG, ZERO_REG
-from repro.isa.trace import Trace
 from repro.isa.values import to_unsigned
 from repro.workloads.memory_model import (
     AccessPattern,
@@ -444,8 +443,8 @@ def generate_trace(
     length: int,
     seed: int,
     benchmark_class: str = "unknown",
-) -> Trace:
+) -> CompiledTrace:
     """Build a program from ``params``/``seed`` and emulate ``length`` insts."""
     program = build_program(params, seed)
     array = Emulator(program, seed).run(length)
-    return Trace.from_compiled(CompiledTrace(name, benchmark_class, seed, array))
+    return CompiledTrace(name, benchmark_class, seed, array)

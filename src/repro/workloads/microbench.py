@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.isa.builder import TraceBuilder
-from repro.isa.trace import Trace
+from repro.isa.compiled import CompiledTrace
 
 HEAP = 0x2AAA_0000_0000
 STACK = 0x7FFF_FFFF_8000
@@ -42,7 +42,7 @@ def _loop(builder: TraceBuilder, iterations: int, body) -> TraceBuilder:
     return builder
 
 
-def narrow_alu(iterations: int = 64) -> Trace:
+def narrow_alu(iterations: int = 64) -> CompiledTrace:
     """Dependent narrow adds: everything stays on the top die."""
     builder = TraceBuilder("narrow_alu")
 
@@ -53,7 +53,7 @@ def narrow_alu(iterations: int = 64) -> Trace:
     return _loop(builder, iterations, body).build()
 
 
-def width_flip(iterations: int = 64) -> Trace:
+def width_flip(iterations: int = 64) -> CompiledTrace:
     """One loop PC alternates narrow and wide results each iteration.
 
     The 2-bit width predictor can never settle, so this kernel maximizes
@@ -69,7 +69,7 @@ def width_flip(iterations: int = 64) -> Trace:
     return _loop(builder, iterations, body).build()
 
 
-def wide_operands(iterations: int = 64) -> Trace:
+def wide_operands(iterations: int = 64) -> CompiledTrace:
     """Narrow results computed FROM wide operands.
 
     The consumer's result is narrow (training the predictor low) but its
@@ -92,7 +92,7 @@ def wide_operands(iterations: int = 64) -> Trace:
     return _loop(builder, iterations, body).build()
 
 
-def pointer_chase(iterations: int = 64, stride_lines: int = 9) -> Trace:
+def pointer_chase(iterations: int = 64, stride_lines: int = 9) -> CompiledTrace:
     """Serial dependent loads at one PC walking a strided pointer ring."""
     builder = TraceBuilder("pointer_chase")
     addr = HEAP
@@ -106,7 +106,7 @@ def pointer_chase(iterations: int = 64, stride_lines: int = 9) -> Trace:
     return _loop(builder, iterations, body).build()
 
 
-def stack_burst(iterations: int = 64) -> Trace:
+def stack_burst(iterations: int = 64) -> CompiledTrace:
     """Bursts of stack traffic: PAM herds almost every broadcast."""
     builder = TraceBuilder("stack_burst")
 
@@ -118,7 +118,7 @@ def stack_burst(iterations: int = 64) -> Trace:
     return _loop(builder, iterations, body).build()
 
 
-def far_branches(iterations: int = 48) -> Trace:
+def far_branches(iterations: int = 48) -> CompiledTrace:
     """Calls into a far code region: the BTB memoization bit misses."""
     builder = TraceBuilder("far_branches")
     start = builder.next_pc
@@ -132,7 +132,7 @@ def far_branches(iterations: int = 48) -> Trace:
     return builder.build()
 
 
-def wide_loads(iterations: int = 64) -> Trace:
+def wide_loads(iterations: int = 64) -> CompiledTrace:
     """One load PC trained narrow for half the run, then wide literals.
 
     The second half's loads are unsafe under the (trained-low) width
@@ -155,7 +155,7 @@ def wide_loads(iterations: int = 64) -> Trace:
 
 
 #: All kernels by name.
-KERNELS: Dict[str, Callable[[], Trace]] = {
+KERNELS: Dict[str, Callable[[], CompiledTrace]] = {
     "narrow_alu": narrow_alu,
     "width_flip": width_flip,
     "wide_operands": wide_operands,
@@ -166,6 +166,6 @@ KERNELS: Dict[str, Callable[[], Trace]] = {
 }
 
 
-def all_kernels() -> List[Trace]:
+def all_kernels() -> List[CompiledTrace]:
     """Instantiate every kernel at its default size."""
     return [build() for build in KERNELS.values()]

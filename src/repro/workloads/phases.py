@@ -24,12 +24,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.compiled import OPCLASS_LIST, CompiledTrace
-from repro.isa.trace import Trace
+from repro.isa.compiled import IS_CONTROL, CompiledTrace
 
 
 def basic_block_vectors(
-    trace: Trace,
+    trace: CompiledTrace,
     interval: int = 2_000,
 ) -> Tuple[np.ndarray, List[int]]:
     """Per-interval basic-block execution vectors.
@@ -46,8 +45,8 @@ def basic_block_vectors(
     current: Dict[int, int] = {}
     starts: List[int] = [0]
 
-    array = trace.compiled().array
-    is_control = np.array([op.is_control for op in OPCLASS_LIST])[array["op"]]
+    array = trace.array
+    is_control = IS_CONTROL[array["op"]]
     leader = True
     count_in_interval = 0
     for index, (pc, control) in enumerate(
@@ -137,7 +136,7 @@ class SimPoint:
 
 
 def choose_simpoints(
-    trace: Trace,
+    trace: CompiledTrace,
     interval: int = 2_000,
     max_clusters: int = 4,
     seed: int = 0,
@@ -166,24 +165,23 @@ def choose_simpoints(
 
 
 def sample_trace(
-    trace: Trace,
+    trace: CompiledTrace,
     points: Sequence[SimPoint],
     interval: int = 2_000,
-) -> Trace:
+) -> CompiledTrace:
     """Concatenate the representative intervals into a reduced trace.
 
-    The sample is built from slices of the compiled rows, so no
-    instruction objects are created.
+    The sample is built from slices of the trace's rows.
     """
     if not points:
         raise ValueError("need at least one simpoint")
-    rows = trace.compiled().array
+    rows = trace.array
     array = np.concatenate([
         rows[p.start_instruction:p.start_instruction + interval] for p in points
     ])
-    return Trace.from_compiled(CompiledTrace(
+    return CompiledTrace(
         f"{trace.name}@simpoints", trace.benchmark_class, trace.seed, array
-    ))
+    )
 
 
 def weighted_metric(points: Sequence[SimPoint], values: Sequence[float]) -> float:

@@ -20,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.isa.trace import Trace
+from repro.isa.compiled import CompiledTrace
 from repro.workloads.emulator import generate_trace, workload_fingerprint
 from repro.workloads.parameters import (
     BenchmarkClass,
@@ -144,7 +144,7 @@ def benchmarks_in_class(klass: BenchmarkClass) -> List[str]:
     return [name for name, spec in BENCHMARKS.items() if spec.benchmark_class is klass]
 
 
-def generate(name: str, length: int = 20_000, seed: Optional[int] = None) -> Trace:
+def generate(name: str, length: int = 20_000, seed: Optional[int] = None) -> CompiledTrace:
     """Generate the trace for a named benchmark.
 
     ``seed`` overrides the spec's default seed (useful for variance
@@ -181,6 +181,6 @@ def fingerprint(name: str, length: int = 20_000, seed: Optional[int] = None) -> 
     )
 
 
-def standard_suite(length: int = 20_000) -> List[Trace]:
+def standard_suite(length: int = 20_000) -> List[CompiledTrace]:
     """Generate every benchmark at the given length."""
     return [generate(name, length=length) for name in BENCHMARKS]

@@ -29,7 +29,8 @@ def _after(trace, srcs=()):
     """A shift at the PC following ``trace``.  Units are reserved in
     program order, so it runs on the shifters, which the consumers
     ahead of it leave free."""
-    return alu(trace[-1].pc + 4, 1, srcs=srcs, dst=7, op=OpClass.ISHIFT)
+    last_pc = trace[-1][0]  # a row's first field is its pc
+    return alu(last_pc + 4, 1, srcs=srcs, dst=7, op=OpClass.ISHIFT)
 
 
 def _scheduler(trace, policy=AllocationPolicy.TOP_FIRST, rs_size=32):

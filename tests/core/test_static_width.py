@@ -2,7 +2,7 @@
 baselines), as the timing core runs them on tiny traces."""
 
 from repro.cpu.config import WidthPredictorKind
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import trace_row
 from repro.isa.opcodes import OpClass
 from repro.workloads.suite import generate
 from tests.tiny_traces import (
@@ -24,9 +24,9 @@ def op(pc, result, src_values=(1,)):
 
 
 def load(pc, value):
-    return TraceInstruction(pc=pc, op=OpClass.LOAD, srcs=(1,), dst=2,
-                            result=value, src_values=(1 << 40,),
-                            mem_addr=0x1000, mem_value=value)
+    return trace_row(pc=pc, op=OpClass.LOAD, srcs=(1,), dst=2,
+                     result=value, src_values=(1 << 40,),
+                     mem_addr=0x1000, mem_value=value)
 
 
 class TestActualWidthClass:
@@ -35,9 +35,9 @@ class TestActualWidthClass:
         assert pre([load(0, 5)]).actual_low == [True]
 
     def test_store_classifies_data(self):
-        store = TraceInstruction(pc=0, op=OpClass.STORE, srcs=(1, 2),
-                                 src_values=(1 << 40, 7),
-                                 mem_addr=0x1000, mem_value=7)
+        store = trace_row(pc=0, op=OpClass.STORE, srcs=(1, 2),
+                          src_values=(1 << 40, 7),
+                          mem_addr=0x1000, mem_value=7)
         assert pre([store]).actual_low == [True]
 
     def test_alu_includes_operands(self):
@@ -55,7 +55,7 @@ class TestProfile:
         assert pre(insts).width_profile()[0x40] is False
 
     def test_non_datapath_excluded(self):
-        branch = TraceInstruction(pc=0x80, op=OpClass.BRANCH, taken=False)
+        branch = trace_row(pc=0x80, op=OpClass.BRANCH, taken=False)
         assert 0x80 not in pre([branch]).width_profile()
 
 

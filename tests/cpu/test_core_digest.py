@@ -28,9 +28,8 @@ from repro.cpu.pipeline import SIMULATOR_VERSION, TimingSimulator, simulate
 from repro.cpu.predecode import predecode
 from repro.cpu.wavefront import IntervalCapture
 from repro.experiments.context import _all_configurations
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import CompiledTrace, compile_trace, trace_row
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 from repro.workloads.suite import generate
 
 LENGTH = 3_000
@@ -157,7 +156,7 @@ ROUND_ROBIN = dataclasses.replace(
 )
 
 
-def _high_register_trace() -> Trace:
+def _high_register_trace() -> CompiledTrace:
     """Register ids far above the architectural 64, up to int16's limit.
 
     The timing core sizes its per-register state from the trace, so ids
@@ -166,27 +165,27 @@ def _high_register_trace() -> Trace:
     """
     wide = 1 << 40
     regs = (3, 64, 200, 1_000, 32_767)
-    insts = []
+    rows = []
     for i in range(60):
         src = regs[i % len(regs)]
         dst = regs[(i + 2) % len(regs)]
         value = wide if i % 3 == 0 else i
-        insts.append(TraceInstruction(
+        rows.append(trace_row(
             pc=0x1000 + 4 * (i % 12), op=OpClass.IALU, srcs=(src, regs[1]),
             dst=dst, result=value, src_values=(value, i)))
         if i % 7 == 3:
-            insts.append(TraceInstruction(
+            rows.append(trace_row(
                 pc=0x2000 + 4 * (i % 5), op=OpClass.LOAD, srcs=(dst,),
                 dst=regs[4], result=i, src_values=(0x2AAA_0000_1000,),
                 mem_addr=0x2AAA_0000_1000 + 8 * i, mem_value=i))
-    return Trace("high-registers", insts)
+    return compile_trace("high-registers", rows)
 
 
 @functools.lru_cache(maxsize=None)
 def _trace(spec):
     if spec is None:
-        return Trace("one", [
-            TraceInstruction(pc=0x1000, op=OpClass.IALU, dst=1, result=3),
+        return compile_trace("one", [
+            trace_row(pc=0x1000, op=OpClass.IALU, dst=1, result=3),
         ])
     return generate(*spec)
 
@@ -198,7 +197,7 @@ def traces():
 
 @pytest.fixture(scope="module")
 def predecoded(traces):
-    return {name: predecode(trace.compiled()) for name, trace in traces.items()}
+    return {name: predecode(trace) for name, trace in traces.items()}
 
 
 def _digest(result, capture=None) -> str:
@@ -261,22 +260,24 @@ def test_round_robin_capture_digest(predecoded):
 @pytest.mark.parametrize("label", ["TH", "Base"])
 def test_high_register_ids_replay(label):
     result = simulate(_high_register_trace(), CONFIGS[label])
-    assert result.instructions == len(_high_register_trace().instructions)
+    assert result.instructions == len(_high_register_trace())
     assert _digest(result) == GOLDEN[f"high-registers/{label}"]
 
 
 def test_warmup_bound_error():
-    pre = predecode(generate("adpcm", length=40).compiled())
+    pre = predecode(generate("adpcm", length=40))
     with pytest.raises(ValueError, match="warmup"):
         _run(pre, CONFIGS["Base"], warmup=40)
 
 
 def test_simulate_accepts_compiled_trace():
+    """``simulate`` is the core run on the trace's pre-decoded columns."""
     trace = generate("adpcm", length=600)
     config = CONFIGS["TH"]
-    via_trace = simulate(trace, config, warmup=100)
-    via_compiled = simulate(trace.compiled(), config, warmup=100)
-    assert pickle.dumps(via_compiled) == pickle.dumps(via_trace)
+    via_simulate = simulate(trace, config, warmup=100)
+    via_core = _run(predecode(generate("adpcm", length=600)), config,
+                    warmup=100)
+    assert pickle.dumps(via_core) == pickle.dumps(via_simulate)
 
 
 class TestMemoryHierarchy:
@@ -287,7 +288,7 @@ class TestMemoryHierarchy:
         def refuse(self, *args, **kwargs):
             raise AssertionError("the timing loop accessed a cache")
 
-        pre = predecode(traces["mpeg2"].compiled())
+        pre = predecode(traces["mpeg2"])
         _run(pre, CONFIGS["3D"])  # fills the front-end and memory walks
         monkeypatch.setattr(caches.SetAssociativeCache, "walk", refuse)
         result = simulate(traces["mpeg2"], CONFIGS["3D"], warmup=WARMUP)

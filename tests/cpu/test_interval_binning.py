@@ -27,7 +27,7 @@ CONFIGS = _all_configurations()
 
 @pytest.fixture(scope="module")
 def pre():
-    return predecode(generate("mpeg2", length=LENGTH).compiled())
+    return predecode(generate("mpeg2", length=LENGTH))
 
 
 def _run(pre, config, capture=None):

@@ -10,31 +10,30 @@ from repro.cpu.config import (
     thermal_herding_config,
 )
 from repro.cpu.pipeline import TimingSimulator, simulate
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import compile_trace, trace_row
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 
 
 def straightline_trace(n=200, pc0=0x40_0000):
     """Independent single-cycle ALU ops: the IPC ceiling case."""
-    insts = [
-        TraceInstruction(pc=pc0 + 4 * i, op=OpClass.IALU, srcs=(),
-                         dst=(i % 8), result=i % 100)
+    rows = [
+        trace_row(pc=pc0 + 4 * i, op=OpClass.IALU, srcs=(),
+                  dst=(i % 8), result=i % 100)
         for i in range(n)
     ]
-    return Trace(name="straight", instructions=insts)
+    return compile_trace("straight", rows)
 
 
 def dependent_chain_trace(n=200, pc0=0x40_0000):
     """Every op depends on the previous one: IPC must approach 1."""
-    insts = []
+    rows = []
     value = 0
     for i in range(n):
-        insts.append(TraceInstruction(
+        rows.append(trace_row(
             pc=pc0 + 4 * i, op=OpClass.IALU, srcs=(1,), dst=1,
             result=(value := value + 1), src_values=(value - 1,),
         ))
-    return Trace(name="chain", instructions=insts)
+    return compile_trace("chain", rows)
 
 
 class TestStructuralBehaviour:
@@ -58,12 +57,12 @@ class TestStructuralBehaviour:
     def test_fdiv_structural_hazard(self):
         """Back-to-back FDIVs serialize on the single unpipelined divider."""
         divs = [
-            TraceInstruction(pc=0x1000 + 4 * i, op=OpClass.FDIV,
-                             srcs=(), dst=40, result=1)
+            trace_row(pc=0x1000 + 4 * i, op=OpClass.FDIV,
+                      srcs=(), dst=40, result=1)
             for i in range(10)
         ]
-        fills = straightline_trace(10, pc0=0x2000).instructions
-        result = simulate(Trace(name="d", instructions=divs + fills), baseline_config())
+        fills = straightline_trace(10, pc0=0x2000).array.tolist()
+        result = simulate(compile_trace("d", divs + fills), baseline_config())
         from repro.isa.opcodes import OP_LATENCY
         assert result.cycles >= 10 * OP_LATENCY[OpClass.FDIV]
 

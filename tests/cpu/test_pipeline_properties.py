@@ -5,9 +5,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cpu.config import baseline_config, full_3d_config
 from repro.cpu.pipeline import simulate
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import OPCLASS_LIST, compile_trace, trace_row
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 
 _CODE = 0x40_0000
 _HEAP = 0x2AAA_0000_0000
@@ -17,26 +16,26 @@ _HEAP = 0x2AAA_0000_0000
 def mini_traces(draw):
     """A small, structurally valid committed-instruction trace."""
     length = draw(st.integers(min_value=4, max_value=60))
-    instructions = []
+    rows = []
     pc = _CODE
     for i in range(length):
         kind = draw(st.sampled_from(["alu", "load", "store", "branch", "fp"]))
         value = draw(st.integers(min_value=0, max_value=(1 << 64) - 1))
         reg = draw(st.integers(min_value=0, max_value=29))
         if kind == "alu":
-            inst = TraceInstruction(
+            row = trace_row(
                 pc=pc, op=OpClass.IALU, srcs=(reg,), dst=(reg + 1) % 30,
                 result=value, src_values=(value,),
             )
         elif kind == "load":
             addr = _HEAP + draw(st.integers(min_value=0, max_value=1 << 16)) * 8
-            inst = TraceInstruction(
+            row = trace_row(
                 pc=pc, op=OpClass.LOAD, srcs=(reg,), dst=(reg + 1) % 30,
                 result=value, src_values=(addr,), mem_addr=addr, mem_value=value,
             )
         elif kind == "store":
             addr = _HEAP + draw(st.integers(min_value=0, max_value=1 << 16)) * 8
-            inst = TraceInstruction(
+            row = trace_row(
                 pc=pc, op=OpClass.STORE, srcs=(reg, (reg + 1) % 30),
                 src_values=(addr, value), mem_addr=addr, mem_value=value,
             )
@@ -44,20 +43,20 @@ def mini_traces(draw):
             taken = draw(st.booleans())
             # Forward target within the trace keeps the PC space small.
             target = pc + 4 * draw(st.integers(min_value=1, max_value=4))
-            inst = TraceInstruction(
+            row = trace_row(
                 pc=pc, op=OpClass.BRANCH, srcs=(reg,), src_values=(value,),
                 taken=taken, target=target if taken else None,
             )
             if taken:
                 pc = target - 4
         else:
-            inst = TraceInstruction(
+            row = trace_row(
                 pc=pc, op=OpClass.FADD, srcs=(40, 41), dst=42,
                 result=value, src_values=(1, 2),
             )
-        instructions.append(inst)
+        rows.append(row)
         pc += 4
-    return Trace(name="prop", instructions=instructions)
+    return compile_trace("prop", rows)
 
 
 @settings(max_examples=40, deadline=None,
@@ -82,7 +81,8 @@ def test_simulation_invariants_3d(trace):
     assert result.instructions == len(trace)
     stats = result.width_stats
     assert stats is not None
-    datapath = sum(1 for i in trace if i.op.is_integer_datapath)
+    datapath = sum(OPCLASS_LIST[code].is_integer_datapath
+                   for code in trace.array["op"].tolist())
     assert stats.predictions == datapath
     assert (stats.correct + stats.unsafe_mispredictions
             + stats.safe_mispredictions) == stats.predictions

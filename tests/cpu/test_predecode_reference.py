@@ -14,9 +14,8 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.cpu.predecode import predecode
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import CompiledTrace, compile_trace, trace_row
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 from repro.workloads.suite import generate
 
 
@@ -65,37 +64,37 @@ def reference_writers(pre) -> Tuple[List[int], List[int]]:
     return w0, w1
 
 
-def _edge_trace() -> Trace:
+def _edge_trace() -> CompiledTrace:
     """Line 0, repeated and self-reading registers, sparse addresses."""
-    insts = [
-        TraceInstruction(pc=0x0, op=OpClass.IALU, srcs=(4,), dst=4,
-                         result=1, src_values=(0,)),
-        TraceInstruction(pc=0x4, op=OpClass.LOAD, srcs=(4,), dst=4,
-                         result=7, src_values=(1,), mem_addr=0x10_0000,
-                         mem_value=7),
-        TraceInstruction(pc=0x8, op=OpClass.STORE, srcs=(4, 4),
-                         src_values=(7, 7), mem_addr=0x7FFF_FFFF_0000,
-                         mem_value=7),
-        TraceInstruction(pc=0xC, op=OpClass.IALU, srcs=(9, 4), dst=9,
-                         result=3, src_values=(0, 7)),
-        TraceInstruction(pc=0x10, op=OpClass.LOAD, srcs=(9,), dst=1,
-                         result=0, src_values=(3,), mem_addr=0x10_0040,
-                         mem_value=0),
-        TraceInstruction(pc=0x14, op=OpClass.IALU, srcs=(1, 1), dst=1,
-                         result=0, src_values=(0, 0)),
+    rows = [
+        trace_row(pc=0x0, op=OpClass.IALU, srcs=(4,), dst=4,
+                  result=1, src_values=(0,)),
+        trace_row(pc=0x4, op=OpClass.LOAD, srcs=(4,), dst=4,
+                  result=7, src_values=(1,), mem_addr=0x10_0000,
+                  mem_value=7),
+        trace_row(pc=0x8, op=OpClass.STORE, srcs=(4, 4),
+                  src_values=(7, 7), mem_addr=0x7FFF_FFFF_0000,
+                  mem_value=7),
+        trace_row(pc=0xC, op=OpClass.IALU, srcs=(9, 4), dst=9,
+                  result=3, src_values=(0, 7)),
+        trace_row(pc=0x10, op=OpClass.LOAD, srcs=(9,), dst=1,
+                  result=0, src_values=(3,), mem_addr=0x10_0040,
+                  mem_value=0),
+        trace_row(pc=0x14, op=OpClass.IALU, srcs=(1, 1), dst=1,
+                  result=0, src_values=(0, 0)),
     ]
-    return Trace("edge", insts * 3)
+    return compile_trace("edge", rows * 3)
 
 
 TRACES = [("edge", None)] + [
     (name, 3_000) for name in ("gzip", "mcf", "swim", "equake", "adpcm",
-                               "susan", "yacr2", "blast")
+                        "susan", "yacr2", "blast")
 ]
 
 
 def _pre(name, length):
     trace = _edge_trace() if length is None else generate(name, length)
-    return predecode(trace.compiled())
+    return predecode(trace)
 
 
 @pytest.mark.parametrize("name,length", TRACES)

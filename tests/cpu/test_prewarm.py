@@ -37,7 +37,7 @@ def single_pass_stream(accesses=3000, stride=192):
 
 def run(trace, prewarm):
     return TimingSimulator(baseline_config()).run_compiled(
-        predecode(trace.compiled()), prewarm=prewarm
+        predecode(trace), prewarm=prewarm
     )
 
 

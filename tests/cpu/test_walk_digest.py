@@ -58,7 +58,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def predecoded():
-    return {name: predecode(generate(name).compiled()) for name in TRACES}
+    return {name: predecode(generate(name)) for name in TRACES}
 
 
 def _columns_digest(walk, columns) -> str:

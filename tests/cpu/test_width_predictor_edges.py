@@ -125,8 +125,7 @@ class TestPerKindResetAtWarmup:
         config = dataclasses.replace(
             _all_configurations()["TH"], width_predictor_kind=kind
         )
-        compiled = trace.compiled()
-        pre = predecode(compiled)
+        pre = predecode(trace)
         full = TimingSimulator(config).run_compiled(pre, warmup=0)
         warmed = TimingSimulator(config).run_compiled(
             pre, warmup=2_000

@@ -429,14 +429,13 @@ class TestLedgerEviction:
         assert cache.ledger.total_bytes() == _du(cache)
 
     def test_trace_entries_evicted_before_results(self, tmp_path):
-        from repro.isa.compiled import compile_trace
         from repro.workloads.suite import fingerprint, generate
 
         cache = ResultCache(tmp_path)
         results = [_filler(cache, f"result-{i}") for i in range(2)]
         store = cache.trace_store()
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compile_trace(generate("adpcm", length=300)))
+        npy = store.store(key, generate("adpcm", length=300))
         assert npy is not None
         # Results are made *older* than the trace; the trace must still
         # be the first victim — kind outranks age.
@@ -492,7 +491,7 @@ class TestMetricsSnapshot:
         assert snapshot["cache"]["entries"] == 1
         assert snapshot["cache"]["result_entries"] == 1
         assert snapshot["cache"]["trace_entries"] == 0
-        assert snapshot["schema"] == 2
+        assert snapshot["schema"] == 3
         assert snapshot["cache"]["index"] == {
             "entry_rows": 1, "claim_rows": 0, "rebuilds": 0}
 

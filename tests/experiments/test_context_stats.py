@@ -33,7 +33,7 @@ PAYLOAD_KEYS = [
     "thermal_disk_hits", "thermal_groups", "thermal_solved",
     "thermal_subproc_fallbacks", "thermal_subproc_solves",
     "thermal_worker_factorizations", "thermal_worker_groups",
-    "trace_cache_hits", "trace_compile_seconds", "traces_generated",
+    "trace_cache_hits", "traces_generated",
     "transient_disk_hits", "transient_groups", "transient_runs",
     "transient_steps", "transient_worker_factorizations",
     "transient_worker_groups",
@@ -46,7 +46,6 @@ class TestPayload:
 
     def test_values_and_rounding(self):
         stats = ContextStats(run_id="abc", simulated=3, sim_disk_hits=2,
-                             trace_compile_seconds=1.23456,
                              instructions_simulated=9_000)
         stats.add_stage("thermal", 0.5)
         stats.add_stage("simulate", 0.0044444)
@@ -55,7 +54,6 @@ class TestPayload:
         assert payload["run_id"] == "abc"
         assert payload["simulated"] == 3
         assert payload["sim_disk_hits"] == 2
-        assert payload["trace_compile_seconds"] == 1.235
         assert payload["instructions_per_second"] == round(9_000 / 0.0044444, 1)
         assert list(payload["stage_seconds"].items()) == [
             ("simulate", 0.004), ("thermal", 0.5),

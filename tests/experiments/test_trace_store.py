@@ -18,7 +18,7 @@ import numpy as np
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, TraceStore, trace_store_key
 from repro.experiments.context import ExperimentContext, ExperimentSettings
-from repro.isa.compiled import TRACE_DTYPE, compile_trace
+from repro.isa.compiled import TRACE_DTYPE
 from repro.workloads.suite import fingerprint, generate
 
 TINY = ExperimentSettings(
@@ -55,15 +55,14 @@ class TestTraceStore:
 
     def test_store_load_roundtrip(self, tmp_path):
         store = self._store(tmp_path)
-        compiled = compile_trace(generate("adpcm", length=300))
+        compiled = generate("adpcm", length=300)
         key = trace_store_key(fingerprint("adpcm", 300))
         assert store.store(key, compiled) is not None
         loaded = store.load(key)
         assert loaded is not None
         assert loaded.name == "adpcm"
         assert len(loaded) == 300
-        assert loaded.to_trace().instructions == \
-            compiled.to_trace().instructions
+        assert loaded.array.tobytes() == compiled.array.tobytes()
         assert store.hits == 1 and store.stores == 1
 
     def test_missing_entry_is_a_miss(self, tmp_path):
@@ -74,7 +73,7 @@ class TestTraceStore:
 
     def test_corrupt_array_evicts_both_files(self, tmp_path):
         store = self._store(tmp_path)
-        compiled = compile_trace(generate("adpcm", length=300))
+        compiled = generate("adpcm", length=300)
         key = trace_store_key(fingerprint("adpcm", 300))
         npy = store.store(key, compiled)
         npy.write_bytes(b"garbage")
@@ -85,7 +84,7 @@ class TestTraceStore:
 
     def test_corrupt_meta_evicts_both_files(self, tmp_path):
         store = self._store(tmp_path)
-        compiled = compile_trace(generate("adpcm", length=300))
+        compiled = generate("adpcm", length=300)
         key = trace_store_key(fingerprint("adpcm", 300))
         npy = store.store(key, compiled)
         meta = npy.with_suffix(".json")
@@ -100,7 +99,7 @@ class TestTraceStore:
         """An array without its metadata (crash between renames) is
         indistinguishable from a miss and gets cleaned up."""
         store = self._store(tmp_path)
-        compiled = compile_trace(generate("adpcm", length=300))
+        compiled = generate("adpcm", length=300)
         key = trace_store_key(fingerprint("adpcm", 300))
         npy = store.store(key, compiled)
         npy.with_suffix(".json").unlink()
@@ -116,7 +115,7 @@ class TestLedgerAccounting:
         cache = ResultCache(tmp_path)
         store = cache.trace_store()
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compile_trace(generate("adpcm", length=300)))
+        npy = store.store(key, generate("adpcm", length=300))
         expected = npy.stat().st_size + npy.with_suffix(".json").stat().st_size
         assert cache.ledger.total_bytes() == expected
         assert list(cache.ledger.rows()) == [("trace", key)]
@@ -127,7 +126,7 @@ class TestLedgerAccounting:
     def test_standalone_store_is_unaccounted(self, tmp_path):
         store = TraceStore(tmp_path / "traces")
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compile_trace(generate("adpcm", length=300)))
+        npy = store.store(key, generate("adpcm", length=300))
         assert npy is not None
         assert store.load(key) is not None  # works fine, just unbounded
 
@@ -140,7 +139,7 @@ class TestLedgerAccounting:
         assert cache._path(result_key).exists()  # protected at its own store
         store = cache.trace_store()
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compile_trace(generate("adpcm", length=300)))
+        npy = store.store(key, generate("adpcm", length=300))
         assert npy is not None and npy.exists()  # just stored: protected
         assert not cache._path(result_key).exists()  # evicted to make room
         assert cache.ledger.total_bytes() == \
@@ -185,7 +184,6 @@ class TestSweepReuse:
         payload = context.stats.as_dict()
         assert payload["traces_generated"] == 2
         assert payload["trace_cache_hits"] == 0
-        assert payload["trace_compile_seconds"] >= 0.0
         assert payload["instructions_simulated"] == 4 * TINY.trace_length
         assert payload["instructions_per_second"] > 0
 
@@ -212,7 +210,7 @@ class TestDataBitFlip:
         npy.write_bytes(bytes(data))
 
         second = ExperimentContext(settings, jobs=1, cache=ResultCache(tmp_path))
-        compiled = second._compiled_for("gzip")
+        compiled = second.trace("gzip")
         store = second.cache.trace_store()
         assert second.stats.trace_cache_hits == 0
         assert second.stats.traces_generated == 1

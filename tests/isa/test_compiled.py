@@ -1,10 +1,11 @@
-"""Columnar trace compilation: exact round-trips and strictness.
+"""Trace rows: exact packing and strictness.
 
-The compiled form is only allowed to exist if it is *exact*: every
-instruction must survive ``compile_trace`` -> ``to_trace`` unchanged,
-traces outside the fixed-width layout must refuse to compile (and so
-cannot be simulated), and damaged on-disk entries must raise
-``TraceReadError`` rather than deliver garbage into a simulation.
+A trace is only allowed to exist if its rows are *exact*: every
+emitted row must be one :func:`trace_row` rebuilds unchanged from the
+instruction it describes, instructions outside the fixed-width layout
+must refuse to become rows (and so cannot be simulated), and damaged
+on-disk entries must raise ``TraceReadError`` rather than deliver
+garbage into a simulation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.isa.builder import TraceBuilder
 from repro.isa.compiled import (
+    MAX_SOURCES,
+    OPCLASS_LIST,
     TRACE_DTYPE,
     TRACE_SCHEMA_VERSION,
     TraceCompileError,
@@ -21,80 +25,88 @@ from repro.isa.compiled import (
     meta_path_for,
     read_compiled,
     rows_to_array,
+    trace_row,
     write_compiled,
 )
-from repro.isa.instruction import MAX_SOURCES, TraceInstruction
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 from repro.workloads.suite import generate
 
 
-def _roundtrip(trace: Trace) -> Trace:
-    return compile_trace(trace).to_trace()
+def _instruction(row: tuple) -> dict:
+    """The :func:`trace_row` arguments that describe ``row``."""
+    (pc, op, nsrcs, nvals, src0, src1, dst, result, sval0, sval1,
+     has_mem_addr, mem_addr, has_mem_value, mem_value, taken,
+     has_target, target) = row
+    return dict(
+        pc=pc, op=OPCLASS_LIST[op], srcs=(src0, src1)[:nsrcs],
+        dst=None if dst < 0 else dst, result=result,
+        src_values=(sval0, sval1)[:nvals],
+        mem_addr=mem_addr if has_mem_addr else None,
+        mem_value=mem_value if has_mem_value else None,
+        taken=taken, target=target if has_target else None,
+    )
+
+
+def _rebuilds_exactly(trace) -> bool:
+    rows = trace.array.tolist()
+    rebuilt = compile_trace(trace.name,
+                            [trace_row(**_instruction(row)) for row in rows])
+    return rebuilt.array.tobytes() == trace.array.tobytes()
 
 
 class TestRoundTrip:
     def test_generated_trace_roundtrips_exactly(self):
-        trace = generate("mpeg2", length=2_000)
-        back = _roundtrip(trace)
-        assert back.name == trace.name
-        assert back.benchmark_class == trace.benchmark_class
-        assert back.seed == trace.seed
-        assert back.instructions == trace.instructions
+        assert _rebuilds_exactly(generate("mpeg2", length=2_000))
 
     def test_every_benchmark_class_is_compilable(self):
         for name in ("gzip", "swim", "adpcm", "susan", "yacr2", "blast"):
-            trace = generate(name, length=400)
-            assert _roundtrip(trace).instructions == trace.instructions
+            assert _rebuilds_exactly(generate(name, length=400)), name
 
     def test_optional_fields_preserve_none(self):
         insts = [
-            TraceInstruction(pc=0x1000, op=OpClass.IALU, dst=3, result=7,
-                             srcs=(1, 2), src_values=(5, 9)),
-            TraceInstruction(pc=0x1004, op=OpClass.BRANCH, taken=False),
-            TraceInstruction(pc=0x1008, op=OpClass.STORE, mem_addr=0x2000,
-                             mem_value=None, srcs=(3,), src_values=(7,)),
-            TraceInstruction(pc=0x100C, op=OpClass.NOP),
+            dict(pc=0x1000, op=OpClass.IALU, dst=3, result=7,
+                 srcs=(1, 2), src_values=(5, 9)),
+            dict(pc=0x1004, op=OpClass.BRANCH, taken=False),
+            dict(pc=0x1008, op=OpClass.STORE, mem_addr=0x2000,
+                 mem_value=None, srcs=(3,), src_values=(7,)),
+            dict(pc=0x100C, op=OpClass.NOP),
         ]
-        back = _roundtrip(Trace("edge", insts, "unknown", seed=None))
-        for a, b in zip(back.instructions, insts):
-            assert a == b
-        assert back.instructions[1].target is None
-        assert back.instructions[2].mem_value is None
-        assert back.instructions[3].dst is None
+        trace = compile_trace("edge", [trace_row(**inst) for inst in insts])
+        back = [_instruction(row) for row in trace.array.tolist()]
+        for a, b in zip(back, insts):
+            assert {k: a[k] for k in b} == b
+        assert back[1]["target"] is None
+        assert back[2]["mem_value"] is None
+        assert back[3]["dst"] is None
 
     def test_width_boundary_values_roundtrip(self):
         # The 16-bit significance boundary (2**15) and both u64 extremes.
         values = [0, (1 << 15) - 1, 1 << 15, (1 << 64) - (1 << 15),
                   (1 << 64) - (1 << 15) - 1, (1 << 64) - 1]
-        insts = [
-            TraceInstruction(pc=0x1000 + 4 * i, op=OpClass.IALU, dst=1,
-                             result=v, srcs=(2,), src_values=(v,))
+        rows = [
+            trace_row(pc=0x1000 + 4 * i, op=OpClass.IALU, dst=1,
+                      result=v, srcs=(2,), src_values=(v,))
             for i, v in enumerate(values)
         ]
-        back = _roundtrip(Trace("widths", insts))
-        for inst, v in zip(back.instructions, values):
-            assert inst.result == v
-            assert inst.src_values == (v,)
+        array = compile_trace("widths", rows).array
+        assert array["result"].tolist() == values
+        assert array["sval0"].tolist() == values
 
     def test_empty_trace(self):
-        compiled = compile_trace(Trace("empty", []))
+        compiled = compile_trace("empty", [])
         assert len(compiled) == 0
-        assert compiled.to_trace().instructions == []
+        assert compiled.array.dtype == TRACE_DTYPE
 
 
 class TestStrictness:
     def test_too_many_sources_refuses(self):
-        inst = TraceInstruction(pc=0x1000, op=OpClass.IALU,
-                                srcs=(1, 2, 3), src_values=(1, 2, 3))
         with pytest.raises(TraceCompileError, match=f"{MAX_SOURCES}-column"):
-            compile_trace(Trace("wide", [inst]))
+            trace_row(pc=0x1000, op=OpClass.IALU,
+                      srcs=(1, 2, 3), src_values=(1, 2, 3))
 
     def test_value_outside_u64_refuses(self):
-        inst = TraceInstruction(pc=0x1000, op=OpClass.IALU, dst=1,
-                                result=1 << 64)
         with pytest.raises(TraceCompileError, match="64-bit"):
-            compile_trace(Trace("big", [inst]))
+            trace_row(pc=0x1000, op=OpClass.IALU, dst=1, result=1 << 64)
 
     @pytest.mark.parametrize("srcs,dst", [
         ((-5,), None),
@@ -103,9 +115,8 @@ class TestStrictness:
         ((), 1 << 15),
     ])
     def test_register_outside_int16_refuses(self, srcs, dst):
-        inst = TraceInstruction(pc=0x1000, op=OpClass.IALU, srcs=srcs, dst=dst)
         with pytest.raises(TraceCompileError, match="int16"):
-            compile_trace(Trace("regs", [inst]))
+            trace_row(pc=0x1000, op=OpClass.IALU, srcs=srcs, dst=dst)
 
     @pytest.mark.parametrize("field", ["pc", "result", "src_values",
                                        "mem_addr", "mem_value", "target"])
@@ -115,7 +126,7 @@ class TestStrictness:
                       mem_value=0, taken=False, target=0x3000)
         fields[field] = (-1,) if field == "src_values" else -1
         with pytest.raises(TraceCompileError, match="64-bit"):
-            compile_trace(Trace("negative", [TraceInstruction(**fields)]))
+            trace_row(**fields)
 
     @pytest.mark.parametrize("field,value", [
         ("pc", -1),
@@ -138,25 +149,23 @@ class TestStrictness:
             rows_to_array([tuple(row)])
 
     def test_uncompilable_trace_cannot_be_simulated(self):
-        from repro.cpu.config import baseline_config
-        from repro.cpu.pipeline import simulate
-
-        inst = TraceInstruction(pc=0x1000, op=OpClass.IALU,
-                                srcs=(1, 2, 3), src_values=(1, 2, 3))
-        trace = Trace("wide", [inst])
+        """An instruction the columns cannot hold never becomes a row,
+        so no trace holding it reaches the core."""
+        builder = TraceBuilder("wide").alu(1, 5)
         with pytest.raises(TraceCompileError, match=f"{MAX_SOURCES}-column"):
-            simulate(trace, baseline_config())
-        with pytest.raises(TraceCompileError):
-            trace.compiled()  # nothing memoized; still refuses
+            builder.alu(2, 6, srcs=(1, 2, 3))
+        assert len(builder.build()) == 1
 
     def test_compilable_trace_memoizes_instance(self):
+        """``compiled()`` is the trace itself: the benchmark harness
+        still calls it on generated traces."""
         trace = generate("adpcm", length=200)
-        assert trace.compiled() is trace.compiled()
+        assert trace.compiled() is trace
 
 
 class TestOnDisk:
     def _write(self, tmp_path, length=300):
-        compiled = compile_trace(generate("adpcm", length=length))
+        compiled = generate("adpcm", length=length)
         npy = tmp_path / "entry.npy"
         write_compiled(compiled, npy)
         return compiled, npy
@@ -170,8 +179,6 @@ class TestOnDisk:
         assert loaded.array.dtype == TRACE_DTYPE
         assert isinstance(loaded.array, np.memmap)
         assert np.array_equal(np.asarray(loaded.array), compiled.array)
-        assert loaded.to_trace().instructions == \
-            compiled.to_trace().instructions
 
     def test_missing_meta_raises(self, tmp_path):
         _, npy = self._write(tmp_path)

@@ -1,208 +1,158 @@
-"""Tests for the trace instruction record."""
-
-import dataclasses
-import pickle
+"""Tests for the trace row constructor and its width classification."""
 
 import pytest
 
-from repro.isa.instruction import TraceInstruction
+from repro.cpu.predecode import predecode
+from repro.isa.builder import TraceBuilder
+from repro.isa.compiled import TRACE_DTYPE, compile_trace, trace_row
 from repro.isa.opcodes import OpClass
 from repro.isa.values import to_unsigned
 
 
 def make_alu(result=5, srcs=(1, 2), src_values=(3, 4), pc=0x1000):
-    return TraceInstruction(
+    return trace_row(
         pc=pc, op=OpClass.IALU, srcs=srcs, dst=3,
         result=result, src_values=src_values,
     )
 
 
+def columns(*rows):
+    """The pre-decoded columns of a trace of ``rows``."""
+    return predecode(compile_trace("rows", list(rows)))
+
+
+def field(row, name):
+    return row[TRACE_DTYPE.names.index(name)]
+
+
 class TestConstruction:
     def test_memory_requires_address(self):
         with pytest.raises(ValueError):
-            TraceInstruction(pc=0x1000, op=OpClass.LOAD, dst=1)
+            trace_row(pc=0x1000, op=OpClass.LOAD, dst=1)
 
     def test_taken_control_requires_target(self):
         with pytest.raises(ValueError):
-            TraceInstruction(pc=0x1000, op=OpClass.BRANCH, taken=True)
+            trace_row(pc=0x1000, op=OpClass.BRANCH, taken=True)
 
     def test_not_taken_branch_needs_no_target(self):
-        inst = TraceInstruction(pc=0x1000, op=OpClass.BRANCH, taken=False)
-        assert inst.next_pc == 0x1004
+        row = trace_row(pc=0x1000, op=OpClass.BRANCH, taken=False)
+        assert not field(row, "has_target")
 
     def test_src_values_must_match_srcs(self):
         with pytest.raises(ValueError):
-            TraceInstruction(pc=0, op=OpClass.IALU, srcs=(1, 2), src_values=(3,))
+            trace_row(pc=0, op=OpClass.IALU, srcs=(1, 2), src_values=(3,))
 
     def test_src_values_may_be_omitted(self):
-        inst = TraceInstruction(pc=0, op=OpClass.IALU, srcs=(1, 2))
-        assert inst.operands_are_low_width  # vacuously true
+        row = trace_row(pc=0, op=OpClass.IALU, srcs=(1, 2))
+        assert field(row, "nvals") == 0
+        assert columns(row).operands_low == [True]  # vacuously true
 
 
 class TestNextPc:
+    """The architectural next PC the builder's path check follows."""
+
     def test_sequential(self):
-        assert make_alu(pc=0x2000).next_pc == 0x2004
+        assert TraceBuilder(start_pc=0x2000).alu(1, 5).next_pc == 0x2004
 
     def test_taken_branch(self):
-        inst = TraceInstruction(pc=0x1000, op=OpClass.BRANCH, taken=True, target=0x1100)
-        assert inst.next_pc == 0x1100
+        builder = TraceBuilder(start_pc=0x1000).branch(taken=True, target=0x1100)
+        assert builder.next_pc == 0x1100
 
     def test_call(self):
-        inst = TraceInstruction(pc=0x1000, op=OpClass.CALL, taken=True, target=0x8000)
-        assert inst.next_pc == 0x8000
+        assert TraceBuilder(start_pc=0x1000).call(0x8000).next_pc == 0x8000
 
 
 class TestWidthProperties:
+    """The per-instruction width classes the core reads (Section 3)."""
+
     def test_low_width_all_narrow(self):
-        assert make_alu(result=10, src_values=(1, 2)).is_low_width
+        assert columns(make_alu(result=10, src_values=(1, 2))).actual_low == [True]
 
     def test_wide_result_not_low(self):
-        inst = make_alu(result=1 << 20, src_values=(1, 2))
-        assert not inst.result_is_low_width
-        assert not inst.is_low_width
+        pre = columns(make_alu(result=1 << 20, src_values=(1, 2)))
+        assert pre.result_low == [False]
+        assert pre.actual_low == [False]
 
     def test_wide_operand_not_low(self):
-        inst = make_alu(result=1, src_values=(1 << 40, 2))
-        assert inst.result_is_low_width
-        assert not inst.operands_are_low_width
-        assert not inst.is_low_width
+        pre = columns(make_alu(result=1, src_values=(1 << 40, 2)))
+        assert pre.result_low == [True]
+        assert pre.operands_low == [False]
+        assert pre.actual_low == [False]
 
     def test_negative_small_is_low(self):
-        inst = make_alu(result=to_unsigned(-3), src_values=(to_unsigned(-1), 2))
-        assert inst.is_low_width
+        row = make_alu(result=to_unsigned(-3), src_values=(to_unsigned(-1), 2))
+        assert columns(row).actual_low == [True]
 
     def test_writes_register(self):
-        assert make_alu().writes_register
-        store = TraceInstruction(
-            pc=0, op=OpClass.STORE, srcs=(1, 2), mem_addr=0x100, mem_value=5,
+        store = trace_row(
+            pc=0x1004, op=OpClass.STORE, srcs=(1, 2), mem_addr=0x100, mem_value=5,
         )
-        assert not store.writes_register
-
-
-class TestDescribe:
-    def test_describe_contains_pc_and_op(self):
-        text = make_alu(pc=0x1234).describe()
-        assert "0x00001234" in text
-        assert "ialu" in text
-
-    def test_describe_branch_direction(self):
-        taken = TraceInstruction(pc=0, op=OpClass.BRANCH, taken=True, target=0x40)
-        assert "(T" in taken.describe()
-        not_taken = TraceInstruction(pc=0, op=OpClass.BRANCH, taken=False)
-        assert "(NT" in not_taken.describe()
+        assert columns(make_alu(), store).dsts == [3, None]
 
 
 class TestDataclassContract:
-    """The hand-written ``__init__`` keeps the frozen-dataclass contract."""
-
-    FIELDS = ("pc", "op", "srcs", "dst", "result", "src_values",
-              "mem_addr", "mem_value", "taken", "target")
+    """The constructor's signature, defaults and error messages."""
 
     def test_defaults(self):
-        inst = TraceInstruction(0x40, OpClass.NOP)
-        assert (inst.srcs, inst.dst, inst.result, inst.src_values) == ((), None, 0, ())
-        assert (inst.mem_addr, inst.mem_value, inst.taken, inst.target) == (
-            None, None, False, None
-        )
+        row = trace_row(0x40, OpClass.NOP)
+        assert row == (0x40, list(OpClass).index(OpClass.NOP), 0, 0, 0, 0, -1,
+                       0, 0, 0, False, 0, False, 0, False, False, 0)
 
     def test_positional_equals_keyword(self):
-        positional = TraceInstruction(
+        positional = trace_row(
             0x1000, OpClass.LOAD, (1,), 2, 7, (0x80,), 0x80, 7, False, None
         )
-        keyword = TraceInstruction(
+        keyword = trace_row(
             pc=0x1000, op=OpClass.LOAD, srcs=(1,), dst=2, result=7,
             src_values=(0x80,), mem_addr=0x80, mem_value=7,
         )
         assert positional == keyword
-        assert [getattr(keyword, name) for name in self.FIELDS] == [
-            0x1000, OpClass.LOAD, (1,), 2, 7, (0x80,), 0x80, 7, False, None
-        ]
+
+    def test_fields(self):
+        """One value per column, in the dtype's field order."""
+        row = make_alu()
+        assert len(row) == len(TRACE_DTYPE.names)
+        packed = compile_trace("one", [row]).array[0]
+        assert packed.tolist() == row
+        assert (field(row, "pc"), field(row, "dst"), field(row, "result")) \
+            == (0x1000, 3, 5)
 
     def test_unknown_keyword_rejected(self):
         with pytest.raises(TypeError):
-            TraceInstruction(pc=0, op=OpClass.NOP, width=4)
+            trace_row(pc=0, op=OpClass.NOP, width=4)
 
     def test_missing_address_message(self):
         with pytest.raises(ValueError,
                            match=r"^OpClass\.STORE at pc=0x1000 requires mem_addr$"):
-            TraceInstruction(pc=0x1000, op=OpClass.STORE, srcs=(1, 2))
+            trace_row(pc=0x1000, op=OpClass.STORE, srcs=(1, 2))
 
     def test_missing_target_message(self):
         with pytest.raises(ValueError,
                            match=r"^taken OpClass\.CALL at pc=0x2000 requires target$"):
-            TraceInstruction(pc=0x2000, op=OpClass.CALL, taken=True)
+            trace_row(pc=0x2000, op=OpClass.CALL, taken=True)
 
     def test_src_values_length_message(self):
         with pytest.raises(
             ValueError,
             match=r"^src_values length 1 does not match srcs length 2$",
         ):
-            TraceInstruction(pc=0, op=OpClass.IALU, srcs=(1, 2), src_values=(3,))
-
-    def test_frozen(self):
-        inst = make_alu()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            inst.pc = 0x2000
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del inst.result
-
-    def test_fields(self):
-        assert tuple(f.name for f in dataclasses.fields(TraceInstruction)) == self.FIELDS
-
-    def test_replace_revalidates(self):
-        inst = make_alu()
-        moved = dataclasses.replace(inst, pc=0x2000)
-        assert moved.pc == 0x2000
-        assert moved == make_alu(pc=0x2000)
-        with pytest.raises(ValueError, match="requires mem_addr"):
-            dataclasses.replace(inst, op=OpClass.LOAD)
-
-    def test_equality_and_hash(self):
-        assert make_alu() == make_alu()
-        assert hash(make_alu()) == hash(make_alu())
-        assert make_alu() != make_alu(result=6)
-        assert len({make_alu(), make_alu(), make_alu(pc=0x2000)}) == 2
-
-    def test_equality_ignores_cached_widths(self):
-        warmed = make_alu()
-        assert warmed.is_low_width
-        assert warmed == make_alu()
-        assert hash(warmed) == hash(make_alu())
-
-    def test_repr(self):
-        assert repr(make_alu()) == (
-            "TraceInstruction(pc=4096, op=<OpClass.IALU: 'ialu'>, srcs=(1, 2), "
-            "dst=3, result=5, src_values=(3, 4), mem_addr=None, "
-            "mem_value=None, taken=False, target=None)"
-        )
-
-    def test_pickle_round_trip(self):
-        inst = TraceInstruction(
-            pc=0x1000, op=OpClass.BRANCH, srcs=(4,), src_values=(1 << 40,),
-            taken=True, target=0x0F00,
-        )
-        assert not inst.operands_are_low_width
-        clone = pickle.loads(pickle.dumps(inst))
-        assert clone == inst
-        assert [getattr(clone, name) for name in self.FIELDS] == [
-            getattr(inst, name) for name in self.FIELDS
-        ]
-        assert not clone.is_low_width
+            trace_row(pc=0, op=OpClass.IALU, srcs=(1, 2), src_values=(3,))
 
 
 class TestCachedWidths:
-    @pytest.mark.parametrize(
-        "name", ["result_is_low_width", "operands_are_low_width", "is_low_width"]
-    )
+    COLUMNS = {"result_is_low_width": "result_low",
+               "operands_are_low_width": "operands_low",
+               "is_low_width": "actual_low"}
+
+    @pytest.mark.parametrize("name", list(COLUMNS))
     def test_computed_once_per_instruction(self, name):
-        inst = make_alu(result=1 << 20)
-        assert name not in vars(inst)
-        first = getattr(inst, name)
-        assert vars(inst)[name] is first
-        assert getattr(inst, name) is first
+        """Width classes are computed once per trace, for every config
+        that replays it."""
+        trace = compile_trace("once", [make_alu(result=1 << 20)])
+        first = getattr(predecode(trace), self.COLUMNS[name])
+        assert getattr(predecode(trace), self.COLUMNS[name]) is first
 
     def test_values(self):
-        inst = make_alu(result=1, src_values=(1 << 40, 2))
-        assert inst.result_is_low_width
-        assert not inst.operands_are_low_width
-        assert not inst.is_low_width
+        pre = columns(make_alu(result=1, src_values=(1 << 40, 2)))
+        assert (pre.result_low, pre.operands_low, pre.actual_low) \
+            == ([True], [False], [False])

@@ -61,7 +61,7 @@ class TestCommands:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["metrics"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["schema"] == 2
+        assert snapshot["schema"] == 3
         assert snapshot["cache"]["enabled"] is True
         assert snapshot["cache"]["entries"] == 0
         assert "counters" in snapshot["cache"]
@@ -85,8 +85,13 @@ class TestCommands:
         assert snapshot["cache"] == {"enabled": False}
 
     def test_trace_roundtrip(self, tmp_path, capsys):
-        output = tmp_path / "x.jsonl.gz"
+        output = tmp_path / "x.npy"
         assert main(["trace", "adpcm", "--length", "500", "-o", str(output)]) == 0
         assert output.exists()
-        from repro.isa.serialization import load_trace
-        assert len(load_trace(output)) == 500
+        from repro.isa.compiled import read_compiled
+        from repro.workloads.suite import generate
+
+        trace = read_compiled(output)  # checks the sidecar's CRC-32
+        assert len(trace) == 500
+        assert trace.array.tobytes() == \
+            generate("adpcm", length=500).array.tobytes()

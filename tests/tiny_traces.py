@@ -1,7 +1,8 @@
 """Tiny hand-made traces for mechanism tests of the timing core.
 
-Each builder returns one :class:`~repro.isa.instruction.TraceInstruction`;
-:func:`run` replays a list of them through
+Each builder returns one trace row
+(:func:`~repro.isa.compiled.trace_row`); :func:`run` replays a list of
+them through
 :meth:`~repro.cpu.pipeline.TimingSimulator.run_compiled`, the only core
 model, and :func:`pre` gives the pre-decoded columns the wavefront walks
 read.  Registers that a trace never writes take their width memoization
@@ -24,9 +25,8 @@ from repro.cpu.pipeline import TimingSimulator
 from repro.cpu.predecode import PreDecodedTrace, predecode
 from repro.cpu.results import SimulationResult
 from repro.cpu.wavefront import IntervalCapture
-from repro.isa.instruction import TraceInstruction
+from repro.isa.compiled import compile_trace, trace_row
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import Trace
 
 #: A full-width value (its upper 48 bits are neither all zeros nor all ones).
 WIDE = 1 << 40
@@ -36,46 +36,46 @@ HEAP_ADDR = 0x2AAA_0000_1000
 
 def alu(pc: int, result: int = 1, srcs: Tuple[int, ...] = (1,),
         values: Optional[Tuple[int, ...]] = None, dst: Optional[int] = 2,
-        op: OpClass = OpClass.IALU) -> TraceInstruction:
+        op: OpClass = OpClass.IALU) -> tuple:
     """An integer op; source values default to 1 (low width)."""
     if values is None:
         values = (1,) * len(srcs)
-    return TraceInstruction(pc=pc, op=op, srcs=srcs, dst=dst,
-                            result=result if dst is not None else 0,
-                            src_values=values)
+    return trace_row(pc=pc, op=op, srcs=srcs, dst=dst,
+                     result=result if dst is not None else 0,
+                     src_values=values)
 
 
 def load(pc: int, addr: int, value: int = 1, dst: int = 2,
-         base: int = 1) -> TraceInstruction:
+         base: int = 1) -> tuple:
     """A load of ``value`` from ``addr``; the base register holds ``addr``."""
-    return TraceInstruction(pc=pc, op=OpClass.LOAD, srcs=(base,), dst=dst,
-                            result=value, src_values=(addr,),
-                            mem_addr=addr, mem_value=value)
+    return trace_row(pc=pc, op=OpClass.LOAD, srcs=(base,), dst=dst,
+                     result=value, src_values=(addr,),
+                     mem_addr=addr, mem_value=value)
 
 
 def store(pc: int, addr: int, value: int = 1, base: int = 1,
-          data: int = 3) -> TraceInstruction:
+          data: int = 3) -> tuple:
     """A store of ``value`` (held in register ``data``) to ``addr``."""
-    return TraceInstruction(pc=pc, op=OpClass.STORE, srcs=(base, data),
-                            src_values=(addr, value),
-                            mem_addr=addr, mem_value=value)
+    return trace_row(pc=pc, op=OpClass.STORE, srcs=(base, data),
+                     src_values=(addr, value),
+                     mem_addr=addr, mem_value=value)
 
 
-def branch(pc: int, taken: bool, target: int = 0x2000) -> TraceInstruction:
-    return TraceInstruction(pc=pc, op=OpClass.BRANCH, taken=taken,
-                            target=target if taken else None)
+def branch(pc: int, taken: bool, target: int = 0x2000) -> tuple:
+    return trace_row(pc=pc, op=OpClass.BRANCH, taken=taken,
+                     target=target if taken else None)
 
 
-def jump(pc: int, target: int) -> TraceInstruction:
-    return TraceInstruction(pc=pc, op=OpClass.JUMP, taken=True, target=target)
+def jump(pc: int, target: int) -> tuple:
+    return trace_row(pc=pc, op=OpClass.JUMP, taken=True, target=target)
 
 
-def call(pc: int, target: int) -> TraceInstruction:
-    return TraceInstruction(pc=pc, op=OpClass.CALL, taken=True, target=target)
+def call(pc: int, target: int) -> tuple:
+    return trace_row(pc=pc, op=OpClass.CALL, taken=True, target=target)
 
 
-def ret(pc: int, target: int) -> TraceInstruction:
-    return TraceInstruction(pc=pc, op=OpClass.RETURN, taken=True, target=target)
+def ret(pc: int, target: int) -> tuple:
+    return trace_row(pc=pc, op=OpClass.RETURN, taken=True, target=target)
 
 
 def th_config(**overrides) -> CPUConfig:
@@ -93,12 +93,12 @@ def base_config(**overrides) -> CPUConfig:
     return replace(baseline_config(), **overrides)
 
 
-def pre(insts: Iterable[TraceInstruction], name: str = "tiny") -> PreDecodedTrace:
+def pre(insts: Iterable[tuple], name: str = "tiny") -> PreDecodedTrace:
     """The pre-decoded columns of a hand-made trace."""
-    return predecode(Trace(name, list(insts)).compiled())
+    return predecode(compile_trace(name, list(insts)))
 
 
-def run(insts: Iterable[TraceInstruction], config: Optional[CPUConfig] = None,
+def run(insts: Iterable[tuple], config: Optional[CPUConfig] = None,
         warmup: int = 0, prewarm: bool = True) -> SimulationResult:
     """Simulate a hand-made trace (Thermal Herding by default)."""
     return TimingSimulator(config or th_config()).run_compiled(
@@ -106,7 +106,7 @@ def run(insts: Iterable[TraceInstruction], config: Optional[CPUConfig] = None,
     )
 
 
-def occurrences(outcomes: Iterable[bool], pc: int = 0x40) -> List[TraceInstruction]:
+def occurrences(outcomes: Iterable[bool], pc: int = 0x40) -> List[tuple]:
     """One source-less op at ``pc`` per outcome (True = low width).
 
     Without register sources an op is classified by its result alone and
@@ -116,14 +116,14 @@ def occurrences(outcomes: Iterable[bool], pc: int = 0x40) -> List[TraceInstructi
     return [alu(pc, 1 if low else WIDE, srcs=()) for low in outcomes]
 
 
-def nops(pc: int, count: int = 12) -> List[TraceInstruction]:
+def nops(pc: int, count: int = 12) -> List[tuple]:
     """``count`` no-ops from ``pc``: enough dispatch cycles for every
     earlier result to be back in the register file before the next
     instruction reads it."""
-    return [TraceInstruction(pc=pc + 4 * i, op=OpClass.NOP) for i in range(count)]
+    return [trace_row(pc=pc + 4 * i, op=OpClass.NOP) for i in range(count)]
 
 
-def gated(insts: Iterable[TraceInstruction],
+def gated(insts: Iterable[tuple],
           config: Optional[CPUConfig] = None) -> List[bool]:
     """Per instruction, did its ALU pass run on the top die alone?
 

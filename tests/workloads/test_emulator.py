@@ -1,20 +1,29 @@
 """Tests for the functional emulator."""
 
+import numpy as np
 import pytest
 
-from repro.isa.compiled import TRACE_DTYPE
+from repro.isa.compiled import OP_CODE, OPCLASS_LIST, TRACE_DTYPE
 from repro.isa.opcodes import OpClass
 from repro.workloads.emulator import Emulator, generate_trace
 from repro.workloads.memory_model import HEAP_BASE, STACK_BASE
 from repro.workloads.parameters import CLASS_PARAMETERS, BenchmarkClass
 from repro.workloads.program import build_program
+from repro.workloads.validation import TraceStats
 
 PARAMS = CLASS_PARAMETERS[BenchmarkClass.MEDIABENCH]
 
 
+IS_CONTROL = np.array([op.is_control for op in OPCLASS_LIST])
+
+
 def emulate(length=2000, seed=5, params=PARAMS):
-    """The committed instructions of one emulator run."""
-    return generate_trace("t", params, length, seed).instructions
+    """The committed-instruction rows of one emulator run."""
+    return generate_trace("t", params, length, seed).array
+
+
+def is_op(rows, op):
+    return rows["op"] == OP_CODE[op]
 
 
 class TestBasics:
@@ -35,8 +44,8 @@ class TestBasics:
     def test_deterministic(self):
         a = emulate(seed=7)
         b = emulate(seed=7)
-        assert [i.pc for i in a] == [i.pc for i in b]
-        assert [i.result for i in a] == [i.result for i in b]
+        assert np.array_equal(a["pc"], b["pc"])
+        assert np.array_equal(a["result"], b["result"])
 
     def test_trace_wrapper(self):
         trace = generate_trace("x", PARAMS, length=500, seed=3, benchmark_class="c")
@@ -47,64 +56,63 @@ class TestBasics:
 
 class TestControlFlowConsistency:
     def test_taken_branches_have_targets(self):
-        for inst in emulate():
-            if inst.op.is_control and inst.taken:
-                assert inst.target is not None
+        rows = emulate()
+        taken = IS_CONTROL[rows["op"]] & rows["taken"]
+        assert rows["has_target"][taken].all()
 
     def test_calls_enter_leaves_and_return(self):
-        insts = emulate(4000)
-        for i, inst in enumerate(insts):
-            if inst.op is OpClass.CALL and i + 1 < len(insts):
-                # The next committed instruction is at the call target.
-                assert insts[i + 1].pc == inst.target
+        rows = emulate(4000)
+        calls = np.flatnonzero(is_op(rows, OpClass.CALL)[:-1])
+        # The next committed instruction is at the call target.
+        assert np.array_equal(rows["pc"][calls + 1], rows["target"][calls])
 
     def test_returns_resume_after_call(self):
-        insts = emulate(4000)
+        rows = emulate(4000)
         call_stack = []
-        for inst in insts:
-            if inst.op is OpClass.CALL:
-                call_stack.append(inst.pc + 4)
-            elif inst.op is OpClass.RETURN and call_stack:
-                assert inst.target == call_stack.pop()
+        for op, pc, target in zip(rows["op"].tolist(), rows["pc"].tolist(),
+                                  rows["target"].tolist()):
+            if op == OP_CODE[OpClass.CALL]:
+                call_stack.append(pc + 4)
+            elif op == OP_CODE[OpClass.RETURN] and call_stack:
+                assert target == call_stack.pop()
 
     def test_committed_path_is_sequential(self):
-        """Each instruction's next_pc is the next instruction's pc."""
-        insts = emulate(3000)
-        breaks = 0
-        for a, b in zip(insts, insts[1:]):
-            if a.next_pc != b.pc:
-                breaks += 1
+        """Each instruction's next PC is the next instruction's pc."""
+        rows = emulate(3000)
+        next_pc = np.where(IS_CONTROL[rows["op"]] & rows["taken"],
+                           rows["target"], rows["pc"] + np.uint64(4))
         # The committed path is fully sequential by construction.
-        assert breaks == 0
+        assert np.array_equal(next_pc[:-1], rows["pc"][1:])
 
 
 class TestMemoryConsistency:
     def test_addresses_in_known_regions(self):
-        for inst in emulate():
-            if inst.mem_addr is not None:
-                in_heap = HEAP_BASE <= inst.mem_addr < STACK_BASE
-                in_stack = inst.mem_addr >= STACK_BASE
-                assert in_heap or in_stack
+        rows = emulate()
+        addrs = rows["mem_addr"][rows["has_mem_addr"]]
+        in_heap = (addrs >= np.uint64(HEAP_BASE)) & (addrs < np.uint64(STACK_BASE))
+        in_stack = addrs >= np.uint64(STACK_BASE)
+        assert (in_heap | in_stack).all()
 
     def test_addresses_word_aligned(self):
-        for inst in emulate():
-            if inst.mem_addr is not None:
-                assert inst.mem_addr % 8 == 0
+        rows = emulate()
+        assert (rows["mem_addr"][rows["has_mem_addr"]] % 8 == 0).all()
 
     def test_store_to_load_value_consistency(self):
         """A load after a store to the same word sees the stored value."""
-        insts = emulate(6000)
+        rows = emulate(6000)
         memory = {}
-        for inst in insts:
-            if inst.op is OpClass.STORE:
-                memory[inst.mem_addr] = inst.mem_value
-            elif inst.op is OpClass.LOAD and inst.mem_addr in memory:
-                assert inst.mem_value == memory[inst.mem_addr]
+        for op, addr, value in zip(rows["op"].tolist(),
+                                   rows["mem_addr"].tolist(),
+                                   rows["mem_value"].tolist()):
+            if op == OP_CODE[OpClass.STORE]:
+                memory[addr] = value
+            elif op == OP_CODE[OpClass.LOAD] and addr in memory:
+                assert value == memory[addr]
 
     def test_loads_write_their_value(self):
-        for inst in emulate():
-            if inst.op is OpClass.LOAD and inst.dst is not None:
-                assert inst.result == inst.mem_value
+        rows = emulate()
+        loads = is_op(rows, OpClass.LOAD) & (rows["dst"] >= 0)
+        assert np.array_equal(rows["result"][loads], rows["mem_value"][loads])
 
 
 class TestValueConsistency:
@@ -112,41 +120,42 @@ class TestValueConsistency:
         """Register reads observe the most recent architectural write."""
         regs = {}
         checked = 0
-        for inst in emulate(5000):
-            for reg, value in zip(inst.srcs, inst.src_values):
+        for row in emulate(5000).tolist():
+            pc, nsrcs, nvals, dst, result = row[0], row[2], row[3], row[6], row[7]
+            srcs, values = row[4:4 + nsrcs], row[8:8 + nvals]
+            for reg, value in zip(srcs, values):
                 if reg in regs:
-                    assert value == regs[reg], f"at pc={inst.pc:#x} reg r{reg}"
+                    assert value == regs[reg], f"at pc={pc:#x} reg r{reg}"
                     checked += 1
-            if inst.dst is not None and inst.dst != 31:
-                regs[inst.dst] = inst.result
+            if dst >= 0 and dst != 31:
+                regs[dst] = result
         assert checked > 1000
 
     def test_results_are_64_bit(self):
-        for inst in emulate():
-            assert 0 <= inst.result < (1 << 64)
+        assert emulate()["result"].dtype == np.uint64
 
 
 class TestStatisticalShape:
     def test_mediabench_is_narrow(self):
         trace = generate_trace("m", PARAMS, 6000, seed=2)
-        stats = trace.stats()
+        stats = TraceStats.from_trace(trace)
         assert stats.low_width_result_fraction > 0.5
 
     def test_pointer_class_is_wide(self):
         params = CLASS_PARAMETERS[BenchmarkClass.POINTER]
         trace = generate_trace("p", params, 6000, seed=2)
-        stats = trace.stats()
-        media = generate_trace("m", PARAMS, 6000, seed=2).stats()
+        stats = TraceStats.from_trace(trace)
+        media = TraceStats.from_trace(generate_trace("m", PARAMS, 6000, seed=2))
         assert stats.low_width_result_fraction < media.low_width_result_fraction
 
     def test_fp_class_has_fp_ops(self):
         params = CLASS_PARAMETERS[BenchmarkClass.SPECFP]
         trace = generate_trace("f", params, 6000, seed=2)
-        from repro.isa.opcodes import OpClass as OC
-        fp = sum(1 for i in trace if i.op.is_fp)
+        is_fp = np.array([op.is_fp for op in OPCLASS_LIST])
+        fp = np.count_nonzero(is_fp[trace.array["op"]])
         assert fp / len(trace) > 0.10
 
     def test_branches_present_and_taken_biased(self):
-        stats = generate_trace("m", PARAMS, 6000, seed=2).stats()
+        stats = TraceStats.from_trace(generate_trace("m", PARAMS, 6000, seed=2))
         assert 0.02 < stats.branch_fraction < 0.40
         assert stats.taken_fraction > 0.5

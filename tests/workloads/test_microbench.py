@@ -2,11 +2,13 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.cpu.config import baseline_config, thermal_herding_config
 from repro.cpu.pipeline import simulate
 from repro.experiments.mechanisms import run_mechanisms
+from repro.isa.compiled import OPCLASS_LIST
 from repro.workloads.microbench import KERNELS, all_kernels
 
 #: sha256 over every kernel's compiled ``TRACE_DTYPE`` rows, in
@@ -39,16 +41,19 @@ class TestKernelStructure:
             assert result.instructions == len(build()), name
 
     def test_committed_paths_sequential(self):
+        is_control = np.array([op.is_control for op in OPCLASS_LIST])
         for trace in all_kernels():
-            for a, b in zip(trace, trace.instructions[1:]):
-                assert a.next_pc == b.pc, trace.name
+            rows = trace.array
+            next_pc = np.where(is_control[rows["op"]] & rows["taken"],
+                               rows["target"], rows["pc"] + np.uint64(4))
+            assert np.array_equal(next_pc[:-1], rows["pc"][1:]), trace.name
 
 
 class TestGoldenDigests:
     def test_kernel_rows(self):
         digest = hashlib.sha256()
         for build in KERNELS.values():
-            digest.update(build().compiled().array.tobytes())
+            digest.update(build().array.tobytes())
         assert digest.hexdigest() == KERNEL_ROWS_DIGEST
 
     def test_mechanisms_table(self):

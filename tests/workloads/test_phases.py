@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.isa.compiled import compile_trace
 from repro.workloads.phases import (
     KMeans,
     basic_block_vectors,
@@ -12,6 +13,7 @@ from repro.workloads.phases import (
     SimPoint,
 )
 from repro.workloads.suite import generate
+from repro.workloads.validation import TraceStats
 
 
 @pytest.fixture(scope="module")
@@ -88,26 +90,17 @@ class TestSimPoints:
         """The reduced trace approximates the full trace's width profile."""
         points = choose_simpoints(trace, interval=2000, max_clusters=4)
         sampled = sample_trace(trace, points, interval=2000)
-        full = trace.stats().low_width_result_fraction
-        reduced = sampled.stats().low_width_result_fraction
+        full = TraceStats.from_trace(trace).low_width_result_fraction
+        reduced = TraceStats.from_trace(sampled).low_width_result_fraction
         assert abs(full - reduced) < 0.08
 
     def test_compiled_and_list_sources_sample_alike(self, trace):
-        from repro.isa.trace import Trace
-
+        """A trace packed from a list of rows samples like the
+        emulator's own array."""
         points = choose_simpoints(trace, interval=2000, max_clusters=3)
-        listed = Trace(trace.name, list(trace.instructions))
-        assert (sample_trace(listed, points, interval=2000).instructions
-                == sample_trace(trace, points, interval=2000).instructions)
-
-    def test_simpoint_sampling_builds_no_instruction_objects(self, monkeypatch):
-        from repro.isa.compiled import CompiledTrace
-
-        fresh = generate("gcc", length=6_000)
-        monkeypatch.setattr(CompiledTrace, "to_trace", None)
-        points = choose_simpoints(fresh, interval=2000, max_clusters=2)
-        sampled = sample_trace(fresh, points, interval=2000)
-        assert len(sampled) == 2000 * len(points)
+        listed = compile_trace(trace.name, trace.array.tolist())
+        assert (sample_trace(listed, points, interval=2000).array.tobytes()
+                == sample_trace(trace, points, interval=2000).array.tobytes())
 
     def test_sample_requires_points(self, trace):
         with pytest.raises(ValueError):

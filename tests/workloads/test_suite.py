@@ -9,6 +9,7 @@ from repro.workloads.suite import (
     benchmarks_in_class,
     generate,
 )
+from repro.workloads.validation import TraceStats
 
 
 class TestRegistry:
@@ -48,12 +49,12 @@ class TestGeneration:
     def test_seed_override_changes_trace(self):
         a = generate("adpcm", length=500)
         b = generate("adpcm", length=500, seed=999)
-        assert [i.result for i in a] != [i.result for i in b]
+        assert a.array["result"].tolist() != b.array["result"].tolist()
 
     def test_reproducible(self):
         a = generate("gzip", length=400)
         b = generate("gzip", length=400)
-        assert [i.pc for i in a] == [i.pc for i in b]
+        assert a.array["pc"].tolist() == b.array["pc"].tolist()
 
 
 class TestClassCharacter:
@@ -62,7 +63,7 @@ class TestClassCharacter:
     @pytest.fixture(scope="class")
     def stats(self):
         return {
-            name: generate(name, length=5000).stats()
+            name: TraceStats.from_trace(generate(name, length=5000))
             for name in ("mpeg2", "susan", "mcf", "yacr2", "swim", "hmmer")
         }
 

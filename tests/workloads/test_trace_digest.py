@@ -3,7 +3,7 @@
 Each digest is a sha256 over the bytes of the compiled columnar array
 (``TRACE_DTYPE`` rows) that :func:`repro.workloads.suite.generate`
 yields, recorded while the emulator still built one
-``TraceInstruction`` per committed instruction and compiled the list in
+instruction object per committed instruction and compiled the list in
 a second pass.  The table covers every benchmark at the default length
 and seed, every benchmark at a length that stops mid-loop, and six
 benchmarks (one per suite) at two non-default seeds.  A change to the
@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from repro.isa.compiled import OPCLASS_LIST
 from repro.workloads.emulator import GENERATOR_VERSION
 from repro.workloads.suite import BENCHMARKS, generate
 
@@ -143,7 +144,7 @@ GOLDEN = {
         "d1c9ef411ae8c5b98717e9bcb2128fc941e9b929acaec43243a18b89110ac9ae",
 }
 
-#: sha256 of the field tuples of ``generate("mpeg2").instructions``,
+#: sha256 of the field tuples of ``generate("mpeg2")``'s instructions,
 #: recorded from the eagerly built instruction list.
 MPEG2_INSTRUCTIONS = (
     "83b73df2a20a91fa24a99820abb578ca4ecd6b746d3285e49eed369ce62024ad"
@@ -152,7 +153,7 @@ MPEG2_INSTRUCTIONS = (
 
 def _digest(name, length, seed):
     trace = generate(name, length, seed=seed)
-    return hashlib.sha256(trace.compiled().array.tobytes()).hexdigest()
+    return hashlib.sha256(trace.array.tobytes()).hexdigest()
 
 
 def test_generator_version_unchanged():
@@ -169,11 +170,19 @@ def test_emulator_digest(name, length, seed):
 
 
 def test_materialized_instructions_match_eager_list():
+    """Each row, read back as the instruction record it replaced
+    (``None`` for absent fields, tuples of sources and their values),
+    matches that record field for field."""
     trace = generate("mpeg2", 20_000)
     rows = [
-        (i.pc, i.op.value, i.srcs, i.dst, i.result, i.src_values,
-         i.mem_addr, i.mem_value, i.taken, i.target)
-        for i in trace.compiled().to_trace().instructions
+        (pc, OPCLASS_LIST[op].value, (src0, src1)[:nsrcs],
+         None if dst < 0 else dst, result, (sval0, sval1)[:nvals],
+         mem_addr if has_mem_addr else None,
+         mem_value if has_mem_value else None, taken,
+         target if has_target else None)
+        for (pc, op, nsrcs, nvals, src0, src1, dst, result, sval0, sval1,
+             has_mem_addr, mem_addr, has_mem_value, mem_value, taken,
+             has_target, target) in trace.array.tolist()
     ]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         MPEG2_INSTRUCTIONS

@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 
 from repro.isa.builder import TraceBuilder
-from repro.isa.trace import TraceStats
 from repro.isa.opcodes import OpClass
 from repro.workloads.parameters import BenchmarkClass
 from repro.workloads.suite import BENCHMARKS, generate
 from repro.workloads.validation import (
     CLASS_EXPECTATIONS,
     ClassExpectations,
+    TraceStats,
     validate_suite,
     validate_trace,
 )
@@ -26,7 +26,7 @@ class TestMechanics:
             near_targets=(0.0, 1.0),
         )
         trace = TraceBuilder().alu(1, 1 << 40).build()
-        violations = expectations.check(trace.stats())
+        violations = expectations.check(TraceStats.from_trace(trace))
         assert violations
         assert "low_width_results" in violations[0]
 
@@ -64,7 +64,7 @@ class TestSuiteCharacterization:
         by_class = {}
         for trace in suite:
             by_class.setdefault(trace.benchmark_class, []).append(
-                trace.stats().low_width_result_fraction
+                TraceStats.from_trace(trace).low_width_result_fraction
             )
         media = sum(by_class["MediaBench"]) / 4
         pointer = sum(by_class["Pointer"]) / 4
@@ -127,16 +127,16 @@ def _fields(stats):
 class TestPinnedStats:
     @pytest.mark.parametrize("name", sorted(PINNED_STATS))
     def test_generated_trace(self, name):
-        stats = generate(name, length=8000).stats()
+        stats = TraceStats.from_trace(generate(name, length=8000))
         assert _fields(stats) == PINNED_STATS[name]
 
     def test_mcf_low_width_results(self):
-        stats = generate("mcf", length=8000).stats()
+        stats = TraceStats.from_trace(generate("mcf", length=8000))
         assert stats.low_width_result_fraction == 0.44252140644926213
 
     def test_empty_trace(self):
         """Every fraction's denominator is zero."""
-        stats = TraceStats.from_instructions([])
+        stats = TraceStats.from_trace(TraceBuilder().build())
         assert _fields(stats) == {
             "count": 0, "op_mix": [],
             "low_width_result_fraction": 0.0,
@@ -155,7 +155,7 @@ class TestPinnedStats:
                  .fp(3, op=OpClass.FADD)
                  .fp(4, srcs=(3,), op=OpClass.FMUL, result=1 << 40)
                  .build())
-        assert _fields(trace.stats()) == {
+        assert _fields(TraceStats.from_trace(trace)) == {
             "count": 2, "op_mix": [("fadd", 0.5), ("fmul", 0.5)],
             "low_width_result_fraction": 0.0,
             "low_width_operand_fraction": 0.0,
@@ -172,7 +172,7 @@ class TestPinnedStats:
                  .alu(2, 1 << 40, srcs=(1,))
                  .alu(3, 7, srcs=(1, 2), op=OpClass.ISHIFT)
                  .build())
-        assert _fields(trace.stats()) == {
+        assert _fields(TraceStats.from_trace(trace)) == {
             "count": 3, "op_mix": [("ialu", 2 / 3), ("ishift", 1 / 3)],
             "low_width_result_fraction": 2 / 3,
             "low_width_operand_fraction": 2 / 3,
