@@ -223,10 +223,11 @@ def _cmd_report(args) -> int:
                 stream.write("\n")
             print(f"wrote {args.stats}")
         if args.log_json:
-            # One robustness event per line, closed by a summary record —
-            # greppable in CI logs, streamable into log pipelines.  Every
-            # line carries ts/run_id/batch_id for correlation with
-            # external job-runner logs.
+            # One event (robustness incident or pool start) per line,
+            # closed by a summary record — greppable in CI logs,
+            # streamable into log pipelines.  Every line carries
+            # ts/run_id/batch_id for correlation with external job-runner
+            # logs.
             from datetime import datetime, timezone
 
             with open(args.log_json, "w", encoding="utf-8") as stream:
@@ -241,7 +242,7 @@ def _cmd_report(args) -> int:
                 }
                 stream.write(json.dumps(summary, sort_keys=True) + "\n")
             print(f"wrote {args.log_json} "
-                  f"({len(context.stats.events)} robustness events)")
+                  f"({len(context.stats.events)} events)")
     return 0
 
 
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write wall-clock and simulation/thermal-solve "
                              "counters as JSON (for benchmark tracking)")
     report.add_argument("--log-json", metavar="FILE", dest="log_json",
-                        help="write per-event robustness telemetry (retries, "
+                        help="write per-event telemetry (pool starts, retries, "
                              "pool restarts, serial fallbacks) as JSON lines")
     report.add_argument("--profile", nargs="?", const=30, default=None,
                         type=int, metavar="N",

@@ -101,7 +101,7 @@ import time
 import warnings
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.results import SimulationResult
@@ -454,10 +454,20 @@ class CacheIndex:
         """Account a removed entry."""
         self.write("DELETE FROM entries WHERE kind = ? AND key = ?", (kind, key))
 
-    def touch(self, kind: str, key: str) -> None:
-        """Mark an entry as just used, so eviction takes it last."""
-        self.write("UPDATE entries SET atime = ? WHERE kind = ? AND key = ?",
-                   (time.time(), kind, key))
+    def touch(self, kind: str, keys: Sequence[str]) -> None:
+        """Mark entries as just used, so eviction takes them last: one
+        transaction however many keys (a no-op when the index is
+        unavailable)."""
+        if not keys:
+            return
+        now = time.time()
+        try:
+            with self.transaction() as conn:
+                conn.executemany(
+                    "UPDATE entries SET atime = ? WHERE kind = ? AND key = ?",
+                    [(now, kind, key) for key in keys])
+        except _index_errors():
+            pass
 
     def _scalar(self, sql: str) -> int:
         rows = self.read(sql)
@@ -635,7 +645,14 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.version_dir / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
-    def load(self, key: str, expected_type: type = SimulationResult):
+    def touch(self, keys: Sequence[str]) -> None:
+        """Mark the entries of ``keys`` as just used, in one index
+        transaction: a caller about to load many entries touches them all
+        first and loads each with ``touch=False``."""
+        self._index.touch("result", keys)
+
+    def load(self, key: str, expected_type: type = SimulationResult,
+             touch: bool = True):
         """The cached result for ``key``, or ``None`` on a miss.
 
         ``expected_type`` guards against key collisions across result
@@ -643,11 +660,14 @@ class ResultCache:
         flipped bits, incompatible pickles, payloads of the wrong type —
         are deleted and treated as misses, so one damaged file costs one
         re-run, not a re-read-and-miss on every subsequent load.
+        ``touch=False`` skips the index touch (the caller made it with
+        :meth:`touch`).
         """
         # Touch *before* reading: the size-cap evictor removes the least
         # recently used entries first, so an entry being read is the
         # freshest in the cache and never the victim.
-        self._index.touch("result", key)
+        if touch:
+            self._index.touch("result", [key])
         path = self._path(key)
         try:
             result = _unpack_entry(path.read_bytes())

@@ -38,6 +38,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.cpu.config import CPUConfig, paper_configurations
@@ -124,6 +125,10 @@ CLAIM_POLL_S = 0.05
 #: with ``jobs > 1`` every picklable schedule pools.
 THERMAL_PARALLEL_MIN_GROUPS = 3
 
+#: Back-solves one factorization costs about as much as (grid-48 3D
+#: stack: 0.63 s to factorize, 0.043 s per right-hand side).
+FACTORIZATION_RHS = 15
+
 #: Configuration labels -> whether they are evaluated as a 3D stack.
 CONFIG_STACKS: Dict[str, StackKind] = {
     "Base": StackKind.PLANAR_2D,
@@ -137,6 +142,10 @@ CONFIG_STACKS: Dict[str, StackKind] = {
 #: :class:`ContextStats` fields left out of :meth:`ContextStats.as_dict`
 #: (``stage_seconds`` is added there, sorted and rounded).
 _UNREPORTED = frozenset({"stage_seconds", "events", "batch_id", "_batch_seq"})
+
+#: A run's configuration: a label of :data:`CONFIG_STACKS` or an
+#: ad-hoc :class:`CPUConfig`.
+SimSpec = Union[str, CPUConfig]
 
 #: Sentinel: "build the default cache from the environment".
 _AUTO_CACHE = object()
@@ -168,8 +177,8 @@ class ContextStats:
     submissions worker pools saw, how often tasks were retried, how often
     a broken pool was restarted, how many tasks ended up running serially
     in-process, and wall-clock per pipeline stage.  ``events`` is an
-    append-only log of the individual robustness incidents, emitted by
-    ``repro report --log-json``.
+    append-only log of the individual robustness incidents and pool
+    starts, emitted by ``repro report --log-json``.
     """
 
     #: correlation id of the owning context, stamped on every event
@@ -237,7 +246,8 @@ class ContextStats:
     leakage_disk_hits: int = 0
     #: accumulated wall-clock per pipeline stage (e.g. simulate, thermal)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: robustness incidents, in order ({"event": ..., **detail})
+    #: robustness incidents and pool starts, in order
+    #: ({"event": ..., **detail})
     events: List[dict] = field(default_factory=list)
     #: correlation id of the in-flight worker batch (None between batches)
     batch_id: Optional[str] = None
@@ -460,6 +470,38 @@ class _PoolTask:
     timeout_s: Optional[float] = None
     max_attempts: int = 1
     on_fallback: Optional[Callable[[str], None]] = None
+    #: relative run time, for submitting the longest task first
+    cost: float = 0.0
+
+
+@dataclass
+class _Batch:
+    """Pool tasks a work generator yields; it is resumed with their outputs.
+
+    Work generators (steady thermal solves, transient stepping) yield a
+    batch, or ``None`` to pause until collection, instead of starting a
+    pool themselves: :meth:`ExperimentContext._run` runs each batch on
+    its own pool, while :meth:`ExperimentContext.start_thermal` merges
+    the first batches of several generators into one pool.  The parent
+    time either spends submitting and waiting on a batch is charged to
+    ``stage``.
+    """
+
+    tasks: List[_PoolTask]
+    kind: str
+    stage: str
+    force_pool: bool = False
+
+
+def _solve_cost(cells: int, rhs: int) -> float:
+    """Relative run time of factorizing a ``cells``-unknown system and
+    back-solving ``rhs`` right-hand sides against it.
+
+    LU fill, and with it the cost of each solve, grows as ``cells**(4/3)``
+    (see :data:`repro.experiments.supervised.LU_FILL_BYTES`); one
+    factorization costs about :data:`FACTORIZATION_RHS` back-solves.
+    """
+    return cells ** (4.0 / 3.0) * (FACTORIZATION_RHS + rhs)
 
 
 @dataclass
@@ -489,19 +531,12 @@ class Started:
     batch, else a fresh one); :meth:`result` re-enters the same batch
     and resumes it, so every event of the run carries the id and no
     other batch inherits it.  :meth:`cancel` closes the steps, killing
-    any workers still running.  Parent time spent inside the
-    constructor and :meth:`result` — not the overlapped span between
-    them — is charged to ``stats`` stage ``stage`` when one is given.
-
-    Inside another ``steps`` generator, ``value = yield from handle``
-    waits for a nested handle and cancels it if the outer one is.
+    any workers still running.
     """
 
-    def __init__(self, steps: Generator, stats: ContextStats,
-                 stage: Optional[str] = None):
+    def __init__(self, steps: Generator, stats: ContextStats):
         self._steps: Optional[Generator] = steps
         self._stats = stats
-        self._stage = stage
         self._value = None
         with stats.batch() as self.batch_id:
             self._step()
@@ -519,24 +554,12 @@ class Started:
             with self._stats.batch(self.batch_id):
                 steps.close()
 
-    def __iter__(self):
-        try:
-            yield
-            return self.result()
-        finally:
-            self.cancel()
-
     def _step(self) -> None:
-        start = time.perf_counter()
         try:
             with self._stats.batch(self.batch_id):
                 next(self._steps)
         except StopIteration as stop:
             self._steps, self._value = None, stop.value
-        finally:
-            if self._stage is not None:
-                self._stats.add_stage(self._stage,
-                                      time.perf_counter() - start)
 
 
 class ExperimentContext:
@@ -662,12 +685,10 @@ class ExperimentContext:
 
     def run(self, benchmark: str, config_label: str) -> SimulationResult:
         """The (cached) simulation of one benchmark under one configuration."""
-        key = (benchmark, config_label)
-        result = self._runs.get(key)
+        result = self._runs.get((benchmark, config_label))
         if result is None:
-            self._prefetch_items([(self._runs, key, benchmark,
-                                   self._config_for(config_label))])
-            result = self._runs[key]
+            self._prefetch_items([self._sim_item(benchmark, config_label)])
+            result = self._runs[benchmark, config_label]
         return result
 
     def run_config(self, benchmark: str, config: CPUConfig) -> SimulationResult:
@@ -680,37 +701,30 @@ class ExperimentContext:
         key = (benchmark, self._cache_key(benchmark, config))
         result = self._config_runs.get(key)
         if result is None:
-            self._prefetch_items([(self._config_runs, key, benchmark, config)])
+            self._prefetch_items([self._sim_item(benchmark, config)])
             result = self._config_runs[key]
         return result
 
     # ------------------------------------------------------------------ #
     # Parallel prefetching
 
-    def grid(
-        self,
-        config_labels: Optional[Sequence[str]] = None,
-        benchmarks: Optional[Sequence[str]] = None,
-    ) -> List[Tuple[str, str]]:
-        """The full (benchmark, config label) evaluation grid."""
-        labels = list(config_labels) if config_labels is not None else list(self.configs)
-        names = list(benchmarks) if benchmarks is not None else self.settings.benchmark_list()
-        return [(benchmark, label) for benchmark in names for label in labels]
+    def prefetch(self, items: Iterable[Tuple[str, SimSpec]]) -> None:
+        """Materialize many runs, simulating misses in parallel.
 
-    def prefetch(self, pairs: Iterable[Tuple[str, str]]) -> None:
-        """Materialize many labelled runs, simulating misses in parallel."""
-        self._prefetch_items(
-            (self._runs, (benchmark, label), benchmark, self._config_for(label))
-            for benchmark, label in pairs
-        )
+        Each item is a benchmark with a configuration label (see
+        :meth:`run`) or an ad-hoc configuration (see :meth:`run_config`);
+        all misses resolve in one :meth:`_resolve`, so in one pool.
+        """
+        self._prefetch_items(self._sim_item(benchmark, spec)
+                             for benchmark, spec in items)
 
-    def prefetch_configs(self, items: Iterable[Tuple[str, CPUConfig]]) -> None:
-        """Materialize many ad-hoc-configuration runs (see :meth:`run_config`)."""
-        self._prefetch_items(
-            (self._config_runs, (benchmark, self._cache_key(benchmark, config)),
-             benchmark, config)
-            for benchmark, config in items
-        )
+    def _sim_item(self, benchmark: str, spec: SimSpec) -> tuple:
+        """The (memo, memo key, benchmark, config) work item of one run."""
+        if isinstance(spec, str):
+            return (self._runs, (benchmark, spec), benchmark,
+                    self._config_for(spec))
+        return (self._config_runs, (benchmark, self._cache_key(benchmark, spec)),
+                benchmark, spec)
 
     def run_many(
         self, pairs: Sequence[Tuple[str, str]]
@@ -750,15 +764,22 @@ class ExperimentContext:
 
     def _resolve(self, items: Iterable[Tuple[str, tuple, object, object]],
                  expected_type: type, compute) -> int:
+        """:meth:`_resolve_steps` run to completion."""
+        return self._run(self._resolve_steps(items, expected_type, compute))
+
+    def _resolve_steps(self, items: Iterable[Tuple[str, tuple, object, object]],
+                       expected_type: type, compute) -> Generator:
         """Serve (cache key, work, container, slot) items; return disk hits.
 
         The one lookup policy behind every cached simulation and steady
         thermal solve.  Items sharing a cache key are deduplicated into
         one :class:`_Unit`; each unit is loaded from the on-disk cache,
         else claimed and computed here — ``compute(units)`` returns
-        their results in order — else, when a peer process holds its
+        their results in order, or a work generator that yields its pool
+        :class:`_Batch` first — else, when a peer process holds its
         claim, waited on with the rest in one :meth:`_await_claims`.
         Every result is written to each of its unit's ``container[slot]``.
+        A work generator: the claimed units' batch passes through it.
         """
         units: Dict[str, _Unit] = {}
         for key, work, container, slot in items:
@@ -769,9 +790,11 @@ class ExperimentContext:
         hits = 0
         claimed: List[_Unit] = []
         waiting: List[_Unit] = []
+        if self.cache is not None:
+            self.cache.touch(list(units))
         for unit in units.values():
             if self.cache is not None:
-                cached = self.cache.load(unit.key, expected_type)
+                cached = self.cache.load(unit.key, expected_type, touch=False)
                 if cached is not None:
                     hits += 1
                     unit.place(cached)
@@ -780,22 +803,25 @@ class ExperimentContext:
                     waiting.append(unit)
                     continue
             claimed.append(unit)
-        self._compute_units(claimed, compute)
+        yield from self._compute_units(claimed, compute)
         if waiting:
             self._await_claims(waiting, expected_type, compute)
         return hits
 
-    def _compute_units(self, units: List[_Unit], compute) -> None:
+    def _compute_units(self, units: List[_Unit], compute) -> Generator:
         """Compute, place and store ``units``, then release their claims.
 
         Releasing is unconditional and safe: :meth:`ResultCache.
         release_claim` only removes claims this process holds, so a live
-        peer's claim outlives an expired wait on it.
+        peer's claim outlives an expired wait on it.  A work generator.
         """
         if not units:
             return
         try:
-            for unit, result in zip(units, compute(units)):
+            results = compute(units)
+            if isinstance(results, Generator):
+                results = yield from results
+            for unit, result in zip(units, results):
                 unit.place(result)
                 if self.cache is not None:
                     self.cache.store(unit.key, result)
@@ -861,7 +887,8 @@ class ExperimentContext:
             if steals:
                 self.stats.claim_steals += steals
                 self.stats.record_event("claim_steal", tasks=steals)
-            self._compute_units([unit for unit, _ in takeovers], compute)
+            self._run(self._compute_units([unit for unit, _ in takeovers],
+                                          compute))
             waiting = still
             if waiting:
                 time.sleep(self.claim_poll_s)
@@ -995,6 +1022,122 @@ class ExperimentContext:
         """
         return Started(self._pool_steps(tasks, kind, force_pool), self.stats)
 
+    def _run_batch(self, batch: _Batch) -> List:
+        """Run one :class:`_Batch` on its own pool and wait for it."""
+        start = time.perf_counter()
+        try:
+            return self._run_pool_tasks(batch.tasks, batch.kind,
+                                        batch.force_pool)
+        finally:
+            self.stats.add_stage(batch.stage, time.perf_counter() - start)
+
+    def _run(self, work: Generator, value=None):
+        """Drive a work generator to completion and return its value.
+
+        ``work`` is resumed with ``value`` first; every :class:`_Batch` it
+        yields then runs on its own pool, and the generator's handling of
+        the outputs shares the pool's batch id.
+        """
+        try:
+            batch = work.send(value)
+            while True:
+                if batch is None:
+                    batch = work.send(None)
+                    continue
+                with self.stats.batch():
+                    batch = work.send(self._run_batch(batch))
+        except StopIteration as stop:
+            return stop.value
+
+    def _staged(self, work: Generator, stage: str) -> Generator:
+        """``work`` with the parent time of its own steps charged to
+        ``stage``: the time it is suspended on a batch is not (whatever
+        runs the batch charges the pool's share to the batch's stage)."""
+        value = None
+        try:
+            while True:
+                start = time.perf_counter()
+                try:
+                    batch = work.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    self.stats.add_stage(stage, time.perf_counter() - start)
+                value = yield batch
+        finally:
+            work.close()
+
+    def _overlap(self, works: Sequence[Generator], stage: str) -> Generator:
+        """:class:`Started` steps running several work generators at once.
+
+        Each generator is advanced to its first :class:`_Batch`; all of
+        them are submitted to one pool, costliest task first, and the
+        steps yield while the workers run.  On collection every
+        generator is resumed with its own outputs (later batches, if
+        any, run on pools of their own) and the list of their return
+        values is the result.  The parent time spent submitting and
+        waiting on the shared pool is charged to ``stage``.
+        """
+        handle: Optional[Started] = None
+        try:
+            firsts: List[Tuple[int, Optional[_Batch]]] = []
+            values: List = [None] * len(works)
+            for index, work in enumerate(works):
+                try:
+                    firsts.append((index, next(work)))
+                except StopIteration as stop:
+                    values[index] = stop.value
+            batches = [batch for _, batch in firsts if batch is not None]
+            tasks = [task for batch in batches for task in batch.tasks]
+            order = sorted(range(len(tasks)), key=lambda i: -tasks[i].cost)
+            start = time.perf_counter()
+            if tasks:
+                handle = self._start_pool_tasks(
+                    [tasks[i] for i in order],
+                    " + ".join(dict.fromkeys(b.kind for b in batches)),
+                    force_pool=any(b.force_pool for b in batches),
+                )
+            self.stats.add_stage(stage, time.perf_counter() - start)
+            yield
+            outs: List = [None] * len(tasks)
+            if handle is not None:
+                start = time.perf_counter()
+                for i, out in zip(order, handle.result()):
+                    outs[i] = out
+                self.stats.add_stage(stage, time.perf_counter() - start)
+            offset = 0
+            for index, batch in firsts:
+                value = None
+                if batch is not None:
+                    value = outs[offset:offset + len(batch.tasks)]
+                    offset += len(batch.tasks)
+                values[index] = self._run(works[index], value)
+            return values
+        finally:
+            if handle is not None:
+                handle.cancel()
+            for work in works:
+                work.close()
+
+    def start_thermal(
+        self,
+        groups: Sequence[Tuple[ThermalSolver, Sequence[Sequence]]],
+        requests: Sequence["TransientRequest"],
+    ) -> Started:
+        """Steady geometry groups and transient requests on one pool.
+
+        The overlapped form of :meth:`solve_thermal_groups` and
+        :meth:`transient_many` together: cache loads and claims
+        happen now, and both kinds' misses go to one pool, longest task
+        first, so that ``jobs`` workers run while the caller carries on.
+        ``result()`` returns the steady results per group and the
+        transient outcomes per request.
+        """
+        return Started(self._overlap(
+            [self._steady_steps(groups), self._transient_steps(list(requests))],
+            stage="thermal",
+        ), self.stats)
+
     def _pool_steps(self, tasks: List[_PoolTask], kind: str,
                     force_pool: bool) -> Generator:
         """The executor behind :meth:`_start_pool_tasks`: submit the first
@@ -1015,6 +1158,11 @@ class ExperimentContext:
                     task.on_fallback("pool unavailable")
                 out.append(task.serial())
             return out
+        self.stats.record_event(
+            "pool_start", kind=kind, workers=workers, tasks=len(tasks),
+            factorizations=FACTORIZATION_STATS.factorizations,
+            step_factorizations=STEP_FACTORIZATION_STATS.factorizations,
+        )
 
         from concurrent.futures import wait as wait_futures
         from concurrent.futures.process import BrokenProcessPool
@@ -1314,11 +1462,17 @@ class ExperimentContext:
         Solves are deterministic, so results are byte-identical to the
         serial path.
         """
+        return self._run(self._steady_steps(groups))
+
+    def _steady_steps(
+        self, groups: Sequence[Tuple[ThermalSolver, Sequence[Sequence]]],
+    ) -> Generator:
+        """The work generator behind :meth:`solve_thermal_groups`."""
         groups = [(solver, list(batches)) for solver, batches in groups]
         results: List[List[Optional[ThermalResult]]] = [
             [None] * len(batches) for _, batches in groups
         ]
-        self.stats.thermal_disk_hits += self._resolve(
+        hits = yield from self._resolve_steps(
             (
                 (thermal_key(solver, grids), (solver, grids), out, pos)
                 for (solver, batches), out in zip(groups, results)
@@ -1327,33 +1481,34 @@ class ExperimentContext:
             ThermalResult,
             self._solve_thermal_units,
         )
+        self.stats.thermal_disk_hits += hits
         return results
 
-    def _solve_thermal_units(self, units: List[_Unit]) -> List[ThermalResult]:
+    def _solve_thermal_units(self, units: List[_Unit]) -> Generator:
+        """The steady compute callback of :meth:`_resolve_steps`."""
+        return self._staged(self._thermal_unit_steps(units), "thermal")
+
+    def _thermal_unit_steps(self, units: List[_Unit]) -> Generator:
         """Solve one unit per distinct thermal key, in order.
 
         Units sharing a geometry are merged into one group so their
         right-hand sides share a factorization wherever the group runs.
         """
-        start = time.perf_counter()
-        try:
-            by_geometry: Dict[Tuple, List[_Unit]] = {}
-            for unit in units:
-                solver = unit.work[0]
-                by_geometry.setdefault(solver.matrix_key(), []).append(unit)
-            grouped = list(by_geometry.values())
-            solved = self._dispatch_thermal([
-                (members[0].work[0], [unit.work[1] for unit in members])
-                for members in grouped
-            ])
-            by_key = {}
-            for members, outs in zip(grouped, solved):
-                for unit, result in zip(members, outs):
-                    by_key[unit.key] = result
-                    self.stats.thermal_solved += len(unit.targets)
-            return [by_key[unit.key] for unit in units]
-        finally:
-            self.stats.add_stage("thermal", time.perf_counter() - start)
+        by_geometry: Dict[Tuple, List[_Unit]] = {}
+        for unit in units:
+            solver = unit.work[0]
+            by_geometry.setdefault(solver.matrix_key(), []).append(unit)
+        grouped = list(by_geometry.values())
+        solved = yield from self._dispatch_thermal([
+            (members[0].work[0], [unit.work[1] for unit in members])
+            for members in grouped
+        ])
+        by_key = {}
+        for members, outs in zip(grouped, solved):
+            for unit, result in zip(members, outs):
+                by_key[unit.key] = result
+                self.stats.thermal_solved += len(unit.targets)
+        return [by_key[unit.key] for unit in units]
 
     def _thermal_cells(self, solver: ThermalSolver) -> int:
         """Unknown count of one geometry's linear system."""
@@ -1375,7 +1530,7 @@ class ExperimentContext:
 
     def _dispatch_thermal(
         self, geometry_groups: List[Tuple[ThermalSolver, List[Sequence]]]
-    ) -> List[List[ThermalResult]]:
+    ) -> Generator:
         """Solve geometry groups inline or across the worker pool.
 
         The pool path pays a spin-up and leaves the parent's solvers
@@ -1388,7 +1543,8 @@ class ExperimentContext:
         solve of old, folded into the same worker path.  Oversized
         groups keep its one-attempt contract — a crash, OOM kill, or
         hang costs one timeout and an in-process fallback (with a
-        warning), not the retry ladder.
+        warning), not the retry ladder.  A work generator: the pool path
+        yields its :class:`_Batch`.
         """
         threshold = self.thermal_subproc_cells
         oversized = [
@@ -1430,42 +1586,34 @@ class ExperimentContext:
                 on_fallback=(
                     self._thermal_subproc_fallback(len(grids)) if big else None
                 ),
+                cost=_solve_cost(self._thermal_cells(solver), len(grids)),
             ))
-        with self.stats.batch():
-            outs = self._run_pool_tasks(tasks, kind="thermal solve",
-                                        force_pool=True)
-            results = []
-            for (solver, grids), big, out in zip(geometry_groups, oversized,
-                                                 outs):
-                solved, worker_stats = out
-                if worker_stats is not None:
-                    self.stats.thermal_worker_groups += 1
-                    self.stats.thermal_worker_factorizations += (
-                        worker_stats.get("factorizations", 0)
-                    )
-                    if big:
-                        self.stats.thermal_subproc_solves += 1
-                self.stats.record_event(
-                    "thermal_group", geometry=solver.geometry_id(),
-                    batches=len(grids), cells=self._thermal_cells(solver),
-                    where="inline" if worker_stats is None else "worker",
-                    seconds=(worker_stats or {}).get("seconds"),
+        outs = yield _Batch(tasks, kind="thermal solve", stage="thermal",
+                            force_pool=True)
+        results = []
+        for (solver, grids), big, out in zip(geometry_groups, oversized, outs):
+            solved, worker_stats = out
+            if worker_stats is not None:
+                self.stats.thermal_worker_groups += 1
+                self.stats.thermal_worker_factorizations += (
+                    worker_stats.get("factorizations", 0)
                 )
-                results.append(solved)
-            return results
+                if big:
+                    self.stats.thermal_subproc_solves += 1
+            self.stats.record_event(
+                "thermal_group", geometry=solver.geometry_id(),
+                batches=len(grids), cells=self._thermal_cells(solver),
+                where="inline" if worker_stats is None else "worker",
+                seconds=(worker_stats or {}).get("seconds"),
+            )
+            results.append(solved)
+        return results
 
     # ------------------------------------------------------------------ #
 
     def transient_many(
         self, requests: Sequence["TransientRequest"]
     ) -> List[Tuple[TransientResult, Dict[str, float]]]:
-        """Run transient requests and wait for them:
-        :meth:`start_transient_many` collected at once."""
-        return self.start_transient_many(requests).result()
-
-    def start_transient_many(
-        self, requests: Sequence["TransientRequest"]
-    ) -> Started:
         """The transient co-simulation engine: many interval runs at once.
 
         Runs whose schedule supplies a
@@ -1484,35 +1632,39 @@ class ExperimentContext:
         pure geometry), and stepping is deterministic, so pool results
         are byte-identical to inline ones.
 
-        This call does the cache loads and submits the pool work; the
-        returned handle's ``result()`` waits for it, stores the misses
-        and returns, per request, the
+        Returns, per request, the
         :class:`~repro.thermal.transient.TransientResult` and the
         schedule's accumulated stats (throttle duty counters and the
         like — pool workers mutate pickled schedule copies, so the stats
-        travel back explicitly).  Inline groups step inside ``result()``.
+        travel back explicitly).  :meth:`start_thermal` is the overlapped
+        form.
         """
-        return Started(self._transient_steps(list(requests)), self.stats)
+        return self._run(self._transient_steps(list(requests)))
 
     def _transient_steps(self, requests: List["TransientRequest"]) -> Generator:
+        """The work generator behind :meth:`transient_many`."""
         out: List[Optional[Tuple[TransientResult, Dict[str, float]]]] = (
             [None] * len(requests)
         )
         keys: Dict[int, str] = {}
+        if self.cache is not None:
+            for i, req in enumerate(requests):
+                key = transient_key(self.solver(req.stack), req.dt_s,
+                                    req.duration_s, req.initial_k, req.schedule)
+                if key is not None:
+                    keys[i] = key
+            self.cache.touch(list(keys.values()))
         groups: Dict[Tuple, dict] = {}
         order: List[dict] = []
         for i, req in enumerate(requests):
             solver = self.solver(req.stack)
-            if self.cache is not None:
-                key = transient_key(solver, req.dt_s, req.duration_s,
-                                    req.initial_k, req.schedule)
-                if key is not None:
-                    cached = self.cache.load(key, tuple)
-                    if cached is not None:
-                        self.stats.transient_disk_hits += 1
-                        out[i] = cached
-                        continue
-                    keys[i] = key
+            if i in keys:
+                cached = self.cache.load(keys[i], tuple, touch=False)
+                if cached is not None:
+                    self.stats.transient_disk_hits += 1
+                    out[i] = cached
+                    del keys[i]
+                    continue
             group_key = (step_matrix_key(solver, req.dt_s),
                          req.duration_s, req.initial_k)
             group = groups.get(group_key)
@@ -1526,8 +1678,8 @@ class ExperimentContext:
         if not order:
             return out
         self.stats.transient_runs += sum(len(g["indices"]) for g in order)
-        solved = yield from Started(self._dispatch_transient(order),
-                                    self.stats, stage="transient")
+        solved = yield from self._staged(self._dispatch_transient(order),
+                                         "transient")
         for group, (results, sched_stats) in zip(order, solved):
             for i, result, stats in zip(group["indices"], results, sched_stats):
                 out[i] = (result, stats)
@@ -1556,7 +1708,8 @@ class ExperimentContext:
         With ``jobs > 1`` every group goes to the pool, provided every
         schedule is a picklable
         :class:`~repro.thermal.transient.PowerSchedule` (plain callables
-        stay inline).  Yields once between submission and collection.
+        stay inline).  A work generator: it yields its :class:`_Batch`,
+        or ``None`` to step inline at collection.
         """
         self.stats.transient_groups += len(groups)
         steps_of = {}
@@ -1603,9 +1756,11 @@ class ExperimentContext:
                         "steps": steps_of[id(group)]},
                 timeout_s=self.thermal_timeout_s,
                 max_attempts=self.max_task_attempts,
+                cost=_solve_cost(self._thermal_cells(solver),
+                                 steps_of[id(group)] * len(group["schedules"])),
             ))
-        outs = yield from self._start_pool_tasks(tasks, kind="transient step",
-                                                 force_pool=True)
+        outs = yield _Batch(tasks, kind="transient step", stage="transient",
+                            force_pool=True)
         results = []
         for group, out in zip(groups, outs):
             solved, sched_stats, worker_stats = out

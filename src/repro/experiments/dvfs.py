@@ -17,9 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+    _all_configurations,
+)
+from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
-from repro.thermal.solver import ThermalResult
 
 
 @dataclass
@@ -72,25 +78,33 @@ class DVFSResult:
         return "\n".join(lines)
 
 
-def run_dvfs(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     benchmark: str = REFERENCE_BENCHMARK,
     steps: int = 5,
-) -> DVFSResult:
-    """Sweep the 3D processor clock from the 2D to the 3D frequency."""
+) -> Requirements:
+    """The benchmark at ``steps`` 3D clocks from the 2D to the 3D frequency."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    context = context or ExperimentContext()
-
-    config_3d = context.configs["3D"]
-    f_low = context.configs["Base"].clock_ghz
+    configs = _all_configurations()
+    config_3d = configs["3D"]
+    f_low = configs["Base"].clock_ghz
     f_high = config_3d.clock_ghz
     clocks = [
         f_low + (f_high - f_low) * step / (steps - 1) for step in range(steps)
     ]
     sweep_configs = [replace(config_3d, clock_ghz=round(c, 3)) for c in clocks]
-    context.prefetch([(benchmark, "Base"), (REFERENCE_BENCHMARK, "Base")])
-    context.prefetch_configs((benchmark, config) for config in sweep_configs)
+    return Requirements(
+        render=lambda results: results.solved,
+        runs=[(benchmark, "Base"), (REFERENCE_BENCHMARK, "Base")]
+        + [(benchmark, config) for config in sweep_configs],
+        solve=lambda context: _solve(context, benchmark, clocks,
+                                     sweep_configs, f_high),
+    )
+
+
+def _solve(context: ExperimentContext, benchmark: str, clocks,
+           sweep_configs, f_high: float) -> DVFSResult:
     model = context.power_model()
 
     base_run = context.run(benchmark, "Base")
@@ -137,3 +151,12 @@ def run_dvfs(
         planar_peak_k=planar_thermal.peak_temperature,
         planar_ipns=base_run.ipns,
     )
+
+
+def run_dvfs(
+    context: Optional[ExperimentContext] = None,
+    benchmark: str = REFERENCE_BENCHMARK,
+    steps: int = 5,
+) -> DVFSResult:
+    """Sweep the 3D processor clock from the 2D to the 3D frequency."""
+    return run_section(context, requirements, benchmark, steps)

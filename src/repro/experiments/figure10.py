@@ -15,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.context import ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+)
+from repro.experiments.plan import Requirements, Resolved, run_section
 from repro.thermal.solver import ThermalResult
 
 PAPER_2D_PEAK_K = 360.0
@@ -103,27 +108,37 @@ class Figure10Result:
         return "\n".join(lines)
 
 
-def run_figure10(
-    context: Optional[ExperimentContext] = None,
+#: The three processors of panels (a-c) and (d-f).
+LABELS = ("Base", "3D-noTH", "3D")
+
+
+def requirements(
+    settings: ExperimentSettings,
     candidates: Optional[List[str]] = None,
-) -> Figure10Result:
-    """Find each configuration's worst-case app and solve the maps."""
-    context = context or ExperimentContext()
-    available = set(context.settings.benchmark_list())
+) -> Requirements:
+    """Every candidate's and the fixed app's maps on the three processors."""
+    available = settings.benchmark_list()
     probe = [c for c in (candidates or WORST_CASE_CANDIDATES) if c in available]
     if not probe:
-        probe = context.settings.benchmark_list()[:3]
-
+        probe = available[:3]
     fixed = REFERENCE_BENCHMARK if REFERENCE_BENCHMARK in available else probe[0]
-    labels = ("Base", "3D-noTH", "3D")
-    # One batched solve per stack covers every candidate map.
-    maps = context.thermal_many(
-        [(benchmark, label) for label in labels for benchmark in probe]
-        + [(fixed, label) for label in labels]
+    pairs = ([(benchmark, label) for label in LABELS for benchmark in probe]
+             + [(fixed, label) for label in LABELS])
+
+    def render(results: Resolved) -> Figure10Result:
+        return _render(results.solved, probe, fixed)
+
+    return Requirements(
+        render=render,
+        runs=pairs + [(REFERENCE_BENCHMARK, "Base")],
+        # One batched solve per stack covers every candidate map.
+        solve=lambda context: context.thermal_many(pairs),
     )
 
+
+def _render(maps, probe: List[str], fixed: str) -> Figure10Result:
     worst_case: Dict[str, Tuple[str, ThermalResult]] = {}
-    for label in labels:
+    for label in LABELS:
         best: Optional[Tuple[str, ThermalResult]] = None
         for benchmark in probe:
             result = maps[(benchmark, label)]
@@ -132,9 +147,17 @@ def run_figure10(
         assert best is not None
         worst_case[label] = best
 
-    fixed_app = {label: maps[(fixed, label)] for label in labels}
+    fixed_app = {label: maps[(fixed, label)] for label in LABELS}
     return Figure10Result(
         worst_case=worst_case,
         fixed_app=fixed_app,
         fixed_benchmark=fixed,
     )
+
+
+def run_figure10(
+    context: Optional[ExperimentContext] = None,
+    candidates: Optional[List[str]] = None,
+) -> Figure10Result:
+    """Find each configuration's worst-case app and solve the maps."""
+    return run_section(context, requirements, candidates)

@@ -12,10 +12,11 @@ gets +29.5 % because it is bound by unimproved DRAM latency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+from repro.experiments.plan import Requirements, Resolved, grid, run_section
 from repro.workloads.parameters import BenchmarkClass
 from repro.workloads.suite import BENCHMARKS
 
@@ -92,12 +93,15 @@ class Figure8Result:
         return "\n".join(lines)
 
 
-def run_figure8(context: Optional[ExperimentContext] = None) -> Figure8Result:
-    """Simulate every benchmark under the five configurations."""
-    context = context or ExperimentContext()
-    benchmarks = context.settings.benchmark_list()
-    context.prefetch(context.grid(FIGURE8_CONFIGS, benchmarks))
+def requirements(settings: ExperimentSettings) -> Requirements:
+    """Every benchmark under the five configurations."""
+    return Requirements(render=render,
+                        runs=grid(FIGURE8_CONFIGS, settings.benchmark_list()))
 
+
+def render(results: Resolved) -> Figure8Result:
+    context = results.context
+    benchmarks = context.settings.benchmark_list()
     ipc: Dict[str, Dict[str, float]] = {}
     ipns: Dict[str, Dict[str, float]] = {}
     speedup: Dict[str, float] = {}
@@ -132,3 +136,8 @@ def run_figure8(context: Optional[ExperimentContext] = None) -> Figure8Result:
         class_ipc=class_ipc,
         class_speedup=class_speedup,
     )
+
+
+def run_figure8(context: Optional[ExperimentContext] = None) -> Figure8Result:
+    """Simulate every benchmark under the five configurations."""
+    return run_section(context, requirements)

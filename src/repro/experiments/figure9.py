@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+)
+from repro.experiments.plan import Requirements, Resolved, grid, run_section
 from repro.power.model import PowerBreakdown
 
 PAPER_BASE_WATTS = 90.0
@@ -85,13 +91,19 @@ class Figure9Result:
         return "\n".join(lines)
 
 
-def run_figure9(context: Optional[ExperimentContext] = None) -> Figure9Result:
-    """Evaluate the three processors' power, plus the per-app range."""
-    context = context or ExperimentContext()
-    context.prefetch(
-        [(REFERENCE_BENCHMARK, label) for label in ("Base", "3D-noTH", "3D")]
-        + context.grid(("Base", "3D"))
+def requirements(settings: ExperimentSettings) -> Requirements:
+    """The reference app on the three processors, and every app planar
+    and 3D."""
+    return Requirements(
+        render=render,
+        runs=[(REFERENCE_BENCHMARK, label)
+              for label in ("Base", "3D-noTH", "3D")]
+        + grid(("Base", "3D"), settings.benchmark_list()),
     )
+
+
+def render(results: Resolved) -> Figure9Result:
+    context = results.context
     base = context.power(REFERENCE_BENCHMARK, "Base")
     no_herding = context.power(REFERENCE_BENCHMARK, "3D-noTH")
     herding = context.power(REFERENCE_BENCHMARK, "3D")
@@ -108,3 +120,8 @@ def run_figure9(context: Optional[ExperimentContext] = None) -> Figure9Result:
         herding=herding,
         per_benchmark=per_benchmark,
     )
+
+
+def run_figure9(context: Optional[ExperimentContext] = None) -> Figure9Result:
+    """Evaluate the three processors' power, plus the per-app range."""
+    return run_section(context, requirements)

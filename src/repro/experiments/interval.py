@@ -14,12 +14,12 @@ closes the loop:
    grids.  The resulting :class:`IntervalPowerTrace` is content-addressed
    in the on-disk cache, so warm sweeps skip re-extraction entirely.
 2. **Batched transient stepping** — the per-config traces drive
-   temperature-reactive schedules through
-   :meth:`~repro.experiments.context.ExperimentContext.start_transient_many`,
-   which groups runs by step-matrix key and advances each group in
-   lock-step through a single factorization with a multi-column
-   right-hand side.  :func:`start_interval` returns once the groups are
-   submitted, so pool workers step them while the caller carries on.
+   temperature-reactive schedules as the section's pool-side work
+   (:mod:`repro.experiments.plan`), which groups runs by step-matrix key
+   and advances each group in lock-step through a single factorization
+   with a multi-column right-hand side.  :func:`start_interval` returns
+   once the groups are submitted, so pool workers step them while the
+   caller carries on.
 3. **DTM scenario** — every configuration runs twice: free-running, and
    under a thermal ceiling with a throttle governor
    (:class:`IntervalPowerSchedule`) that scales power whenever the
@@ -49,9 +49,12 @@ from repro.experiments.context import (
     CORE_COUNT,
     REFERENCE_BENCHMARK,
     ExperimentContext,
+    ExperimentSettings,
     Started,
     TransientRequest,
+    _all_configurations,
 )
+from repro.experiments.plan import PoolWork, Requirements, Resolved, start_section
 from repro.power.model import StackKind
 from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.transient import PowerSchedule
@@ -303,14 +306,8 @@ class IntervalResult:
         return "\n".join(lines)
 
 
-def run_interval(*args, **kwargs) -> IntervalResult:
-    """Run the interval co-simulation sweep and wait for it:
-    :func:`start_interval` (same arguments) collected at once."""
-    return start_interval(*args, **kwargs).result()
-
-
-def start_interval(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     benchmark: str = REFERENCE_BENCHMARK,
     interval_insts: int = DEFAULT_INTERVAL_INSTS,
     dt_s: float = 20e-3,
@@ -319,79 +316,83 @@ def start_interval(
     ceiling_delta_k: float = 45.0,
     throttle_factor: float = 0.5,
     configs: Optional[Sequence[str]] = None,
-) -> Started:
+) -> Requirements:
+    """Every configuration's interval trace, stepped free and throttled.
+
+    Each trace drives two transient runs — one free-running, one
+    throttled against ``ambient + ceiling_delta_k`` — and all of them are
+    pool-side work, so runs sharing a step matrix (all planar
+    configurations, all 3D configurations) step in lock-step through one
+    factorization while the parent does other work.  The ceiling is
+    anchored to ambient rather than a steady-state solve, so warm report
+    runs stay free of thermal solves.
+    """
+    labels = list(configs) if configs is not None else list(_all_configurations())
+    items = [(benchmark, label, interval_insts) for label in labels]
+
+    def ceiling(context: ExperimentContext, label: str) -> float:
+        stack = context.solver(CONFIG_STACKS[label]).stack
+        return stack.ambient_k + ceiling_delta_k
+
+    def pool(context: ExperimentContext, traces) -> PoolWork:
+        requests: List[TransientRequest] = []
+        for item in items:
+            trace = traces[item]
+            for ceiling_k in (None, ceiling(context, item[1])):
+                requests.append(TransientRequest(
+                    stack=CONFIG_STACKS[item[1]],
+                    schedule=IntervalPowerSchedule(
+                        trace,
+                        pass_s=pass_s,
+                        ceiling_k=ceiling_k,
+                        throttle_factor=throttle_factor,
+                    ),
+                    dt_s=dt_s,
+                    duration_s=duration_s,
+                ))
+        return PoolWork(requests=requests)
+
+    def render(results: Resolved) -> IntervalResult:
+        _, outcomes = results.pool()
+        result = IntervalResult(
+            benchmark=benchmark,
+            interval_insts=interval_insts,
+            dt_s=dt_s,
+            duration_s=duration_s,
+        )
+        for i, item in enumerate(items):
+            free, _ = outcomes[2 * i]
+            throttled, duty_stats = outcomes[2 * i + 1]
+            result.rows.append(IntervalRow(
+                config=item[1],
+                intervals=len(results.traces[item]),
+                ceiling_k=ceiling(results.context, item[1]),
+                free_peak_k=max(free.peak_k),
+                throttled_peak_k=max(throttled.peak_k),
+                throttle_duty=duty_stats.get("throttle_duty", 0.0),
+            ))
+        return result
+
+    # The reference run calibrates the power model the traces evaluate.
+    return Requirements(render=render, runs=[(REFERENCE_BENCHMARK, "Base")],
+                        intervals=items, pool=pool)
+
+
+def run_interval(context: Optional[ExperimentContext] = None,
+                 **kwargs) -> IntervalResult:
+    """Run the interval co-simulation sweep and wait for it:
+    :func:`start_interval` (same arguments) collected at once."""
+    return start_interval(context, **kwargs).result()
+
+
+def start_interval(context: Optional[ExperimentContext] = None,
+                   **kwargs) -> Started:
     """Start the interval co-simulation sweep; ``result()`` finishes it.
 
-    Every configuration's interval trace drives two transient runs — one
-    free-running, one throttled against ``ambient + ceiling_delta_k`` —
-    and all runs dispatch through one
-    :meth:`~repro.experiments.context.ExperimentContext.start_transient_many`
-    call, so runs sharing a step matrix (all planar configurations, all
-    3D configurations) step in lock-step through one factorization.  The
-    ceiling is anchored to ambient rather than a steady-state solve, so
-    warm report runs stay free of thermal solves.
-
-    This call extracts the traces and submits the transient runs; with
+    This call extracts the traces and submits the transient runs
+    (:func:`requirements` takes the keyword arguments); with
     ``jobs > 1`` they step on pool workers while the caller does other
     work, and the handle's ``result()`` returns the
     :class:`IntervalResult`.
     """
-    context = context or ExperimentContext()
-    return Started(
-        _interval_steps(context, benchmark, interval_insts, dt_s,
-                        duration_s, pass_s, ceiling_delta_k,
-                        throttle_factor, configs),
-        context.stats,
-    )
-
-
-def _interval_steps(context, benchmark, interval_insts, dt_s, duration_s,
-                    pass_s, ceiling_delta_k, throttle_factor, configs):
-    """The generator behind :func:`start_interval`."""
-    labels = list(configs) if configs is not None else list(context.configs)
-    traces = [
-        extract_interval_trace(context, benchmark, label, interval_insts)
-        for label in labels
-    ]
-    requests: List[TransientRequest] = []
-    ceilings: List[float] = []
-    for label, trace in zip(labels, traces):
-        stack = CONFIG_STACKS[label]
-        ceiling = context.solver(stack).stack.ambient_k + ceiling_delta_k
-        ceilings.append(ceiling)
-        requests.append(TransientRequest(
-            stack=stack,
-            schedule=IntervalPowerSchedule(trace, pass_s=pass_s),
-            dt_s=dt_s,
-            duration_s=duration_s,
-        ))
-        requests.append(TransientRequest(
-            stack=stack,
-            schedule=IntervalPowerSchedule(
-                trace,
-                pass_s=pass_s,
-                ceiling_k=ceiling,
-                throttle_factor=throttle_factor,
-            ),
-            dt_s=dt_s,
-            duration_s=duration_s,
-        ))
-    outcomes = yield from context.start_transient_many(requests)
-    result = IntervalResult(
-        benchmark=benchmark,
-        interval_insts=interval_insts,
-        dt_s=dt_s,
-        duration_s=duration_s,
-    )
-    for i, (label, trace) in enumerate(zip(labels, traces)):
-        free, _ = outcomes[2 * i]
-        throttled, duty_stats = outcomes[2 * i + 1]
-        result.rows.append(IntervalRow(
-            config=label,
-            intervals=len(trace),
-            ceiling_k=ceilings[i],
-            free_peak_k=max(free.peak_k),
-            throttled_peak_k=max(throttled.peak_k),
-            throttle_duty=duty_stats.get("throttle_duty", 0.0),
-        ))
-    return result
+    return start_section(context, requirements, **kwargs)

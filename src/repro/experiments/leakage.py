@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.experiments.cache import leakage_key
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+)
+from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
 from repro.thermal.feedback import (
     DEFAULT_EFOLD_K,
@@ -83,14 +89,20 @@ def _fixed_point(context, solver, dynamic_grids, leak_grids) -> FeedbackResult:
     return feedback
 
 
-def run_leakage_feedback(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     benchmark: str = REFERENCE_BENCHMARK,
-) -> LeakageFeedbackResult:
-    """Converge the electro-thermal fixed point for each processor."""
-    context = context or ExperimentContext()
-    context.prefetch([(benchmark, label) for label in CONFIG_LABELS]
-                     + [(REFERENCE_BENCHMARK, "Base")])
+) -> Requirements:
+    """The benchmark on the three processors, with and without feedback."""
+    return Requirements(
+        render=lambda results: results.solved,
+        runs=[(benchmark, label) for label in CONFIG_LABELS]
+        + [(REFERENCE_BENCHMARK, "Base")],
+        solve=lambda context: _solve(context, benchmark),
+    )
+
+
+def _solve(context: ExperimentContext, benchmark: str) -> LeakageFeedbackResult:
     outcomes: Dict[str, tuple] = {}
     for label in CONFIG_LABELS:
         stack_kind = StackKind.PLANAR_2D if label == "Base" else StackKind.STACKED_3D
@@ -120,3 +132,11 @@ def run_leakage_feedback(
             feedback.leakage_amplification,
         )
     return LeakageFeedbackResult(outcomes=outcomes)
+
+
+def run_leakage_feedback(
+    context: Optional[ExperimentContext] = None,
+    benchmark: str = REFERENCE_BENCHMARK,
+) -> LeakageFeedbackResult:
+    """Converge the electro-thermal fixed point for each processor."""
+    return run_section(context, requirements, benchmark)

@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.multicore import DualCoreRun
-from repro.experiments.context import ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+    _all_configurations,
+)
+from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
 from repro.thermal.solver import ThermalResult
 
@@ -59,21 +65,28 @@ class PairingResult:
         return "\n".join(lines)
 
 
-def run_pairing(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     pairs: Tuple[Tuple[str, str], ...] = DEFAULT_PAIRS,
-) -> PairingResult:
-    """Evaluate each pairing's power and thermals on the 3D processor."""
-    context = context or ExperimentContext()
-    config = context.configs["3D"]
+) -> Requirements:
+    """Every paired app on a half-L2 3D core, and the pairings' maps."""
+    config = _all_configurations()["3D"]
     # Each active core sees half the shared L2 (simulate_dual_core's
     # symmetric-partition model); runs go through the context so they are
     # parallelized, memoized, and persisted like every other simulation.
     half = max(config.l2_size // 2, config.line_bytes * config.l2_assoc)
     core_config = replace(config, l2_size=half, name=f"{config.name}-halfl2")
     members = sorted({name for pair in pairs for name in pair})
-    context.prefetch([(REFERENCE_BENCHMARK, "Base")])  # power-model calibration anchor
-    context.prefetch_configs((name, core_config) for name in members)
+    return Requirements(
+        render=lambda results: results.solved,
+        # The reference run anchors the power-model calibration.
+        runs=[(REFERENCE_BENCHMARK, "Base")]
+        + [(name, core_config) for name in members],
+        solve=lambda context: _solve(context, pairs, core_config),
+    )
+
+
+def _solve(context: ExperimentContext, pairs, core_config) -> PairingResult:
     model = context.power_model()
 
     runs = [
@@ -107,3 +120,11 @@ def run_pairing(
             )
         )
     return PairingResult(points=points)
+
+
+def run_pairing(
+    context: Optional[ExperimentContext] = None,
+    pairs: Tuple[Tuple[str, str], ...] = DEFAULT_PAIRS,
+) -> PairingResult:
+    """Evaluate each pairing's power and thermals on the 3D processor."""
+    return run_section(context, requirements, pairs)

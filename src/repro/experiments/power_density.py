@@ -15,8 +15,10 @@ from typing import Optional
 from repro.experiments.context import (
     CORE_COUNT,
     ExperimentContext,
+    ExperimentSettings,
     REFERENCE_BENCHMARK,
 )
+from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
 from repro.thermal.solver import ThermalResult
 
@@ -46,10 +48,13 @@ class PowerDensityResult:
         ])
 
 
-def run_power_density(context: Optional[ExperimentContext] = None) -> PowerDensityResult:
-    """Solve the planar map and the same power folded into the 3D stack."""
-    context = context or ExperimentContext()
-    context.prefetch([(REFERENCE_BENCHMARK, "Base")])
+def requirements(settings: ExperimentSettings) -> Requirements:
+    """The reference app's planar run, solved on both stacks."""
+    return Requirements(render=lambda results: results.solved,
+                        runs=[(REFERENCE_BENCHMARK, "Base")], solve=_solve)
+
+
+def _solve(context: ExperimentContext) -> PowerDensityResult:
     base_run = context.run(REFERENCE_BENCHMARK, "Base")
     model = context.power_model()
 
@@ -71,3 +76,8 @@ def run_power_density(context: Optional[ExperimentContext] = None) -> PowerDensi
         planar_watts=CORE_COUNT * planar_breakdown.total_watts,
         iso_watts=CORE_COUNT * stacked_breakdown.total_watts * scale,
     )
+
+
+def run_power_density(context: Optional[ExperimentContext] = None) -> PowerDensityResult:
+    """Solve the planar map and the same power folded into the 3D stack."""
+    return run_section(context, requirements)

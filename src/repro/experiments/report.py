@@ -9,21 +9,21 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.context import ExperimentContext
-from repro.experiments.dvfs import run_dvfs
+from repro.experiments.dvfs import requirements as dvfs_requirements
 from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure9 import run_figure9
-from repro.experiments.figure10 import run_figure10
-from repro.experiments.interval import start_interval
-from repro.experiments.power_density import run_power_density
-from repro.experiments.leakage import run_leakage_feedback
-from repro.experiments.pairing import run_pairing
-from repro.experiments.roadmap import run_roadmap
-from repro.experiments.sensitivity import run_sensitivity
-from repro.experiments.stacking_order import run_stacking_order
+from repro.experiments.figure8 import requirements as figure8_requirements
+from repro.experiments.figure9 import requirements as figure9_requirements
+from repro.experiments.figure10 import requirements as figure10_requirements
+from repro.experiments.interval import requirements as interval_requirements
+from repro.experiments.leakage import requirements as leakage_requirements
+from repro.experiments.pairing import requirements as pairing_requirements
+from repro.experiments.plan import Requirements, run_plan
+from repro.experiments.power_density import requirements as density_requirements
+from repro.experiments.roadmap import requirements as roadmap_requirements
+from repro.experiments.sensitivity import requirements as sensitivity_requirements
+from repro.experiments.stacking_order import requirements as stacking_requirements
 from repro.experiments.table2 import run_table2
-from repro.experiments.width_stats import run_width_stats
-
+from repro.experiments.width_stats import requirements as width_requirements
 
 def stats_payload(context: ExperimentContext, wall_s: float,
                   fast: bool) -> dict:
@@ -63,33 +63,29 @@ def _comparison_table(rows) -> str:
 def generate_report(context: Optional[ExperimentContext] = None) -> str:
     """Run everything and render one markdown document."""
     context = context or ExperimentContext()
-
-    # The whole (benchmark x configuration) grid is known up front: fan it
-    # out across workers (or the warm on-disk cache) before any figure
-    # demand-pulls runs one at a time.
-    context.prefetch(context.grid())
-
-    # The interval co-simulation's transient runs are the longest step of
-    # a cold report: start them now so pool workers step them while the
-    # sections below render, and collect them where they appear.
-    started = start_interval(context)
-    try:
-        table2 = run_table2()
-        figure8 = run_figure8(context)
-        figure9 = run_figure9(context)
-        figure10 = run_figure10(context)
-        density = run_power_density(context)
-        width = run_width_stats(context)
-        dvfs = run_dvfs(context)
-        roadmap = run_roadmap(context)
-        sensitivity = run_sensitivity(context)
-        stacking = run_stacking_order(context)
-        leakage = run_leakage_feedback(context)
-        pairing = run_pairing(context)
-        interval = started.result()
-    finally:
-        started.cancel()  # kills its workers if anything above raised
-    figure7 = run_figure7()
+    settings = context.settings
+    # One plan for every section (see repro.experiments.plan): all
+    # simulations in one pool, then every pool-side thermal solve forked
+    # before the parent factorizes, then the parent's own solves and the
+    # renders in section order.
+    (table2, figure8, figure9, figure10, density, width, dvfs, roadmap,
+     sensitivity, stacking, leakage, pairing, interval, figure7) = run_plan(
+        context, [
+            Requirements(render=lambda results: run_table2()),
+            figure8_requirements(settings),
+            figure9_requirements(settings),
+            figure10_requirements(settings),
+            density_requirements(settings),
+            width_requirements(settings),
+            dvfs_requirements(settings),
+            roadmap_requirements(settings),
+            sensitivity_requirements(settings),
+            stacking_requirements(settings),
+            leakage_requirements(settings),
+            pairing_requirements(settings),
+            interval_requirements(settings),
+            Requirements(render=lambda results: run_figure7()),
+        ])
 
     headline = _comparison_table([
         ("clock frequency gain", "+47.9% (2.66 -> 3.93 GHz)",

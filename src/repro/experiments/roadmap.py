@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import (
+    ExperimentContext,
+    ExperimentSettings,
+    _all_configurations,
+)
+from repro.experiments.plan import Requirements, Resolved, run_section
 
 #: Roadmap stages in presentation order.
 STAGES = ("planar", "stacked-l2", "stacked-cache+", "3d-cores")
@@ -54,17 +59,16 @@ def _geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values)) if values else 0.0
 
 
-def run_roadmap(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     benchmarks: Optional[List[str]] = None,
-) -> RoadmapResult:
-    """Evaluate the four roadmap stages."""
-    context = context or ExperimentContext()
-    names = benchmarks or context.settings.benchmark_list()
-
-    base = context.configs["Base"]
+) -> Requirements:
+    """Every benchmark at the four roadmap stages."""
+    names = benchmarks or settings.benchmark_list()
+    base = _all_configurations()["Base"]
     stages = {
-        "planar": base,
+        # Today's planar design: the labelled Base runs.
+        "planar": "Base",
         # A 3D-stacked L2 die: the L2 moves closer (fewer cycles), cores
         # untouched.
         "stacked-l2": replace(base, name="stacked-l2", l2_latency=9),
@@ -72,25 +76,26 @@ def run_roadmap(
         "stacked-cache+": replace(
             base, name="stacked-cache+", l2_latency=8, l2_size=8 << 20
         ),
-        # Full 3D cores (this paper).
-        "3d-cores": context.configs["3D"],
+        # Full 3D cores (this paper): the labelled 3D runs.
+        "3d-cores": "3D",
     }
 
-    context.prefetch(context.grid(("Base", "3D"), names))
-    context.prefetch_configs(
-        (name, config)
-        for name in names
-        for stage, config in stages.items()
-        if stage not in ("planar", "3d-cores")
+    def render(results: Resolved) -> RoadmapResult:
+        return _render(results.context, names, stages)
+
+    return Requirements(
+        render=render,
+        runs=[(name, spec) for name in names for spec in stages.values()],
     )
 
+
+def _render(context: ExperimentContext, names: List[str],
+            stages: Dict[str, object]) -> RoadmapResult:
     ipns: Dict[str, Dict[str, float]] = {stage: {} for stage in STAGES}
     for name in names:
-        for stage, config in stages.items():
-            if stage in ("planar", "3d-cores"):
-                result = context.run(name, "Base" if stage == "planar" else "3D")
-            else:
-                result = context.run_config(name, config)
+        for stage, spec in stages.items():
+            result = (context.run(name, spec) if isinstance(spec, str)
+                      else context.run_config(name, spec))
             ipns[stage][name] = result.ipns
 
     speedup = {
@@ -100,3 +105,11 @@ def run_roadmap(
         for stage in STAGES
     }
     return RoadmapResult(ipns=ipns, speedup=speedup)
+
+
+def run_roadmap(
+    context: Optional[ExperimentContext] = None,
+    benchmarks: Optional[List[str]] = None,
+) -> RoadmapResult:
+    """Evaluate the four roadmap stages."""
+    return run_section(context, requirements, benchmarks)

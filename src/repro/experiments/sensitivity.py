@@ -14,12 +14,18 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+)
+from repro.experiments.plan import PoolWork, Requirements, Resolved, run_section
 from repro.power.model import StackKind
 from repro.thermal.materials import COPPER, D2D_BOND, Material, TIM_ALLOY
 from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.solver import ThermalSolver
-from repro.thermal.stack import LayerSpec, ThermalStack, stacked_3d_stack
+from repro.thermal.stack import ThermalStack, stacked_3d_stack
 
 
 @dataclass
@@ -93,50 +99,71 @@ SWEEPS: List[Tuple[str, float, List[float]]] = [
 ]
 
 
-def run_sensitivity(
-    context: Optional[ExperimentContext] = None,
-    benchmark: str = REFERENCE_BENCHMARK,
-) -> SensitivityResult:
-    """Sweep packaging parameters for the 3D TH processor."""
-    context = context or ExperimentContext()
-    context.prefetch([(benchmark, "3D"), (REFERENCE_BENCHMARK, "Base")])
-    breakdown = context.power(benchmark, "3D")
-    plan = context.floorplan(StackKind.STACKED_3D)
-    watts = build_power_map(plan, [breakdown] * CORE_COUNT)
-    grid = context.settings.thermal_grid
-
-    # Build every sweep point's solver up front and submit the whole
-    # grid as one dispatch: each distinct packaging geometry needs its
-    # own SuperLU factorization (the dominant cost of this study), and
-    # handing them to the solve engine together lets it fan them out
-    # across the worker pool instead of factorizing one at a time inline.
-    sweep_settings: List[Tuple[str, float, Tuple[float, float, float]]] = [
-        ("nominal", 0.0, (0.17, 50.0, 0.25)),
-    ]
+def _sweep_settings() -> List[Tuple[str, float, Tuple[float, float, float]]]:
+    """(parameter, value, (convection, TIM, via copper)) of every point,
+    the nominal one first."""
+    points = [("nominal", 0.0, (0.17, 50.0, 0.25))]
     for parameter, _nominal_value, values in SWEEPS:
         for value in values:
             convection = value if parameter == "convection K/W" else 0.17
             tim = value if parameter == "TIM W/mK" else 50.0
             copper = value if parameter == "via copper fraction" else 0.25
-            sweep_settings.append((parameter, value, (convection, tim, copper)))
+            points.append((parameter, value, (convection, tim, copper)))
+    return points
 
-    # The chip grid shape depends only on (floorplan, nx, ny), so every
-    # sweep stack shares one rasterized power map.
-    grids = None
-    groups = []
-    for _parameter, _value, (convection, tim, copper) in sweep_settings:
-        solver = ThermalSolver(_stack_with(convection, tim, copper),
-                               plan, grid, grid)
-        if grids is None:
-            ny, nx = solver.chip_grid_shape()
-            grids = rasterize(plan, watts, nx, ny)
-        groups.append((solver, [grids]))
-    solved = context.solve_thermal_groups(groups)
 
-    nominal = solved[0][0].peak_temperature
+def requirements(
+    settings: ExperimentSettings,
+    benchmark: str = REFERENCE_BENCHMARK,
+) -> Requirements:
+    """The benchmark's 3D TH map on every sweep point's stack.
+
+    Each distinct packaging geometry needs its own SuperLU factorization
+    (the dominant cost of this study) that no other section reuses, so
+    the whole sweep is pool-side work: workers factorize the geometries
+    while the parent does its own solves.
+    """
+
+    def pool(context: ExperimentContext, traces) -> PoolWork:
+        breakdown = context.power(benchmark, "3D")
+        plan = context.floorplan(StackKind.STACKED_3D)
+        watts = build_power_map(plan, [breakdown] * CORE_COUNT)
+        grid = settings.thermal_grid
+        # The chip grid shape depends only on (floorplan, nx, ny), so
+        # every sweep stack shares one rasterized power map.
+        grids = None
+        groups = []
+        for _parameter, _value, (convection, tim, copper) in _sweep_settings():
+            solver = ThermalSolver(_stack_with(convection, tim, copper),
+                                   plan, grid, grid)
+            if grids is None:
+                ny, nx = solver.chip_grid_shape()
+                grids = rasterize(plan, watts, nx, ny)
+            groups.append((solver, [grids]))
+        return PoolWork(groups=groups)
+
+    return Requirements(
+        render=render,
+        runs=[(benchmark, "3D"), (REFERENCE_BENCHMARK, "Base")],
+        pool=pool,
+    )
+
+
+def render(results: Resolved) -> SensitivityResult:
+    solved, _ = results.pool()
     points = [
         SensitivityPoint(parameter=parameter, value=value,
                          peak_k=result[0].peak_temperature)
-        for (parameter, value, _), result in zip(sweep_settings[1:], solved[1:])
+        for (parameter, value, _), result
+        in zip(_sweep_settings()[1:], solved[1:])
     ]
-    return SensitivityResult(nominal_peak_k=nominal, points=points)
+    return SensitivityResult(nominal_peak_k=solved[0][0].peak_temperature,
+                             points=points)
+
+
+def run_sensitivity(
+    context: Optional[ExperimentContext] = None,
+    benchmark: str = REFERENCE_BENCHMARK,
+) -> SensitivityResult:
+    """Sweep packaging parameters for the 3D TH processor."""
+    return run_section(context, requirements, benchmark)

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+)
+from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
 from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.solver import ThermalResult
@@ -41,13 +47,19 @@ class StackingOrderResult:
         ])
 
 
-def run_stacking_order(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     benchmark: str = REFERENCE_BENCHMARK,
-) -> StackingOrderResult:
-    """Solve the 3D TH thermal map with normal and flipped die order."""
-    context = context or ExperimentContext()
-    context.prefetch([(benchmark, "3D"), (REFERENCE_BENCHMARK, "Base")])
+) -> Requirements:
+    """The benchmark's 3D TH map with normal and flipped die order."""
+    return Requirements(
+        render=lambda results: results.solved,
+        runs=[(benchmark, "3D"), (REFERENCE_BENCHMARK, "Base")],
+        solve=lambda context: _solve(context, benchmark),
+    )
+
+
+def _solve(context: ExperimentContext, benchmark: str) -> StackingOrderResult:
     breakdown = context.power(benchmark, "3D")
     plan = context.floorplan(StackKind.STACKED_3D)
     solver = context.solver(StackKind.STACKED_3D)
@@ -66,3 +78,11 @@ def run_stacking_order(
         herded_peak_k=herded.peak_temperature,
         inverted_peak_k=inverted.peak_temperature,
     )
+
+
+def run_stacking_order(
+    context: Optional[ExperimentContext] = None,
+    benchmark: str = REFERENCE_BENCHMARK,
+) -> StackingOrderResult:
+    """Solve the 3D TH thermal map with normal and flipped die order."""
+    return run_section(context, requirements, benchmark)

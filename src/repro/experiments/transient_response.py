@@ -14,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    ExperimentContext,
+    ExperimentSettings,
+    REFERENCE_BENCHMARK,
+)
+from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
 from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.transient import TransientThermalSolver
@@ -86,16 +90,23 @@ def _step_response(
     )
 
 
-def run_transient_response(
-    context: Optional[ExperimentContext] = None,
+def requirements(
+    settings: ExperimentSettings,
     benchmark: str = REFERENCE_BENCHMARK,
     dt_s: float = 20e-3,
     duration_s: float = 20.0,
-) -> TransientResponseResult:
-    """Measure the 90 % step-response time of both stacks."""
-    context = context or ExperimentContext()
-    context.prefetch([(benchmark, "Base"), (benchmark, "3D"),
-                      (REFERENCE_BENCHMARK, "Base")])
+) -> Requirements:
+    """The benchmark's planar and 3D steps, stepped in the parent."""
+    return Requirements(
+        render=lambda results: results.solved,
+        runs=[(benchmark, "Base"), (benchmark, "3D"),
+              (REFERENCE_BENCHMARK, "Base")],
+        solve=lambda context: _solve(context, benchmark, dt_s, duration_s),
+    )
+
+
+def _solve(context: ExperimentContext, benchmark: str, dt_s: float,
+           duration_s: float) -> TransientResponseResult:
     planar_solver, planar_grids = _rasterized_step(
         context, StackKind.PLANAR_2D, context.power(benchmark, "Base"))
     stacked_solver, stacked_grids = _rasterized_step(
@@ -115,3 +126,13 @@ def run_transient_response(
         dt_s, duration_s,
     )
     return TransientResponseResult(planar=planar, stacked=stacked)
+
+
+def run_transient_response(
+    context: Optional[ExperimentContext] = None,
+    benchmark: str = REFERENCE_BENCHMARK,
+    dt_s: float = 20e-3,
+    duration_s: float = 20.0,
+) -> TransientResponseResult:
+    """Measure the 90 % step-response time of both stacks."""
+    return run_section(context, requirements, benchmark, dt_s, duration_s)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+from repro.experiments.plan import Requirements, Resolved, grid, run_section
 
 PAPER_WIDTH_ACCURACY = 0.97
 
@@ -63,10 +64,14 @@ class WidthStatsResult:
         return "\n".join(lines)
 
 
-def run_width_stats(context: Optional[ExperimentContext] = None) -> WidthStatsResult:
-    """Run the TH configuration across the suite and collect metrics."""
-    context = context or ExperimentContext()
-    context.prefetch(context.grid(("TH",)))
+def requirements(settings: ExperimentSettings) -> Requirements:
+    """The TH configuration across the suite."""
+    return Requirements(render=render,
+                        runs=grid(("TH",), settings.benchmark_list()))
+
+
+def render(results: Resolved) -> WidthStatsResult:
+    context = results.context
     all_acc: Dict[str, float] = {}
     pred_acc: Dict[str, float] = {}
     herding: Dict[str, Dict[str, float]] = {}
@@ -86,3 +91,8 @@ def run_width_stats(context: Optional[ExperimentContext] = None) -> WidthStatsRe
         predicted_accuracy=pred_acc,
         herding=herding,
     )
+
+
+def run_width_stats(context: Optional[ExperimentContext] = None) -> WidthStatsResult:
+    """Run the TH configuration across the suite and collect metrics."""
+    return run_section(context, requirements)

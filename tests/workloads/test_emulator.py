@@ -60,21 +60,29 @@ class TestControlFlowConsistency:
         taken = IS_CONTROL[rows["op"]] & rows["taken"]
         assert rows["has_target"][taken].all()
 
+    #: A seed whose 4,000-instruction MediaBench trace calls (seed 5's
+    #: holds no CALL row, which would leave the checks below vacuous).
+    CALL_SEED = 1
+
     def test_calls_enter_leaves_and_return(self):
-        rows = emulate(4000)
+        rows = emulate(4000, seed=self.CALL_SEED)
         calls = np.flatnonzero(is_op(rows, OpClass.CALL)[:-1])
+        assert len(calls)
         # The next committed instruction is at the call target.
         assert np.array_equal(rows["pc"][calls + 1], rows["target"][calls])
 
     def test_returns_resume_after_call(self):
-        rows = emulate(4000)
+        rows = emulate(4000, seed=self.CALL_SEED)
         call_stack = []
+        matched = 0
         for op, pc, target in zip(rows["op"].tolist(), rows["pc"].tolist(),
                                   rows["target"].tolist()):
             if op == OP_CODE[OpClass.CALL]:
                 call_stack.append(pc + 4)
             elif op == OP_CODE[OpClass.RETURN] and call_stack:
                 assert target == call_stack.pop()
+                matched += 1
+        assert matched
 
     def test_committed_path_is_sequential(self):
         """Each instruction's next PC is the next instruction's pc."""
