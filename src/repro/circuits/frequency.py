@@ -13,6 +13,7 @@ paper's baseline without an explicit fudge factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict
 
@@ -70,9 +71,20 @@ def extract_loops(blocks: Dict[str, BlockModel]) -> CriticalLoops:
 
 
 def derive_frequencies(blocks: Dict[str, BlockModel] = None) -> FrequencyPlan:
-    """Compute the planar and 3D clock frequencies from the loop models."""
-    blocks = blocks if blocks is not None else build_block_models()
+    """Compute the planar and 3D clock frequencies from the loop models.
+
+    Without ``blocks``, the plan of the default circuit models, derived
+    once per process (:class:`FrequencyPlan` is frozen, so every caller
+    may share it).  Explicit ``blocks`` are derived on every call.
+    """
+    if blocks is None:
+        return _default_plan()
     loops = extract_loops(blocks)
     f2d = 1e3 / loops.cycle_2d_ps  # ps -> GHz
     f3d = 1e3 / loops.cycle_3d_ps
     return FrequencyPlan(f2d_ghz=f2d, f3d_ghz=f3d, loops=loops)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_plan() -> FrequencyPlan:
+    return derive_frequencies(build_block_models())

@@ -603,6 +603,8 @@ class ExperimentContext:
         self._runs: Dict[Tuple[str, str], SimulationResult] = {}
         self._config_runs: Dict[Tuple[str, str], SimulationResult] = {}
         self._thermals: Dict[Tuple[str, str], ThermalResult] = {}
+        self._powers: Dict[Tuple[str, str], PowerBreakdown] = {}
+        self._sim_keys: Dict[Tuple[str, CPUConfig], str] = {}
         self._power_model: Optional[PowerModel] = None
         self._floorplans: Dict[StackKind, Floorplan] = {}
         self._solvers: Dict[StackKind, ThermalSolver] = {}
@@ -679,9 +681,15 @@ class ExperimentContext:
         return config
 
     def _cache_key(self, benchmark: str, config: CPUConfig) -> str:
-        return simulation_key(
-            benchmark, config, self.settings.trace_length, self.settings.warmup
-        )
+        """The run's :func:`simulation_key` under this context's settings,
+        computed once per (benchmark, config)."""
+        key = self._sim_keys.get((benchmark, config))
+        if key is None:
+            key = self._sim_keys[benchmark, config] = simulation_key(
+                benchmark, config, self.settings.trace_length,
+                self.settings.warmup,
+            )
+        return key
 
     def run(self, benchmark: str, config_label: str) -> SimulationResult:
         """The (cached) simulation of one benchmark under one configuration."""
@@ -1147,6 +1155,11 @@ class ExperimentContext:
         if workers <= 1 and not force_pool:
             yield
             return [task.serial() for task in tasks]
+        if kind != "simulation":
+            # Thermal and transient workers assemble and factorize with
+            # scipy.  Importing it here, before the fork, lets every
+            # worker inherit it instead of importing its own copy.
+            import scipy.sparse.linalg  # noqa: F401
         pool = self._new_pool(workers)
         if pool is None:
             self.stats.record_event("pool_unavailable", kind=kind,
@@ -1337,9 +1350,16 @@ class ExperimentContext:
         return self._power_model
 
     def power(self, benchmark: str, config_label: str) -> PowerBreakdown:
-        """Per-core power of one benchmark under one configuration."""
-        stack = CONFIG_STACKS[config_label]
-        return self.power_model().evaluate(self.run(benchmark, config_label), stack)
+        """Per-core power of one benchmark under one configuration,
+        evaluated once per (benchmark, label).  Every caller shares the
+        breakdown, so none may change it."""
+        breakdown = self._powers.get((benchmark, config_label))
+        if breakdown is None:
+            stack = CONFIG_STACKS[config_label]
+            breakdown = self._powers[benchmark, config_label] = (
+                self.power_model().evaluate(self.run(benchmark, config_label),
+                                            stack))
+        return breakdown
 
     def chip_power_watts(self, benchmark: str, config_label: str) -> float:
         """Total chip power with the benchmark replicated on every core."""

@@ -9,9 +9,12 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.floorplan import Floorplan, planar_floorplan, stacked_floorplan
+from repro.experiments.context import ExperimentContext
+from repro.floorplan import Floorplan
 from repro.floorplan.render import area_summary, render_die_ascii
+from repro.power.model import StackKind
 
 PAPER_FOOTPRINT_REDUCTION = 4.0
 
@@ -44,6 +47,9 @@ class Figure7Result:
         ])
 
 
-def run_figure7() -> Figure7Result:
-    """Build both floorplans (their builders validate them)."""
-    return Figure7Result(planar=planar_floorplan(), stacked=stacked_floorplan())
+def run_figure7(context: Optional[ExperimentContext] = None) -> Figure7Result:
+    """The context's two floorplans (a cacheless context's when None);
+    rendering leaves them as they are."""
+    context = context or ExperimentContext(cache=None)
+    return Figure7Result(planar=context.floorplan(StackKind.PLANAR_2D),
+                         stacked=context.floorplan(StackKind.STACKED_3D))

@@ -84,7 +84,7 @@ def generate_report(context: Optional[ExperimentContext] = None) -> str:
             leakage_requirements(settings),
             pairing_requirements(settings),
             interval_requirements(settings),
-            Requirements(render=lambda results: run_figure7()),
+            Requirements(render=lambda results: run_figure7(results.context)),
         ])
 
     headline = _comparison_table([

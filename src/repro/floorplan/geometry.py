@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,21 @@ class Block:
         return self.rect.area_mm2
 
 
+class BlockAreas(NamedTuple):
+    """A floorplan's blocks as (name, die) keys with their areas."""
+
+    keys: Tuple[Tuple[str, int], ...]
+    areas: Tuple[float, ...]
+    total: float
+
+
 @dataclass
 class Floorplan:
     """A complete chip floorplan across one or more dies.
 
     Change ``blocks`` only through :meth:`add`: it drops the memoized
     :meth:`fingerprint` that the rasterizer and the thermal cache keys
-    are built on.
+    are built on, and the memoized :meth:`block_areas`.
     """
 
     name: str
@@ -65,12 +73,15 @@ class Floorplan:
     blocks: List[Block] = field(default_factory=list)
     _fingerprint: Optional[Tuple] = field(
         default=None, init=False, repr=False, compare=False)
+    _areas: Optional[BlockAreas] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add(self, block: Block) -> None:
         if not 0 <= block.die < self.dies:
             raise ValueError(f"block {block.name} on die {block.die}, but floorplan has {self.dies}")
         self.blocks.append(block)
         self._fingerprint = None
+        self._areas = None
 
     def blocks_on_die(self, die: int) -> List[Block]:
         return [b for b in self.blocks if b.die == die]
@@ -82,7 +93,19 @@ class Floorplan:
         raise KeyError(f"no block named {name!r}" + (f" on die {die}" if die is not None else ""))
 
     def total_block_area(self) -> float:
-        return sum(b.area_mm2 for b in self.blocks)
+        return self.block_areas().total
+
+    def block_areas(self) -> BlockAreas:
+        """Every block's (name, die) key and area, in floorplan order, and
+        the areas' sum; built once and kept until the next :meth:`add`."""
+        if self._areas is None:
+            areas = tuple(b.area_mm2 for b in self.blocks)
+            self._areas = BlockAreas(
+                keys=tuple((b.name, b.die) for b in self.blocks),
+                areas=areas,
+                total=sum(areas),
+            )
+        return self._areas
 
     def fingerprint(self) -> Tuple:
         """Hashable content snapshot of the floorplan geometry.

@@ -41,9 +41,8 @@ def build_power_map(
     the shared L2 receives every core's L2 power.  Clock and leakage are
     spread area-proportionally over all blocks.
     """
-    watts: Dict[BlockDieKey, float] = {
-        (block.name, block.die): 0.0 for block in floorplan.blocks
-    }
+    table = floorplan.block_areas()
+    watts: Dict[BlockDieKey, float] = dict.fromkeys(table.keys, 0.0)
 
     shared_total = 0.0
     for core_index, breakdown in enumerate(core_breakdowns):
@@ -62,9 +61,9 @@ def build_power_map(
                     shared_total += die_watts
         shared_total += breakdown.clock_watts + breakdown.leakage_watts
 
-    total_area = floorplan.total_block_area()
-    for block in floorplan.blocks:
-        watts[(block.name, block.die)] += shared_total * block.area_mm2 / total_area
+    total_area = table.total
+    for key, area in zip(table.keys, table.areas):
+        watts[key] += shared_total * area / total_area
     return watts
 
 

@@ -23,7 +23,10 @@ whole-layer conductance arrays emitted as concatenated COO triplets.
 
 ``scipy.sparse`` is imported by the first assembly and the first
 factorization, not by this module, so processes that only read cached
-thermal results never load it.
+thermal results never load it.  A parent about to fork a pool for
+thermal or transient work imports it first (see
+:meth:`repro.experiments.context.ExperimentContext._pool_steps`), so the
+workers inherit it instead of each importing their own.
 """
 
 from __future__ import annotations

@@ -187,6 +187,8 @@ class TestGeometryDigest:
         plan = solver.floorplan
         fingerprint = plan.fingerprint()
         assert plan.fingerprint() is fingerprint
+        areas = plan.block_areas()
+        assert plan.block_areas() is areas
         digest = solver.result_digest()
         watts = {key: 1.0 for key in build_power_map(plan, [])}
         ny, nx = solver.chip_grid_shape()
@@ -198,6 +200,8 @@ class TestGeometryDigest:
         plan.add(extra)
         watts[(extra.name, extra.die)] = 2.0
         assert plan.fingerprint() != fingerprint
+        assert plan.block_areas().keys == areas.keys + (("extra", 1),)
+        assert plan.total_block_area() == pytest.approx(areas.total + 0.12)
         assert solver.result_digest() != digest
         assert solver.result_digest() == content_key(
             _canonical(solver.result_key()))

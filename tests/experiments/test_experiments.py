@@ -12,6 +12,8 @@ from repro.experiments import (
     run_table2,
     run_width_stats,
 )
+from repro.experiments.cache import simulation_key
+from repro.experiments.context import _all_configurations
 
 SMALL = ExperimentSettings(
     trace_length=6_000,
@@ -44,6 +46,22 @@ class TestContext:
 
     def test_power_model_calibrated_once(self, context):
         assert context.power_model() is context.power_model()
+
+    def test_all_configurations_is_a_fresh_dict_each_call(self, context):
+        first, second = _all_configurations(), _all_configurations()
+        assert first == second == context.configs
+        assert first is not second and first is not context.configs
+        first["extra"] = first["3D"]
+        assert "extra" not in _all_configurations()
+        assert "extra" not in context.configs
+
+    def test_power_and_keys_memoized_per_pair(self, context):
+        assert context.power("mpeg2", "3D") is context.power("mpeg2", "3D")
+        config = context.configs["3D"]
+        key = context._cache_key("mpeg2", config)
+        assert context._cache_key("mpeg2", config) is key
+        assert key == simulation_key("mpeg2", config, SMALL.trace_length,
+                                     SMALL.warmup)
 
 
 class TestTable2:

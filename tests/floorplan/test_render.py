@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.experiments.figure7 import run_figure7
+from repro.experiments.context import ExperimentContext
+from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.floorplan.planar import planar_floorplan
+from repro.floorplan.stacked import stacked_floorplan
 from repro.floorplan.render import area_summary, render_die_ascii
+from repro.power.model import StackKind
 
 
 class TestRenderDie:
@@ -48,3 +51,16 @@ class TestFigure7:
 
     def test_format(self):
         assert "Figure 7" in run_figure7().format()
+
+    def test_renders_the_context_floorplans_unchanged(self):
+        context = ExperimentContext(cache=None)
+        plans = [context.floorplan(stack) for stack in StackKind]
+        fingerprints = [plan.fingerprint() for plan in plans]
+        result = run_figure7(context)
+        assert result.format() == Figure7Result(
+            planar=planar_floorplan(), stacked=stacked_floorplan()).format()
+        assert [result.planar, result.stacked] == plans
+        assert result.planar is context.floorplan(StackKind.PLANAR_2D)
+        assert result.stacked is context.floorplan(StackKind.STACKED_3D)
+        assert all(plan.fingerprint() is fingerprint
+                   for plan, fingerprint in zip(plans, fingerprints))

@@ -1,9 +1,11 @@
-"""``scipy`` loads only where a thermal system is assembled or factorized.
+"""``scipy`` loads only where thermal systems are assembled or factorized.
 
 Importing any ``repro`` module must not import scipy: the solver and the
 transient solver import ``scipy.sparse`` inside the functions that build
-and factorize matrices.  A warm run that reads every thermal result from
-the cache therefore never loads it.
+and factorize matrices, and a parent imports it just before it forks a
+pool for thermal or transient work, so the workers inherit it.  A warm
+run that reads every thermal result from the cache, and a pool that only
+simulates, therefore never load it.
 """
 
 import ast
@@ -87,3 +89,66 @@ def test_warm_thermal_and_transient_lookups_leave_scipy_unloaded(tmp_path):
     _run(_LOOKUPS + "assert 'scipy' in sys.modules\n", tmp_path)
     _run(_LOOKUPS + "assert 'scipy' not in sys.modules, 'loaded when warm'\n",
          tmp_path)
+
+
+_SIMULATION_POOL = """
+import sys
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+
+context = ExperimentContext(ExperimentSettings(
+    trace_length=3_000, warmup=800, benchmarks=("mpeg2",)), jobs=2,
+    cache=None)
+context.prefetch([("mpeg2", "Base"), ("mpeg2", "3D")])
+assert [e["kind"] for e in context.stats.events
+        if e["event"] == "pool_start"] == ["simulation"]
+assert 'scipy' not in sys.modules, 'a simulation pool loaded scipy'
+"""
+
+
+def test_simulation_pool_leaves_scipy_unloaded(tmp_path):
+    _run(_SIMULATION_POOL, tmp_path)
+
+
+_THERMAL_POOL = """
+import os, sys
+from repro.experiments import supervised
+from repro.experiments.context import ExperimentContext
+from repro.floorplan import planar_floorplan
+from repro.thermal.power_map import rasterize
+from repro.thermal.solver import FACTORIZATION_STATS, ThermalSolver
+from repro.thermal.stack import planar_stack
+
+solve_group_task = supervised.solve_group_task
+
+
+def probed(*args):
+    # Runs in a worker: was scipy there before the task imported it?
+    loaded = "scipy.sparse.linalg" in sys.modules
+    with open(os.path.join(PROBES, str(os.getpid())), "a") as stream:
+        stream.write(f"{loaded}\\n")
+    return solve_group_task(*args)
+
+
+supervised.solve_group_task = probed
+plan = planar_floorplan()
+watts = {(block.name, block.die): 1.0 for block in plan.blocks}
+groups = []
+for grid in (12, 14, 16):
+    solver = ThermalSolver(planar_stack(), plan, grid, grid)
+    ny, nx = solver.chip_grid_shape()
+    groups.append((solver, [rasterize(plan, watts, nx, ny)]))
+context = ExperimentContext(jobs=2, cache=None)
+context.solve_thermal_groups(groups)
+assert context.stats.thermal_worker_groups == 3
+assert FACTORIZATION_STATS.factorizations == 0  # the parent solved nothing
+"""
+
+
+def test_thermal_pool_workers_inherit_scipy(tmp_path):
+    probes = tmp_path / "probes"
+    probes.mkdir()
+    _run(f"PROBES = {str(probes)!r}\n" + _THERMAL_POOL, tmp_path)
+    seen = [line for path in probes.iterdir()
+            for line in path.read_text().split()]
+    assert len(seen) == 3
+    assert set(seen) == {"True"}

@@ -68,6 +68,41 @@ class TestBuildPowerMap:
         l2 = plan.find("l2_cache")
         assert watts[("l2_cache", 0)] == pytest.approx(6.0 * l2.area_mm2 / total_area)
 
+    def test_shared_power_spread_matches_per_block_areas(self):
+        # The memoized area table spreads clock, leakage and unplaced
+        # module power with the same float expression, block by block,
+        # as reading every block's area and summing them on each call.
+        plan = stacked_floorplan()
+        breakdowns = [
+            fake_breakdown(StackKind.STACKED_3D,
+                           module_watts={"scheduler": 3.1, "mystery": 0.7},
+                           clock=4.3, leak=2.9),
+            fake_breakdown(StackKind.STACKED_3D,
+                           module_watts={"l2_cache": 1.3}, clock=1.1,
+                           leak=0.3),
+        ]
+        watts = build_power_map(plan, breakdowns)
+        shared = 0.0  # accumulated in build_power_map's order
+        for _ in range(4):
+            shared += 0.7 / 4  # "mystery" has no block on any die
+        shared += 4.3 + 2.9
+        shared += 1.1 + 0.3
+        placed = build_power_map(plan, [
+            fake_breakdown(StackKind.STACKED_3D,
+                           module_watts={"scheduler": 3.1}, clock=0.0,
+                           leak=0.0),
+            fake_breakdown(StackKind.STACKED_3D,
+                           module_watts={"l2_cache": 1.3}, clock=0.0,
+                           leak=0.0),
+        ])
+        total_area = sum(block.area_mm2 for block in plan.blocks)
+        assert plan.total_block_area() == total_area
+        assert list(watts) == [(b.name, b.die) for b in plan.blocks]
+        for block in plan.blocks:
+            key = (block.name, block.die)
+            assert watts[key] == (
+                placed[key] + shared * block.area_mm2 / total_area)
+
     def test_unknown_modules_spread(self):
         plan = planar_floorplan()
         watts = build_power_map(plan, [
