@@ -13,8 +13,8 @@ Two stages are timed on the fast-report workload:
   runs each sweep point as a standalone transient, paying its own
   step-matrix factorization plus one backsolve per run per step.  Both
   are reported as steps/s.  Warm stepping-only passes (both paths
-  reusing an already-cached factorization, isolating pure multi-RHS
-  amortization) are also recorded for transparency.
+  reusing one already-factorized solver per stack, isolating pure
+  multi-RHS amortization) are also recorded for transparency.
 
 The batched peak-temperature series are asserted exactly equal to the
 scalar ones, final layer temps equal to within SuperLU's blocked
@@ -48,12 +48,7 @@ from repro.experiments.context import (
     ExperimentSettings,
 )
 from repro.experiments.interval import IntervalPowerSchedule, extract_interval_trace
-from repro.thermal.solver import clear_factorization_cache
-from repro.thermal.transient import (
-    STEP_FACTORIZATION_STATS,
-    TransientThermalSolver,
-    clear_step_cache,
-)
+from repro.thermal.transient import STEP_FACTORIZATION_STATS, TransientThermalSolver
 
 #: Mirrors ``repro.cli.FAST_SETTINGS`` fidelity (single benchmark).
 SETTINGS = ExperimentSettings(
@@ -106,7 +101,6 @@ def run(out_path: str) -> dict:
     context = ExperimentContext(SETTINGS, jobs=1, cache=None)
     context.power_model()  # calibrate outside the timed window
 
-    clear_factorization_cache()
     t0 = time.perf_counter()
     traces = {
         label: extract_interval_trace(context, "mpeg2", label, INTERVAL_INSTS)
@@ -128,7 +122,7 @@ def run(out_path: str) -> dict:
 
     # Batched engine: one factorization per stack, one multi-RHS
     # backsolve per step for all K sweep points.
-    clear_step_cache()
+    before = STEP_FACTORIZATION_STATS.factorizations
     t0 = time.perf_counter()
     batched = {
         stack: TransientThermalSolver(
@@ -137,7 +131,7 @@ def run(out_path: str) -> dict:
         for stack, schedules in schedule_sets.items()
     }
     t_batched = time.perf_counter() - t0
-    step_factorizations = STEP_FACTORIZATION_STATS.factorizations
+    step_factorizations = STEP_FACTORIZATION_STATS.factorizations - before
 
     # Scalar per-run loop: each sweep point is a standalone transient
     # paying its own step-matrix factorization plus per-step backsolves.
@@ -146,17 +140,16 @@ def run(out_path: str) -> dict:
     for stack, schedules in schedule_sets.items():
         runs = []
         for schedule in schedules:
-            clear_step_cache()
             runs.append(TransientThermalSolver(
                 context.solver(stack), dt_s=DT_S
             ).run_reference(schedule, DURATION_S))
         scalar[stack] = runs
     t_scalar = time.perf_counter() - t0
 
-    # Warm stepping-only passes: both paths reuse an already-cached
-    # factorization, isolating the pure per-step multi-RHS amortization
-    # from the factorization sharing — recorded for transparency.
-    clear_step_cache()
+    # Warm stepping-only passes: both paths reuse one already-factorized
+    # solver per stack, isolating the pure per-step multi-RHS
+    # amortization from the factorization sharing — recorded for
+    # transparency.
     warm_solvers = {
         stack: TransientThermalSolver(context.solver(stack), dt_s=DT_S)
         for stack in schedule_sets

@@ -4,8 +4,9 @@ Times the SuperLU-dominated thermal stage a cold ``repro report --fast``
 pays: the two standard packaging geometries (planar, 3D stack) plus the
 distinct sensitivity-sweep geometries, each factorized and solved once at
 the fast-report grid.  Three passes are measured — serial in-process
-(cold LRU), the parallel geometry fan-out across the worker pool, and a
-warm in-process rerun (backsubstitution only) — and the parallel results
+(each solver factorizing cold), the parallel geometry fan-out across the
+worker pool (each worker task factorizing its own geometry), and a warm
+in-process rerun (backsubstitution only) — and the parallel results
 are asserted bit-identical to the serial ones.  Emits a
 ``BENCH_thermal.json`` payload that CI records next to
 ``BENCH_report.json`` and gates against
@@ -29,11 +30,7 @@ import numpy as np
 from repro.experiments.context import CORE_COUNT, ExperimentContext
 from repro.experiments.sensitivity import SWEEPS, _stack_with
 from repro.floorplan import planar_floorplan, stacked_floorplan
-from repro.thermal.solver import (
-    FACTORIZATION_STATS,
-    ThermalSolver,
-    clear_factorization_cache,
-)
+from repro.thermal.solver import FACTORIZATION_STATS, ThermalSolver
 from repro.thermal.stack import planar_stack, stacked_3d_stack
 
 #: The fast-report thermal resolution (mirrors ``repro.cli.FAST_SETTINGS``).
@@ -84,11 +81,11 @@ def run(out_path: str, jobs: int) -> dict:
         len(solver.stack.layers) * solver.ny * solver.nx for solver in solvers
     ]
 
-    clear_factorization_cache()
+    before = FACTORIZATION_STATS.factorizations
     t0 = time.perf_counter()
     serial = [solver.solve_many(batches) for solver, batches in groups]
     t_serial = time.perf_counter() - t0
-    factorizations = FACTORIZATION_STATS.factorizations
+    factorizations = FACTORIZATION_STATS.factorizations - before
 
     t0 = time.perf_counter()
     for solver, batches in groups:
@@ -96,7 +93,6 @@ def run(out_path: str, jobs: int) -> dict:
     t_warm = time.perf_counter() - t0
 
     context = ExperimentContext(jobs=jobs, cache=None)
-    clear_factorization_cache()  # make the fan-out do cold factorizations
     t0 = time.perf_counter()
     parallel = context.solve_thermal_groups(groups)
     t_parallel = time.perf_counter() - t0

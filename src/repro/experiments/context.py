@@ -41,6 +41,7 @@ from typing import (
     Union,
 )
 
+from repro.circuits.blocks import build_block_models
 from repro.cpu.config import CPUConfig, paper_configurations
 from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
@@ -85,16 +86,6 @@ ENV_JOBS = "REPRO_JOBS"
 #: task re-enters the retry ladder and the pool is recycled.
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT_S"
 
-#: Thermal solves whose system has at least this many unknowns
-#: (layers x ny x nx) run in a supervised subprocess.  Unset = a
-#: RAM-calibrated default (:func:`repro.experiments.supervised.
-#: default_subproc_cells`); "0"/"off"/"no"/"false"/"none" = never.
-ENV_THERMAL_SUBPROC = "REPRO_THERMAL_SUBPROC_CELLS"
-
-#: Deadline (seconds) for a supervised thermal subprocess; defaults to
-#: REPRO_TASK_TIMEOUT_S, unset = wait for completion (crash-isolated only).
-ENV_THERMAL_TIMEOUT = "REPRO_THERMAL_TIMEOUT_S"
-
 #: Worker-pool attempts each task gets before it falls back to running
 #: serially in this process (1 first try + N-1 retries on a fresh pool).
 MAX_TASK_ATTEMPTS = 3
@@ -122,7 +113,8 @@ CLAIM_POLL_S = 0.05
 #: later solves of that geometry (DVFS points, leakage feedback) reuse
 #: the solver's own factors only when it solved inline.  Transient
 #: dispatch is not gated: no report section reuses a step matrix, so
-#: with ``jobs > 1`` every picklable schedule pools.
+#: with ``jobs > 1`` every picklable schedule pools (a dispatch of a
+#: single task still runs inline; see :meth:`ExperimentContext._pool_steps`).
 THERMAL_PARALLEL_MIN_GROUPS = 3
 
 #: Back-solves one factorization costs about as much as (grid-48 3D
@@ -215,10 +207,6 @@ class ContextStats:
     trace_cache_hits: int = 0
     #: committed instructions simulated in this process (incl. warmup)
     instructions_simulated: int = 0
-    #: thermal batches solved in a supervised subprocess
-    thermal_subproc_solves: int = 0
-    #: supervised thermal solves that fell back in-process
-    thermal_subproc_fallbacks: int = 0
     #: geometry groups dispatched by the thermal solve engine
     thermal_groups: int = 0
     #: geometry groups factorized+solved in pool workers (vs inline)
@@ -297,9 +285,9 @@ class ContextStats:
         """Telemetry payload for ``--stats`` files and the CI benchmark report.
 
         ``run_id`` and every counter field, then the derived simulation
-        rate, the process-wide factorization LRU snapshots (parent
-        process only; worker-side factorizations are counted in the
-        fields) and the sorted ``stage_seconds``, rounded to 3 places.
+        rate, the process-wide steady and step factorization counts
+        (parent process only; worker-side factorizations are counted in
+        the fields) and the sorted ``stage_seconds``, rounded to 3 places.
         """
         payload = {
             item.name: getattr(self, item.name)
@@ -308,9 +296,7 @@ class ContextStats:
         payload.update(
             instructions_per_second=self.instructions_per_second(),
             factorizations=FACTORIZATION_STATS.factorizations,
-            factorization_cache_hits=FACTORIZATION_STATS.cache_hits,
             step_factorizations=STEP_FACTORIZATION_STATS.factorizations,
-            step_factorization_cache_hits=STEP_FACTORIZATION_STATS.cache_hits,
             stage_seconds={
                 stage: round(seconds, 3)
                 for stage, seconds in sorted(self.stage_seconds.items())
@@ -352,13 +338,13 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _env_positive_number(name: str, convert=float) -> Optional[float]:
+def _env_positive_number(name: str) -> Optional[float]:
     """A positive number from the environment, or None (unset/invalid)."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
-        value = convert(raw)
+        value = float(raw)
         if not math.isfinite(value):
             raise ValueError(raw)
     except ValueError:
@@ -369,27 +355,6 @@ def _env_positive_number(name: str, convert=float) -> Optional[float]:
         )
         return None
     return value if value > 0 else None
-
-
-def _resolve_thermal_subproc_cells() -> Optional[int]:
-    """The supervision threshold: explicit env value > calibrated default.
-
-    ``None`` (supervision disabled) only on an explicit opt-out value;
-    unset and invalid values fall back to the RAM-calibrated default.
-    """
-    from repro.experiments.supervised import (
-        DISABLED_VALUES,
-        default_subproc_cells,
-    )
-
-    raw = os.environ.get(ENV_THERMAL_SUBPROC, "").strip().lower()
-    if raw in DISABLED_VALUES:
-        return None
-    if raw:
-        explicit = _env_positive_number(ENV_THERMAL_SUBPROC, convert=int)
-        if explicit is not None:
-            return int(explicit)
-    return default_subproc_cells()
 
 
 def _simulate_task(
@@ -453,9 +418,8 @@ class _PoolTask:
     ``fn(*args)`` runs in a worker process; ``serial()`` is the
     in-process fallback producing an identical result (every task is
     deterministic).  ``detail`` labels the task in robustness events,
-    ``timeout_s`` is its per-attempt deadline, ``max_attempts`` its
-    worker-pool attempt budget, and ``on_fallback`` (if set) is invoked
-    with a reason string whenever the task abandons the pool path.
+    ``timeout_s`` is its per-attempt deadline and ``max_attempts`` its
+    worker-pool attempt budget.
 
     A deadline runs from the attempt's submission, not from the
     collection of a started dispatch: a task that finished while the
@@ -469,7 +433,6 @@ class _PoolTask:
     detail: Dict[str, object]
     timeout_s: Optional[float] = None
     max_attempts: int = 1
-    on_fallback: Optional[Callable[[str], None]] = None
     #: relative run time, for submitting the longest task first
     cost: float = 0.0
 
@@ -490,16 +453,19 @@ class _Batch:
     tasks: List[_PoolTask]
     kind: str
     stage: str
-    force_pool: bool = False
 
 
 def _solve_cost(cells: int, rhs: int) -> float:
     """Relative run time of factorizing a ``cells``-unknown system and
     back-solving ``rhs`` right-hand sides against it.
 
-    LU fill, and with it the cost of each solve, grows as ``cells**(4/3)``
-    (see :data:`repro.experiments.supervised.LU_FILL_BYTES`); one
-    factorization costs about :data:`FACTORIZATION_RHS` back-solves.
+    LU fill, and with it the cost of each solve, grows as ``cells**(4/3)``:
+    the LU factors of the thermal conductance matrix occupy about
+    ``100 * cells**(4/3)`` bytes (12 bytes per stored nonzero; measured
+    952-3419 bytes/cell over 4k-65k cell systems across the planar and
+    3D stacks, with the 4/3 exponent fitting the observed growth of
+    fill-in with system size).  One factorization costs about
+    :data:`FACTORIZATION_RHS` back-solves.
     """
     return cells ** (4.0 / 3.0) * (FACTORIZATION_RHS + rhs)
 
@@ -587,11 +553,6 @@ class ExperimentContext:
         self.retry_backoff_s = RETRY_BACKOFF_S
         #: per-task deadline; None (the default) waits indefinitely
         self.task_timeout_s = _env_positive_number(ENV_TASK_TIMEOUT)
-        #: thermal systems at least this many unknowns go to a subprocess
-        self.thermal_subproc_cells = _resolve_thermal_subproc_cells()
-        self.thermal_timeout_s = (
-            _env_positive_number(ENV_THERMAL_TIMEOUT) or self.task_timeout_s
-        )
         #: distinct geometries a thermal dispatch needs to use the pool
         self.thermal_parallel_min_groups = THERMAL_PARALLEL_MIN_GROUPS
         #: cross-process claim coordination knobs
@@ -1005,37 +966,29 @@ class ExperimentContext:
         self.stats.record_event("serial_degrade", kind=kind, reason=reason,
                                 tasks=len(indices))
         for index in indices:
-            task = tasks[index]
-            if task.on_fallback is not None:
-                task.on_fallback(f"pool {reason}")
-            results[index] = task.serial()
+            results[index] = tasks[index].serial()
             self.stats.serial_fallbacks += 1
 
-    def _run_pool_tasks(self, tasks: List[_PoolTask], kind: str,
-                        force_pool: bool = False) -> List:
+    def _run_pool_tasks(self, tasks: List[_PoolTask], kind: str) -> List:
         """Run :class:`_PoolTask` descriptors on a fault-tolerant pool and
         wait for them: :meth:`_start_pool_tasks` collected at once."""
-        return self._start_pool_tasks(tasks, kind, force_pool).result()
+        return self._start_pool_tasks(tasks, kind).result()
 
-    def _start_pool_tasks(self, tasks: List[_PoolTask], kind: str,
-                          force_pool: bool = False) -> Started:
+    def _start_pool_tasks(self, tasks: List[_PoolTask], kind: str) -> Started:
         """Create a pool and submit ``tasks``; ``result()`` collects them.
 
         The shared executor behind the simulation, thermal and transient
-        fan-out.  ``force_pool`` insists on worker processes even for a
-        single task on a single-job context (the crash isolation the
-        supervised thermal path needs).  Tasks carry their own deadlines
-        and attempt budgets, so one dispatch can mix quick tasks with
-        supervised one-shot ones.  Inline dispatches run at collection.
+        fan-out.  Tasks carry their own deadlines and attempt budgets.
+        A dispatch with one task, or on a single-job context, starts no
+        pool: its tasks run inline at collection.
         """
-        return Started(self._pool_steps(tasks, kind, force_pool), self.stats)
+        return Started(self._pool_steps(tasks, kind), self.stats)
 
     def _run_batch(self, batch: _Batch) -> List:
         """Run one :class:`_Batch` on its own pool and wait for it."""
         start = time.perf_counter()
         try:
-            return self._run_pool_tasks(batch.tasks, batch.kind,
-                                        batch.force_pool)
+            return self._run_pool_tasks(batch.tasks, batch.kind)
         finally:
             self.stats.add_stage(batch.stage, time.perf_counter() - start)
 
@@ -1103,7 +1056,6 @@ class ExperimentContext:
                 handle = self._start_pool_tasks(
                     [tasks[i] for i in order],
                     " + ".join(dict.fromkeys(b.kind for b in batches)),
-                    force_pool=any(b.force_pool for b in batches),
                 )
             self.stats.add_stage(stage, time.perf_counter() - start)
             yield
@@ -1146,13 +1098,12 @@ class ExperimentContext:
             stage="thermal",
         ), self.stats)
 
-    def _pool_steps(self, tasks: List[_PoolTask], kind: str,
-                    force_pool: bool) -> Generator:
+    def _pool_steps(self, tasks: List[_PoolTask], kind: str) -> Generator:
         """The executor behind :meth:`_start_pool_tasks`: submit the first
         round, yield while the workers run, then wait, retry, restart a
         broken or hung pool, and fall back to serial runs as needed."""
         workers = max(1, min(self.jobs, len(tasks)))
-        if workers <= 1 and not force_pool:
+        if workers <= 1:
             yield
             return [task.serial() for task in tasks]
         if kind != "simulation":
@@ -1165,12 +1116,7 @@ class ExperimentContext:
             self.stats.record_event("pool_unavailable", kind=kind,
                                     tasks=len(tasks))
             yield
-            out = []
-            for task in tasks:
-                if task.on_fallback is not None:
-                    task.on_fallback("pool unavailable")
-                out.append(task.serial())
-            return out
+            return [task.serial() for task in tasks]
         self.stats.record_event(
             "pool_start", kind=kind, workers=workers, tasks=len(tasks),
             factorizations=FACTORIZATION_STATS.factorizations,
@@ -1333,8 +1279,6 @@ class ExperimentContext:
                     **task.detail,
                     attempts=attempts[index],
                 )
-                if task.on_fallback is not None:
-                    task.on_fallback("attempts exhausted")
                 results[index] = task.serial()
                 self.stats.serial_fallbacks += 1
         return retryable
@@ -1345,8 +1289,9 @@ class ExperimentContext:
         """The power model calibrated on the reference baseline run."""
         if self._power_model is None:
             reference = self.run(REFERENCE_BENCHMARK, "Base")
-            scale = calibrate_activity_scale(reference)
-            self._power_model = PowerModel(activity_scale=scale)
+            blocks = build_block_models()
+            scale = calibrate_activity_scale(reference, blocks=blocks)
+            self._power_model = PowerModel(blocks=blocks, activity_scale=scale)
         return self._power_model
 
     def power(self, benchmark: str, config_label: str) -> PowerBreakdown:
@@ -1534,20 +1479,6 @@ class ExperimentContext:
         """Unknown count of one geometry's linear system."""
         return len(solver.stack.layers) * solver.ny * solver.nx
 
-    def _thermal_subproc_fallback(self, batches: int) -> Callable[[str], None]:
-        """The supervised-path fallback hook: count, log, and warn."""
-        def on_fallback(reason: str) -> None:
-            self.stats.thermal_subproc_fallbacks += 1
-            self.stats.record_event("thermal_subproc_fallback",
-                                    reason=reason, batches=batches)
-            warnings.warn(
-                f"supervised thermal solve failed ({reason}); "
-                f"solving {batches} batch(es) in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return on_fallback
-
     def _dispatch_thermal(
         self, geometry_groups: List[Tuple[ThermalSolver, List[Sequence]]]
     ) -> Generator:
@@ -1556,22 +1487,10 @@ class ExperimentContext:
         The pool path pays a spin-up and leaves the parent's solvers
         unfactorized for their later solves, so it only engages when
         several distinct geometries are pending
-        (``thermal_parallel_min_groups``) — or
-        when a group is oversized (``REPRO_THERMAL_SUBPROC_CELLS``), in
-        which case crash isolation demands a subprocess even for a
-        single group on a single-job context: that is the supervised
-        solve of old, folded into the same worker path.  Oversized
-        groups keep its one-attempt contract — a crash, OOM kill, or
-        hang costs one timeout and an in-process fallback (with a
-        warning), not the retry ladder.  A work generator: the pool path
-        yields its :class:`_Batch`.
+        (``thermal_parallel_min_groups``).  A work generator: the pool
+        path yields its :class:`_Batch`.
         """
-        threshold = self.thermal_subproc_cells
-        oversized = [
-            threshold is not None and self._thermal_cells(solver) >= threshold
-            for solver, _ in geometry_groups
-        ]
-        use_pool = any(oversized) or (
+        use_pool = (
             self.jobs > 1
             and len(geometry_groups) >= self.thermal_parallel_min_groups
         )
@@ -1591,9 +1510,8 @@ class ExperimentContext:
 
         from repro.experiments.supervised import solve_group_task
 
-        tasks = []
-        for (solver, grids), big in zip(geometry_groups, oversized):
-            tasks.append(_PoolTask(
+        tasks = [
+            _PoolTask(
                 fn=solve_group_task,
                 args=(solver.stack, solver.floorplan, solver.nx, solver.ny,
                       solver.spreader_mm, grids),
@@ -1601,25 +1519,21 @@ class ExperimentContext:
                 detail={"geometry": solver.geometry_id(),
                         "batches": len(grids),
                         "cells": self._thermal_cells(solver)},
-                timeout_s=self.thermal_timeout_s,
-                max_attempts=1 if big else self.max_task_attempts,
-                on_fallback=(
-                    self._thermal_subproc_fallback(len(grids)) if big else None
-                ),
+                timeout_s=self.task_timeout_s,
+                max_attempts=self.max_task_attempts,
                 cost=_solve_cost(self._thermal_cells(solver), len(grids)),
-            ))
-        outs = yield _Batch(tasks, kind="thermal solve", stage="thermal",
-                            force_pool=True)
+            )
+            for solver, grids in geometry_groups
+        ]
+        outs = yield _Batch(tasks, kind="thermal solve", stage="thermal")
         results = []
-        for (solver, grids), big, out in zip(geometry_groups, oversized, outs):
+        for (solver, grids), out in zip(geometry_groups, outs):
             solved, worker_stats = out
             if worker_stats is not None:
                 self.stats.thermal_worker_groups += 1
                 self.stats.thermal_worker_factorizations += (
                     worker_stats.get("factorizations", 0)
                 )
-                if big:
-                    self.stats.thermal_subproc_solves += 1
             self.stats.record_event(
                 "thermal_group", geometry=solver.geometry_id(),
                 batches=len(grids), cells=self._thermal_cells(solver),
@@ -1710,8 +1624,8 @@ class ExperimentContext:
     def _run_transient_group(
         self, group: dict
     ) -> Tuple[List[TransientResult], List[Dict[str, float]]]:
-        """Inline path: step one group in-process (shares the parent's
-        step-matrix LRU)."""
+        """Inline path: step one group in-process, through one step-matrix
+        factorization."""
         req = group["req"]
         transient = TransientThermalSolver(group["solver"], dt_s=req.dt_s)
         results = transient.run_many(
@@ -1728,8 +1642,9 @@ class ExperimentContext:
         With ``jobs > 1`` every group goes to the pool, provided every
         schedule is a picklable
         :class:`~repro.thermal.transient.PowerSchedule` (plain callables
-        stay inline).  A work generator: it yields its :class:`_Batch`,
-        or ``None`` to step inline at collection.
+        stay inline, and a lone task runs inline at collection).  A work
+        generator: it yields its :class:`_Batch`, or ``None`` to step
+        inline at collection.
         """
         self.stats.transient_groups += len(groups)
         steps_of = {}
@@ -1774,13 +1689,12 @@ class ExperimentContext:
                 detail={"geometry": solver.geometry_id(),
                         "runs": len(group["schedules"]),
                         "steps": steps_of[id(group)]},
-                timeout_s=self.thermal_timeout_s,
+                timeout_s=self.task_timeout_s,
                 max_attempts=self.max_task_attempts,
                 cost=_solve_cost(self._thermal_cells(solver),
                                  steps_of[id(group)] * len(group["schedules"])),
             ))
-        outs = yield _Batch(tasks, kind="transient step", stage="transient",
-                            force_pool=True)
+        outs = yield _Batch(tasks, kind="transient step", stage="transient")
         results = []
         for group, out in zip(groups, outs):
             solved, sched_stats, worker_stats = out

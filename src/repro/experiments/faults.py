@@ -111,7 +111,8 @@ def arm_thermal_worker_kills(directory, kills: int = 1) -> List[Path]:
 
 def arm_thermal_worker_hangs(directory, hangs: int = 1) -> List[Path]:
     """Create sleep-forever tokens only thermal solve workers claim,
-    exercising the thermal deadline (``REPRO_THERMAL_TIMEOUT_S``)."""
+    exercising the per-task deadline (``REPRO_TASK_TIMEOUT_S``) on
+    thermal and transient tasks."""
     return _arm(directory, _THERMAL_HANG_PREFIX, hangs)
 
 
@@ -215,9 +216,8 @@ def maybe_inject_thermal_fault() -> None:
 
     Claims the thermal-only tokens first (kill, then hang), then falls
     through to :func:`maybe_inject_worker_fault` so generic tokens keep
-    reaching thermal workers too — the supervised-solve path has always
-    honoured them, and the combined-fault CI scenarios rely on whichever
-    worker claims a token first.
+    reaching thermal workers too — the combined-fault CI scenarios rely
+    on whichever worker claims a token first.
     """
     if _claim_token(_THERMAL_KILL_PREFIX):
         os._exit(KILL_EXIT_CODE)

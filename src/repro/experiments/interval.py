@@ -17,9 +17,8 @@ closes the loop:
    temperature-reactive schedules as the section's pool-side work
    (:mod:`repro.experiments.plan`), which groups runs by step-matrix key
    and advances each group in lock-step through a single factorization
-   with a multi-column right-hand side.  :func:`start_interval` returns
-   once the groups are submitted, so pool workers step them while the
-   caller carries on.
+   with a multi-column right-hand side.  In a report, pool workers step
+   the groups while the parent solves the other sections' thermals.
 3. **DTM scenario** — every configuration runs twice: free-running, and
    under a thermal ceiling with a throttle governor
    (:class:`IntervalPowerSchedule`) that scales power whenever the
@@ -50,11 +49,10 @@ from repro.experiments.context import (
     REFERENCE_BENCHMARK,
     ExperimentContext,
     ExperimentSettings,
-    Started,
     TransientRequest,
     _all_configurations,
 )
-from repro.experiments.plan import PoolWork, Requirements, Resolved, start_section
+from repro.experiments.plan import PoolWork, Requirements, Resolved, run_section
 from repro.power.model import StackKind
 from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.transient import PowerSchedule
@@ -380,19 +378,6 @@ def requirements(
 
 def run_interval(context: Optional[ExperimentContext] = None,
                  **kwargs) -> IntervalResult:
-    """Run the interval co-simulation sweep and wait for it:
-    :func:`start_interval` (same arguments) collected at once."""
-    return start_interval(context, **kwargs).result()
-
-
-def start_interval(context: Optional[ExperimentContext] = None,
-                   **kwargs) -> Started:
-    """Start the interval co-simulation sweep; ``result()`` finishes it.
-
-    This call extracts the traces and submits the transient runs
-    (:func:`requirements` takes the keyword arguments); with
-    ``jobs > 1`` they step on pool workers while the caller does other
-    work, and the handle's ``result()`` returns the
-    :class:`IntervalResult`.
-    """
-    return start_section(context, requirements, **kwargs)
+    """Run the interval co-simulation sweep (:func:`requirements` takes
+    the keyword arguments) and return its :class:`IntervalResult`."""
+    return run_section(context, requirements, **kwargs)

@@ -9,8 +9,8 @@ One JSON-serializable dictionary combining:
 * **per-process cache counters** — hit/miss/store/eviction counts of the
   live :class:`~repro.experiments.cache.ResultCache` and its trace
   store;
-* **solver state** — the process-wide ``FACTORIZATION_STATS`` LRU
-  counters;
+* **solver state** — the process-wide steady and step factorization
+  counts;
 * **run telemetry** — the owning context's
   :meth:`~repro.experiments.context.ContextStats.as_dict` payload
   (per-stage wall-clock, claim/retry/fault counters), when a context is
@@ -31,7 +31,7 @@ from repro.thermal.solver import FACTORIZATION_STATS
 from repro.thermal.transient import STEP_FACTORIZATION_STATS
 
 #: Bump when the snapshot layout changes incompatibly.
-METRICS_SCHEMA_VERSION = 3
+METRICS_SCHEMA_VERSION = 4
 
 
 def cache_metrics(cache) -> dict:
@@ -97,14 +97,8 @@ def metrics_snapshot(context=None, cache=None) -> dict:
         "schema": METRICS_SCHEMA_VERSION,
         "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
         "cache": cache_metrics(cache),
-        "factorizations": {
-            "factorizations": FACTORIZATION_STATS.factorizations,
-            "cache_hits": FACTORIZATION_STATS.cache_hits,
-        },
-        "step_factorizations": {
-            "factorizations": STEP_FACTORIZATION_STATS.factorizations,
-            "cache_hits": STEP_FACTORIZATION_STATS.cache_hits,
-        },
+        "factorizations": FACTORIZATION_STATS.factorizations,
+        "step_factorizations": STEP_FACTORIZATION_STATS.factorizations,
     }
     if context is not None:
         snapshot["run"] = context.stats.as_dict()

@@ -27,12 +27,11 @@ The report and every section subcommand of the CLI go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.context import (
     ExperimentContext,
     SimSpec,
-    Started,
     TransientRequest,
 )
 from repro.thermal.solver import ThermalSolver
@@ -97,45 +96,6 @@ def grid(labels: Sequence[str], benchmarks: Sequence[str]) -> List[Tuple[str, st
 def run_plan(context: ExperimentContext,
              sections: Sequence[Requirements]) -> List[object]:
     """Resolve ``sections`` together and return their rendered results."""
-    steps = _plan_steps(context, list(sections))
-    try:
-        while True:
-            next(steps)
-    except StopIteration as stop:
-        return stop.value
-    finally:
-        steps.close()
-
-
-def run_section(context: Optional[ExperimentContext], requirements,
-                *args, **kwargs):
-    """One section through the plan: :func:`run_plan` of
-    ``requirements(context.settings, *args, **kwargs)`` alone, on a
-    default context when ``context`` is None."""
-    context = context or ExperimentContext()
-    return run_plan(context, [requirements(context.settings, *args,
-                                           **kwargs)])[0]
-
-
-def start_section(context: Optional[ExperimentContext], requirements,
-                  *args, **kwargs) -> Started:
-    """:func:`run_section` begun now: the handle returns once the section's
-    pool-side thermal work is submitted, and ``result()`` does the rest."""
-    context = context or ExperimentContext()
-    section = requirements(context.settings, *args, **kwargs)
-    return Started(_first(_plan_steps(context, [section])), context.stats)
-
-
-def _first(steps: Generator) -> Generator:
-    """``steps`` returning the first element of its list value."""
-    values = yield from steps
-    return values[0]
-
-
-def _plan_steps(context: ExperimentContext,
-                sections: List[Requirements]) -> Generator:
-    """The steps of :func:`run_plan`; they yield once, after the
-    pool-side thermal work is submitted."""
     from repro.experiments.interval import extract_interval_trace
 
     context.prefetch(item for section in sections for item in section.runs)
@@ -151,7 +111,6 @@ def _plan_steps(context: ExperimentContext,
         [request for work in works for request in work.requests],
     )
     try:
-        yield
         solved = [section.solve(context) if section.solve else None
                   for section in sections]
         rendered = []
@@ -170,3 +129,13 @@ def _plan_steps(context: ExperimentContext,
         return rendered
     finally:
         started.cancel()
+
+
+def run_section(context: Optional[ExperimentContext], requirements,
+                *args, **kwargs):
+    """One section through the plan: :func:`run_plan` of
+    ``requirements(context.settings, *args, **kwargs)`` alone, on a
+    default context when ``context`` is None."""
+    context = context or ExperimentContext()
+    return run_plan(context, [requirements(context.settings, *args,
+                                           **kwargs)])[0]

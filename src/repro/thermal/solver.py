@@ -12,11 +12,9 @@ layers through the series resistance of the two half-layers.  The top of
 the spreader is coupled to ambient through the sink's convection
 resistance; all other outer faces are adiabatic.
 
-The system matrix depends only on geometry, so it is assembled once per
-*geometry* and shared process-wide: solvers with identical stacks,
-floorplan footprints, and grid resolutions (DVFS sweeps, stacking-order
-ablations, repeated contexts) reuse one factorization instead of paying
-SuperLU per instance.  The LU factorization is deferred to the first
+Each solver owns its system: it assembles the conductance matrix once
+and LU-factorizes it once, and every later solve back-substitutes
+against those factors.  The factorization is deferred to the first
 steady solve, so a transient solver, which factorizes its own step
 matrix, never pays for a steady one.  Assembly itself is vectorized —
 whole-layer conductance arrays emitted as concatenated COO triplets.
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,52 +54,13 @@ DEFAULT_SPREADER_MM = 24.0
 
 @dataclass
 class FactorizationStats:
-    """Process-wide factorization-cache bookkeeping (observable in tests)."""
+    """Process-wide factorization count (observable in tests)."""
 
     factorizations: int = 0
-    cache_hits: int = 0
 
 
-#: Counters for the module-level factorization cache.
+#: Steady conductance-matrix factorizations in this process.
 FACTORIZATION_STATS = FactorizationStats()
-
-
-@dataclass
-class _Factorization:
-    """One cached conductance matrix and, once a steady solve has needed
-    it, its LU backsubstitution (the transient solver only needs the
-    assembled matrix, so factorization is deferred)."""
-
-    matrix: csc_matrix
-    conv_per_cell: float
-    solve: Optional[Callable] = None
-
-
-#: Geometry-keyed LRU of assembled (and lazily factorized) conductance
-#: matrices.
-_FACTORIZATION_CACHE: "OrderedDict[Tuple, _Factorization]" = OrderedDict()
-#: Distinct geometries kept assembled (and factorized) at once.
-FACTORIZATION_CACHE_CAP = 16
-
-
-def clear_factorization_cache() -> None:
-    """Drop all cached factorizations and reset the counters.
-
-    Also drops the transient solver's step-matrix cache: every step
-    matrix embeds a conductance matrix assembled here, so any site that
-    resets steady factorization state (tests, benchmarks) must reset the
-    derived step factorizations with it.  Pool workers do not call this:
-    their tasks evict only the entries they created
-    (:mod:`repro.experiments.supervised`).
-    """
-    _FACTORIZATION_CACHE.clear()
-    FACTORIZATION_STATS.factorizations = 0
-    FACTORIZATION_STATS.cache_hits = 0
-    # Local import: transient imports this module at module scope, so a
-    # module-scope import here would be a solver <-> transient cycle.
-    from repro.thermal import transient
-
-    transient.clear_step_cache()
 
 
 def _factorize(matrix: csc_matrix) -> Callable:
@@ -177,15 +135,17 @@ class ThermalSolver:
         self.nx = nx
         self.ny = ny
         #: the constructor argument, kept so an identical solver can be
-        #: rebuilt elsewhere (the supervised-subprocess thermal path)
+        #: rebuilt in a pool worker
         self.spreader_mm = spreader_mm
         self.spreader_w_mm = max(spreader_mm, floorplan.width_mm)
         self.spreader_h_mm = max(spreader_mm, floorplan.height_mm)
         #: chip offset within the spreader footprint (centred), mm
         self.chip_x0_mm = (self.spreader_w_mm - floorplan.width_mm) / 2.0
         self.chip_y0_mm = (self.spreader_h_mm - floorplan.height_mm) / 2.0
-        self._solve_fn: Optional[Callable] = None
+        #: the assembled conductance matrix G, once :meth:`_bind` has run
+        self.conductance_matrix: Optional[csc_matrix] = None
         self._conv_per_cell: Optional[float] = None
+        self._solve_fn: Optional[Callable] = None
         #: (floorplan fingerprint, :meth:`result_digest`) once computed
         self._result_digest: Optional[Tuple[Tuple, str]] = None
         # Chip cell window within the spreader grid (shared by the
@@ -209,7 +169,8 @@ class ThermalSolver:
 
     def matrix_key(self) -> Tuple:
         """Hashable fingerprint of everything the conductance matrix
-        depends on; solvers sharing it share one LU factorization."""
+        depends on; dispatchers group right-hand sides by it, so that
+        each geometry is factorized once."""
         return (
             tuple(
                 (layer.thickness_m, layer.material.conductivity_w_mk)
@@ -272,32 +233,18 @@ class ThermalSolver:
         k[outside] = _FILLER_K
         return k
 
-    def _bind(self) -> _Factorization:
-        """Bind this solver to the (possibly shared) assembled system,
-        without factorizing it."""
-        key = self.matrix_key()
-        entry = _FACTORIZATION_CACHE.get(key)
-        if entry is None:
-            entry = _Factorization(*self._assemble())
-            _FACTORIZATION_CACHE[key] = entry
-            while len(_FACTORIZATION_CACHE) > FACTORIZATION_CACHE_CAP:
-                _FACTORIZATION_CACHE.popitem(last=False)
-        else:
-            _FACTORIZATION_CACHE.move_to_end(key)
-        #: the assembled conductance matrix G (kept for the transient solver)
-        self.conductance_matrix = entry.matrix
-        self._conv_per_cell = entry.conv_per_cell
-        return entry
+    def _bind(self) -> None:
+        """Assemble this solver's conductance matrix, once, without
+        factorizing it."""
+        if self.conductance_matrix is None:
+            self.conductance_matrix, self._conv_per_cell = self._assemble()
 
     def _build(self) -> None:
-        """Bind this solver to the (possibly shared) factorized system."""
-        entry = self._bind()
-        if entry.solve is None:
-            entry.solve = _factorize(entry.matrix)
+        """Assemble and LU-factorize this solver's system, once."""
+        if self._solve_fn is None:
+            self._bind()
+            self._solve_fn = _factorize(self.conductance_matrix)
             FACTORIZATION_STATS.factorizations += 1
-        else:
-            FACTORIZATION_STATS.cache_hits += 1
-        self._solve_fn = entry.solve
 
     def _assemble(self) -> Tuple[csc_matrix, float]:
         """Vectorized conductance-matrix assembly.
@@ -434,8 +381,7 @@ class ThermalSolver:
         """
         if not batches:
             return []
-        if self._solve_fn is None:
-            self._build()
+        self._build()
         rhs = np.stack([self._rhs_for(batch) for batch in batches], axis=1)
         temps = self._solve_fn(rhs)
         return [self._result_from(np.asarray(temps[:, i]).ravel())

@@ -9,9 +9,9 @@ adds per-cell heat capacities ``C``:
     C dT/dt = -G T + P(t)  ->  (C/dt + G) T_{n+1} = (C/dt) T_n + P_{n+1}
 
 Implicit Euler is unconditionally stable, so time steps can span
-milliseconds.  The step matrix ``(C/dt + G)`` is LU-factorized once per
-(geometry, heat capacities, dt) and shared process-wide, exactly like
-the steady solver's factorization cache.
+milliseconds.  Each :class:`TransientThermalSolver` LU-factorizes its
+step matrix ``(C/dt + G)`` once, at construction, and every run it steps
+back-substitutes against those factors.
 
 Two integration paths share that factorization:
 
@@ -32,7 +32,6 @@ Two integration paths share that factorization:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,26 +43,16 @@ from repro.thermal.solver import FactorizationStats, ThermalSolver, _factorize
 #: transient-run cache key.
 TRANSIENT_MODEL_VERSION = 1
 
-#: (steady matrix key, per-layer heat capacities, dt) -> step backsolve.
-_STEP_CACHE: "OrderedDict[Tuple, Callable]" = OrderedDict()
-_STEP_CACHE_CAP = 8
-
-#: Counters for the step-matrix factorization cache.
+#: Step-matrix factorizations in this process.
 STEP_FACTORIZATION_STATS = FactorizationStats()
 
 
-def clear_step_cache() -> None:
-    """Drop all cached step factorizations and reset the counters."""
-    _STEP_CACHE.clear()
-    STEP_FACTORIZATION_STATS.factorizations = 0
-    STEP_FACTORIZATION_STATS.cache_hits = 0
-
-
 def step_matrix_key(steady: ThermalSolver, dt_s: float) -> Tuple:
-    """The factorization-cache key for a (geometry, capacities, dt) combo.
+    """The identity of a (geometry, capacities, dt) step matrix.
 
     Pure — does not build or factorize anything, so dispatchers can group
-    runs by step matrix before any solver exists.
+    runs by step matrix before any solver exists, and step each group
+    through one factorization.
     """
     return (
         steady.matrix_key(),
@@ -149,26 +138,16 @@ class TransientThermalSolver:
         steady._bind()  # assembled G only; the step matrix is factorized below
         self._capacity = self._cell_capacities()
         self._cap_over_dt = self._capacity / dt_s
-        key = step_matrix_key(steady, dt_s)
-        step_solve = _STEP_CACHE.get(key)
-        if step_solve is None:
-            from scipy.sparse import coo_matrix
+        from scipy.sparse import coo_matrix
 
-            n = len(self._capacity)
-            capacity_matrix = coo_matrix(
-                (self._cap_over_dt, (range(n), range(n))), shape=(n, n)
-            ).tocsc()
-            step_solve = _factorize(
-                (capacity_matrix + steady.conductance_matrix).tocsc()
-            )
-            STEP_FACTORIZATION_STATS.factorizations += 1
-            _STEP_CACHE[key] = step_solve
-            while len(_STEP_CACHE) > _STEP_CACHE_CAP:
-                _STEP_CACHE.popitem(last=False)
-        else:
-            STEP_FACTORIZATION_STATS.cache_hits += 1
-            _STEP_CACHE.move_to_end(key)
-        self._step_solve = step_solve
+        n = len(self._capacity)
+        capacity_matrix = coo_matrix(
+            (self._cap_over_dt, (range(n), range(n))), shape=(n, n)
+        ).tocsc()
+        self._step_solve = _factorize(
+            (capacity_matrix + steady.conductance_matrix).tocsc()
+        )
+        STEP_FACTORIZATION_STATS.factorizations += 1
         self._build_index_maps()
 
     def _build_index_maps(self) -> None:

@@ -491,7 +491,7 @@ class TestMetricsSnapshot:
         assert snapshot["cache"]["entries"] == 1
         assert snapshot["cache"]["result_entries"] == 1
         assert snapshot["cache"]["trace_entries"] == 0
-        assert snapshot["schema"] == 3
+        assert snapshot["schema"] == 4
         assert snapshot["cache"]["index"] == {
             "entry_rows": 1, "claim_rows": 0, "rebuilds": 0}
 

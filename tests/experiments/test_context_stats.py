@@ -21,17 +21,15 @@ TINY = ExperimentSettings(
     thermal_grid=16,
 )
 
-#: The payload keys ``--stats`` files have always carried.
+#: The payload keys ``--stats`` files carry.
 PAYLOAD_KEYS = [
     "claim_dedup", "claim_steals", "claim_takeovers", "claim_waits",
-    "factorization_cache_hits", "factorizations",
-    "instructions_per_second", "instructions_simulated",
+    "factorizations", "instructions_per_second", "instructions_simulated",
     "interval_disk_hits", "intervals_extracted", "leakage_disk_hits",
     "pool_restarts", "run_id", "serial_fallbacks", "sim_disk_hits",
-    "simulated", "stage_seconds", "step_factorization_cache_hits",
-    "step_factorizations", "task_retries", "task_timeouts", "tasks_run",
+    "simulated", "stage_seconds", "step_factorizations",
+    "task_retries", "task_timeouts", "tasks_run",
     "thermal_disk_hits", "thermal_groups", "thermal_solved",
-    "thermal_subproc_fallbacks", "thermal_subproc_solves",
     "thermal_worker_factorizations", "thermal_worker_groups",
     "trace_cache_hits", "traces_generated",
     "transient_disk_hits", "transient_groups", "transient_runs",

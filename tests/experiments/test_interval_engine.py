@@ -17,7 +17,6 @@ from repro.experiments.interval import (
     run_interval,
 )
 from repro.power.model import StackKind
-from repro.thermal.solver import clear_factorization_cache
 from repro.thermal.transient import STEP_FACTORIZATION_STATS, step_matrix_key
 
 SETTINGS = ExperimentSettings(
@@ -37,18 +36,25 @@ def context():
 
 
 @pytest.fixture(scope="module")
-def sweep(context):
-    clear_factorization_cache()
-    return run_interval(
+def counted_sweep(context):
+    """The sweep and the step factorizations it performed."""
+    before = STEP_FACTORIZATION_STATS.factorizations
+    result = run_interval(
         context,
         interval_insts=INTERVAL,
         dt_s=DT,
         duration_s=DURATION,
     )
+    return result, STEP_FACTORIZATION_STATS.factorizations - before
+
+
+@pytest.fixture(scope="module")
+def sweep(counted_sweep):
+    return counted_sweep[0]
 
 
 class TestSweep:
-    def test_one_step_factorization_per_key(self, context, sweep):
+    def test_one_step_factorization_per_key(self, context, counted_sweep):
         # 6 configs x 2 scenarios collapse onto exactly the distinct
         # (geometry, capacities, dt) step-matrix keys — one per stack.
         keys = {
@@ -56,7 +62,7 @@ class TestSweep:
             for stack in (StackKind.PLANAR_2D, StackKind.STACKED_3D)
         }
         assert len(keys) == 2
-        assert STEP_FACTORIZATION_STATS.factorizations == len(keys)
+        assert counted_sweep[1] == len(keys)
         assert context.stats.transient_groups == len(keys)
         assert context.stats.transient_runs == 2 * len(context.configs)
 

@@ -1,11 +1,13 @@
 """The interval co-simulation overlapped with other work.
 
-``start_interval`` submits the transient runs to pool workers and
-returns; the caller renders other sections (with pool dispatches of its
-own) before collecting.  These tests pin what that overlap must keep:
-results byte-identical to a serial run even when a transient worker
-dies mid-overlap, events scoped to the run's own batch id, and no
-worker left alive when the work is abandoned.
+:func:`~repro.experiments.plan.run_plan` submits the interval section's
+transient runs to pool workers, then runs every section's parent-side
+``solve`` hook while they step.  A second section whose hook solves
+three geometries (a pool dispatch of its own) is the overlap a report
+runs.  These tests pin what that overlap must keep: results
+byte-identical to a serial run even when a transient worker dies
+mid-overlap, events scoped to each pool's own batch id, and no worker
+left alive when the work is abandoned.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import faults, report
+from repro.experiments import faults, interval, report
 from repro.experiments.context import ExperimentContext, ExperimentSettings
-from repro.experiments.interval import start_interval
+from repro.experiments.plan import Requirements, run_plan
 from repro.power.model import StackKind
 from repro.thermal.solver import ThermalSolver
 
@@ -40,11 +42,6 @@ CLAIM_BUDGET_S = 30.0
 REAP_BUDGET_S = 5.0
 
 
-def _start(context):
-    return start_interval(context, interval_insts=INTERVAL, dt_s=DT,
-                          duration_s=DURATION)
-
-
 def _three_geometries(context):
     """Three distinct geometries with one uniform power batch each."""
     planar = context.solver(StackKind.PLANAR_2D)
@@ -61,20 +58,32 @@ def _three_geometries(context):
     return groups
 
 
-def _pickled(interval, thermal):
+def _solve_three(context):
+    return context.solve_thermal_groups(_three_geometries(context))
+
+
+def _run(context, solve=_solve_three):
+    """The interval section and a section whose ``solve`` hook runs
+    ``solve(context)`` while the interval's transient pool steps;
+    returns both rendered results."""
+    return run_plan(context, [
+        interval.requirements(context.settings, interval_insts=INTERVAL,
+                              dt_s=DT, duration_s=DURATION),
+        Requirements(render=lambda results: results.solved, solve=solve),
+    ])
+
+
+def _pickled(interval_result, thermal):
     """Result bytes, one pickle per result: a whole-list pickle would
     also encode which results share string objects, and that differs
     between inline and unpickled worker results."""
-    return [pickle.dumps(interval)] + [
+    return [pickle.dumps(interval_result)] + [
         pickle.dumps(result) for group in thermal for result in group
     ]
 
 
 def _serial_outcome():
-    context = ExperimentContext(SETTINGS, jobs=1, cache=None)
-    interval = _start(context).result()
-    thermal = context.solve_thermal_groups(_three_geometries(context))
-    return _pickled(interval, thermal)
+    return _pickled(*_run(ExperimentContext(SETTINGS, jobs=1, cache=None)))
 
 
 def _wait_claimed(token_dir) -> None:
@@ -94,45 +103,53 @@ class TestOverlap:
         context = ExperimentContext(SETTINGS, jobs=2, cache=None)
         context.retry_backoff_s = 0.01
 
-        started = _start(context)
-        # Only the transient workers are running: one of them claims the
-        # kill token and dies while the parent goes on with other work.
-        _wait_claimed(token_dir)
-        thermal = context.solve_thermal_groups(_three_geometries(context))
-        interval = started.result()
+        def solve(context):
+            # Only the transient workers are running: one of them claims
+            # the kill token and dies while the parent goes on with
+            # other work.
+            _wait_claimed(token_dir)
+            return _solve_three(context)
+
+        outcome = _run(context, solve)
 
         assert context.stats.pool_restarts >= 1
         assert context.stats.transient_worker_groups == 2
         assert context.stats.thermal_worker_groups == 3
-        assert _pickled(interval, thermal) == _serial_outcome()
+        assert _pickled(*outcome) == _serial_outcome()
 
     def test_events_keep_the_started_batch_id(self):
         context = ExperimentContext(SETTINGS, jobs=2, cache=None)
-        started = _start(context)
-        assert context.stats.batch_id is None
-        context.solve_thermal_groups(_three_geometries(context))
-        assert context.stats.batch_id is None
-        started.result()
+        during = []
+
+        def solve(context):
+            during.append(context.stats.batch_id)
+            solved = _solve_three(context)
+            during.append(context.stats.batch_id)
+            return solved
+
+        _run(context, solve)
+        # The started transient pool's batch id scopes none of the
+        # parent's work while it runs, nor anything after.
+        assert during == [None, None]
         assert context.stats.batch_id is None
 
-        def batches(event):
+        def batches(event, **match):
             return {e["batch_id"] for e in context.stats.events
-                    if e["event"] == event and e["where"] == "worker"}
+                    if e["event"] == event
+                    and all(e.get(k) == v for k, v in match.items())}
 
-        assert batches("transient_group") == {started.batch_id}
-        thermal = batches("thermal_group")
-        assert len(thermal) == 1 and started.batch_id not in thermal
+        started = batches("pool_start", kind="transient step")
+        assert len(started) == 1
+        assert batches("transient_group", where="worker") == started
+        thermal = batches("thermal_group", where="worker")
+        assert len(thermal) == 1 and not thermal & started
 
     def test_transient_stage_excludes_the_overlap(self):
         context = ExperimentContext(SETTINGS, jobs=2, cache=None)
         begun = time.perf_counter()
-        started = _start(context)
-        start_s = time.perf_counter() - begun
-        time.sleep(1.0)
-        begun = time.perf_counter()
-        started.result()
-        collect_s = time.perf_counter() - begun
-        assert context.stats.stage_seconds["transient"] <= start_s + collect_s
+        _run(context, lambda context: time.sleep(1.0))
+        elapsed = time.perf_counter() - begun
+        assert context.stats.stage_seconds["transient"] <= elapsed - 1.0
 
 
 class TestCancel:
@@ -162,7 +179,7 @@ class TestCancel:
 
     def test_cancel_after_result_is_a_no_op(self):
         context = ExperimentContext(SETTINGS, jobs=2, cache=None)
-        started = _start(context)
+        started = context.start_thermal(_three_geometries(context), [])
         result = started.result()
         started.cancel()
         assert started.result() is result

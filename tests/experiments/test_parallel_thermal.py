@@ -5,12 +5,13 @@ factorize + solve per group, temperatures back), so these tests pin the
 properties that make that safe: results byte-identical to the serial
 path, the inline gate for small dispatches, within-call deduplication,
 claim coordination, recovery from thermal workers that die or hang
-mid-batch, and worker tasks that free the factorizations they create.
+mid-batch, and worker tasks whose factorizations die with the task.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -24,18 +25,13 @@ from repro.experiments.context import (
     THERMAL_PARALLEL_MIN_GROUPS,
 )
 from repro.experiments.sensitivity import run_sensitivity
+from repro.experiments import supervised
 from repro.experiments.supervised import solve_group_task, transient_group_task
 from repro.floorplan import stacked_floorplan
 from repro.power.model import StackKind
-from repro.thermal import solver as steady_module
-from repro.thermal import transient as transient_module
-from repro.thermal.solver import ThermalSolver, clear_factorization_cache
+from repro.thermal.solver import ThermalSolver
 from repro.thermal.stack import stacked_3d_stack
-from repro.thermal.transient import (
-    PowerSchedule,
-    TransientThermalSolver,
-    step_matrix_key,
-)
+from repro.thermal.transient import PowerSchedule, TransientThermalSolver
 
 TINY = ExperimentSettings(
     trace_length=2_000,
@@ -76,9 +72,6 @@ def _parallel_context(jobs: int = 2, **overrides) -> ExperimentContext:
 class TestParallelEquivalence:
     def test_worker_path_matches_serial(self):
         """Pool-solved thermal maps are identical to in-process ones."""
-        # Workers fork from this process: empty the process-wide LRU so
-        # they factorize cold even when earlier tests warmed it.
-        clear_factorization_cache()
         parallel = _parallel_context(jobs=2)
         serial = ExperimentContext(TINY, jobs=1, cache=None)
         fanned = parallel.thermal_many(PAIRS)
@@ -103,7 +96,8 @@ class TestParallelEquivalence:
 
 class TestDispatchPolicy:
     def test_few_geometries_stay_inline(self):
-        """Below the gate the parent solves in-process, keeping its LRU."""
+        """Below the gate the parent solves in-process, keeping its
+        solvers' factors for later solves."""
         context = ExperimentContext(TINY, jobs=4, cache=None)
         context.thermal_many(PAIRS)  # two stacks -> two geometry groups
         assert context.stats.thermal_groups >= 2
@@ -155,9 +149,9 @@ class TestThermalWorkerFaults:
             assert _same_thermal(fanned[pair], inline[pair]), pair
 
     def test_thermal_hang_reaped_by_deadline(self, tmp_path, monkeypatch):
-        """A wedged thermal worker is reaped by the thermal deadline."""
+        """A wedged thermal worker is reaped by the task deadline."""
         context, token_dir = self._token_context(tmp_path, monkeypatch,
-                                                 thermal_timeout_s=1.5)
+                                                 task_timeout_s=1.5)
         faults.arm_thermal_worker_hangs(token_dir, 1)
         start = time.monotonic()
         fanned = context.thermal_many(PAIRS)
@@ -232,7 +226,7 @@ class TestStagesAndStats:
         payload = ExperimentContext(TINY, cache=None).stats.as_dict()
         for counter in ("thermal_groups", "thermal_worker_groups",
                         "thermal_worker_factorizations", "factorizations",
-                        "factorization_cache_hits"):
+                        "step_factorizations"):
             assert counter in payload, counter
 
     def test_worker_events_scoped_to_a_batch(self):
@@ -269,24 +263,14 @@ def _batches(solver, count=2):
     ]
 
 
-@pytest.fixture
-def empty_lrus():
-    clear_factorization_cache()
-    yield steady_module._FACTORIZATION_CACHE, transient_module._STEP_CACHE
-    clear_factorization_cache()
-
-
 class TestWorkerTaskEviction:
-    """Pool tasks drop the LRU entries they create before returning: no
-    later task in the worker reads them, and each pins one LU."""
+    """A pool task's solver is a local of the task, so the LU factors it
+    creates are freed when the task returns."""
 
     DT_S = 2e-3
     DURATION_S = 0.02
 
-    def test_tasks_match_inline_and_evict_only_their_own_keys(
-        self, empty_lrus
-    ):
-        steady_lru, step_lru = empty_lrus
+    def test_tasks_match_inline_and_free(self, monkeypatch):
         args = _geometry(0.25)
         batches = _batches(ThermalSolver(*args))
         schedules = [_Constant(grids) for grids in batches]
@@ -294,14 +278,14 @@ class TestWorkerTaskEviction:
         inline_runs = TransientThermalSolver(
             ThermalSolver(*args), dt_s=self.DT_S
         ).run_many(schedules, self.DURATION_S)
-        clear_factorization_cache()
-        # Another geometry the process already holds (as a forked worker
-        # inherits the parent's entries) must survive both tasks.
-        other = ThermalSolver(*_geometry(0.5))
-        other._build()
-        TransientThermalSolver(other, dt_s=self.DT_S)
-        held = (set(steady_lru), set(step_lru))
+        built = []
 
+        def tracked(*solver_args):
+            solver = ThermalSolver(*solver_args)
+            built.append(weakref.ref(solver))
+            return solver
+
+        monkeypatch.setattr(supervised, "ThermalSolver", tracked)
         solved, stats = solve_group_task(*args, batches)
         runs, _, step_stats = transient_group_task(
             *args, self.DT_S, schedules, self.DURATION_S, None
@@ -309,6 +293,8 @@ class TestWorkerTaskEviction:
 
         assert stats["factorizations"] == 1
         assert step_stats["step_factorizations"] == 1
+        assert len(built) == 2
+        assert all(ref() is None for ref in built)
         for a, b in zip(solved, inline):
             assert a.block_peak == b.block_peak
             assert a.block_mean == b.block_mean
@@ -321,18 +307,3 @@ class TestWorkerTaskEviction:
             assert [t.tobytes() for t in a.final_layer_temps] == [
                 t.tobytes() for t in b.final_layer_temps
             ]
-        task_solver = ThermalSolver(*args)
-        assert task_solver.matrix_key() not in steady_lru
-        assert step_matrix_key(task_solver, self.DT_S) not in step_lru
-        assert (set(steady_lru), set(step_lru)) == held
-        assert other.matrix_key() in steady_lru
-        assert step_matrix_key(other, self.DT_S) in step_lru
-
-    def test_lru_does_not_grow_with_geometries_solved(self, empty_lrus):
-        steady_lru, _ = empty_lrus
-        ThermalSolver(*_geometry(0.2))._build()
-        before = len(steady_lru)
-        for convection in (0.25, 0.3, 0.35, 0.4):
-            args = _geometry(convection)
-            solve_group_task(*args, _batches(ThermalSolver(*args), count=1))
-            assert len(steady_lru) == before

@@ -27,14 +27,12 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.context import ExperimentContext
 from repro.experiments.report import generate_report
 from repro.power.model import PowerModel
-from repro.thermal.solver import FACTORIZATION_STATS, clear_factorization_cache
-from repro.thermal.transient import STEP_FACTORIZATION_STATS, clear_step_cache
+from repro.thermal.solver import FACTORIZATION_STATS
+from repro.thermal.transient import STEP_FACTORIZATION_STATS
 
 
 @pytest.fixture(scope="module")
 def cold_report(tmp_path_factory):
-    clear_factorization_cache()
-    clear_step_cache()
     before = (FACTORIZATION_STATS.factorizations,
               STEP_FACTORIZATION_STATS.factorizations)
     context = ExperimentContext(

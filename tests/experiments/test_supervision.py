@@ -3,10 +3,9 @@ timeout, mid-simulation faults must never leak partial state.
 
 PR 3 proved the engine survives *crashes*; these tests prove it survives
 the nastier failure modes — a worker that never returns (deadlock /
-livelock), a worker that dies halfway through the simulation loop with
-activity state partially written, and a SuperLU thermal solve that hangs
-or dies in its supervised subprocess.  Every recovery path must produce
-results identical to a clean serial run.
+livelock) and a worker that dies halfway through the simulation loop
+with activity state partially written.  Every recovery path must
+produce results identical to a clean serial run.
 """
 
 from __future__ import annotations
@@ -14,14 +13,11 @@ from __future__ import annotations
 import time
 from datetime import datetime
 
-import numpy as np
 import pytest
 
 from repro.experiments import faults
 from repro.experiments.context import (
     ENV_TASK_TIMEOUT,
-    ENV_THERMAL_SUBPROC,
-    ENV_THERMAL_TIMEOUT,
     ExperimentContext,
     ExperimentSettings,
 )
@@ -60,7 +56,6 @@ def _supervised_context(tmp_path, monkeypatch, *, timeout_s=3.0, jobs=2):
     monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
     context = ExperimentContext(TINY, jobs=jobs, cache=None)
     context.task_timeout_s = timeout_s
-    context.thermal_timeout_s = timeout_s
     context.retry_backoff_s = 0.01
     return context, token_dir
 
@@ -146,15 +141,6 @@ class TestHangSupervision:
         with pytest.warns(RuntimeWarning, match=f"'{raw}'.*finite"):
             context = ExperimentContext(TINY, cache=None)
         assert context.task_timeout_s is None
-        assert context.thermal_timeout_s is None
-
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-    def test_non_finite_thermal_deadline_env_warns(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_TASK_TIMEOUT, "7.5")
-        monkeypatch.setenv(ENV_THERMAL_TIMEOUT, raw)
-        with pytest.warns(RuntimeWarning, match=f"'{raw}'.*finite"):
-            context = ExperimentContext(TINY, cache=None)
-        assert context.thermal_timeout_s == 7.5
 
 
 class TestMidSimulationFaults:
@@ -195,63 +181,6 @@ class TestMidSimulationFaults:
         assert pipeline.FAULT_HOOK is None
 
 
-class TestThermalSupervision:
-    def test_subprocess_solve_bit_identical(self):
-        """Routed-through-subprocess thermal maps match in-process ones."""
-        supervised = ExperimentContext(TINY, jobs=1, cache=None)
-        supervised.thermal_subproc_cells = 1  # route everything
-        inprocess = ExperimentContext(TINY, jobs=1, cache=None)
-        a = supervised.thermal("adpcm", "Base")
-        b = inprocess.thermal("adpcm", "Base")
-        assert supervised.stats.thermal_subproc_solves >= 1
-        assert supervised.stats.thermal_subproc_fallbacks == 0
-        assert a.block_peak == b.block_peak
-        assert a.block_mean == b.block_mean
-        assert all(
-            np.array_equal(x, y) for x, y in zip(a.layer_temps, b.layer_temps)
-        )
-
-    def test_hung_thermal_subprocess_falls_back_in_process(
-        self, tmp_path, monkeypatch
-    ):
-        """A wedged solver subprocess costs one timeout, then solves locally."""
-        context, token_dir = _supervised_context(tmp_path, monkeypatch,
-                                                 timeout_s=1.5, jobs=1)
-        context.thermal_subproc_cells = 1
-        faults.arm_worker_hangs(token_dir, 1)
-        with pytest.warns(RuntimeWarning, match="thermal"):
-            result = context.thermal("adpcm", "Base")
-        assert context.stats.thermal_subproc_fallbacks >= 1
-        clean = ExperimentContext(TINY, jobs=1, cache=None)
-        assert result.block_peak == clean.thermal("adpcm", "Base").block_peak
-
-    def test_threshold_from_environment(self, monkeypatch):
-        from repro.experiments.supervised import (
-            MIN_SUBPROC_CELLS,
-            default_subproc_cells,
-        )
-
-        monkeypatch.setenv(ENV_THERMAL_SUBPROC, "500000")
-        assert ExperimentContext(TINY, cache=None).thermal_subproc_cells == 500_000
-        # Unset: the RAM-calibrated default, never below the floor (which
-        # keeps every fast-test grid in-process).
-        monkeypatch.delenv(ENV_THERMAL_SUBPROC)
-        calibrated = ExperimentContext(TINY, cache=None).thermal_subproc_cells
-        assert calibrated == default_subproc_cells()
-        assert calibrated >= MIN_SUBPROC_CELLS
-        # Explicit opt-out values disable supervision entirely.
-        for value in ("0", "off", "no", "false", "none"):
-            monkeypatch.setenv(ENV_THERMAL_SUBPROC, value)
-            assert ExperimentContext(TINY, cache=None).thermal_subproc_cells is None
-
-    def test_small_grids_stay_in_process(self):
-        context = ExperimentContext(TINY, jobs=1, cache=None)
-        context.thermal_subproc_cells = 10**9  # far above any test grid
-        context.thermal("adpcm", "Base")
-        assert context.stats.thermal_subproc_solves == 0
-        assert context.stats.thermal_subproc_fallbacks == 0
-
-
 class TestEventCorrelation:
     def test_events_carry_ts_run_id_batch_id(self, tmp_path, monkeypatch):
         """Every --log-json event lines up with external job-runner logs."""
@@ -277,6 +206,5 @@ class TestEventCorrelation:
     def test_stats_payload_has_new_counters(self):
         payload = ExperimentContext(TINY, cache=None).stats.as_dict()
         for counter in ("run_id", "task_timeouts", "claim_waits", "claim_dedup",
-                        "claim_takeovers", "thermal_subproc_solves",
-                        "thermal_subproc_fallbacks"):
+                        "claim_takeovers"):
             assert counter in payload, counter

@@ -61,7 +61,7 @@ class TestCommands:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["metrics"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["schema"] == 3
+        assert snapshot["schema"] == 4
         assert snapshot["cache"]["enabled"] is True
         assert snapshot["cache"]["entries"] == 0
         assert "counters" in snapshot["cache"]

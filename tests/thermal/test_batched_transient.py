@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from repro.floorplan import planar_floorplan, stacked_floorplan
-from repro.thermal import transient as tr
-from repro.thermal.solver import ThermalSolver, clear_factorization_cache
+from repro.thermal.solver import ThermalSolver
 from repro.thermal.stack import planar_stack, stacked_3d_stack
 from repro.thermal.transient import (
     STEP_FACTORIZATION_STATS,
     PowerSchedule,
     TransientThermalSolver,
-    clear_step_cache,
     step_matrix_key,
 )
 
@@ -110,35 +108,16 @@ class TestBatchedEqualsScalar:
 
 class TestStepCache:
     def test_one_factorization_per_key(self, solvers):
-        clear_factorization_cache()
+        """Each transient solver factorizes its step matrix once, however
+        many runs it steps."""
         solver = solvers["planar"]
+        schedule = _schedules(solver)[0]
+        before = STEP_FACTORIZATION_STATS.factorizations
         keys = set()
         for dt_s in DTS:
+            transient = TransientThermalSolver(solver, dt_s=dt_s)
             for _ in range(3):
-                TransientThermalSolver(solver, dt_s=dt_s)
+                transient.run(schedule, DURATION)
             keys.add(step_matrix_key(solver, dt_s))
-        assert STEP_FACTORIZATION_STATS.factorizations == len(keys)
-        assert STEP_FACTORIZATION_STATS.cache_hits == 2 * len(keys)
-
-    def test_cap_overflow_evicts_oldest(self, solvers):
-        clear_step_cache()
-        solver = solvers["planar"]
-        dts = [1e-3 * (i + 1) for i in range(tr._STEP_CACHE_CAP + 2)]
-        for dt_s in dts:
-            TransientThermalSolver(solver, dt_s=dt_s)
-        assert STEP_FACTORIZATION_STATS.factorizations == len(dts)
-        assert len(tr._STEP_CACHE) == tr._STEP_CACHE_CAP
-        # The newest key is still cached; the oldest was evicted and
-        # must refactorize.
-        TransientThermalSolver(solver, dt_s=dts[-1])
-        assert STEP_FACTORIZATION_STATS.factorizations == len(dts)
-        TransientThermalSolver(solver, dt_s=dts[0])
-        assert STEP_FACTORIZATION_STATS.factorizations == len(dts) + 1
-
-    def test_clear_factorization_cache_cascades(self, solvers):
-        TransientThermalSolver(solvers["planar"], dt_s=3e-3)
-        assert len(tr._STEP_CACHE) > 0
-        clear_factorization_cache()
-        assert len(tr._STEP_CACHE) == 0
-        assert STEP_FACTORIZATION_STATS.factorizations == 0
-        assert STEP_FACTORIZATION_STATS.cache_hits == 0
+        assert len(keys) == len(DTS)
+        assert STEP_FACTORIZATION_STATS.factorizations == before + len(keys)

@@ -1,5 +1,5 @@
-"""Thermal conductance-matrix assembly, rasterization and factorization
-caching.
+"""Thermal conductance-matrix assembly, rasterization and per-solver
+factorization.
 
 The solver assembles its conductance matrix with whole-layer numpy
 arrays.  These tests pin the assembled bytes with digests recorded while
@@ -7,7 +7,7 @@ the vectorized assembler was identical to the original per-cell loop,
 check the matrix's physical invariants (symmetry, non-positive
 couplings, heat conservation away from the convective spreader top),
 solve against an independent sparse solve, and check rasterized power
-conservation and the process-wide factorization cache.  A deliberate
+conservation and that each solver factorizes its system once.  A deliberate
 discretization change bumps ``THERMAL_MODEL_VERSION`` and re-records
 ``MATRIX_DIGESTS``.
 """
@@ -23,11 +23,7 @@ from repro.floorplan.planar import planar_floorplan
 from repro.floorplan.stacked import stacked_floorplan
 from repro.thermal import power_map as power_map_module
 from repro.thermal.power_map import build_power_map, clear_mask_cache, rasterize
-from repro.thermal.solver import (
-    FACTORIZATION_STATS,
-    ThermalSolver,
-    clear_factorization_cache,
-)
+from repro.thermal.solver import FACTORIZATION_STATS, ThermalSolver
 from repro.thermal.stack import planar_stack, stacked_3d_stack
 
 
@@ -142,29 +138,45 @@ class TestRasterizePowerConservation:
         assert len(power_map_module._MASK_CACHE) == 2
 
 
+def _solver_16(convection_k_per_w: float = 0.25) -> ThermalSolver:
+    return ThermalSolver(stacked_3d_stack(convection_k_per_w),
+                         stacked_floorplan(), nx=16, ny=16)
+
+
+def _uniform_grids(solver: ThermalSolver):
+    ny, nx = solver.chip_grid_shape()
+    return [np.full((ny, nx), 0.01)] * solver.stack.die_count
+
+
 class TestFactorizationCache:
+    """Each solver caches its own factors: it factorizes once, and no
+    other solver reads them."""
+
     def test_same_geometry_hits_cache(self):
-        clear_factorization_cache()
-        before_factor = FACTORIZATION_STATS.factorizations
-        before_hits = FACTORIZATION_STATS.cache_hits
+        """One solver solving twice factorizes once."""
+        solver = _solver_16()
+        grids = _uniform_grids(solver)
+        before = FACTORIZATION_STATS.factorizations
+        first = solver.solve(grids)
+        second = solver.solve_many([grids, grids])
+        assert FACTORIZATION_STATS.factorizations == before + 1
+        for result in second:
+            for a, b in zip(first.layer_temps, result.layer_temps):
+                assert np.array_equal(a, b)
 
-        first = ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(), nx=16, ny=16)
-        first._build()
-        second = ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(), nx=16, ny=16)
-        second._build()
-
-        assert FACTORIZATION_STATS.factorizations == before_factor + 1
-        assert FACTORIZATION_STATS.cache_hits == before_hits + 1
+    def test_two_solvers_of_one_geometry_factorize_twice(self):
+        first, second = _solver_16(), _solver_16()
         assert first.matrix_key() == second.matrix_key()
+        before = FACTORIZATION_STATS.factorizations
+        first._build()
+        second._build()
+        assert FACTORIZATION_STATS.factorizations == before + 2
 
     def test_distinct_geometry_misses_cache(self):
-        clear_factorization_cache()
-        before_factor = FACTORIZATION_STATS.factorizations
-
-        ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(), nx=16, ny=16)._build()
-        ThermalSolver(stacked_3d_stack(0.50), stacked_floorplan(), nx=16, ny=16)._build()
-
-        assert FACTORIZATION_STATS.factorizations == before_factor + 2
+        before = FACTORIZATION_STATS.factorizations
+        _solver_16(0.25)._build()
+        _solver_16(0.50)._build()
+        assert FACTORIZATION_STATS.factorizations == before + 2
 
     def test_transient_solver_defers_the_steady_factorization(self):
         from repro.thermal.transient import (
@@ -172,23 +184,20 @@ class TestFactorizationCache:
             TransientThermalSolver,
         )
 
-        clear_factorization_cache()
-        solver = ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(),
-                               nx=16, ny=16)
+        solver = _solver_16()
+        before = (FACTORIZATION_STATS.factorizations,
+                  STEP_FACTORIZATION_STATS.factorizations)
         TransientThermalSolver(solver, dt_s=1e-3)
-        assert STEP_FACTORIZATION_STATS.factorizations == 1
-        assert FACTORIZATION_STATS.factorizations == 0
-        assert FACTORIZATION_STATS.cache_hits == 0
+        assert (FACTORIZATION_STATS.factorizations,
+                STEP_FACTORIZATION_STATS.factorizations) == (
+                    before[0], before[1] + 1)
 
-        ny, nx = solver.chip_grid_shape()
-        grids = [np.full((ny, nx), 0.01)] * solver.stack.die_count
+        grids = _uniform_grids(solver)
         steady = solver.solve(grids)
-        assert FACTORIZATION_STATS.factorizations == 1
+        assert FACTORIZATION_STATS.factorizations == before[0] + 1
         # The lazily factorized system is the one assembled for the
         # transient solver, and solves like a freshly built one.
-        clear_factorization_cache()
-        fresh = ThermalSolver(stacked_3d_stack(0.25), stacked_floorplan(),
-                              nx=16, ny=16).solve(grids)
+        fresh = _solver_16().solve(grids)
         for a, b in zip(steady.layer_temps, fresh.layer_temps):
             assert np.array_equal(a, b)
 
