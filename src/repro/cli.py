@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from repro.experiments import (
     ExperimentContext,
@@ -301,43 +301,7 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Thermal Herding (HPCA 2007) reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, fast=True):
-        p = sub.add_parser(name, help=help_text)
-        if fast:
-            p.add_argument("--fast", action="store_true",
-                           help="reduced benchmark set / shorter traces")
-            p.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
-                           help="simulation worker processes "
-                                "(default: $REPRO_JOBS or all cores)")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("table2", _cmd_table2, "Table 2: block latencies and frequencies", fast=False)
-    add("figure8", _cmd_figure8, "Figure 8: performance of the five configs")
-    add("figure9", _cmd_figure9, "Figure 9: power of the three processors")
-    add("figure10", _cmd_figure10, "Figure 10: thermal maps")
-    add("density", _cmd_density, "Section 5.3: iso-power density experiment")
-    add("width", _cmd_width, "Section 3.8: width prediction accuracy")
-    add("dvfs", _cmd_dvfs, "frequency-for-temperature sweep")
-    add("roadmap", _cmd_roadmap, "Figure 2 roadmap design points")
-    add("leakage", _cmd_leakage, "leakage-temperature feedback fixed point")
-    add("pairing", _cmd_pairing, "heterogeneous core pairing thermals")
-    add("sensitivity", _cmd_sensitivity, "packaging-parameter thermal sensitivity")
-    add("transient", _cmd_transient, "transient step-response of both stacks")
-    add("interval", _cmd_interval,
-        "interval power/thermal co-simulation with DTM throttling")
-    add("stacking", _cmd_stacking, "die stacking-order ablation")
-    add("mechanisms", _cmd_mechanisms,
-        "per-mechanism microbenchmark validation", fast=False)
-
-    report = add("report", _cmd_report, "full markdown report of all experiments")
+def _report_arguments(report: argparse.ArgumentParser) -> None:
     report.add_argument("-o", "--output", help="write the report to a file")
     report.add_argument("--stats", metavar="FILE",
                         help="write wall-clock and simulation/thermal-solve "
@@ -351,37 +315,118 @@ def build_parser() -> argparse.ArgumentParser:
                              "the top N cumulative-time entries to stderr "
                              "(default 30)")
 
-    metrics = add("metrics", _cmd_metrics,
-                  "machine-readable cache/index/solver metrics snapshot",
-                  fast=False)
+
+def _metrics_arguments(metrics: argparse.ArgumentParser) -> None:
     metrics.add_argument("--out", metavar="FILE",
                          help="write the JSON snapshot to a file instead "
                               "of stdout")
 
-    cache = add("cache", _cmd_cache, "inspect or clear the on-disk result cache",
-                fast=False)
+
+def _cache_arguments(cache: argparse.ArgumentParser) -> None:
     cache.add_argument("action", nargs="?", default="info",
                        choices=("info", "list", "clear", "prune"),
                        help="what to do (default: info); prune enforces "
                             "the REPRO_CACHE_MAX_MB size cap and sweeps "
                             "abandoned temp/claim files")
 
-    sim = add("simulate", _cmd_simulate, "simulate one benchmark", fast=False)
+
+def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("benchmark")
     sim.add_argument("--config", default="3D")
     sim.add_argument("--length", type=int, default=20_000)
 
-    trace = add("trace", _cmd_trace, "generate and save a trace", fast=False)
+
+def _trace_arguments(trace: argparse.ArgumentParser) -> None:
     trace.add_argument("benchmark")
     trace.add_argument("--length", type=int, default=20_000)
     trace.add_argument("-o", "--output")
 
-    add("list", _cmd_list, "list the benchmark suite", fast=False)
+
+class Command(NamedTuple):
+    """One subcommand: its handler, its help line, whether it takes
+    ``--fast``/``--jobs``, and a function adding its own arguments."""
+
+    fn: Callable[[argparse.Namespace], int]
+    help: str
+    fast: bool = True
+    arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+
+#: Every subcommand, in the order ``repro --help`` lists them.
+COMMANDS: Dict[str, Command] = {
+    "table2": Command(_cmd_table2, "Table 2: block latencies and frequencies",
+                      fast=False),
+    "figure8": Command(_cmd_figure8, "Figure 8: performance of the five configs"),
+    "figure9": Command(_cmd_figure9, "Figure 9: power of the three processors"),
+    "figure10": Command(_cmd_figure10, "Figure 10: thermal maps"),
+    "density": Command(_cmd_density, "Section 5.3: iso-power density experiment"),
+    "width": Command(_cmd_width, "Section 3.8: width prediction accuracy"),
+    "dvfs": Command(_cmd_dvfs, "frequency-for-temperature sweep"),
+    "roadmap": Command(_cmd_roadmap, "Figure 2 roadmap design points"),
+    "leakage": Command(_cmd_leakage, "leakage-temperature feedback fixed point"),
+    "pairing": Command(_cmd_pairing, "heterogeneous core pairing thermals"),
+    "sensitivity": Command(_cmd_sensitivity,
+                           "packaging-parameter thermal sensitivity"),
+    "transient": Command(_cmd_transient, "transient step-response of both stacks"),
+    "interval": Command(_cmd_interval,
+                        "interval power/thermal co-simulation with DTM throttling"),
+    "stacking": Command(_cmd_stacking, "die stacking-order ablation"),
+    "mechanisms": Command(_cmd_mechanisms,
+                          "per-mechanism microbenchmark validation", fast=False),
+    "report": Command(_cmd_report, "full markdown report of all experiments",
+                      arguments=_report_arguments),
+    "metrics": Command(_cmd_metrics,
+                       "machine-readable cache/index/solver metrics snapshot",
+                       fast=False, arguments=_metrics_arguments),
+    "cache": Command(_cmd_cache, "inspect or clear the on-disk result cache",
+                     fast=False, arguments=_cache_arguments),
+    "simulate": Command(_cmd_simulate, "simulate one benchmark", fast=False,
+                        arguments=_simulate_arguments),
+    "trace": Command(_cmd_trace, "generate and save a trace", fast=False,
+                     arguments=_trace_arguments),
+    "list": Command(_cmd_list, "list the benchmark suite", fast=False),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand's, or only ``command``'s.
+
+    A one-subcommand parser parses that subcommand's arguments to the
+    same namespace as the full tree, and its usage line still lists
+    every subcommand, so the errors it can raise read the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Thermal Herding (HPCA 2007) reproduction toolkit",
+    )
+    if command is None:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    for name in names:
+        spec = COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        if spec.fast:
+            p.add_argument("--fast", action="store_true",
+                           help="reduced benchmark set / shorter traces")
+            p.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
+                           help="simulation worker processes "
+                                "(default: $REPRO_JOBS or all cores)")
+        if spec.arguments is not None:
+            spec.arguments(p)
+        p.set_defaults(fn=spec.fn)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked subcommand's parser is built; anything else (no
+    # command, -h, an unknown name) gets the full tree and its messages.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -169,8 +169,11 @@ def _canonical(value):
 def _config_digest(config: CPUConfig) -> str:
     """Digest of every :class:`CPUConfig` field, memoized by the (frozen,
     hashable) config's value: equal configs share one digest however
-    they were built."""
-    return content_key(_canonical(dataclasses.asdict(config)))
+    they were built.  The fields are scalars and enums, so they are read
+    as they are; ``dataclasses.asdict`` would deep-copy each into the
+    same dict."""
+    return content_key(_canonical(
+        {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}))
 
 
 def simulation_key(
@@ -876,10 +879,23 @@ class ResultCache:
     # Temp-file hygiene
 
     def tmp_files(self) -> List[Path]:
-        """All ``*.tmp`` writer scratch files anywhere under the cache."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.rglob("*.tmp") if p.is_file())
+        """All ``*.tmp`` writer scratch files anywhere under the cache,
+        sorted.  One ``os.scandir`` per shard and trace directory: the
+        directory entries' types need no ``stat``, and only a name that
+        ends in ``.tmp`` costs one."""
+        found = []
+        pending = [self.root]
+        while pending:
+            try:
+                with os.scandir(pending.pop()) as directory:
+                    for entry in directory:
+                        if entry.is_dir(follow_symlinks=False):
+                            pending.append(entry.path)
+                        elif entry.name.endswith(".tmp") and entry.is_file():
+                            found.append(Path(entry.path))
+            except OSError:
+                continue  # missing, or removed by a concurrent clear
+        return sorted(found)
 
     @staticmethod
     def _writer_alive(path: Path) -> bool:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,9 @@ class Floorplan:
     """A complete chip floorplan across one or more dies.
 
     Change ``blocks`` only through :meth:`add`: it drops the memoized
-    :meth:`fingerprint` that the rasterizer and the thermal cache keys
-    are built on, and the memoized :meth:`block_areas`.
+    :meth:`fingerprint` (and its :meth:`fingerprint_json`) that the
+    rasterizer and the thermal cache keys are built on, and the memoized
+    :meth:`block_areas`.
     """
 
     name: str
@@ -73,6 +77,8 @@ class Floorplan:
     blocks: List[Block] = field(default_factory=list)
     _fingerprint: Optional[Tuple] = field(
         default=None, init=False, repr=False, compare=False)
+    _fingerprint_json: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False)
     _areas: Optional[BlockAreas] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -81,6 +87,7 @@ class Floorplan:
             raise ValueError(f"block {block.name} on die {block.die}, but floorplan has {self.dies}")
         self.blocks.append(block)
         self._fingerprint = None
+        self._fingerprint_json = None
         self._areas = None
 
     def blocks_on_die(self, die: int) -> List[Block]:
@@ -129,6 +136,16 @@ class Floorplan:
             )
         return self._fingerprint
 
+    def fingerprint_json(self) -> str:
+        """:meth:`fingerprint` as compact JSON, the bulk of every thermal
+        solver's geometry digest; built once and kept until the next
+        :meth:`add`, so solvers sharing this floorplan encode its block
+        coordinates once between them."""
+        if self._fingerprint_json is None:
+            self._fingerprint_json = json.dumps(
+                self.fingerprint(), sort_keys=True, separators=(",", ":"))
+        return self._fingerprint_json
+
     def block_names(self) -> List[str]:
         seen: Dict[str, None] = {}
         for block in self.blocks:
@@ -136,17 +153,38 @@ class Floorplan:
         return list(seen)
 
     def validate(self) -> None:
-        """Check all blocks fit the die outline and do not overlap."""
-        for block in self.blocks:
-            r = block.rect
-            if r.x < -1e-9 or r.y < -1e-9 or r.x + r.w > self.width_mm + 1e-9 \
-                    or r.y + r.h > self.height_mm + 1e-9:
-                raise ValueError(
-                    f"block {block.name} ({r}) exceeds the {self.width_mm}x{self.height_mm} outline"
-                )
-        for die in range(self.dies):
-            on_die = self.blocks_on_die(die)
-            for i, a in enumerate(on_die):
-                for b in on_die[i + 1:]:
-                    if a.rect.overlaps(b.rect):
-                        raise ValueError(f"blocks {a.name} and {b.name} overlap on die {die}")
+        """Check all blocks fit the die outline and do not overlap.
+
+        The outline check compares every block at once, and the overlap
+        check every pair on a die at once, with :meth:`Rect.overlaps`'s
+        predicates and tolerance.  An error names the block, or the pair,
+        that a loop over the blocks and then over each die's pairs
+        ``i < j`` would meet first.
+        """
+        x, y, w, h = np.array(
+            [(b.rect.x, b.rect.y, b.rect.w, b.rect.h) for b in self.blocks],
+            dtype=np.float64).reshape(-1, 4).T
+        right, top = x + w, y + h
+        outside = ((x < -1e-9) | (y < -1e-9) | (right > self.width_mm + 1e-9)
+                   | (top > self.height_mm + 1e-9))
+        if outside.any():
+            block = self.blocks[int(np.argmax(outside))]
+            raise ValueError(
+                f"block {block.name} ({block.rect}) exceeds the {self.width_mm}x{self.height_mm} outline"
+            )
+        die = np.array([b.die for b in self.blocks], dtype=np.int64)
+        x_tol, y_tol = x + 1e-9, y + 1e-9
+        for d in range(self.dies):
+            on = np.flatnonzero(die == d)
+            r, t, xt, yt = right[on], top[on], x_tol[on], y_tol[on]
+            apart = ((r[:, None] <= xt[None, :]) | (r[None, :] <= xt[:, None])
+                     | (t[:, None] <= yt[None, :]) | (t[None, :] <= yt[:, None]))
+            overlap = ~apart
+            np.fill_diagonal(overlap, False)
+            if overlap.any():
+                # The matrix is symmetric, so its first set cell in row-major
+                # order is the first pair i < j a loop over the die's blocks
+                # meets.
+                i, j = divmod(int(np.argmax(overlap)), len(on))
+                a, b = self.blocks[on[i]], self.blocks[on[j]]
+                raise ValueError(f"blocks {a.name} and {b.name} overlap on die {d}")

@@ -209,12 +209,18 @@ class ThermalSolver:
         """SHA-256 of :meth:`result_key` as compact JSON, the geometry
         part of every thermal cache key (see :mod:`repro.experiments.cache`).
         Computed once, and again only after the floorplan's fingerprint
-        changes."""
+        changes.  The JSON of a tuple is its parts' JSON joined by commas
+        in brackets, so the floorplan's part comes from its memoized
+        :meth:`~repro.floorplan.geometry.Floorplan.fingerprint_json`,
+        which every solver on that floorplan shares."""
         fingerprint = self.floorplan.fingerprint()
         memo = self._result_digest
         if memo is None or memo[0] is not fingerprint:
-            text = json.dumps(self.result_key(), sort_keys=True,
-                              separators=(",", ":"))
+            *head, _ = self.result_key()
+            parts = [json.dumps(part, sort_keys=True, separators=(",", ":"))
+                     for part in head]
+            parts.append(self.floorplan.fingerprint_json())
+            text = "[" + ",".join(parts) + "]"
             memo = (fingerprint, hashlib.sha256(text.encode("utf-8")).hexdigest())
             self._result_digest = memo
         return memo[1]

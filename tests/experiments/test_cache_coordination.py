@@ -304,6 +304,21 @@ class TestSizeCap:
 
 
 class TestPrune:
+    def test_tmp_files_are_the_tmp_files_under_the_cache(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        shard_tmp = cache.version_dir / "ab" / "x.pkl.123.tmp"
+        trace_tmp = cache.trace_store().dir / "t.npy.456.tmp"
+        for path in (shard_tmp, trace_tmp):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"scratch")
+        (cache.version_dir / "cd" / "x.tmp").mkdir(parents=True)
+        (cache.version_dir / "ab" / "y.pkl").write_bytes(b"entry")
+        (cache.version_dir / "ab" / "z.tmp").symlink_to(tmp_path / "gone")
+        assert cache.tmp_files() == sorted([shard_tmp, trace_tmp])
+
+    def test_tmp_files_of_a_missing_cache(self, tmp_path):
+        assert ResultCache(tmp_path / "absent").tmp_files() == []
+
     def test_prune_sweeps_everything(self, tmp_path):
         cache = ResultCache(tmp_path, max_mb=8 / 1024)
         cache.max_bytes = None  # fill past the cap without store-time eviction

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -41,6 +43,13 @@ GOLDEN_KEYS = {
     "thermal": "15f5193d408f9ddfe4a355f2c851d66b4a733e85c0d5ff0e8b8359aecd3b1de6",
     "transient": "62714dc5ccea32999907e5238ccbd8cb01dbf8146cbd95272aee84c6413590c0",
     "leakage": "21658ba7a0d3eb0152b95d8e992e7484f2f43b0c41f5c0d667cfec59873276c7",
+}
+
+#: ``result_digest()`` of the fast report's planar and 3D solvers (the
+#: geometry part of every thermal-kind key a fast report stores).
+GOLDEN_FAST_DIGESTS = {
+    "planar": "16f0c9276fb3e5c520e8dbbc1af4e678293deacbdfdb510eb1f2aa41b6065d1c",
+    "3D": "f91b723da428a90be8769839fc43bcc6f9a9244eacbfa83da150c9f1e2945e3e",
 }
 
 
@@ -162,9 +171,41 @@ def _report_solvers(settings):
     return solvers
 
 
+def _full_json_digest(solver) -> str:
+    """SHA-256 of the whole ``result_key()`` as compact JSON, encoded in
+    one piece."""
+    text = json.dumps(solver.result_key(), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestGeometryDigest:
     """The per-solver geometry digest against the canonical-form route
     every other key part takes."""
+
+    def test_fast_report_digests_are_pinned(self):
+        planar, stacked = _report_solvers(FAST_SETTINGS)[:2]
+        assert {"planar": planar.result_digest(),
+                "3D": stacked.result_digest()} == GOLDEN_FAST_DIGESTS
+
+    def test_solvers_sharing_a_floorplan_match_the_full_json(self):
+        solvers = _report_solvers(FAST_SETTINGS)
+        planar, stacked = solvers[0].floorplan, solvers[1].floorplan
+        assert all(s.floorplan is stacked for s in solvers[2:])
+        for solver in solvers:
+            assert solver.result_digest() == _full_json_digest(solver)
+        digests = [s.result_digest() for s in solvers]
+
+        stacked.add(Block("extra", Rect(0.2, 0.2, 0.4, 0.3), die=1))
+        assert stacked.fingerprint_json() == json.dumps(
+            stacked.fingerprint(), sort_keys=True, separators=(",", ":"))
+        assert '"extra"' in stacked.fingerprint_json()
+        assert solvers[0].result_digest() == digests[0]
+        for solver, before in zip(solvers[1:], digests[1:]):
+            assert solver.result_digest() != before
+            assert solver.result_digest() == _full_json_digest(solver)
+        assert planar.fingerprint_json() == json.dumps(
+            planar.fingerprint(), sort_keys=True, separators=(",", ":"))
 
     @pytest.mark.parametrize("settings", [FAST_SETTINGS, ExperimentSettings()],
                              ids=["fast", "full"])

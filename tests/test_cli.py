@@ -1,8 +1,42 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import pytest
 
-from repro.cli import build_parser, main
+import repro.cli
+from repro.cli import COMMANDS, build_parser, main
+
+#: Representative command lines, at least one per subcommand.
+ARGVS = [
+    ["table2"],
+    ["figure8", "--fast", "--jobs", "4"],
+    ["figure9", "-j", "2"],
+    ["figure10", "--fast"],
+    ["density"],
+    ["width", "--fast", "-j", "1"],
+    ["dvfs", "--jobs", "3"],
+    ["roadmap", "--fast"],
+    ["leakage"],
+    ["pairing", "--fast", "--jobs", "2"],
+    ["sensitivity", "--fast"],
+    ["transient", "-j", "2"],
+    ["interval", "--fast"],
+    ["stacking"],
+    ["mechanisms"],
+    ["report"],
+    ["report", "--fast", "--jobs", "2", "-o", "r.md", "--stats", "s.json",
+     "--log-json", "e.jsonl", "--profile"],
+    ["report", "--output", "r.md", "--profile", "5"],
+    ["metrics"],
+    ["metrics", "--out", "m.json"],
+    ["cache"],
+    ["cache", "prune"],
+    ["simulate", "adpcm"],
+    ["simulate", "mcf", "--config", "Base", "--length", "3000"],
+    ["trace", "swim", "--length", "500", "-o", "t.npy"],
+    ["list"],
+]
 
 
 class TestParser:
@@ -24,6 +58,61 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestOneSubcommandParser:
+    """``main`` builds only the invoked subcommand's parser; it must
+    parse like the full tree and keep the full tree's messages."""
+
+    def test_every_subcommand_is_covered(self):
+        assert len(COMMANDS) == 21
+        assert {argv[0] for argv in ARGVS} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_namespace_as_the_full_tree(self, argv):
+        one = build_parser(argv[0])
+        assert set(next(a for a in one._actions
+                        if a.dest == "command").choices) == {argv[0]}
+        assert one.parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_same_usage_as_the_full_tree(self, name):
+        assert build_parser(name).format_usage() == build_parser().format_usage()
+
+    def test_main_builds_only_the_invoked_parser(self, monkeypatch, capsys):
+        built = []
+
+        def recording(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(repro.cli, "build_parser", recording)
+        assert main(["list"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--fast", "list"])
+        assert built == ["list", None]
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and line.split()}
+        assert set(COMMANDS) <= listed
+
+    def test_unknown_command_exits_2_with_every_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err
+        assert all(repr(name) in err for name in COMMANDS)
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["repro", "list"])
+        assert main() == 0
+        assert "mpeg2" in capsys.readouterr().out
 
 
 class TestCommands:
