@@ -50,11 +50,6 @@ class BlockTiming:
         """Fractional 3D latency improvement (positive = faster)."""
         return 1.0 - self.latency_3d_ps / self.latency_2d_ps
 
-    @property
-    def energy_saving(self) -> float:
-        """Fractional 3D full-access energy saving."""
-        return 1.0 - self.energy_3d_pj / self.energy_2d_pj
-
 
 @dataclass(frozen=True)
 class BlockModel:

@@ -139,10 +139,6 @@ def _derived_3d_clock() -> float:
     return derive_frequencies().f3d_ghz
 
 
-def _derived_2d_clock() -> float:
-    return derive_frequencies().f2d_ghz
-
-
 def baseline_config() -> CPUConfig:
     """``Base``: the planar 2.66 GHz processor."""
     return CPUConfig(name="base", clock_ghz=2.66)

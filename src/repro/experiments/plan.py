@@ -10,7 +10,7 @@ its pool-side thermal work and its parent-side steady solves, plus the
 resolves any list of sections in one order:
 
 1. every section's simulations in one :meth:`ExperimentContext.prefetch`
-   (one ``_resolve``, so one simulation pool);
+   (one resolver pass, so one simulation pool);
 2. every interval power trace, in the parent;
 3. all pool-side thermal work — transient groups and steady geometries
    that only pool workers solve — as one overlapped

@@ -1,9 +1,9 @@
 """Worker-side thermal solving for the parallel thermal engine.
 
 :func:`solve_group_task` and :func:`transient_group_task` are the pool
-entry points of
-:meth:`repro.experiments.context.ExperimentContext.solve_thermal_groups`
-and :meth:`~repro.experiments.context.ExperimentContext.transient_many`.
+entry points of the context's thermal-group dispatcher
+(:meth:`repro.experiments.context.ExperimentContext._dispatch_groups`),
+behind ``solve_thermal_groups`` and ``transient_many``.
 Each rebuilds its solver from pure geometry data (a built solver holds
 an unpicklable SuperLU handle), factorizes once, solves every
 right-hand side of its group, and ships back the temperature arrays
@@ -16,10 +16,27 @@ worker results are bit-identical to in-process ones.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
 from repro.thermal.transient import STEP_FACTORIZATION_STATS, TransientThermalSolver
+
+
+def _timed_group(counter, field: str, work: Callable[[], object]):
+    """The fault point (a no-op unless a token directory is armed), then
+    ``work()``, returned with its wall-clock and the ``counter``
+    factorizations it made as ``field``: worker counters are otherwise
+    invisible across the process boundary."""
+    from repro.experiments.faults import maybe_inject_thermal_fault
+
+    maybe_inject_thermal_fault()
+    start = time.perf_counter()
+    before = counter.factorizations
+    value = work()
+    return value, {
+        field: counter.factorizations - before,
+        "seconds": round(time.perf_counter() - start, 3),
+    }
 
 
 def solve_group_task(
@@ -35,24 +52,13 @@ def solve_group_task(
     The solver is reconstructed from its constructor arguments (geometry
     is pure data) rather than pickled, because a built solver holds an
     unpicklable SuperLU handle.  Returns the temperature results
-    together with this task's factorization count and wall-clock, which
-    the parent folds into ``ContextStats`` (worker counters are
-    otherwise invisible across the process boundary).  The fault point
-    mirrors the simulation workers' — no-op unless a token directory is
-    armed.
+    together with this task's factorization count and wall-clock.
     """
-    from repro.experiments.faults import maybe_inject_thermal_fault
-
-    maybe_inject_thermal_fault()
-    start = time.perf_counter()
-    factorizations = FACTORIZATION_STATS.factorizations
-    solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
-    results = solver.solve_many(batches)
-    stats = {
-        "factorizations": FACTORIZATION_STATS.factorizations - factorizations,
-        "seconds": round(time.perf_counter() - start, 3),
-    }
-    return results, stats
+    return _timed_group(
+        FACTORIZATION_STATS, "factorizations",
+        lambda: ThermalSolver(stack, floorplan, nx, ny,
+                              spreader_mm).solve_many(batches),
+    )
 
 
 def transient_group_task(
@@ -76,18 +82,10 @@ def transient_group_task(
     back explicitly as the second element.  Stepping is deterministic:
     worker results are bit-identical to the parent's inline path.
     """
-    from repro.experiments.faults import maybe_inject_thermal_fault
-
-    maybe_inject_thermal_fault()
-    start = time.perf_counter()
-    step_factorizations = STEP_FACTORIZATION_STATS.factorizations
-    solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
-    transient = TransientThermalSolver(solver, dt_s=dt_s)
-    results = transient.run_many(schedules, duration_s, initial_k=initial_k)
-    stats = {
-        "step_factorizations": (
-            STEP_FACTORIZATION_STATS.factorizations - step_factorizations
-        ),
-        "seconds": round(time.perf_counter() - start, 3),
-    }
+    results, stats = _timed_group(
+        STEP_FACTORIZATION_STATS, "step_factorizations",
+        lambda: TransientThermalSolver(
+            ThermalSolver(stack, floorplan, nx, ny, spreader_mm), dt_s=dt_s,
+        ).run_many(schedules, duration_s, initial_k=initial_k),
+    )
     return results, [s.stats() for s in schedules], stats

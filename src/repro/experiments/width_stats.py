@@ -33,11 +33,6 @@ class WidthStatsResult:
         values = list(self.all_inst_accuracy.values())
         return sum(values) / len(values) if values else 0.0
 
-    @property
-    def mean_predicted_accuracy(self) -> float:
-        values = list(self.predicted_accuracy.values())
-        return sum(values) / len(values) if values else 0.0
-
     def mean_herding(self, metric: str) -> float:
         values = [m[metric] for m in self.herding.values() if metric in m]
         return sum(values) / len(values) if values else 0.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -145,12 +145,6 @@ class Floorplan:
             self._fingerprint_json = json.dumps(
                 self.fingerprint(), sort_keys=True, separators=(",", ":"))
         return self._fingerprint_json
-
-    def block_names(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for block in self.blocks:
-            seen.setdefault(block.name, None)
-        return list(seen)
 
     def validate(self) -> None:
         """Check all blocks fit the die outline and do not overlap.

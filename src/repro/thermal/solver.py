@@ -23,8 +23,8 @@ whole-layer conductance arrays emitted as concatenated COO triplets.
 factorization, not by this module, so processes that only read cached
 thermal results never load it.  A parent about to fork a pool for
 thermal or transient work imports it first (see
-:meth:`repro.experiments.context.ExperimentContext._pool_steps`), so the
-workers inherit it instead of each importing their own.
+:meth:`repro.experiments.context.ExperimentContext._dispatch_groups`), so
+the workers inherit it instead of each importing their own.
 """
 
 from __future__ import annotations

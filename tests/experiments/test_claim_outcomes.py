@@ -67,7 +67,7 @@ class _Simulation:
 class _Thermal:
     """One steady solve of a fixed power map on a small 3D stack."""
 
-    compute_step = "_dispatch_thermal"
+    compute_step = "_dispatch_groups"
 
     def __init__(self):
         self.solver = _solver()

@@ -142,6 +142,14 @@ class TestHangSupervision:
             context = ExperimentContext(TINY, cache=None)
         assert context.task_timeout_s is None
 
+    @pytest.mark.parametrize("raw", ["0", "0.0", "-5"])
+    def test_non_positive_deadline_env_warns(self, monkeypatch, raw):
+        """A zero or negative deadline sets none, and says so."""
+        monkeypatch.setenv(ENV_TASK_TIMEOUT, raw)
+        with pytest.warns(RuntimeWarning, match=f"'{raw}'.*positive"):
+            context = ExperimentContext(TINY, cache=None)
+        assert context.task_timeout_s is None
+
 
 class TestMidSimulationFaults:
     def test_midsim_kill_recovers_byte_identical(self, tmp_path, monkeypatch):

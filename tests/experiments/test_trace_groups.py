@@ -17,9 +17,9 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.context import (
     ExperimentContext,
     ExperimentSettings,
-    _chunks,
     _simulate_task,
 )
+from repro.experiments.executor import chunks
 
 TINY = ExperimentSettings(
     trace_length=2_000,
@@ -54,9 +54,9 @@ def _serial(pairs):
 
 class TestChunks:
     def test_near_equal_contiguous_and_never_empty(self):
-        assert _chunks(list(range(6)), 1) == [list(range(6))]
-        assert _chunks(list(range(6)), 4) == [[0, 1], [2, 3], [4], [5]]
-        assert _chunks([0, 1], 5) == [[0], [1]]
+        assert chunks(list(range(6)), 1) == [list(range(6))]
+        assert chunks(list(range(6)), 4) == [[0, 1], [2, 3], [4], [5]]
+        assert chunks([0, 1], 5) == [[0], [1]]
 
 
 class TestOnePredecodePerGroup:
