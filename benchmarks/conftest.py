@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 
 FULL_SETTINGS = ExperimentSettings(
     trace_length=20_000,

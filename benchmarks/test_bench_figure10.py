@@ -6,7 +6,7 @@ a fixed app the ROB can end up cooler than planar.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_figure10
+from repro.experiments.figure10 import run_figure10
 
 
 def test_bench_figure10(benchmark, context):

@@ -6,7 +6,7 @@ gains a little, TH alone is almost free.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_figure8
+from repro.experiments.figure8 import run_figure8
 
 
 def test_bench_figure8(benchmark, context):

@@ -6,7 +6,7 @@ Paper targets: 90 W planar -> 72.7 W (-19%) 3D without herding ->
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_figure9
+from repro.experiments.figure9 import run_figure9
 
 
 def test_bench_figure9(benchmark, context):

@@ -6,7 +6,8 @@ more than the real 3D processor, because the real one's power drops.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_figure10, run_power_density
+from repro.experiments.figure10 import run_figure10
+from repro.experiments.power_density import run_power_density
 
 
 def test_bench_power_density(benchmark, context):

@@ -5,7 +5,7 @@ Paper targets: wakeup-select -32%, ALU+bypass -36%, clock 2.66 GHz ->
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_table2
+from repro.experiments.table2 import run_table2
 
 
 def test_bench_table2(benchmark):

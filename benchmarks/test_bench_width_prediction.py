@@ -5,7 +5,7 @@ correctly predicted.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_width_stats
+from repro.experiments.width_stats import run_width_stats
 
 
 def test_bench_width_prediction(benchmark, context):

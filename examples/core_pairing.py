@@ -10,7 +10,7 @@ Run:  python examples/core_pairing.py [hot_benchmark] [cool_benchmark]
 
 import sys
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.pairing import run_pairing
 from repro.power.model import StackKind
 from repro.thermal.maps import hotspot_table

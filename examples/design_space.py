@@ -18,8 +18,9 @@ from dataclasses import replace
 
 from repro.core.dcache_encoding import EncodingScheme
 from repro.core.scheduler_allocation import AllocationPolicy
-from repro.cpu import paper_configurations, simulate
-from repro.workloads import generate
+from repro.cpu.config import paper_configurations
+from repro.cpu.pipeline import simulate
+from repro.workloads.suite import generate
 
 
 def main() -> None:

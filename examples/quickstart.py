@@ -10,8 +10,10 @@ Run:  python examples/quickstart.py [benchmark] [length]
 
 import sys
 
-from repro.cpu import paper_configurations, simulate
-from repro.workloads import TraceStats, benchmark_names, generate
+from repro.cpu.config import paper_configurations
+from repro.cpu.pipeline import simulate
+from repro.workloads.suite import benchmark_names, generate
+from repro.workloads.validation import TraceStats
 
 
 def main() -> None:

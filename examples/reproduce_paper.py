@@ -12,7 +12,7 @@ Run:  python examples/reproduce_paper.py [--fast] [-o report.md]
 import argparse
 import time
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.export import (
     figure8_rows,
     figure9_rows,
@@ -48,9 +48,10 @@ def main() -> None:
     print(f"wrote {args.output} in {elapsed:.0f}s")
 
     if args.export_prefix:
-        from repro.experiments import (
-            run_figure8, run_figure9, run_figure10, run_table2,
-        )
+        from repro.experiments.figure8 import run_figure8
+        from repro.experiments.figure9 import run_figure9
+        from repro.experiments.figure10 import run_figure10
+        from repro.experiments.table2 import run_table2
         exports = {
             "table2": table2_rows(run_table2()),
             "figure8": figure8_rows(run_figure8(context)),

@@ -12,8 +12,9 @@ Run:  python examples/simpoint_sampling.py [benchmark] [length]
 import sys
 import time
 
-from repro.cpu import paper_configurations, simulate
-from repro.workloads import generate
+from repro.cpu.config import paper_configurations
+from repro.cpu.pipeline import simulate
+from repro.workloads.suite import generate
 from repro.workloads.phases import choose_simpoints, sample_trace
 
 

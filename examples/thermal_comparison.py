@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 
 _SHADES = " .:-=+*#%@"
 

@@ -12,7 +12,8 @@ Run:  python examples/width_locality_study.py [length]
 import sys
 
 from repro.isa.values import UpperBitsEncoding
-from repro.workloads import BENCHMARKS, TraceStats, generate
+from repro.workloads.suite import BENCHMARKS, generate
+from repro.workloads.validation import TraceStats
 
 
 def main() -> None:

@@ -17,25 +17,19 @@ The package is organized bottom-up:
 
 Quickstart::
 
-    from repro.workloads import generate
-    from repro.cpu import simulate, paper_configurations
+    from repro.cpu.config import paper_configurations
+    from repro.cpu.pipeline import simulate
+    from repro.workloads.suite import generate
 
     trace = generate("mpeg2", length=20_000)
     configs = paper_configurations()
     base = simulate(trace, configs["Base"].config, warmup=6_000)
     full = simulate(trace, configs["3D"].config, warmup=6_000)
     print(f"3D speedup: {full.ipns / base.ipns:.2f}x")
+
+Import each name from the module that defines it.  Apart from
+:mod:`repro.floorplan` and :mod:`repro.thermal`, the packages re-export
+nothing, so importing a module loads only what that module needs.
 """
 
 __version__ = "1.0.0"
-
-from repro.cpu import paper_configurations, simulate
-from repro.workloads import generate, standard_suite
-
-__all__ = [
-    "__version__",
-    "paper_configurations",
-    "simulate",
-    "generate",
-    "standard_suite",
-]

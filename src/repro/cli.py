@@ -38,21 +38,18 @@ import os
 import sys
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
-from repro.experiments import (
-    ExperimentContext,
-    ExperimentSettings,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_power_density,
-    run_table2,
-    run_width_stats,
-)
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.dvfs import run_dvfs
-from repro.experiments.report import generate_report, stats_payload
+from repro.experiments.figure8 import run_figure8
+from repro.experiments.figure9 import run_figure9
+from repro.experiments.figure10 import run_figure10
 from repro.experiments.leakage import run_leakage_feedback
 from repro.experiments.pairing import run_pairing
+from repro.experiments.power_density import run_power_density
+from repro.experiments.report import generate_report, stats_payload
 from repro.experiments.roadmap import run_roadmap
+from repro.experiments.table2 import run_table2
+from repro.experiments.width_stats import run_width_stats
 
 FAST_SETTINGS = ExperimentSettings(
     trace_length=8_000,

@@ -34,16 +34,3 @@ sink; an access "herded" to the top die touches it alone.
 :mod:`~repro.core.activity` holds the per-module, per-die access counts
 that the power and thermal models consume.
 """
-
-from repro.core.activity import ActivityCounters, ModuleActivity
-from repro.core.width_prediction import WidthPredictorStats
-from repro.core.scheduler_allocation import AllocationPolicy
-from repro.core.dcache_encoding import EncodingScheme
-
-__all__ = [
-    "ActivityCounters",
-    "ModuleActivity",
-    "WidthPredictorStats",
-    "AllocationPolicy",
-    "EncodingScheme",
-]

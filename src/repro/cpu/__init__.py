@@ -10,37 +10,3 @@ Thermal Herding width-misprediction penalties are modelled per
 instruction; per-module switching activity is accumulated for the power
 and thermal models.
 """
-
-from repro.cpu.config import (
-    CPUConfig,
-    ProcessorConfiguration,
-    baseline_config,
-    thermal_herding_config,
-    pipeline_config,
-    fast_config,
-    full_3d_config,
-    paper_configurations,
-)
-from repro.cpu.caches import SetAssociativeCache, TLB, CacheStats
-from repro.cpu.branch_predictor import HybridPredictor, BranchStats
-from repro.cpu.results import SimulationResult
-from repro.cpu.pipeline import TimingSimulator, simulate
-
-__all__ = [
-    "CPUConfig",
-    "ProcessorConfiguration",
-    "baseline_config",
-    "thermal_herding_config",
-    "pipeline_config",
-    "fast_config",
-    "full_3d_config",
-    "paper_configurations",
-    "SetAssociativeCache",
-    "TLB",
-    "CacheStats",
-    "HybridPredictor",
-    "BranchStats",
-    "SimulationResult",
-    "TimingSimulator",
-    "simulate",
-]

@@ -13,12 +13,13 @@ and the thermal map becomes asymmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.cpu.config import CPUConfig
-from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
-from repro.isa.compiled import CompiledTrace
+
+if TYPE_CHECKING:
+    from repro.isa.compiled import CompiledTrace
 
 
 @dataclass
@@ -36,11 +37,6 @@ class DualCoreRun:
     def throughput_ipns(self) -> float:
         """Chip throughput: combined instructions per nanosecond."""
         return self.core0.ipns + self.core1.ipns
-
-    @property
-    def slower_core_time_ns(self) -> float:
-        """Wall-clock time of the longer-running core."""
-        return max(self.core0.time_ns, self.core1.time_ns)
 
     def summary(self) -> str:
         return "\n".join([
@@ -64,6 +60,8 @@ def simulate_dual_core(
     approximation for two concurrently active cores with disjoint
     working sets.
     """
+    from repro.cpu.pipeline import simulate
+
     core_config = config
     if shared_l2:
         half = max(config.l2_size // 2, config.line_bytes * config.l2_assoc)

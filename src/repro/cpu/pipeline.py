@@ -40,15 +40,11 @@ from repro.core.scheduler_allocation import AllocationPolicy
 from repro.core.width_prediction import WidthPredictorStats
 from repro.cpu.config import CPUConfig, WidthPredictorKind
 from repro.cpu.predecode import PreDecodedTrace, predecode
+from repro.cpu.results import SIMULATOR_VERSION  # noqa: F401  (this model's version)
 from repro.cpu.results import SimulationResult, StallBreakdown
 from repro.cpu.wavefront import build_plan
 from repro.isa.compiled import CompiledTrace, OPCLASS_LIST
 from repro.isa.opcodes import OpClass
-
-#: Timing-model version, part of the on-disk result-cache key.  Bump on
-#: any change that alters simulation outcomes so stale entries never hit
-#: (and re-record the golden digests in ``tests/cpu/test_core_digest.py``).
-SIMULATOR_VERSION = 1
 
 #: Fault-injection hook: when set, called with each instruction index at
 #: the top of the simulation loop.  Armed inside worker processes by the

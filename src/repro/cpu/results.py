@@ -10,6 +10,13 @@ from repro.core.width_prediction import WidthPredictorStats
 from repro.cpu.branch_predictor import BranchStats
 from repro.cpu.caches import CacheStats
 
+#: Timing-model version, part of the on-disk result-cache key.  Bump on
+#: any change that alters simulation outcomes so stale entries never hit
+#: (and re-record the golden digests in ``tests/cpu/test_core_digest.py``).
+#: It lives next to the result it versions so that computing a cache key
+#: does not load the timing core.
+SIMULATOR_VERSION = 1
+
 
 @dataclass
 class StallBreakdown:
@@ -86,16 +93,6 @@ class SimulationResult:
             category: cycles / self.instructions
             for category, cycles in sorted(self.cpi_stack.items())
         }
-
-    def format_cpi_stack(self) -> str:
-        """Render the CPI stack as an aligned block."""
-        lines = [f"CPI stack ({self.benchmark} [{self.config_name}], "
-                 f"CPI = {1 / self.ipc if self.ipc else 0:.2f})"]
-        for category, cpi in sorted(
-            self.cpi_breakdown().items(), key=lambda kv: -kv[1]
-        ):
-            lines.append(f"  {category:<12s} {cpi:6.3f}")
-        return "\n".join(lines)
 
     def summary(self) -> str:
         """One-line human-readable summary."""

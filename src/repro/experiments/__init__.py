@@ -18,35 +18,3 @@
 All experiments share an :class:`~repro.experiments.context.ExperimentContext`
 that caches traces, simulation runs, and the calibrated power model.
 """
-
-from repro.experiments.cache import ResultCache
-from repro.experiments.context import (
-    ContextStats,
-    ExperimentContext,
-    ExperimentSettings,
-)
-from repro.experiments.table2 import run_table2, Table2Result
-from repro.experiments.figure8 import run_figure8, Figure8Result
-from repro.experiments.figure9 import run_figure9, Figure9Result
-from repro.experiments.figure10 import run_figure10, Figure10Result
-from repro.experiments.power_density import run_power_density, PowerDensityResult
-from repro.experiments.width_stats import run_width_stats, WidthStatsResult
-
-__all__ = [
-    "ContextStats",
-    "ExperimentContext",
-    "ExperimentSettings",
-    "ResultCache",
-    "run_table2",
-    "Table2Result",
-    "run_figure8",
-    "Figure8Result",
-    "run_figure9",
-    "Figure9Result",
-    "run_figure10",
-    "Figure10Result",
-    "run_power_density",
-    "PowerDensityResult",
-    "run_width_stats",
-    "WidthStatsResult",
-]

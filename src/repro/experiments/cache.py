@@ -104,9 +104,9 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
-from repro.cpu.results import SimulationResult
-from repro.thermal.feedback import FEEDBACK_MODEL_VERSION
+from repro.cpu.results import SIMULATOR_VERSION, SimulationResult
 from repro.thermal.transient import PowerSchedule, TRANSIENT_MODEL_VERSION
+from repro.workloads.parameters import GENERATOR_VERSION
 
 #: Bump when the cache key schema or the pickled payload layout changes.
 CACHE_SCHEMA_VERSION = 2
@@ -183,9 +183,6 @@ def simulation_key(
     warmup: int,
 ) -> str:
     """Content hash identifying one deterministic simulation."""
-    from repro.cpu.pipeline import SIMULATOR_VERSION
-    from repro.workloads.emulator import GENERATOR_VERSION
-
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "simulator": SIMULATOR_VERSION,
@@ -269,6 +266,8 @@ def leakage_key(solver, dynamic_grids, leakage_grids, reference_k: float,
     (:func:`repro.thermal.feedback.solve_with_leakage_feedback`): the
     result geometry, the loop parameters, and the raw bytes of the
     dynamic and reference-leakage grids."""
+    from repro.thermal.feedback import FEEDBACK_MODEL_VERSION
+
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "leakage_feedback",

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, fields, replace
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Generator,
@@ -40,9 +41,7 @@ from typing import (
 
 from repro.circuits.blocks import build_block_models
 from repro.cpu.config import CPUConfig, paper_configurations
-from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
-from repro.experiments import supervised
 from repro.experiments.cache import (
     DEFAULT_CLAIM_STALE_S,
     ResultCache,
@@ -63,7 +62,6 @@ from repro.experiments.executor import (
 )
 from repro.experiments.resolver import CLAIM_POLL_S, CLAIM_WAIT_S, Resolver
 from repro.floorplan import Floorplan, planar_floorplan, stacked_floorplan
-from repro.isa.compiled import CompiledTrace
 from repro.power.model import (
     PowerBreakdown,
     PowerModel,
@@ -80,7 +78,9 @@ from repro.thermal.transient import (
     TransientThermalSolver,
     step_matrix_key,
 )
-from repro.workloads.suite import benchmark_names, fingerprint, generate
+
+if TYPE_CHECKING:
+    from repro.isa.compiled import CompiledTrace
 
 #: The power/thermal reference application (the paper's peak-power app).
 REFERENCE_BENCHMARK = "mpeg2"
@@ -146,6 +146,8 @@ class ExperimentSettings:
     def benchmark_list(self) -> List[str]:
         if self.benchmarks is not None:
             return list(self.benchmarks)
+        from repro.workloads.suite import benchmark_names
+
         return benchmark_names()
 
 
@@ -374,7 +376,9 @@ def _simulate_task(
     is armed (see :mod:`repro.experiments.faults`); the serial path calls
     :func:`repro.cpu.pipeline.simulate` directly and is never injected.
     """
+    from repro.cpu.pipeline import simulate
     from repro.experiments.faults import maybe_inject_worker_fault
+    from repro.workloads.suite import generate
 
     maybe_inject_worker_fault()
     trace = None
@@ -541,6 +545,8 @@ class ExperimentContext:
         trace = self._traces.get(benchmark)
         if trace is not None:
             return trace
+        from repro.workloads.suite import fingerprint, generate
+
         store = key = None
         if self.cache is not None:
             store = self.cache.trace_store()
@@ -675,6 +681,11 @@ class ExperimentContext:
         fault tolerance; a chunk's serial fallback simulates its configs
         in turn in this process.
         """
+        # Imported here, before the pool forks, so that workers inherit
+        # the timing core instead of compiling their own copy, and a run
+        # that simulates nothing never loads it.
+        from repro.cpu.pipeline import simulate
+
         tasks = [unit.work for unit in units]
         start = time.perf_counter()
         try:
@@ -965,10 +976,12 @@ class ExperimentContext:
                 record(group, "inline", round(time.perf_counter() - t0, 3))
             return outs
 
-        # Workers assemble and factorize with scipy.  Importing it here,
-        # before the pool forks, lets every worker inherit it instead of
-        # importing its own copy.
+        # Workers assemble and factorize with scipy in the supervised
+        # entry points.  Importing both here, before the pool forks, lets
+        # every worker inherit them instead of importing its own copy.
         import scipy.sparse.linalg  # noqa: F401
+
+        from repro.experiments import supervised
 
         task = getattr(supervised, kind.task)
         outs = yield Batch([

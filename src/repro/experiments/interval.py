@@ -39,9 +39,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cpu.pipeline import TimingSimulator
-from repro.cpu.predecode import predecode
-from repro.cpu.wavefront import IntervalCapture, build_interval_series
 from repro.experiments.cache import content_key, interval_trace_key
 from repro.experiments.context import (
     CONFIG_STACKS,
@@ -112,6 +109,10 @@ def extract_interval_trace(
         if cached is not None:
             context.stats.interval_disk_hits += 1
             return cached
+
+    from repro.cpu.pipeline import TimingSimulator
+    from repro.cpu.predecode import predecode
+    from repro.cpu.wavefront import IntervalCapture, build_interval_series
 
     start = time.perf_counter()
     pre = predecode(context.trace(benchmark))

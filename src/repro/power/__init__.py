@@ -12,25 +12,3 @@ from a :class:`~repro.cpu.results.SimulationResult`; one global activity
 scale is calibrated so the baseline dual-core mpeg2 run dissipates the
 paper's 90 W.
 """
-
-from repro.power.model import (
-    PowerModel,
-    PowerBreakdown,
-    ModulePower,
-    StackKind,
-    calibrate_activity_scale,
-)
-from repro.power.audit import audit, composition, die_shares, format_audit, top_consumers
-
-__all__ = [
-    "PowerModel",
-    "PowerBreakdown",
-    "ModulePower",
-    "StackKind",
-    "calibrate_activity_scale",
-    "audit",
-    "composition",
-    "die_shares",
-    "format_audit",
-    "top_consumers",
-]

@@ -13,51 +13,3 @@ techniques exploit — narrow integer values, upper-address-bit locality,
 partial-value locality, near branch targets — therefore emerge from actual
 emulated values rather than being injected as labels.
 """
-
-from repro.workloads.parameters import (
-    WorkloadParameters,
-    BenchmarkClass,
-    CLASS_PARAMETERS,
-)
-from repro.workloads.memory_model import MemoryModel, Region, AccessPattern
-from repro.workloads.program import SyntheticProgram, build_program
-from repro.workloads.emulator import Emulator, generate_trace
-from repro.workloads.validation import (
-    CLASS_EXPECTATIONS,
-    ClassExpectations,
-    TraceStats,
-    validate_suite,
-    validate_trace,
-)
-from repro.workloads.suite import (
-    BENCHMARKS,
-    BenchmarkSpec,
-    benchmark_names,
-    benchmarks_in_class,
-    generate,
-    standard_suite,
-)
-
-__all__ = [
-    "WorkloadParameters",
-    "BenchmarkClass",
-    "CLASS_PARAMETERS",
-    "MemoryModel",
-    "Region",
-    "AccessPattern",
-    "SyntheticProgram",
-    "build_program",
-    "Emulator",
-    "generate_trace",
-    "BENCHMARKS",
-    "BenchmarkSpec",
-    "benchmark_names",
-    "benchmarks_in_class",
-    "generate",
-    "standard_suite",
-    "CLASS_EXPECTATIONS",
-    "ClassExpectations",
-    "TraceStats",
-    "validate_suite",
-    "validate_trace",
-]

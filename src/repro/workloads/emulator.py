@@ -40,7 +40,7 @@ from repro.workloads.memory_model import (
     STACK_SIZE,
     WORD_BYTES,
 )
-from repro.workloads.parameters import WorkloadParameters
+from repro.workloads.parameters import GENERATOR_VERSION, WorkloadParameters
 from repro.workloads.program import (
     InstTemplate,
     Loop,
@@ -48,10 +48,6 @@ from repro.workloads.program import (
     ValueKind,
     build_program,
 )
-
-#: Trace-generator version, part of the on-disk result-cache key.  Bump on
-#: any change that alters generated traces so stale entries never hit.
-GENERATOR_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 

@@ -24,6 +24,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict
 
+#: Trace-generator version, part of the on-disk result-cache key.  Bump on
+#: any change that alters generated traces so stale entries never hit.
+#: It lives next to the parameters it versions so that computing a cache
+#: key does not load the emulator.
+GENERATOR_VERSION = 1
+
 
 class BenchmarkClass(enum.Enum):
     """The six benchmark suites of the paper's evaluation."""

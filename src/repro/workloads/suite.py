@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.isa.compiled import CompiledTrace
-from repro.workloads.emulator import generate_trace, workload_fingerprint
 from repro.workloads.parameters import (
     BenchmarkClass,
     CLASS_PARAMETERS,
     WorkloadParameters,
 )
+
+if TYPE_CHECKING:
+    from repro.isa.compiled import CompiledTrace
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ def generate(name: str, length: int = 20_000, seed: Optional[int] = None) -> Com
     ``seed`` overrides the spec's default seed (useful for variance
     studies); the default makes every call reproducible.
     """
+    from repro.workloads.emulator import generate_trace
+
     spec = BENCHMARKS.get(name)
     if spec is None:
         raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(BENCHMARKS)}")
@@ -169,6 +172,8 @@ def fingerprint(name: str, length: int = 20_000, seed: Optional[int] = None) -> 
     :func:`generate` does, so equal fingerprints mean byte-identical
     traces; used to key the on-disk compiled-trace store.
     """
+    from repro.workloads.emulator import workload_fingerprint
+
     spec = BENCHMARKS.get(name)
     if spec is None:
         raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(BENCHMARKS)}")

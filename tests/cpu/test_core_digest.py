@@ -8,8 +8,10 @@ core-equivalence tests replayed (degenerate traces, tiny predictor
 tables, each predictor kind on a memory-bound trace).  The digests pin
 the core's output on their own: a change that moves any counter,
 stall, CPI-stack entry or dict order of any configuration fails here.
-A deliberate timing-model change bumps ``SIMULATOR_VERSION`` and
-re-records the table below.
+A deliberate timing-model change bumps
+:data:`repro.cpu.results.SIMULATOR_VERSION` (kept next to the result it
+versions, so a cache key never loads the timing core) and re-records
+the table below.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import pytest
 from repro.core.scheduler_allocation import AllocationPolicy
 from repro.cpu import caches
 from repro.cpu.config import WidthPredictorKind
-from repro.cpu.pipeline import SIMULATOR_VERSION, TimingSimulator, simulate
+from repro.cpu.pipeline import TimingSimulator, simulate
 from repro.cpu.predecode import predecode
+from repro.cpu.results import SIMULATOR_VERSION
 from repro.cpu.wavefront import IntervalCapture
 from repro.experiments.context import _all_configurations
 from repro.isa.compiled import CompiledTrace, compile_trace, trace_row

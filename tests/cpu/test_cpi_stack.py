@@ -21,9 +21,6 @@ class TestAccounting:
                  "structural", "width"}
         assert set(base_run.cpi_stack) <= known
 
-    def test_format(self, base_run):
-        assert "CPI stack" in base_run.format_cpi_stack()
-
     def test_empty_result_safe(self):
         from repro.cpu.results import SimulationResult
         from repro.core.activity import ActivityCounters

@@ -24,10 +24,6 @@ class TestDualCore:
         run = simulate_dual_core(*traces, baseline_config(), warmup=1500)
         assert run.throughput_ipns == pytest.approx(run.core0.ipns + run.core1.ipns)
 
-    def test_slower_core_time(self, traces):
-        run = simulate_dual_core(*traces, baseline_config(), warmup=1500)
-        assert run.slower_core_time_ns == max(run.core0.time_ns, run.core1.time_ns)
-
     def test_shared_l2_halves_capacity(self, traces):
         """Sharing must not help: per-core performance <= solo performance."""
         solo = simulate(traces[1], baseline_config(), warmup=1500)

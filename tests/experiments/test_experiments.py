@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.cache import simulation_key
+from repro.experiments.context import (
     ExperimentContext,
     ExperimentSettings,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_power_density,
-    run_table2,
-    run_width_stats,
+    _all_configurations,
 )
-from repro.experiments.cache import simulation_key
-from repro.experiments.context import _all_configurations
+from repro.experiments.figure8 import run_figure8
+from repro.experiments.figure9 import run_figure9
+from repro.experiments.figure10 import run_figure10
+from repro.experiments.power_density import run_power_density
+from repro.experiments.table2 import run_table2
+from repro.experiments.width_stats import run_width_stats
 
 SMALL = ExperimentSettings(
     trace_length=6_000,

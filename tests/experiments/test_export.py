@@ -6,14 +6,11 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    ExperimentContext,
-    ExperimentSettings,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_table2,
-)
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+from repro.experiments.figure8 import run_figure8
+from repro.experiments.figure9 import run_figure9
+from repro.experiments.figure10 import run_figure10
+from repro.experiments.table2 import run_table2
 from repro.experiments.export import (
     figure8_rows,
     figure9_rows,

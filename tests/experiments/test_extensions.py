@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.dvfs import run_dvfs
 from repro.experiments.report import generate_report
 from repro.experiments.roadmap import STAGES, run_roadmap

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.leakage import CONFIG_LABELS, run_leakage_feedback
 
 TINY = ExperimentSettings(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.pairing import run_pairing
 
 TINY = ExperimentSettings(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.sensitivity import run_sensitivity
 from repro.experiments.stacking_order import run_stacking_order
 

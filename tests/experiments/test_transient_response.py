@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentContext, ExperimentSettings
+from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.transient_response import run_transient_response
 
 TINY = ExperimentSettings(

@@ -14,7 +14,7 @@ from repro.floorplan import planar_floorplan, stacked_floorplan
 from repro.power.model import PowerModel, StackKind, calibrate_activity_scale
 from repro.thermal import build_power_map, planar_stack, rasterize, stacked_3d_stack
 from repro.thermal.solver import ThermalSolver
-from repro.workloads import generate
+from repro.workloads.suite import generate
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,17 @@
-"""``scipy`` loads only where thermal systems are assembled or factorized.
+"""Each run loads only the code it executes.
 
+``scipy`` loads only where thermal systems are assembled or factorized.
 Importing any ``repro`` module must not import scipy: the solver and the
 transient solver import ``scipy.sparse`` inside the functions that build
 and factorize matrices, and a parent imports it just before it forks a
 pool for thermal or transient work, so the workers inherit it.  A warm
 run that reads every thermal result from the cache, and a pool that only
 simulates, therefore never load it.
+
+The simulation stack (timing core, trace emulator, trace builder) loads
+only where a trace is simulated or generated, by the same rule: the
+parent imports the timing core just before it forks a simulation pool.
+A warm run that reads every result from the cache never loads it.
 """
 
 import ast
@@ -14,7 +20,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Modules that only simulating or generating a trace executes.
+SIMULATION_STACK = (
+    "repro.cpu.pipeline",
+    "repro.cpu.predecode",
+    "repro.cpu.wavefront",
+    "repro.workloads.emulator",
+    "repro.workloads.program",
+    "repro.isa.builder",
+)
+
+_NO_SIMULATION_STACK = f"""
+loaded = sorted(set({SIMULATION_STACK!r}) & set(sys.modules))
+assert loaded == [], f"loaded {{loaded}}"
+"""
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -91,6 +114,21 @@ def test_warm_thermal_and_transient_lookups_leave_scipy_unloaded(tmp_path):
          tmp_path)
 
 
+def test_warm_lookups_leave_the_simulation_stack_unloaded(tmp_path):
+    _run(_LOOKUPS + "assert 'repro.cpu.pipeline' in sys.modules\n", tmp_path)
+    _run(_LOOKUPS + _NO_SIMULATION_STACK, tmp_path)
+
+
+@pytest.mark.parametrize("code", [
+    "import repro.cli\n"
+    "from repro.experiments.context import ExperimentContext\n"
+    "ExperimentContext(repro.cli.FAST_SETTINGS)\n",
+    "import repro.experiments.sensitivity\n",
+], ids=["cli-and-context", "sensitivity"])
+def test_set_up_leaves_the_simulation_stack_unloaded(tmp_path, code):
+    _run("import sys\n" + code + _NO_SIMULATION_STACK, tmp_path)
+
+
 _SIMULATION_POOL = """
 import sys
 from repro.experiments.context import ExperimentContext, ExperimentSettings
@@ -109,6 +147,46 @@ def test_simulation_pool_leaves_scipy_unloaded(tmp_path):
     _run(_SIMULATION_POOL, tmp_path)
 
 
+def _probe_workers(tmp_path, script: str) -> list:
+    """Run ``script`` with ``PROBES`` naming a directory its pool tasks
+    write to, one line per task; return the lines."""
+    probes = tmp_path / "probes"
+    probes.mkdir()
+    _run(f"PROBES = {str(probes)!r}\n" + script, tmp_path)
+    return [line for path in probes.iterdir()
+            for line in path.read_text().split()]
+
+
+_SIMULATION_PROBE = """
+import os, sys
+from repro.experiments import context as context_module
+from repro.experiments.context import ExperimentContext, ExperimentSettings
+
+simulate_task = context_module._simulate_task
+
+
+def probed(*args):
+    # Runs in a worker: was the timing core there before the task ran?
+    loaded = "repro.cpu.pipeline" in sys.modules
+    with open(os.path.join(PROBES, str(os.getpid())), "a") as stream:
+        stream.write(f"{loaded}\\n")
+    return simulate_task(*args)
+
+
+context_module._simulate_task = probed
+context = ExperimentContext(ExperimentSettings(
+    trace_length=3_000, warmup=800, benchmarks=("mpeg2",)), jobs=2,
+    cache=None)
+context.prefetch([("mpeg2", "Base"), ("mpeg2", "3D")])
+assert context.stats.simulated == 2
+"""
+
+
+def test_simulation_pool_workers_inherit_the_timing_core(tmp_path):
+    seen = _probe_workers(tmp_path, _SIMULATION_PROBE)
+    assert seen == ["True", "True"]
+
+
 _THERMAL_POOL = """
 import os, sys
 from repro.experiments import supervised
@@ -122,8 +200,10 @@ solve_group_task = supervised.solve_group_task
 
 
 def probed(*args):
-    # Runs in a worker: was scipy there before the task imported it?
-    loaded = "scipy.sparse.linalg" in sys.modules
+    # Runs in a worker: were scipy and the entry points there before the
+    # task imported them?
+    loaded = all(name in sys.modules for name in
+                 ("scipy.sparse.linalg", "repro.experiments.supervised"))
     with open(os.path.join(PROBES, str(os.getpid())), "a") as stream:
         stream.write(f"{loaded}\\n")
     return solve_group_task(*args)
@@ -145,10 +225,6 @@ assert FACTORIZATION_STATS.factorizations == 0  # the parent solved nothing
 
 
 def test_thermal_pool_workers_inherit_scipy(tmp_path):
-    probes = tmp_path / "probes"
-    probes.mkdir()
-    _run(f"PROBES = {str(probes)!r}\n" + _THERMAL_POOL, tmp_path)
-    seen = [line for path in probes.iterdir()
-            for line in path.read_text().split()]
+    seen = _probe_workers(tmp_path, _THERMAL_POOL)
     assert len(seen) == 3
     assert set(seen) == {"True"}

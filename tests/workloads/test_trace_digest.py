@@ -8,7 +8,9 @@ a second pass.  The table covers every benchmark at the default length
 and seed, every benchmark at a length that stops mid-loop, and six
 benchmarks (one per suite) at two non-default seeds.  A change to the
 generator that moves any row fails here; a deliberate one bumps
-``GENERATOR_VERSION`` and re-records the table.
+:data:`repro.workloads.parameters.GENERATOR_VERSION` (kept next to the
+parameters it versions, so a cache key never loads the emulator) and
+re-records the table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import hashlib
 import pytest
 
 from repro.isa.compiled import OPCLASS_LIST
-from repro.workloads.emulator import GENERATOR_VERSION
+from repro.workloads.parameters import GENERATOR_VERSION
 from repro.workloads.suite import BENCHMARKS, generate
 
 GOLDEN = {
