@@ -5,11 +5,14 @@ how many of them were confined to the top die (the essence of Thermal
 Herding).  ``dies`` below always refers to the 4-die stack; die 0 is the
 top die, adjacent to the heat sink.
 
-The timing core fills these records in one step at the end of a run
-(:meth:`repro.cpu.wavefront.WavefrontPlan.build_activity`): most
-modules are touched either on the top die alone or on all four dies,
-while the split direction predictor and the entry-stacked scheduler
-count each die separately.
+One table of rules fills these records,
+:meth:`repro.cpu.wavefront.WavefrontPlan.activity`, for each interval of
+a run.  A run's counters are its one-interval case
+(:meth:`~repro.cpu.wavefront.WavefrontPlan.build_activity`), and
+interval power extraction applies the same rules to N-instruction
+intervals.  Most modules are touched either on the top die alone or on
+all four dies, while the split direction predictor and the
+entry-stacked scheduler count each die separately.
 """
 
 from __future__ import annotations
@@ -37,13 +40,6 @@ class ModuleActivity:
         """Fraction of accesses confined to the top die."""
         return self.top_only / self.total if self.total else 0.0
 
-    @property
-    def die_activity_fraction(self) -> List[float]:
-        """Per-die activity normalized to total accesses."""
-        if not self.total:
-            return [0.0] * NUM_DIES
-        return [c / self.total for c in self.per_die]
-
 
 class ActivityCounters:
     """Activity for all modules of one simulated core."""
@@ -62,18 +58,3 @@ class ActivityCounters:
     def modules(self) -> Dict[str, ModuleActivity]:
         """All recorded modules (live view)."""
         return self._modules
-
-    def total_accesses(self) -> int:
-        return sum(m.total for m in self._modules.values())
-
-    def merged_with(self, other: "ActivityCounters") -> "ActivityCounters":
-        """A new counter set combining self and other (for multi-core runs)."""
-        merged = ActivityCounters()
-        for source in (self, other):
-            for name, activity in source.modules().items():
-                target = merged.module(name)
-                target.total += activity.total
-                target.top_only += activity.top_only
-                for die in range(NUM_DIES):
-                    target.per_die[die] += activity.per_die[die]
-        return merged

@@ -198,16 +198,19 @@ class TimingSimulator:
         only when an instruction moves the commit cycle, the only time
         it is charged.  It records no per-event activity; the handful of
         width-dependent activity splits are tallied in locals and merged
-        with the static counts by
-        :meth:`~repro.cpu.wavefront.WavefrontPlan.build_activity` in a
-        fixed module creation order.  The golden digests in
+        with the binned static masks by
+        :meth:`~repro.cpu.wavefront.WavefrontPlan.build_activity`, the
+        one-interval case of the activity table, in a fixed module
+        creation order.  The golden digests in
         ``tests/cpu/test_core_digest.py`` pin the returned
         :class:`SimulationResult`'s pickle bytes.
 
         ``capture`` (an :class:`~repro.cpu.wavefront.IntervalCapture`)
-        snapshots the running dynamic tallies at interval boundaries for
-        interval power extraction; when None the loop pays a single
-        boolean check per instruction and the result is unchanged.
+        snapshots the running dynamic tallies at interval boundaries;
+        :func:`~repro.cpu.wavefront.build_interval_series` feeds their
+        deltas through the same activity table.  When None the loop pays
+        a single boolean check per instruction, and arming it leaves the
+        result unchanged.
         """
         cfg = self.config
         n = pre.n

@@ -28,16 +28,21 @@ of the loop, in two shared walks plus vectorized column algebra:
 
 * :func:`build_plan` — converts the walk outputs into the per-config
   column values the slimmed scalar loop consumes (fetch-stall cycles,
-  load access cycles, BTB memoization bubbles) and precomputes every
-  *static* piece of the result: branch/cache stats, herding tallies, and
-  the per-module activity whose counts don't depend on dynamic width
-  state.  The loop returns a handful of dynamic tallies (register-file
-  read splits, ALU/L1D width outcomes, scheduler broadcast dies) and
-  :meth:`WavefrontPlan.build_activity` assembles the final
-  :class:`~repro.core.activity.ActivityCounters`.  Module order is the
-  order in which the trace first touches each module, reconstructed
-  from first-occurrence positions (instruction index × within-instruction
-  event rank).
+  load access cycles, BTB memoization bubbles), precomputes the
+  *static* result pieces (branch/cache stats, herding tallies), and
+  keeps the static event masks that activity counts are built from.
+
+Per-module activity has one table of rules,
+:meth:`WavefrontPlan.activity`: it bins every static mask over a list of
+interval starts and adds the loop's dynamic tallies (register-file read
+splits, ALU/L1D width outcomes, scheduler broadcast dies) per interval.
+A run's :class:`~repro.core.activity.ActivityCounters`
+(:meth:`WavefrontPlan.build_activity`) are the one interval
+``[warmup, n)``, in the order in which the trace first touches each
+module, reconstructed from first-occurrence positions (instruction
+index × within-instruction event rank).  Interval power extraction
+(:func:`build_interval_series`) is the same call over an
+:class:`IntervalCapture`'s boundaries and tally deltas.
 """
 
 from __future__ import annotations
@@ -307,27 +312,6 @@ def memory_walk(pre: PreDecodedTrace, cfg, fe: FrontendWalk,
     return walk
 
 
-def _first(mask: np.ndarray, warmup: int) -> Optional[int]:
-    """First index >= warmup where ``mask`` holds, or None."""
-    sub = mask[warmup:]
-    idx = int(np.argmax(sub))
-    if not sub[idx]:
-        return None
-    return warmup + idx
-
-
-def _pos(*pairs) -> Optional[int]:
-    """Minimum first-touch position over ``(first_index, rank)`` pairs."""
-    best = None
-    for first, rank in pairs:
-        if first is None:
-            continue
-        pos = first * 32 + rank
-        if best is None or pos < best:
-            best = pos
-    return best
-
-
 class WavefrontPlan:
     """Everything the slim scalar loop and result assembly consume."""
 
@@ -342,8 +326,8 @@ class WavefrontPlan:
         "branch_stats", "cache_stats", "wp_predictions",
         "pam_broadcasts", "pam_herded_count", "dc_loads",
         "sched_broadcasts", "memo_btb_lookups", "memo_btb_far",
-        # static activity scalars
-        "_static", "_firsts",
+        # static event masks over the measured window, by name
+        "_masks",
     )
 
     def __init__(self, pre: PreDecodedTrace, cfg, warmup: int,
@@ -397,66 +381,75 @@ class WavefrontPlan:
         self.memory_miss = mem.loop_memory_miss
         self.mispredicted = fe.loop_mispredicted
 
+        # ---- static event masks over the measured window ---- #
+        # :meth:`activity` bins them per interval; :meth:`build_activity`
+        # orders modules by their first occurrences.
+        events = {
+            "nl": NL, "cond": COND, "lkp": LKP, "rash": RASH,
+            "ld": LD, "st": ST, "dst": DST, "alu": INTM, "fp": FPX,
+            "l2_fetch": NL & LM, "l2_load": LD & DM, "l2_store": ST & DM,
+            "dram_fetch": NL & IL2, "dram_load": LD & DL2,
+            "dram_store": ST & DL2,
+        }
         if th:
             NEAR = (cols["target"] >> _U16) == (cols["pc"] >> _U16)
             BUB = LKP & HIT & HT & ~NEAR
             self.bubbles = BUB.astype(np.int64).tolist()
-            self.dc_load_comp = pre.dc_columns(cfg.dcache_encoding.value)[0]
+            dc_load_comp, dc_store_comp = pre.dc_columns(
+                cfg.dcache_encoding.value)
+            self.dc_load_comp = dc_load_comp
+            pamh = np.array(pre.pam_herded(), dtype=bool)
+            events.update({
+                "near": LKP & HIT & HT & NEAR,
+                "wlow": DST & RL,
+                "dst_low": DST & INT & RL,
+                "pam_ld": LD & pamh,
+                "pam_st": ST & pamh,
+                "store_comp": ST & np.array(dc_store_comp, dtype=bool),
+            })
         else:
-            BUB = None
             self.bubbles = [0] * n
             self.dc_load_comp = None
+        self._masks = masks = {name: mask[warmup:]
+                               for name, mask in events.items()}
 
-        # ---- windowed sums / firsts for the static result pieces ---- #
+        # ---- windowed sums for the static result pieces ---- #
+        s = {name: int(np.count_nonzero(mask)) for name, mask in masks.items()}
+
         def S(mask) -> int:
             return int(np.count_nonzero(mask[warmup:]))
 
-        s_nl = S(NL)
-        s_ld = S(LD)
-        s_st = S(ST)
-        s_cond = S(COND)
-        s_lkp = S(LKP)
-        s_dst = S(DST)
-        s_alu = S(INTM)
-        s_fp = S(FPX)
-        s_mem = s_ld + s_st
-        s_l2_fetch = S(NL & LM)
-        s_l2_load = S(LD & DM)
-        s_l2_store = S(ST & DM)
-        s_dram_fetch = S(NL & IL2)
-        s_dram_load = S(LD & DL2)
-        s_dram_store = S(ST & DL2)
-
+        s_mem = s["ld"] + s["st"]
         self.branch_stats = BranchStats(
-            conditional_branches=s_cond,
+            conditional_branches=s["cond"],
             direction_mispredicts=S(COND & fe.dir_mispred),
-            btb_lookups=s_lkp,
+            btb_lookups=s["lkp"],
             btb_misses=S(LKP & ~HIT),
             ras_returns=S(RET),
             ras_mispredicts=S(RET & ~RASH),
         )
         self.cache_stats = {
-            "l1i": CacheStats(accesses=s_nl, misses=S(NL & LM)),
-            "l1d": CacheStats(accesses=s_mem, misses=s_l2_load + s_l2_store),
+            "l1i": CacheStats(accesses=s["nl"], misses=s["l2_fetch"]),
+            "l1d": CacheStats(accesses=s_mem,
+                              misses=s["l2_load"] + s["l2_store"]),
             "l2": CacheStats(
-                accesses=s_l2_fetch + s_l2_load + s_l2_store,
-                misses=s_dram_fetch + s_dram_load + s_dram_store,
+                accesses=s["l2_fetch"] + s["l2_load"] + s["l2_store"],
+                misses=s["dram_fetch"] + s["dram_load"] + s["dram_store"],
             ),
-            "itlb": CacheStats(accesses=s_nl, misses=S(NL & ITM)),
+            "itlb": CacheStats(accesses=s["nl"], misses=S(NL & ITM)),
             "dtlb": CacheStats(accesses=s_mem, misses=S(MEM & DTM)),
         }
 
-        self.wp_predictions = S(INT) if th else 0
         if th:
-            pamh = np.array(pre.pam_herded(), dtype=bool)
+            self.wp_predictions = S(INT)
             self.pam_broadcasts = s_mem
-            self.pam_herded_count = S(MEM & pamh)
-            self.dc_loads = s_ld
-            self.sched_broadcasts = s_dst
+            self.pam_herded_count = s["pam_ld"] + s["pam_st"]
+            self.dc_loads = s["ld"]
+            self.sched_broadcasts = s["dst"]
             self.memo_btb_lookups = S(LKP & HIT & HT)
             self.memo_btb_far = S(BUB)
         else:
-            pamh = None
+            self.wp_predictions = 0
             self.pam_broadcasts = 0
             self.pam_herded_count = 0
             self.dc_loads = 0
@@ -464,45 +457,93 @@ class WavefrontPlan:
             self.memo_btb_lookups = 0
             self.memo_btb_far = 0
 
-        # ---- static activity scalars + first-touch indices ---- #
-        store_comp = None
-        if th:
-            sc = np.array(pre.dc_columns(cfg.dcache_encoding.value)[1], dtype=bool)
-            store_comp = S(ST & sc)
-        self._static = {
-            "s_nl": s_nl, "s_ld": s_ld, "s_st": s_st, "s_cond": s_cond,
-            "s_lkp": s_lkp, "s_dst": s_dst, "s_alu": s_alu, "s_fp": s_fp,
-            "s_mem_ops": s_mem,
-            "s_l2": s_l2_fetch + s_l2_load + s_l2_store,
-            "s_dram": s_dram_fetch + s_dram_load + s_dram_store,
-            "s_rash": S(RASH),
-            "s_near": S(LKP & HIT & HT & NEAR) if th else 0,
-            "s_dst_low": S(DST & INT & RL),
-            "s_wlow": S(DST & RL),
-            "s_fill": s_l2_load,
-            "s_pam_ld": S(LD & pamh) if th else 0,
-            "s_pam_st": S(ST & pamh) if th else 0,
-            "s_store_comp": store_comp if th else 0,
-        }
-        self._firsts = {
-            "nl": _first(NL, warmup),
-            "cond": _first(COND, warmup),
-            "lkp": _first(LKP, warmup),
-            "rash": _first(RASH, warmup),
-            "ld": _first(LD, warmup),
-            "st": _first(ST, warmup),
-            "dst": _first(DST, warmup),
-            "int": _first(INTM, warmup),
-            "fp": _first(FPX, warmup),
-            "l2_fetch": _first(NL & LM, warmup),
-            "l2_load": _first(LD & DM, warmup),
-            "l2_store": _first(ST & DM, warmup),
-            "dram_fetch": _first(NL & IL2, warmup),
-            "dram_load": _first(LD & DL2, warmup),
-            "dram_store": _first(ST & DL2, warmup),
-        }
-
     # ------------------------------------------------------------------ #
+
+    def activity(self, starts: np.ndarray,
+                 tallies: np.ndarray) -> Dict[str, List[ModuleActivity]]:
+        """Every module's activity in each interval of the measured window.
+
+        Interval ``j`` runs from instruction ``warmup + starts[j]`` up to
+        the next interval's start (the last one to the end of the trace),
+        and ``tallies[j]`` holds the loop's dynamic tallies accrued in it,
+        in :class:`IntervalCapture` column order.  Each static event mask
+        is binned with one ``np.add.reduceat``.  This is the one table of
+        activity rules: most modules are touched either on the top die
+        alone or on all four dies, while the split direction predictor
+        and the entry-stacked scheduler count each die separately.
+        """
+        b = {name: np.add.reduceat(mask, starts, dtype=np.int64)
+             for name, mask in self._masks.items()}
+        insts = np.diff(starts, append=self.n - self.warmup)
+        zeros = np.zeros_like(insts)
+        rf1, rf4, alu1, alu4, l1d1, l1d4 = tallies[:, :6].T
+        mem = b["ld"] + b["st"]
+        dst = b["dst"]
+        # name -> (accesses confined to the top die, accesses on all dies)
+        rules = {
+            "itlb": (zeros, b["nl"]),
+            "l1_icache": (zeros, b["nl"]),
+            "l2_cache": (zeros, b["l2_fetch"] + b["l2_load"] + b["l2_store"]),
+            "dram": (zeros,
+                     b["dram_fetch"] + b["dram_load"] + b["dram_store"]),
+            "ibtb": (zeros, b["rash"]),
+            "rename": (zeros, insts),
+            "fetch_queue": (zeros, insts),
+            "fpu": (zeros, b["fp"]),
+            "dtlb": (zeros, mem),
+        }
+        if self.th:
+            near, wlow, low = b["near"], b["wlow"], b["dst_low"]
+            rules.update({
+                # Memoized BTB: a near target is read from the top die.
+                "btb": (near, b["lkp"] - near),
+                # Register file: dynamic reads + static writes.
+                "register_file": (rf1 + wlow, rf4 + dst - wlow),
+                # Partitioned ALU ops, then the AGU on every die.
+                "alu": (alu1, alu4 + mem),
+                # PAM: loads probe the store queue, stores the load queue.
+                "store_queue": (b["pam_ld"], b["ld"] - b["pam_ld"]),
+                "load_queue": (b["pam_st"], b["st"] - b["pam_st"]),
+                # L1D data array: dynamic load records + static
+                # fills/stores.
+                "l1_dcache": (l1d1 + b["store_comp"],
+                              l1d4 + b["l2_load"] + b["st"] - b["store_comp"]),
+                "bypass": (low, dst - low),
+                "rob": (low, dst - low),
+            })
+        else:
+            rules.update({
+                "dir_predictor": (zeros, 2 * b["cond"]),
+                "btb": (zeros, b["lkp"]),
+                "register_file": (rf1, rf4 + dst),
+                "alu": (zeros, b["alu"]),
+                "store_queue": (zeros, mem),
+                "load_queue": (zeros, mem),
+                "l1_dcache": (zeros, mem),
+                "bypass": (zeros, dst),
+                "scheduler": (zeros, dst),
+                "rob": (zeros, dst),
+            })
+        out = {
+            name: [ModuleActivity(total=c1 + c4, top_only=c1,
+                                  per_die=[c1 + c4, c4, c4, c4])
+                   for c1, c4 in zip(top.tolist(), full.tolist())]
+            for name, (top, full) in rules.items()
+        }
+        if self.th:
+            # Split arrays: predictions touch dies 0-1, updates 0-3.
+            out["dir_predictor"] = [
+                ModuleActivity(total=6 * c, top_only=2 * c,
+                               per_die=[2 * c, 2 * c, c, c])
+                for c in b["cond"].tolist()
+            ]
+            # Entry-stacked scheduler: the wakeups each die saw.
+            out["scheduler"] = [
+                ModuleActivity(total=sum(dies), top_only=dies[0],
+                               per_die=dies)
+                for dies in tallies[:, 6:].tolist()
+            ]
+        return out
 
     def build_activity(
         self,
@@ -511,114 +552,62 @@ class WavefrontPlan:
         l1d1: int, l1d4: int,
         sched_die: List[int],
     ) -> ActivityCounters:
-        """Assemble the final activity counters from static sums plus the
-        loop's dynamic tallies, in first-touch module order."""
-        st = self._static
-        fi = self._firsts
-        warmup = self.warmup
-        th = self.th
-        entries: List[Tuple[int, str, ModuleActivity]] = []
-
-        def rec(pos: Optional[int], name: str, c1: int, c4: int) -> None:
-            if pos is None or (c1 == 0 and c4 == 0):
-                return
-            entries.append((pos, name, ModuleActivity(
-                total=c1 + c4, top_only=c1, per_die=[c1 + c4, c4, c4, c4],
-            )))
-
-        rec(_pos((fi["nl"], _R_ITLB)), "itlb", 0, st["s_nl"])
-        rec(_pos((fi["nl"], _R_L1I)), "l1_icache", 0, st["s_nl"])
-        rec(_pos((fi["l2_fetch"], _R_L2_FETCH), (fi["l2_load"], _R_L2_LOAD),
-                 (fi["l2_store"], _R_L2_STORE)), "l2_cache", 0, st["s_l2"])
-        rec(_pos((fi["dram_fetch"], _R_DRAM_FETCH),
-                 (fi["dram_load"], _R_DRAM_LOAD),
-                 (fi["dram_store"], _R_DRAM_STORE)), "dram", 0, st["s_dram"])
-
-        s_cond = st["s_cond"]
-        if th:
-            if s_cond:
-                # Split arrays: predictions touch dies 0-1, updates 0-3.
-                entries.append((fi["cond"] * 32 + _R_DIRPRED, "dir_predictor",
-                                ModuleActivity(
-                                    total=6 * s_cond,
-                                    top_only=2 * s_cond,
-                                    per_die=[2 * s_cond, 2 * s_cond,
-                                             s_cond, s_cond],
-                                )))
-            near = st["s_near"]
-            rec(_pos((fi["lkp"], _R_BTB)), "btb", near, st["s_lkp"] - near)
+        """The run's activity counters: :meth:`activity` over the one
+        interval ``[warmup, n)``.  A module is kept when the window
+        touches it (its position is known and its total is non-zero),
+        in the order the trace first touches each module."""
+        tallies = np.array([[rf1, rf4, alu1, alu4, l1d1, l1d4, *sched_die]],
+                           dtype=np.int64)
+        activity = self.activity(np.zeros(1, dtype=np.intp), tallies)
+        w = self.warmup
+        first = {}
+        for name, mask in self._masks.items():
+            index = int(np.argmax(mask))
+            first[name] = w + index if mask[index] else None
+        ld, st, dst = first["ld"], first["st"], first["dst"]
+        touches = {
+            "itlb": ((first["nl"], _R_ITLB),),
+            "l1_icache": ((first["nl"], _R_L1I),),
+            "l2_cache": ((first["l2_fetch"], _R_L2_FETCH),
+                         (first["l2_load"], _R_L2_LOAD),
+                         (first["l2_store"], _R_L2_STORE)),
+            "dram": ((first["dram_fetch"], _R_DRAM_FETCH),
+                     (first["dram_load"], _R_DRAM_LOAD),
+                     (first["dram_store"], _R_DRAM_STORE)),
+            "dir_predictor": ((first["cond"], _R_DIRPRED),),
+            "btb": ((first["lkp"], _R_BTB),),
+            "ibtb": ((first["rash"], _R_BTB),),
+            "rename": ((w, _R_RENAME),),
+            "fetch_queue": ((w, _R_FETCHQ),),
+            "register_file": ((first_rf if first_rf >= 0 else None,
+                               _R_RF_READ), (dst, _R_RF_WRITE)),
+            "alu": ((first["alu"], _R_EXEC_UNIT),),
+            "fpu": ((first["fp"], _R_EXEC_UNIT),),
+            "dtlb": ((ld, _R_DTLB_LOAD), (st, _R_DTLB_STORE)),
+            "bypass": ((dst, _R_BYPASS),),
+            "scheduler": ((dst, _R_SCHED),),
+            "rob": ((dst, _R_ROB),),
+        }
+        if self.th:
+            touches["store_queue"] = ((ld, _R_MEM_A),)
+            touches["load_queue"] = ((st, _R_MEM_A),)
+            touches["l1_dcache"] = ((ld, _R_MEM_B), (st, _R_DC_STORE))
         else:
-            rec(_pos((fi["cond"], _R_DIRPRED)), "dir_predictor", 0, 2 * s_cond)
-            rec(_pos((fi["lkp"], _R_BTB)), "btb", 0, st["s_lkp"])
-        rec(_pos((fi["rash"], _R_BTB)), "ibtb", 0, st["s_rash"])
+            touches["l1_dcache"] = ((ld, _R_MEM_A), (st, _R_DC_STORE))
+            touches["load_queue"] = ((ld, _R_MEM_B), (st, _R_MEM_A))
+            touches["store_queue"] = ((ld, _R_MEM_C), (st, _R_MEM_B))
 
-        insts = self.n - warmup
-        rec(warmup * 32 + _R_RENAME, "rename", 0, insts)
-        rec(warmup * 32 + _R_FETCHQ, "fetch_queue", 0, insts)
-
-        # Register file: dynamic reads + static writes.
-        first_rf_idx = first_rf if first_rf >= 0 else None
-        if th:
-            w1c = st["s_wlow"]
-            w4c = st["s_dst"] - w1c
-        else:
-            w1c = 0
-            w4c = st["s_dst"]
-        rec(_pos((first_rf_idx, _R_RF_READ), (fi["dst"], _R_RF_WRITE)),
-            "register_file", rf1 + w1c, rf4 + w4c)
-
-        if th:
-            rec(_pos((fi["int"], _R_EXEC_UNIT)), "alu",
-                alu1, alu4 + st["s_mem_ops"])
-        else:
-            rec(_pos((fi["int"], _R_EXEC_UNIT)), "alu", 0, st["s_alu"])
-        rec(_pos((fi["fp"], _R_EXEC_UNIT)), "fpu", 0, st["s_fp"])
-
-        rec(_pos((fi["ld"], _R_DTLB_LOAD), (fi["st"], _R_DTLB_STORE)),
-            "dtlb", 0, st["s_mem_ops"])
-
-        if th:
-            # PAM: loads probe the store queue, stores probe the load queue.
-            rec(_pos((fi["ld"], _R_MEM_A)), "store_queue",
-                st["s_pam_ld"], st["s_ld"] - st["s_pam_ld"])
-            rec(_pos((fi["st"], _R_MEM_A)), "load_queue",
-                st["s_pam_st"], st["s_st"] - st["s_pam_st"])
-            # L1D data array: dynamic load records + static fills/stores.
-            dc1 = l1d1 + st["s_store_comp"]
-            dc4 = l1d4 + st["s_fill"] + (st["s_st"] - st["s_store_comp"])
-            rec(_pos((fi["ld"], _R_MEM_B), (fi["st"], _R_DC_STORE)),
-                "l1_dcache", dc1, dc4)
-        else:
-            rec(_pos((fi["ld"], _R_MEM_A), (fi["st"], _R_DC_STORE)),
-                "l1_dcache", 0, st["s_mem_ops"])
-            rec(_pos((fi["ld"], _R_MEM_B), (fi["st"], _R_MEM_A)),
-                "load_queue", 0, st["s_mem_ops"])
-            rec(_pos((fi["ld"], _R_MEM_C), (fi["st"], _R_MEM_B)),
-                "store_queue", 0, st["s_mem_ops"])
-
-        s_dst = st["s_dst"]
-        if th:
-            low = st["s_dst_low"]
-            rec(_pos((fi["dst"], _R_BYPASS)), "bypass", low, s_dst - low)
-            total = sum(sched_die)
-            if s_dst and total:
-                entries.append((fi["dst"] * 32 + _R_SCHED, "scheduler",
-                                ModuleActivity(
-                                    total=total,
-                                    top_only=sched_die[0],
-                                    per_die=list(sched_die),
-                                )))
-            rec(_pos((fi["dst"], _R_ROB)), "rob", low, s_dst - low)
-        else:
-            rec(_pos((fi["dst"], _R_BYPASS)), "bypass", 0, s_dst)
-            rec(_pos((fi["dst"], _R_SCHED)), "scheduler", 0, s_dst)
-            rec(_pos((fi["dst"], _R_ROB)), "rob", 0, s_dst)
-
+        entries: List[Tuple[int, str]] = []
+        for name, pairs in touches.items():
+            positions = [index * 32 + rank for index, rank in pairs
+                         if index is not None]
+            if positions and activity[name][0].total:
+                entries.append((min(positions), name))
         entries.sort(key=lambda entry: entry[0])
         counters = ActivityCounters()
         modules = counters.modules()
-        for _pos_key, name, activity in entries:
-            modules[name] = activity
+        for _pos_key, name in entries:
+            modules[name] = activity[name][0]
         return counters
 
 
@@ -709,11 +698,16 @@ class IntervalCapture:
         "sd0": 6, "sd1": 7, "sd2": 8, "sd3": 9,
     }
 
-    def deltas(self, name: str) -> np.ndarray:
-        """Per-interval deltas of one cumulative tally column."""
+    def tally_deltas(self) -> np.ndarray:
+        """Per-interval deltas of every cumulative tally, one column each
+        in ``_COLS`` order."""
         if self._table is None:
             raise RuntimeError("capture not finished")
-        return np.diff(self._table[:, self._COLS[name]], prepend=0)
+        return np.diff(self._table[:, :10], axis=0, prepend=0)
+
+    def deltas(self, name: str) -> np.ndarray:
+        """Per-interval deltas of one cumulative tally column."""
+        return self.tally_deltas()[:, self._COLS[name]]
 
     def cycle_deltas(self) -> np.ndarray:
         """Commit cycles attributed to each interval (sums to the run's
@@ -744,6 +738,11 @@ class IntervalActivitySeries:
     def __len__(self) -> int:
         return len(self.counters)
 
+    def time_ns(self, clock_ghz: float) -> np.ndarray:
+        """Each interval's runtime, clamped to one cycle like a run
+        result's."""
+        return np.maximum(self.cycles, 1) / clock_ghz
+
 
 def build_interval_series(
     pre: PreDecodedTrace,
@@ -755,141 +754,27 @@ def build_interval_series(
 ) -> IntervalActivitySeries:
     """Bucket per-module activity into the capture's intervals.
 
-    The static activity columns (everything
-    :meth:`WavefrontPlan.build_activity` derives from precomputed masks)
-    are binned with one ``np.add.reduceat`` per mask over the interval
-    boundaries — no per-instruction Python loop; the dynamic
-    width-dependent splits come from the capture's snapshot diffs.  The
-    per-interval formulas mirror ``build_activity`` exactly, so buckets
-    sum to the aggregate counters bit-for-bit.  ``aggregate`` (the run
+    The same :meth:`WavefrontPlan.activity` call that builds the
+    aggregate counters, over the capture's interval starts and tally
+    deltas instead of the one interval ``[warmup, n)``, so buckets sum
+    to the aggregate counters bit-for-bit.  ``aggregate`` (the run
     result's counters) fixes the module set and creation order.
     """
-    fe = frontend_walk(pre, cfg)
-    mem = memory_walk(pre, cfg, fe, prewarm)
-    cols = pre.np_cols
-    th = cfg.thermal_herding
+    plan = build_plan(pre, cfg, warmup, prewarm)
     ends = capture.ends
-    nintervals = len(ends)
-    starts = np.concatenate(([0], ends[:-1]))
-
-    def B(mask: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(mask[warmup:].astype(np.int64), starts)
-
-    NL = fe.new_line
-    LKP = fe.btb_lookup
-    HIT = fe.btb_hit
-    RASH = fe.ras_hit
-    COND = cols["is_cond"]
-    LD = cols["is_load"]
-    ST = cols["is_store"]
-    MEM = cols["is_memory"]
-    INT = cols["is_intdp"]
-    INTM = INT | MEM
-    FPX = cols["is_fp"] & ~INTM
-    DST = cols["has_dst"]
-    RL = cols["result_low"]
-    HT = cols["has_target"]
-    LM, IL2 = mem.l1i_miss, mem.il2_miss
-    DM, DL2 = mem.l1d_miss, mem.dl2_miss
-
-    lengths = np.diff(ends, prepend=0)
-    zeros = np.zeros(nintervals, dtype=np.int64)
-
-    b_nl = B(NL)
-    b_ld = B(LD)
-    b_st = B(ST)
-    b_dst = B(DST)
-    b_mem = B(MEM)
-    b_cond = B(COND)
-    b_lkp = B(LKP)
-    b_l2 = B(NL & LM) + B(LD & DM) + B(ST & DM)
-    b_dram = B(NL & IL2) + B(LD & DL2) + B(ST & DL2)
-
-    rf1 = capture.deltas("rf1")
-    rf4 = capture.deltas("rf4")
-    alu1 = capture.deltas("alu1")
-    alu4 = capture.deltas("alu4")
-    l1d1 = capture.deltas("l1d1")
-    l1d4 = capture.deltas("l1d4")
-    sd = [capture.deltas(f"sd{die}") for die in range(4)]
-
-    if th:
-        NEAR = (cols["target"] >> _U16) == (cols["pc"] >> _U16)
-        pamh = np.array(pre.pam_herded(), dtype=bool)
-        sc = np.array(pre.dc_columns(cfg.dcache_encoding.value)[1], dtype=bool)
-        b_near = B(LKP & HIT & HT & NEAR)
-        b_wlow = B(DST & RL)
-        b_dst_low = B(DST & INT & RL)
-        b_pam_ld = B(LD & pamh)
-        b_pam_st = B(ST & pamh)
-        b_store_comp = B(ST & sc)
-        b_fill = B(LD & DM)
-        pairs = {
-            "btb": (b_near, b_lkp - b_near),
-            "register_file": (rf1 + b_wlow, rf4 + (b_dst - b_wlow)),
-            "alu": (alu1, alu4 + b_mem),
-            "store_queue": (b_pam_ld, b_ld - b_pam_ld),
-            "load_queue": (b_pam_st, b_st - b_pam_st),
-            "l1_dcache": (l1d1 + b_store_comp,
-                          l1d4 + b_fill + (b_st - b_store_comp)),
-            "bypass": (b_dst_low, b_dst - b_dst_low),
-            "rob": (b_dst_low, b_dst - b_dst_low),
-        }
-    else:
-        pairs = {
-            "dir_predictor": (zeros, 2 * b_cond),
-            "btb": (zeros, b_lkp),
-            "register_file": (rf1, rf4 + b_dst),
-            "alu": (zeros, B(INTM)),
-            "store_queue": (zeros, b_mem),
-            "load_queue": (zeros, b_mem),
-            "l1_dcache": (zeros, b_mem),
-            "bypass": (zeros, b_dst),
-            "rob": (zeros, b_dst),
-            "scheduler": (zeros, b_dst),
-        }
-    pairs.update({
-        "itlb": (zeros, b_nl),
-        "l1_icache": (zeros, b_nl),
-        "l2_cache": (zeros, b_l2),
-        "dram": (zeros, b_dram),
-        "ibtb": (zeros, B(RASH)),
-        "rename": (zeros, lengths),
-        "fetch_queue": (zeros, lengths),
-        "fpu": (zeros, B(FPX)),
-        "dtlb": (zeros, b_mem),
-    })
-
+    activity = plan.activity(np.concatenate(([0], ends[:-1])),
+                             capture.tally_deltas())
+    names = list(aggregate.modules())
     counters: List[ActivityCounters] = []
-    names = list(aggregate.modules().keys())
-    for j in range(nintervals):
+    for j in range(len(ends)):
         bucket = ActivityCounters()
         modules = bucket.modules()
         for name in names:
-            if th and name == "dir_predictor":
-                c = int(b_cond[j])
-                modules[name] = ModuleActivity(
-                    total=6 * c, top_only=2 * c,
-                    per_die=[2 * c, 2 * c, c, c],
-                )
-                continue
-            if th and name == "scheduler":
-                die_counts = [int(sd[die][j]) for die in range(4)]
-                modules[name] = ModuleActivity(
-                    total=sum(die_counts), top_only=die_counts[0],
-                    per_die=die_counts,
-                )
-                continue
-            c1 = int(pairs[name][0][j])
-            c4 = int(pairs[name][1][j])
-            modules[name] = ModuleActivity(
-                total=c1 + c4, top_only=c1, per_die=[c1 + c4, c4, c4, c4],
-            )
+            modules[name] = activity[name][j]
         counters.append(bucket)
-
     return IntervalActivitySeries(
         interval_insts=capture.interval_insts,
-        insts=lengths,
+        insts=np.diff(ends, prepend=0),
         cycles=capture.cycle_deltas(),
         counters=counters,
     )

@@ -125,11 +125,10 @@ def extract_interval_trace(
         pre, config, warmup, True, capture, result.activity
     )
     breakdowns = model.evaluate_intervals(result, series, stack)
-    cycles = np.asarray(series.cycles, dtype=np.int64)
 
     plan = context.floorplan(stack)
     ny, nx = solver.chip_grid_shape()
-    time_ns = np.maximum(cycles, 1).astype(float) / result.clock_ghz
+    time_ns = series.time_ns(result.clock_ghz)
     chip_watts = np.empty(len(breakdowns), dtype=float)
     die_grids: List[List[np.ndarray]] = []
     for j, breakdown in enumerate(breakdowns):

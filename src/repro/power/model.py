@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.circuits.blocks import BlockModel, build_block_models
-from repro.core.activity import NUM_DIES, ModuleActivity
+from repro.core.activity import NUM_DIES, ActivityCounters, ModuleActivity
 from repro.cpu.results import SimulationResult
 
 #: Activity-module -> circuit-block mapping (identity unless listed).
@@ -157,16 +157,17 @@ class PowerModel:
             watts *= CLOCK_3D_POWER_FACTOR
         return watts
 
-    def evaluate(self, result: SimulationResult, stack: StackKind) -> PowerBreakdown:
-        """Power of one core for one simulation run."""
-        time_ns = result.time_ns
-        if time_ns <= 0:
-            raise ValueError("simulation result has non-positive runtime")
+    def _breakdown(self, result: SimulationResult, activity: ActivityCounters,
+                   stack: StackKind, time_ns: float) -> PowerBreakdown:
+        """Power of ``result``'s core for ``activity`` spread over
+        ``time_ns``: one interval of the run, or all of it."""
         modules: Dict[str, ModulePower] = {}
-        for name, activity in result.activity.modules().items():
-            if name in _EXCLUDED_MODULES or not activity.total:
+        for name, module_activity in activity.modules().items():
+            if name in _EXCLUDED_MODULES or not module_activity.total:
                 continue
-            modules[name] = self._module_power(name, activity, stack, time_ns)
+            modules[name] = self._module_power(
+                name, module_activity, stack, time_ns
+            )
         return PowerBreakdown(
             benchmark=result.benchmark,
             config_name=result.config_name,
@@ -177,6 +178,13 @@ class PowerModel:
             leakage_watts=self.leakage_watts,
         )
 
+    def evaluate(self, result: SimulationResult, stack: StackKind) -> PowerBreakdown:
+        """Power of one core for one simulation run."""
+        time_ns = result.time_ns
+        if time_ns <= 0:
+            raise ValueError("simulation result has non-positive runtime")
+        return self._breakdown(result, result.activity, stack, time_ns)
+
     def evaluate_intervals(
         self, result: SimulationResult, series, stack: StackKind
     ) -> List[PowerBreakdown]:
@@ -184,32 +192,17 @@ class PowerModel:
 
         ``series`` is an
         :class:`~repro.cpu.wavefront.IntervalActivitySeries` produced for
-        ``result``'s run.  Each interval is evaluated exactly like
-        :meth:`evaluate` with the interval's own cycle count as the
-        runtime (clamped to one cycle like the aggregate result), so the
-        one-interval series reproduces the aggregate breakdown.
+        ``result``'s run.  Each interval goes through the same breakdown
+        as :meth:`evaluate`, with the interval's own runtime
+        (:meth:`~repro.cpu.wavefront.IntervalActivitySeries.time_ns`),
+        so the one-interval series reproduces the aggregate breakdown.
         """
-        breakdowns: List[PowerBreakdown] = []
-        clock_watts = self._clock_watts(stack, result.clock_ghz)
-        for activity, cycles in zip(series.counters, series.cycles):
-            time_ns = max(int(cycles), 1) / result.clock_ghz
-            modules: Dict[str, ModulePower] = {}
-            for name, module_activity in activity.modules().items():
-                if name in _EXCLUDED_MODULES or not module_activity.total:
-                    continue
-                modules[name] = self._module_power(
-                    name, module_activity, stack, time_ns
-                )
-            breakdowns.append(PowerBreakdown(
-                benchmark=result.benchmark,
-                config_name=result.config_name,
-                stack=stack,
-                clock_ghz=result.clock_ghz,
-                modules=modules,
-                clock_watts=clock_watts,
-                leakage_watts=self.leakage_watts,
-            ))
-        return breakdowns
+        return [
+            self._breakdown(result, activity, stack, time_ns)
+            for activity, time_ns in zip(
+                series.counters, series.time_ns(result.clock_ghz).tolist()
+            )
+        ]
 
 
 def calibrate_activity_scale(

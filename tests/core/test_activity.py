@@ -69,13 +69,6 @@ class TestModuleActivity:
         assert activity.herded_fraction == 0.5
         assert ModuleActivity().herded_fraction == 0.0
 
-    def test_die_activity_fraction(self):
-        activity = ModuleActivity(total=2, top_only=1, per_die=[2, 1, 1, 1])
-        fractions = activity.die_activity_fraction
-        assert fractions[0] == 1.0
-        assert fractions[3] == 0.5
-        assert ModuleActivity().die_activity_fraction == [0.0] * NUM_DIES
-
     def test_invariants(self, th_run, base_run):
         results = [th_run, base_run] + [
             run(MIXED, config) for config in (None, base_config(), oracle_config())
@@ -94,28 +87,9 @@ class TestActivityCounters:
         assert counters.module("alu").total == 0
         assert "alu" in counters.modules()
 
-    def test_total_accesses(self):
-        counters = ActivityCounters()
-        counters.modules()["a"] = ModuleActivity(total=3, per_die=[3, 3, 3, 3])
-        counters.modules()["b"] = ModuleActivity(total=2, per_die=[2, 2, 2, 2])
-        assert counters.total_accesses() == 5
-
     def test_clear(self):
         # Activity recorded before the warmup boundary is dropped.
         trace = MIXED + nops(0x200, 4)
         warmed = run(trace, warmup=len(MIXED)).activity.modules()
         assert warmed["rename"].total == 4
         assert "alu" not in warmed
-
-    def test_merged_with(self):
-        a = ActivityCounters()
-        a.modules()["alu"] = ModuleActivity(total=2, top_only=2, per_die=[2, 0, 0, 0])
-        b = ActivityCounters()
-        b.modules()["alu"] = ModuleActivity(total=3, per_die=[3, 3, 3, 3])
-        b.modules()["rob"] = ModuleActivity(total=1, top_only=1, per_die=[1, 0, 0, 0])
-        merged = a.merged_with(b)
-        assert merged.module("alu").total == 5
-        assert merged.module("alu").top_only == 2
-        assert merged.module("rob").total == 1
-        # Sources unchanged.
-        assert a.module("alu").total == 2
