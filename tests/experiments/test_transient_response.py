@@ -1,5 +1,7 @@
 """Tests for the transient step-response experiment."""
 
+import pickle
+
 import pytest
 
 from repro.experiments.context import ExperimentContext, ExperimentSettings
@@ -36,3 +38,16 @@ class TestTransientResponse:
         text = result.format()
         assert "step response" in text
         assert "ms" in text
+
+
+def test_pooled_steps_match_inline():
+    """The two step groups give the same answer inline and on a pool."""
+    outs = [
+        run_transient_response(
+            ExperimentContext(TINY, jobs=jobs, cache=None),
+            dt_s=50e-3, duration_s=4.0,
+        )
+        for jobs in (1, 2)
+    ]
+    assert pickle.dumps(outs[0]) == pickle.dumps(outs[1])
+    assert outs[0].format() == outs[1].format()
