@@ -7,6 +7,7 @@ a fixed app the ROB can end up cooler than planar.
 
 from benchmarks.conftest import emit
 from repro.experiments.figure10 import run_figure10
+from repro.thermal.maps import hotspot_table
 
 
 def test_bench_figure10(benchmark, context):
@@ -16,7 +17,7 @@ def test_bench_figure10(benchmark, context):
     for label in ("Base", "3D-noTH", "3D"):
         _, thermal = result.worst_case[label]
         lines.append(f"\nhottest blocks, {label}:")
-        lines.append(thermal.format_hotspots(5))
+        lines.append(hotspot_table(thermal, top=5))
     emit("Figure 10 — thermals", "\n".join(lines))
 
     # Temperature ordering and magnitudes (shape).

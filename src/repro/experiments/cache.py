@@ -105,7 +105,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.results import SIMULATOR_VERSION, SimulationResult
-from repro.thermal.transient import PowerSchedule, TRANSIENT_MODEL_VERSION
+from repro.thermal.transient import TRANSIENT_MODEL_VERSION
 from repro.workloads.parameters import GENERATOR_VERSION
 
 #: Bump when the cache key schema or the pickled payload layout changes.
@@ -235,11 +235,9 @@ def transient_key(solver, dt_s: float, duration_s: float,
     (:meth:`~repro.thermal.solver.ThermalSolver.result_key`), the
     per-layer heat capacities, the integration window, the transient
     model version, and the schedule's
-    :meth:`~repro.thermal.transient.PowerSchedule.cache_token`.  Plain
-    callables and schedules without a token yield ``None``.
+    :meth:`~repro.thermal.transient.PowerSchedule.cache_token`.  A
+    schedule without a token yields ``None``.
     """
-    if not isinstance(schedule, PowerSchedule):
-        return None
     token = schedule.cache_token()
     if token is None:
         return None

@@ -19,11 +19,16 @@ from repro.experiments.context import (
     ExperimentContext,
     ExperimentSettings,
     REFERENCE_BENCHMARK,
+    TransientRequest,
 )
-from repro.experiments.plan import Requirements, run_section
+from repro.experiments.plan import PoolWork, Requirements, Resolved, run_section
 from repro.power.model import StackKind
 from repro.thermal.power_map import build_power_map, rasterize
-from repro.thermal.transient import TransientThermalSolver
+from repro.thermal.transient import ConstantPower, TransientResult
+
+#: (label, stack, configuration) of each step, planar first.
+_STEPS = (("planar", StackKind.PLANAR_2D, "Base"),
+          ("3D-TH", StackKind.STACKED_3D, "3D"))
 
 
 @dataclass
@@ -62,27 +67,15 @@ class TransientResponseResult:
 def _rasterized_step(context: ExperimentContext, stack_kind: StackKind,
                      breakdown):
     """The per-die power grids of one stack's full-power step input."""
-    solver = context.solver(stack_kind)
     plan = context.floorplan(stack_kind)
     watts = build_power_map(plan, [breakdown] * CORE_COUNT)
-    ny, nx = solver.chip_grid_shape()
-    return solver, rasterize(plan, watts, nx, ny)
+    ny, nx = context.solver(stack_kind).chip_grid_shape()
+    return rasterize(plan, watts, nx, ny)
 
 
-def _step_response(
-    context: ExperimentContext,
-    label: str,
-    solver,
-    grids,
-    steady,
-    dt_s: float,
-    duration_s: float,
-) -> StepResponse:
-    ambient = solver.stack.ambient_k
-    target = ambient + 0.9 * (steady.peak_temperature - ambient)
-
-    transient = TransientThermalSolver(solver, dt_s=dt_s)
-    response = transient.run(lambda t: grids, duration_s=duration_s)
+def _step_response(label: str, ambient_k: float, steady,
+                   response: TransientResult) -> StepResponse:
+    target = ambient_k + 0.9 * (steady.peak_temperature - ambient_k)
     return StepResponse(
         label=label,
         steady_peak_k=steady.peak_temperature,
@@ -96,36 +89,38 @@ def requirements(
     dt_s: float = 20e-3,
     duration_s: float = 20.0,
 ) -> Requirements:
-    """The benchmark's planar and 3D steps, stepped in the parent."""
+    """The benchmark's planar and 3D steps: each stack's steady anchor
+    and its step from ambient, a constant-power transient run."""
+
+    def pool(context: ExperimentContext, traces) -> PoolWork:
+        work = PoolWork()
+        for _label, stack, config in _STEPS:
+            grids = _rasterized_step(context, stack,
+                                     context.power(benchmark, config))
+            work.groups.append((context.solver(stack), [grids]))
+            work.requests.append(TransientRequest(
+                stack=stack, schedule=ConstantPower(grids), dt_s=dt_s,
+                duration_s=duration_s,
+            ))
+        return work
+
+    def render(results: Resolved) -> TransientResponseResult:
+        steadies, outcomes = results.pool()
+        planar, stacked = [
+            _step_response(label,
+                           results.context.solver(stack).stack.ambient_k,
+                           steady, response)
+            for (label, stack, _), (steady,), (response, _) in zip(
+                _STEPS, steadies, outcomes)
+        ]
+        return TransientResponseResult(planar=planar, stacked=stacked)
+
     return Requirements(
-        render=lambda results: results.solved,
+        render=render,
         runs=[(benchmark, "Base"), (benchmark, "3D"),
               (REFERENCE_BENCHMARK, "Base")],
-        solve=lambda context: _solve(context, benchmark, dt_s, duration_s),
+        pool=pool,
     )
-
-
-def _solve(context: ExperimentContext, benchmark: str, dt_s: float,
-           duration_s: float) -> TransientResponseResult:
-    planar_solver, planar_grids = _rasterized_step(
-        context, StackKind.PLANAR_2D, context.power(benchmark, "Base"))
-    stacked_solver, stacked_grids = _rasterized_step(
-        context, StackKind.STACKED_3D, context.power(benchmark, "3D"))
-    # Both stacks' steady-state anchors solve in one engine dispatch; the
-    # transient stepping itself stays in-process (it reuses the parent's
-    # pre-factorized stepping matrix).
-    steadies = context.solve_thermal_groups([
-        (planar_solver, [planar_grids]), (stacked_solver, [stacked_grids]),
-    ])
-    planar = _step_response(
-        context, "planar", planar_solver, planar_grids, steadies[0][0],
-        dt_s, duration_s,
-    )
-    stacked = _step_response(
-        context, "3D-TH", stacked_solver, stacked_grids, steadies[1][0],
-        dt_s, duration_s,
-    )
-    return TransientResponseResult(planar=planar, stacked=stacked)
 
 
 def run_transient_response(

@@ -1,4 +1,5 @@
-"""Finite-volume steady-state 3D heat conduction solver.
+"""Finite-volume 3D heat conduction: the conductance system every
+thermal solve and transient step shares.
 
 The grid covers the *heat spreader* footprint (larger than the chip, as
 in HotSpot); the TIM and die layers exist only over the centred chip
@@ -15,9 +16,13 @@ resistance; all other outer faces are adiabatic.
 Each solver owns its system: it assembles the conductance matrix once
 and LU-factorizes it once, and every later solve back-substitutes
 against those factors.  The factorization is deferred to the first
-steady solve, so a transient solver, which factorizes its own step
-matrix, never pays for a steady one.  Assembly itself is vectorized —
-whole-layer conductance arrays emitted as concatenated COO triplets.
+steady solve, so a transient solver
+(:class:`~repro.thermal.transient.TransientThermalSolver`), which
+factorizes its own step matrix, never pays for a steady one.  Assembly
+itself is vectorized — whole-layer conductance arrays emitted as
+concatenated COO triplets.  The solver also owns the one chip-window
+scatter (``_chip_cells``) that places per-die chip power grids into a
+right-hand side, for steady solves and transient steps alike.
 
 ``scipy.sparse`` is imported by the first assembly and the first
 factorization, not by this module, so processes that only read cached
@@ -106,14 +111,6 @@ class ThermalResult:
     def die_peak(self, die: int) -> float:
         return float(self.layer_temps[self.die_layers[die]].max())
 
-    def format_hotspots(self, top: int = 8) -> str:
-        """The hottest blocks, one per line."""
-        ranked = sorted(self.block_peak.items(), key=lambda kv: -kv[1])[:top]
-        lines = [f"{'block':<26s} {'die':>3s} {'peak K':>8s}"]
-        for (name, die), temp in ranked:
-            lines.append(f"{name:<26s} {die:3d} {temp:8.1f}")
-        return "\n".join(lines)
-
 
 class ThermalSolver:
     """Solves one stack/floorplan combination at grid resolution nx x ny."""
@@ -149,7 +146,7 @@ class ThermalSolver:
         #: (floorplan fingerprint, :meth:`result_digest`) once computed
         self._result_digest: Optional[Tuple[Tuple, str]] = None
         # Chip cell window within the spreader grid (shared by the
-        # material mask and the power-map embedding).
+        # material mask and the chip-cell scatter).
         dx = self.spreader_w_mm / nx
         dy = self.spreader_h_mm / ny
         self._chip_x0 = int(round(self.chip_x0_mm / dx))
@@ -164,6 +161,14 @@ class ThermalSolver:
             for l, layer in enumerate(stack.layers)
             if layer.power_die is not None
         }
+        #: flat index of every chip-window cell of every die layer, die
+        #: by die in ``_die_layer_map`` order: where :meth:`_stack_power`
+        #: output lands in a right-hand side
+        yy, xx = np.mgrid[0:self._chip_ny, 0:self._chip_nx]
+        window = ((yy + self._chip_y0) * nx + (xx + self._chip_x0)).ravel()
+        self._chip_cells = np.concatenate(
+            [l * ny * nx + window for l in self._die_layer_map.values()]
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -318,21 +323,6 @@ class ThermalSolver:
 
     # ------------------------------------------------------------------ #
 
-    def _embed(self, chip_grid: np.ndarray) -> np.ndarray:
-        """Place a chip-resolution power grid into the spreader grid.
-
-        ``chip_grid`` must be rasterized at :meth:`chip_grid_shape`.
-        """
-        if chip_grid.shape != (self._chip_ny, self._chip_nx):
-            raise ValueError(
-                f"power grid shape {chip_grid.shape} != chip grid "
-                f"({self._chip_ny}, {self._chip_nx})"
-            )
-        full = np.zeros((self.ny, self.nx))
-        full[self._chip_y0:self._chip_y0 + self._chip_ny,
-             self._chip_x0:self._chip_x0 + self._chip_nx] = chip_grid
-        return full
-
     def chip_grid_shape(self) -> Tuple[int, int]:
         """(ny, nx) resolution for chip-region power maps."""
         return self._chip_ny, self._chip_nx
@@ -340,17 +330,28 @@ class ThermalSolver:
     def _die_layers(self) -> Dict[int, int]:
         return dict(self._die_layer_map)
 
-    def _rhs_for(self, die_power_grids: Sequence[np.ndarray]) -> np.ndarray:
-        nx, ny = self.nx, self.ny
-        layers = self.stack.layers
+    def _stack_power(self, die_power_grids: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-die chip power grids (each at :meth:`chip_grid_shape`),
+        raveled in ``_chip_cells`` order."""
         if len(die_power_grids) != self.stack.die_count:
             raise ValueError(
                 f"expected {self.stack.die_count} power grids, got {len(die_power_grids)}"
             )
-        rhs = np.zeros(len(layers) * ny * nx)
-        for die, l in self._die_layer_map.items():
-            full = self._embed(die_power_grids[die])
-            rhs[l * ny * nx:(l + 1) * ny * nx] += full.ravel()
+        parts = []
+        for die in self._die_layer_map:
+            grid = np.asarray(die_power_grids[die])
+            if grid.shape != (self._chip_ny, self._chip_nx):
+                raise ValueError(
+                    f"power grid shape {grid.shape} != chip grid "
+                    f"({self._chip_ny}, {self._chip_nx})"
+                )
+            parts.append(grid.ravel())
+        return np.concatenate(parts)
+
+    def _rhs_for(self, die_power_grids: Sequence[np.ndarray]) -> np.ndarray:
+        nx, ny = self.nx, self.ny
+        rhs = np.zeros(len(self.stack.layers) * ny * nx)
+        rhs[self._chip_cells] = self._stack_power(die_power_grids)
         rhs[: ny * nx] += self._conv_per_cell * self.stack.ambient_k
         return rhs
 

@@ -10,30 +10,26 @@ adds per-cell heat capacities ``C``:
 
 Implicit Euler is unconditionally stable, so time steps can span
 milliseconds.  Each :class:`TransientThermalSolver` LU-factorizes its
-step matrix ``(C/dt + G)`` once, at construction, and every run it steps
-back-substitutes against those factors.
+step matrix ``(C/dt + G)`` once, at construction, and
+:meth:`~TransientThermalSolver.run_many` steps K runs in lock-step
+through those factors: each step scatters every run's power through the
+steady solver's chip-cell indices into one ``(n, K)`` right-hand-side
+matrix, and SuperLU back-substitutes all K columns in one call.  Each
+run's power comes from a :class:`PowerSchedule`.
 
-Two integration paths share that factorization:
-
-* :meth:`TransientThermalSolver.run_many` steps K runs in lock-step with
-  an ``(n, K)`` right-hand-side matrix — SuperLU back-substitutes all
-  columns in one call, so the per-step sparse-solve overhead is paid
-  once per step instead of once per run per step.  RHS assembly is fully
-  vectorized: the per-die chip-window embed is a precomputed index
-  scatter, not a per-step :meth:`~ThermalSolver._embed` loop.
-* :meth:`TransientThermalSolver.run_reference` retains the original
-  scalar per-run loop as the ground-truth reference; the batched path is
-  pinned byte-identical to it in tests on the reference workloads.  (On
-  very large grids SuperLU's blocked nrhs>1 kernel may reorder the
-  back-substitution accumulation relative to per-column solves,
-  perturbing interior temperatures at the ~1e-13 K level; the die-peak
-  series has stayed exact in every observed case.)
+RHS assembly is column by column, so a run's result does not depend on
+the batch it steps in, up to SuperLU's blocked multi-RHS kernel: on
+large grids it may reorder the back-substitution's accumulation
+relative to a one-column solve, at the ~1e-13 K level.
+``tests/thermal/test_batched_transient.py`` pins batching invariance
+byte for byte at grid 20, and checks one step against an independently
+assembled implicit-Euler system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,17 +87,15 @@ class PowerSchedule:
         return None
 
 
-class _CallableSchedule(PowerSchedule):
-    """Adapts a plain ``power_fn(t)`` callable to the schedule protocol."""
+class ConstantPower(PowerSchedule):
+    """The same per-die power grids at every step (a power step from
+    the initial temperature)."""
 
-    def __init__(self, fn: Callable[[float], Sequence[np.ndarray]]):
-        self._fn = fn
+    def __init__(self, grids: Sequence[np.ndarray]):
+        self.grids = grids
 
     def power_grids(self, t_s: float, prev_peak_k: float) -> Sequence[np.ndarray]:
-        return self._fn(t_s)
-
-
-ScheduleLike = Union[PowerSchedule, Callable[[float], Sequence[np.ndarray]]]
+        return self.grids
 
 
 @dataclass
@@ -148,36 +142,12 @@ class TransientThermalSolver:
             (capacity_matrix + steady.conductance_matrix).tocsc()
         )
         STEP_FACTORIZATION_STATS.factorizations += 1
-        self._build_index_maps()
-
-    def _build_index_maps(self) -> None:
-        """Precompute the embed scatter and die-peak gather index views.
-
-        The scalar reference loop zero-pads each die's chip-resolution
-        power grid into the full spreader grid every step.  The batched
-        path instead scatters raveled chip grids straight into the flat
-        RHS through ``_chip_cells`` — the flat indices of every chip-window
-        cell, concatenated die by die in ``_die_layer_map`` order.
-        ``_die_cells`` gathers every cell of every die layer for the
-        per-step peak reduction.
-        """
-        steady = self.steady
         nx, ny = steady.nx, steady.ny
-        cny, cnx = steady.chip_grid_shape()
-        x0, y0 = steady._chip_x0, steady._chip_y0
-        yy, xx = np.mgrid[0:cny, 0:cnx]
-        window = ((yy + y0) * nx + (xx + x0)).ravel()
-        self._die_order = list(steady._die_layer_map.items())
-        self._chip_cells = np.concatenate(
-            [layer * ny * nx + window for _die, layer in self._die_order]
-        )
-        self._die_cells = np.concatenate(
-            [
-                layer * ny * nx + np.arange(ny * nx)
-                for layer in sorted(set(steady._die_layer_map.values()))
-            ]
-        )
-        self._chip_shape = (cny, cnx)
+        #: every cell of every die layer, for the per-step peak reduction
+        self._die_cells = np.concatenate([
+            layer * ny * nx + np.arange(ny * nx)
+            for layer in sorted(set(steady._die_layer_map.values()))
+        ])
 
     def _cell_capacities(self) -> np.ndarray:
         """Heat capacity (J/K) of every grid cell, layer by layer."""
@@ -192,66 +162,31 @@ class TransientThermalSolver:
 
     # ------------------------------------------------------------------ #
 
-    def _stack_power(self, grids: Sequence[np.ndarray]) -> np.ndarray:
-        """Ravel per-die chip grids in ``_chip_cells`` order (validated)."""
-        parts = []
-        for die, _layer in self._die_order:
-            grid = np.asarray(grids[die])
-            if grid.shape != self._chip_shape:
-                raise ValueError(
-                    f"power grid shape {grid.shape} != chip grid {self._chip_shape}"
-                )
-            parts.append(grid.ravel())
-        return np.concatenate(parts)
-
-    def run(
-        self,
-        power_fn: ScheduleLike,
-        duration_s: float,
-        initial_k: Optional[float] = None,
-    ) -> TransientResult:
-        """Integrate one run from a uniform initial temperature.
-
-        ``power_fn(t)`` returns the per-die chip power grids (at the
-        steady solver's :meth:`~ThermalSolver.chip_grid_shape`) at time t.
-        A :class:`PowerSchedule` is also accepted.  Delegates to the
-        batched path with K=1; :meth:`run_reference` keeps the original
-        scalar loop.
-        """
-        return self.run_many([power_fn], duration_s, initial_k=initial_k)[0]
-
     def run_many(
         self,
-        schedules: Sequence[ScheduleLike],
+        schedules: Sequence[PowerSchedule],
         duration_s: float,
         initial_k: Optional[float] = None,
     ) -> List[TransientResult]:
-        """Step K runs in lock-step through the shared factorization.
+        """Step K runs in lock-step through the shared factorization,
+        from a uniform ``initial_k`` (ambient when ``None``).
 
         Each step assembles one ``(n, K)`` RHS matrix — power scattered
-        through the precomputed chip-cell indices, then the convective
-        ambient term, then the ``(C/dt) * T`` history term, in
-        exactly the scalar loop's addition order — and back-substitutes
-        all K columns in a single SuperLU call.  RHS assembly is exactly
-        the scalar loop's; results match :meth:`run_reference` to within
-        the backsolve kernel's column-order rounding (byte-identical on
-        the reference workloads, pinned in tests).
+        through the steady solver's chip-cell indices, then the
+        convective ambient term, then the ``(C/dt) * T`` history term —
+        and back-substitutes all K columns in a single SuperLU call.
         """
         if not schedules:
             return []
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        scheds = [
-            s if isinstance(s, PowerSchedule) else _CallableSchedule(s)
-            for s in schedules
-        ]
         steady = self.steady
         nx, ny = steady.nx, steady.ny
         layers = steady.stack.layers
         n = len(layers) * ny * nx
         ambient = steady.stack.ambient_k
         start = initial_k if initial_k is not None else ambient
-        kruns = len(scheds)
+        kruns = len(schedules)
         temps = np.full((n, kruns), start, dtype=float)
         prev_peak = np.full(kruns, float(start))
 
@@ -259,14 +194,14 @@ class TransientThermalSolver:
         steps = max(1, int(round(duration_s / self.dt_s)))
         peaks = np.empty((steps, kruns))
         conv = steady._conv_per_cell
-        chip_cells = self._chip_cells
+        chip_cells = steady._chip_cells
         die_cells = self._die_cells
         for step in range(1, steps + 1):
             t = step * self.dt_s
             rhs = np.zeros((n, kruns))
-            for k, sched in enumerate(scheds):
-                grids = sched.power_grids(t, float(prev_peak[k]))
-                rhs[chip_cells, k] = self._stack_power(grids)
+            for k, schedule in enumerate(schedules):
+                grids = schedule.power_grids(t, float(prev_peak[k]))
+                rhs[chip_cells, k] = steady._stack_power(grids)
             rhs[: ny * nx, :] += conv * ambient
             rhs += self._cap_over_dt[:, None] * temps
             temps = np.asarray(self._step_solve(rhs))
@@ -290,59 +225,3 @@ class TransientThermalSolver:
                 )
             )
         return results
-
-    def run_reference(
-        self,
-        power_fn: ScheduleLike,
-        duration_s: float,
-        initial_k: Optional[float] = None,
-    ) -> TransientResult:
-        """Ground-truth scalar loop (per-step embed, per-run solve).
-
-        Kept verbatim from the original implementation so the batched
-        path can be pinned byte-identical against it.
-        """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        sched = (
-            power_fn
-            if isinstance(power_fn, PowerSchedule)
-            else _CallableSchedule(power_fn)
-        )
-        steady = self.steady
-        nx, ny = steady.nx, steady.ny
-        layers = steady.stack.layers
-        n = len(layers) * ny * nx
-        ambient = steady.stack.ambient_k
-        temps = np.full(n, initial_k if initial_k is not None else ambient)
-        prev_peak = float(initial_k if initial_k is not None else ambient)
-
-        die_layers = steady._die_layer_map
-
-        times: List[float] = []
-        peaks: List[float] = []
-        steps = max(1, int(round(duration_s / self.dt_s)))
-        conv = steady._conv_per_cell
-        for step in range(1, steps + 1):
-            t = step * self.dt_s
-            grids = sched.power_grids(t, prev_peak)
-            rhs = np.zeros(n)
-            for die, layer_index in die_layers.items():
-                full = steady._embed(np.asarray(grids[die]))
-                rhs[layer_index * ny * nx:(layer_index + 1) * ny * nx] += full.ravel()
-            rhs[: ny * nx] += conv * ambient
-            rhs += self._cap_over_dt * temps
-            temps = self._step_solve(rhs)
-            times.append(t)
-            die_peak = max(
-                temps[l * ny * nx:(l + 1) * ny * nx].max()
-                for l in die_layers.values()
-            )
-            prev_peak = float(die_peak)
-            peaks.append(prev_peak)
-
-        final = [
-            temps[l * ny * nx:(l + 1) * ny * nx].reshape(ny, nx)
-            for l in range(len(layers))
-        ]
-        return TransientResult(times_s=times, peak_k=peaks, final_layer_temps=final)

@@ -154,20 +154,3 @@ class TestPoolIdentity:
                         res_a.final_layer_temps, res_b.final_layer_temps
                     )
                 )
-
-    def test_plain_callables_stay_inline(self, context):
-        solver = context.solver(StackKind.PLANAR_2D)
-        ny, nx = solver.chip_grid_shape()
-        grids = [np.full((ny, nx), 1.0)]
-        ctx = ExperimentContext(SETTINGS, jobs=2, cache=None)
-        ctx.transient_many([
-            TransientRequest(
-                stack=StackKind.PLANAR_2D,
-                schedule=lambda t: grids,  # unpicklable: must not pool
-                dt_s=DT * (1 + i),
-                duration_s=DURATION,
-            )
-            for i in range(2)
-        ])
-        assert ctx.stats.transient_worker_groups == 0
-        assert ctx.stats.transient_groups == 2

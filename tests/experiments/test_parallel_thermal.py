@@ -31,7 +31,7 @@ from repro.floorplan import stacked_floorplan
 from repro.power.model import StackKind
 from repro.thermal.solver import ThermalSolver
 from repro.thermal.stack import stacked_3d_stack
-from repro.thermal.transient import PowerSchedule, TransientThermalSolver
+from repro.thermal.transient import ConstantPower, TransientThermalSolver
 
 TINY = ExperimentSettings(
     trace_length=2_000,
@@ -240,14 +240,6 @@ class TestStagesAndStats:
             assert event["batch_id"].startswith("b")
 
 
-class _Constant(PowerSchedule):
-    def __init__(self, grids):
-        self.grids = grids
-
-    def power_grids(self, t_s, prev_peak_k):
-        return self.grids
-
-
 def _geometry(convection_k_per_w):
     """Solver constructor arguments of one small 3D geometry."""
     return (stacked_3d_stack(convection_k_per_w), stacked_floorplan(), 12, 12,
@@ -273,7 +265,7 @@ class TestWorkerTaskEviction:
     def test_tasks_match_inline_and_free(self, monkeypatch):
         args = _geometry(0.25)
         batches = _batches(ThermalSolver(*args))
-        schedules = [_Constant(grids) for grids in batches]
+        schedules = [ConstantPower(grids) for grids in batches]
         inline = ThermalSolver(*args).solve_many(batches)
         inline_runs = TransientThermalSolver(
             ThermalSolver(*args), dt_s=self.DT_S

@@ -26,7 +26,7 @@ from repro.experiments.interval import (
 from repro.experiments.leakage import run_leakage_feedback
 from repro.power.model import StackKind
 from repro.thermal.solver import FACTORIZATION_STATS
-from repro.thermal.transient import STEP_FACTORIZATION_STATS, PowerSchedule
+from repro.thermal.transient import STEP_FACTORIZATION_STATS, ConstantPower
 
 SETTINGS = ExperimentSettings(
     trace_length=3_000,
@@ -126,28 +126,23 @@ class TestTransientKey:
             assert variant != base, name
         assert len(set(variants.values())) == len(variants)
 
-    def test_callables_and_tokenless_schedules_have_no_key(self):
+    def test_tokenless_schedules_have_no_key(self):
         context = ExperimentContext(SETTINGS, jobs=1, cache=None)
         solver = context.solver(StackKind.PLANAR_2D)
         grids = _trace(context).die_grids[0]
-        assert transient_key(solver, DT, DURATION, None, lambda t: grids) is None
-
-        class Tokenless(PowerSchedule):
-            def power_grids(self, t_s, prev_peak_k):
-                return grids
-
-        assert transient_key(solver, DT, DURATION, None, Tokenless()) is None
+        assert transient_key(solver, DT, DURATION, None,
+                             ConstantPower(grids)) is None
 
 
 class TestTransientCache:
-    def test_plain_callables_run_and_are_never_stored(self, tmp_path):
+    def test_tokenless_schedules_run_and_are_never_stored(self, tmp_path):
         cache = ResultCache(tmp_path)
         grids = _trace(ExperimentContext(SETTINGS, jobs=1, cache=None)).die_grids[0]
         for _ in range(2):
             context = ExperimentContext(SETTINGS, jobs=1, cache=cache)
             (result, stats), = context.transient_many([TransientRequest(
                 stack=StackKind.PLANAR_2D,
-                schedule=lambda t: grids,
+                schedule=ConstantPower(grids),
                 dt_s=DT,
                 duration_s=DURATION,
             )])
