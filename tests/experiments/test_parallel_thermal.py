@@ -10,6 +10,7 @@ mid-batch, and worker tasks whose factorizations die with the task.
 
 from __future__ import annotations
 
+import pickle
 import time
 import weakref
 
@@ -23,6 +24,7 @@ from repro.experiments.context import (
     ExperimentContext,
     ExperimentSettings,
     THERMAL_PARALLEL_MIN_GROUPS,
+    TransientRequest,
 )
 from repro.experiments.sensitivity import run_sensitivity
 from repro.experiments import supervised
@@ -128,6 +130,34 @@ class TestDispatchPolicy:
         assert context.stats.thermal_solved == 2
         groups = [e for e in context.stats.events if e["event"] == "thermal_group"]
         assert len(groups) == 1 and groups[0]["batches"] == 1
+
+    def test_mixed_dispatch_matches_serial(self):
+        """Steady groups below the gate run inline while the transient
+        groups of the same dispatch pool, with the serial bytes."""
+
+        def dispatch(jobs):
+            context = ExperimentContext(TINY, jobs=jobs, cache=None)
+            groups = [(solver, _batches(solver)) for solver in (
+                ThermalSolver(*_geometry(0.25)),
+                ThermalSolver(*_geometry(0.5)),
+            )]
+            requests = [
+                TransientRequest(
+                    stack, ConstantPower(_batches(context.solver(stack), 1)[0]),
+                    dt_s=2e-3, duration_s=0.02)
+                for stack in (StackKind.PLANAR_2D, StackKind.STACKED_3D)
+            ]
+            steady, transient = context.start_thermal(groups, requests).result()
+            return context, [pickle.dumps(result) for group in steady
+                             for result in group] + [
+                pickle.dumps(outcome) for outcome in transient]
+
+        parallel, pooled = dispatch(2)
+        _, inline = dispatch(1)
+        assert len(pooled) == 6
+        assert pooled == inline
+        assert parallel.stats.thermal_worker_groups == 0
+        assert parallel.stats.transient_worker_groups == 2
 
 
 class TestThermalWorkerFaults:
