@@ -34,22 +34,13 @@ reruns simulate nothing (``REPRO_CACHE=0`` opts out).
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from repro.experiments.context import ExperimentContext, ExperimentSettings
-from repro.experiments.dvfs import run_dvfs
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure9 import run_figure9
-from repro.experiments.figure10 import run_figure10
-from repro.experiments.leakage import run_leakage_feedback
-from repro.experiments.pairing import run_pairing
-from repro.experiments.power_density import run_power_density
 from repro.experiments.report import generate_report, stats_payload
-from repro.experiments.roadmap import run_roadmap
-from repro.experiments.table2 import run_table2
-from repro.experiments.width_stats import run_width_stats
 
 FAST_SETTINGS = ExperimentSettings(
     trace_length=8_000,
@@ -64,83 +55,12 @@ def _context(args) -> ExperimentContext:
     return ExperimentContext(settings, jobs=getattr(args, "jobs", None))
 
 
-def _cmd_table2(args) -> int:
-    print(run_table2().format())
-    return 0
-
-
-def _cmd_figure8(args) -> int:
-    print(run_figure8(_context(args)).format())
-    return 0
-
-
-def _cmd_figure9(args) -> int:
-    print(run_figure9(_context(args)).format())
-    return 0
-
-
-def _cmd_figure10(args) -> int:
-    print(run_figure10(_context(args)).format())
-    return 0
-
-
-def _cmd_density(args) -> int:
-    print(run_power_density(_context(args)).format())
-    return 0
-
-
-def _cmd_width(args) -> int:
-    print(run_width_stats(_context(args)).format())
-    return 0
-
-
-def _cmd_dvfs(args) -> int:
-    print(run_dvfs(_context(args)).format())
-    return 0
-
-
-def _cmd_roadmap(args) -> int:
-    print(run_roadmap(_context(args)).format())
-    return 0
-
-
-def _cmd_leakage(args) -> int:
-    print(run_leakage_feedback(_context(args)).format())
-    return 0
-
-
-def _cmd_pairing(args) -> int:
-    print(run_pairing(_context(args)).format())
-    return 0
-
-
-def _cmd_sensitivity(args) -> int:
-    from repro.experiments.sensitivity import run_sensitivity
-    print(run_sensitivity(_context(args)).format())
-    return 0
-
-
-def _cmd_transient(args) -> int:
-    from repro.experiments.transient_response import run_transient_response
-    print(run_transient_response(_context(args)).format())
-    return 0
-
-
-def _cmd_interval(args) -> int:
-    from repro.experiments.interval import run_interval
-    print(run_interval(_context(args)).format())
-    return 0
-
-
-def _cmd_stacking(args) -> int:
-    from repro.experiments.stacking_order import run_stacking_order
-    print(run_stacking_order(_context(args)).format())
-    return 0
-
-
-def _cmd_mechanisms(args) -> int:
-    from repro.experiments.mechanisms import run_mechanisms
-    print(run_mechanisms().format())
+def _print_section(args) -> int:
+    """Print the ``format()`` of the command's section run."""
+    spec = COMMANDS[args.command]
+    module, name = spec.run.split(":")
+    run = getattr(importlib.import_module(f"repro.experiments.{module}"), name)
+    print((run(_context(args)) if spec.fast else run()).format())
     return 0
 
 
@@ -340,48 +260,65 @@ def _trace_arguments(trace: argparse.ArgumentParser) -> None:
 
 
 class Command(NamedTuple):
-    """One subcommand: its handler, its help line, whether it takes
-    ``--fast``/``--jobs``, and a function adding its own arguments."""
+    """One subcommand: its help line, what it runs, whether it takes
+    ``--fast``/``--jobs``, and a function adding its own arguments.
 
-    fn: Callable[[argparse.Namespace], int]
+    A section command names its run function as ``"module:function"``
+    in :mod:`repro.experiments`, imported when the command runs, and
+    prints the ``format()`` of its result; the function takes the
+    experiment context when the command takes ``--fast``/``--jobs``.
+    Any other command names its own handler ``fn``.
+    """
+
     help: str
+    run: Optional[str] = None
     fast: bool = True
     arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    fn: Callable[[argparse.Namespace], int] = _print_section
 
 
 #: Every subcommand, in the order ``repro --help`` lists them.
 COMMANDS: Dict[str, Command] = {
-    "table2": Command(_cmd_table2, "Table 2: block latencies and frequencies",
-                      fast=False),
-    "figure8": Command(_cmd_figure8, "Figure 8: performance of the five configs"),
-    "figure9": Command(_cmd_figure9, "Figure 9: power of the three processors"),
-    "figure10": Command(_cmd_figure10, "Figure 10: thermal maps"),
-    "density": Command(_cmd_density, "Section 5.3: iso-power density experiment"),
-    "width": Command(_cmd_width, "Section 3.8: width prediction accuracy"),
-    "dvfs": Command(_cmd_dvfs, "frequency-for-temperature sweep"),
-    "roadmap": Command(_cmd_roadmap, "Figure 2 roadmap design points"),
-    "leakage": Command(_cmd_leakage, "leakage-temperature feedback fixed point"),
-    "pairing": Command(_cmd_pairing, "heterogeneous core pairing thermals"),
-    "sensitivity": Command(_cmd_sensitivity,
-                           "packaging-parameter thermal sensitivity"),
-    "transient": Command(_cmd_transient, "transient step-response of both stacks"),
-    "interval": Command(_cmd_interval,
-                        "interval power/thermal co-simulation with DTM throttling"),
-    "stacking": Command(_cmd_stacking, "die stacking-order ablation"),
-    "mechanisms": Command(_cmd_mechanisms,
-                          "per-mechanism microbenchmark validation", fast=False),
-    "report": Command(_cmd_report, "full markdown report of all experiments",
-                      arguments=_report_arguments),
-    "metrics": Command(_cmd_metrics,
-                       "machine-readable cache/index/solver metrics snapshot",
-                       fast=False, arguments=_metrics_arguments),
-    "cache": Command(_cmd_cache, "inspect or clear the on-disk result cache",
-                     fast=False, arguments=_cache_arguments),
-    "simulate": Command(_cmd_simulate, "simulate one benchmark", fast=False,
-                        arguments=_simulate_arguments),
-    "trace": Command(_cmd_trace, "generate and save a trace", fast=False,
-                     arguments=_trace_arguments),
-    "list": Command(_cmd_list, "list the benchmark suite", fast=False),
+    "table2": Command("Table 2: block latencies and frequencies",
+                      "table2:run_table2", fast=False),
+    "figure8": Command("Figure 8: performance of the five configs",
+                       "figure8:run_figure8"),
+    "figure9": Command("Figure 9: power of the three processors",
+                       "figure9:run_figure9"),
+    "figure10": Command("Figure 10: thermal maps", "figure10:run_figure10"),
+    "density": Command("Section 5.3: iso-power density experiment",
+                       "power_density:run_power_density"),
+    "width": Command("Section 3.8: width prediction accuracy",
+                     "width_stats:run_width_stats"),
+    "dvfs": Command("frequency-for-temperature sweep", "dvfs:run_dvfs"),
+    "roadmap": Command("Figure 2 roadmap design points", "roadmap:run_roadmap"),
+    "leakage": Command("leakage-temperature feedback fixed point",
+                       "leakage:run_leakage_feedback"),
+    "pairing": Command("heterogeneous core pairing thermals",
+                       "pairing:run_pairing"),
+    "sensitivity": Command("packaging-parameter thermal sensitivity",
+                           "sensitivity:run_sensitivity"),
+    "transient": Command("transient step-response of both stacks",
+                         "transient_response:run_transient_response"),
+    "interval": Command(
+        "interval power/thermal co-simulation with DTM throttling",
+        "interval:run_interval"),
+    "stacking": Command("die stacking-order ablation",
+                        "stacking_order:run_stacking_order"),
+    "mechanisms": Command("per-mechanism microbenchmark validation",
+                          "mechanisms:run_mechanisms", fast=False),
+    "report": Command("full markdown report of all experiments",
+                      arguments=_report_arguments, fn=_cmd_report),
+    "metrics": Command("machine-readable cache/index/solver metrics snapshot",
+                       fast=False, arguments=_metrics_arguments,
+                       fn=_cmd_metrics),
+    "cache": Command("inspect or clear the on-disk result cache", fast=False,
+                     arguments=_cache_arguments, fn=_cmd_cache),
+    "simulate": Command("simulate one benchmark", fast=False,
+                        arguments=_simulate_arguments, fn=_cmd_simulate),
+    "trace": Command("generate and save a trace", fast=False,
+                     arguments=_trace_arguments, fn=_cmd_trace),
+    "list": Command("list the benchmark suite", fast=False, fn=_cmd_list),
 }
 
 

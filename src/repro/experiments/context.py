@@ -22,14 +22,13 @@ import os
 import time
 import uuid
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from dataclasses import dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Generator,
     Iterable,
     Iterator,
     List,
@@ -54,7 +53,6 @@ from repro.experiments.executor import (
     MAX_POOL_RESTARTS,
     MAX_TASK_ATTEMPTS,
     RETRY_BACKOFF_S,
-    Batch,
     Executor,
     PoolTask,
     Started,
@@ -95,15 +93,17 @@ ENV_JOBS = "REPRO_JOBS"
 #: task re-enters the retry ladder and the pool is recycled.
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT_S"
 
-#: Distinct geometries a steady thermal dispatch needs before it fans
-#: out to worker processes.  Below this the parent solves inline: a
-#: worker cannot return its SuperLU handle, so small dispatches would
-#: pay a pool spin-up *and* leave the context's solver unfactorized, and
-#: later solves of that geometry (DVFS points, leakage feedback) reuse
-#: the solver's own factors only when it solved inline.  Transient
-#: dispatch is not gated: no report section reuses a step matrix, so
-#: with ``jobs > 1`` every transient group pools (a dispatch of a
-#: single task still runs inline; see :meth:`Executor.start`).
+#: Distinct geometries the steady part of a thermal dispatch
+#: (:meth:`ExperimentContext.start_thermal`) needs before it fans out to
+#: worker processes.  Below this the parent solves those groups inline
+#: at ``result()``: a worker cannot return its SuperLU handle, so small
+#: dispatches would pay a pool spin-up *and* leave the context's solver
+#: unfactorized, and later solves of that geometry (DVFS points, leakage
+#: feedback) reuse the solver's own factors only when it solved inline.
+#: The transient part is not gated: no report section reuses a step
+#: matrix, so with ``jobs > 1`` every transient group pools, in the same
+#: pool as any pooled steady groups (a pool of a single task still runs
+#: inline; see :meth:`Executor.start`).
 THERMAL_PARALLEL_MIN_GROUPS = 3
 
 #: Back-solves one factorization costs about as much as (grid-48 3D
@@ -439,13 +439,12 @@ class _GroupKind:
     #: replaced or wrapped entry point is the one pickled
     task: str
     factorizations: str  # the task's worker-stats key of its factorizations
-    deferred: bool  # an inline dispatch runs at collection
 
 
 _STEADY = _GroupKind("thermal", "thermal solve", "solve_group_task",
-                     "factorizations", deferred=False)
+                     "factorizations")
 _TRANSIENT = _GroupKind("transient", "transient step", "transient_group_task",
-                        "step_factorizations", deferred=True)
+                        "step_factorizations")
 
 
 @dataclass
@@ -454,11 +453,138 @@ class _Group:
     solver's geometry, and ``run()``, which computes inline what the task
     returns ahead of its worker stats."""
 
+    kind: _GroupKind
     solver: ThermalSolver
     args: tuple
     run: Callable[[], tuple]
     detail: Dict[str, object]  # labels its events and its pool task
     rhs: int  # right-hand sides: steps times runs, for a transient group
+
+    def cost(self) -> float:
+        return _solve_cost(_thermal_cells(self.solver), self.rhs)
+
+
+class ThermalRun:
+    """Thermal groups begun now and finished by :meth:`result`.
+
+    ``parts`` are (groups, poolable) pairs.  With ``jobs > 1`` the groups
+    of poolable parts are submitted to one pool, costliest first, as the
+    run is made.  :meth:`result` runs the other groups inline while the
+    workers run, collects the pool, and returns ``finish`` of every
+    group's outputs (without its worker stats), in order, once.  Each
+    group is logged as a ``<prefix>_group`` event saying where it ran and
+    for how long; a run with a pool scopes its events to the pool's batch
+    id.  :meth:`cancel` kills any workers and calls ``release``.
+    """
+
+    def __init__(self, context: "ExperimentContext",
+                 parts: Sequence[Tuple[List[_Group], bool]],
+                 finish: Callable[[List[tuple]], object],
+                 release: Callable[[], None] = lambda: None):
+        self._stats = stats = context.stats
+        self._finish: Optional[Callable] = finish
+        self._release = release
+        self._value = None
+        self._groups = [group for groups, _ in parts for group in groups]
+        pooled = [context.jobs > 1 and poolable
+                  for groups, poolable in parts for _ in groups]
+        self._order = sorted((i for i, pool in enumerate(pooled) if pool),
+                             key=lambda i: -self._groups[i].cost())
+        for group in self._groups:
+            self._count(group, "groups", 1)
+        self._pool: Optional[Started] = None
+        if not self._order:
+            return
+        # Workers assemble and factorize with scipy in the supervised
+        # entry points.  Importing both here, before the pool forks, lets
+        # every worker inherit them instead of importing its own copy.
+        import scipy.sparse.linalg  # noqa: F401
+
+        from repro.experiments import supervised
+
+        start = time.perf_counter()
+        self._pool = context._executor().start([
+            PoolTask(
+                fn=getattr(supervised, group.kind.task),
+                args=(group.solver.stack, group.solver.floorplan,
+                      group.solver.nx, group.solver.ny,
+                      group.solver.spreader_mm) + group.args,
+                serial=lambda g=group: g.run() + (None,),
+                detail=group.detail,
+                timeout_s=context.task_timeout_s,
+                max_attempts=context.max_task_attempts,
+            )
+            for group in (self._groups[i] for i in self._order)
+        ], " + ".join(dict.fromkeys(self._groups[i].kind.pool
+                                    for i in sorted(self._order))))
+        stats.add_stage("thermal", time.perf_counter() - start)
+
+    def result(self):
+        """Run, collect and finish the groups (once); the outcome."""
+        if self._finish is not None:
+            finish, self._finish = self._finish, None
+            scope = (nullcontext() if self._pool is None
+                     else self._stats.batch(self._pool.batch_id))
+            with scope:
+                try:
+                    outs = self._collect()
+                except BaseException:
+                    self._abandon()
+                    raise
+                self._value = finish(outs)
+        return self._value
+
+    def cancel(self) -> None:
+        """Abandon the run; a no-op once :meth:`result` has returned."""
+        if self._finish is not None:
+            self._finish = None
+            self._abandon()
+
+    def _abandon(self) -> None:
+        try:
+            if self._pool is not None:
+                self._pool.cancel()
+        finally:
+            self._release()
+
+    def _count(self, group: _Group, counter: str, amount: int) -> None:
+        name = f"{group.kind.prefix}_{counter}"
+        setattr(self._stats, name, getattr(self._stats, name) + amount)
+
+    def _record(self, group: _Group, where: str, seconds) -> None:
+        self._stats.record_event(f"{group.kind.prefix}_group", **group.detail,
+                                 where=where, seconds=seconds)
+
+    def _collect(self) -> List[tuple]:
+        stats = self._stats
+        outs: List[Optional[tuple]] = [None] * len(self._groups)
+        inline = dict.fromkeys((group.kind.prefix for group in self._groups),
+                               0.0)
+        pooled = set(self._order)
+        for index, group in enumerate(self._groups):
+            if index not in pooled:
+                start = time.perf_counter()
+                outs[index] = group.run() + (None,)
+                seconds = time.perf_counter() - start
+                inline[group.kind.prefix] += seconds
+                self._record(group, "inline", round(seconds, 3))
+        if self._pool is not None:
+            start = time.perf_counter()
+            for index, out in zip(self._order, self._pool.result()):
+                outs[index] = out
+            stats.add_stage("thermal", time.perf_counter() - start)
+            for index in sorted(self._order):
+                group, worker_stats = self._groups[index], outs[index][-1]
+                if worker_stats is not None:
+                    self._count(group, "worker_groups", 1)
+                    self._count(group, "worker_factorizations",
+                                worker_stats.get(group.kind.factorizations, 0))
+                self._record(group,
+                             "inline" if worker_stats is None else "worker",
+                             (worker_stats or {}).get("seconds"))
+        for stage, seconds in inline.items():
+            stats.add_stage(stage, seconds)
+        return [out[:-1] for out in outs]
 
 
 class ExperimentContext:
@@ -512,9 +638,8 @@ class ExperimentContext:
 
     def _resolver(self) -> Resolver:
         """The claim-coordinated lookup, under this context's knobs."""
-        return Resolver(self.cache, self.stats, self._executor(),
-                        wait_s=self.claim_wait_s, poll_s=self.claim_poll_s,
-                        stale_s=self.claim_stale_s)
+        return Resolver(self.cache, self.stats, wait_s=self.claim_wait_s,
+                        poll_s=self.claim_poll_s, stale_s=self.claim_stale_s)
 
     # ------------------------------------------------------------------ #
 
@@ -656,17 +781,19 @@ class ExperimentContext:
         the claim-coordinated resolver, simulating the misses — across
         worker processes when more than one is pending and ``jobs``
         allows it."""
-        self.stats.sim_disk_hits += self._executor().run(
-            self._resolver().steps(
-                (
-                    (self._cache_key(benchmark, config), (benchmark, config),
-                     memo, memo_key)
-                    for memo, memo_key, benchmark, config in items
-                    if memo_key not in memo
-                ),
-                SimulationResult,
-                self._execute,
-            ))
+        resolver = self._resolver()
+        found = resolver.lookup(
+            (
+                (self._cache_key(benchmark, config), (benchmark, config),
+                 memo, memo_key)
+                for memo, memo_key, benchmark, config in items
+                if memo_key not in memo
+            ),
+            SimulationResult,
+        )
+        resolver.settle(found, lambda: self._execute(found.claimed),
+                        self._execute)
+        self.stats.sim_disk_hits += found.hits
 
     def _execute(self, units) -> List[SimulationResult]:
         """Simulate the resolver's (benchmark, config) units, fanning out
@@ -871,56 +998,63 @@ class ExperimentContext:
         handles never cross the process boundary).  Solves are
         deterministic, so results are byte-identical to the serial path.
         """
-        return self._executor().run(self._steady_steps(groups))
+        return self.start_thermal(groups, []).result()[0]
 
     def start_thermal(
         self,
         groups: Sequence[Tuple[ThermalSolver, Sequence[Sequence]]],
         requests: Sequence["TransientRequest"],
-    ) -> Started:
-        """Steady geometry groups and transient requests on one pool.
+    ) -> ThermalRun:
+        """Steady geometry groups and transient requests in one dispatch,
+        begun now and finished by ``result()``.
 
-        The overlapped form of :meth:`solve_thermal_groups` and
-        :meth:`transient_many` together: cache loads and claims
-        happen now, and both kinds' misses go to one pool, longest task
-        first, so that ``jobs`` workers run while the caller carries on.
-        ``result()`` returns the steady results per group and the
-        transient outcomes per request.
+        Cache loads and claims happen now, and every miss becomes a
+        geometry group (:meth:`solve_thermal_groups`,
+        :meth:`transient_many`).  With ``jobs > 1`` the transient groups,
+        and the steady ones when there are at least
+        ``thermal_parallel_min_groups`` of them, go to one pool, longest
+        task first, so that the workers run while the caller carries on.
+        ``result()`` runs the other groups inline, collects the pool,
+        stores the results, settles the claims and returns the steady
+        results per group and the transient outcomes per request;
+        ``cancel()`` kills the workers and releases the claims.
         """
-        return Started(self._executor().overlap(
-            [self._steady_steps(groups), self._transient_steps(list(requests))],
-            stage="thermal",
-        ), self.stats)
-
-    def _steady_steps(
-        self, groups: Sequence[Tuple[ThermalSolver, Sequence[Sequence]]],
-    ) -> Generator:
-        """The work generator behind :meth:`solve_thermal_groups`."""
         groups = [(solver, list(batches)) for solver, batches in groups]
-        results: List[List[Optional[ThermalResult]]] = [
+        steady: List[List[Optional[ThermalResult]]] = [
             [None] * len(batches) for _, batches in groups
         ]
         resolver = self._resolver()
-        hits = yield from resolver.steps(
+        found = resolver.lookup(
             (
                 (thermal_key(solver, grids), (solver, grids), out, pos)
-                for (solver, batches), out in zip(groups, results)
+                for (solver, batches), out in zip(groups, steady)
                 for pos, grids in enumerate(batches)
             ),
             ThermalResult,
-            lambda units: resolver.executor.staged(
-                self._thermal_unit_steps(units), "thermal"),
         )
-        self.stats.thermal_disk_hits += hits
-        return results
+        solve, solved = self._steady_groups(found.claimed)
+        transient, step, stepped = self._transient_groups(list(requests))
 
-    def _thermal_unit_steps(self, units) -> Generator:
-        """Solve one resolver unit per distinct thermal key, in order.
+        def finish(outs: List[tuple]):
+            resolver.settle(found, lambda: solved(outs[:len(solve)]),
+                            self._solve_units)
+            stepped(outs[len(solve):])
+            self.stats.thermal_disk_hits += found.hits
+            return steady, transient
 
-        Units sharing a geometry are merged into one group so their
-        right-hand sides share a factorization wherever the group runs;
-        groups pool only at ``thermal_parallel_min_groups`` geometries.
-        """
+        return ThermalRun(
+            self,
+            [(solve, len(solve) >= self.thermal_parallel_min_groups),
+             (step, True)],
+            finish,
+            lambda: resolver.release(found.claimed),
+        )
+
+    def _steady_groups(self, units) -> Tuple[List[_Group], Callable]:
+        """One group per geometry of the resolver's units, so that their
+        right-hand sides share a factorization wherever the group runs,
+        and the function from the groups' outputs to each unit's result,
+        in order."""
         by_geometry: Dict[Tuple, list] = {}
         for unit in units:
             by_geometry.setdefault(unit.work[0].matrix_key(), []).append(unit)
@@ -929,83 +1063,34 @@ class ExperimentContext:
             solver = members[0].work[0]
             grids = [unit.work[1] for unit in members]
             groups.append(_Group(
-                solver, (grids,),
+                _STEADY, solver, (grids,),
                 lambda s=solver, g=grids: (s.solve_many(g),),
                 {"geometry": solver.geometry_id(), "batches": len(grids),
                  "cells": _thermal_cells(solver)},
                 rhs=len(grids),
             ))
-        solved = yield from self._dispatch_groups(
-            _STEADY, groups,
-            poolable=len(groups) >= self.thermal_parallel_min_groups)
-        by_key = {
-            unit.key: result
-            for members, (outs,) in zip(by_geometry.values(), solved)
-            for unit, result in zip(members, outs)
-        }
-        self.stats.thermal_solved += sum(len(unit.targets) for unit in units)
-        return [by_key[unit.key] for unit in units]
 
-    def _dispatch_groups(self, kind: _GroupKind, groups: List[_Group],
-                         poolable: bool) -> Generator:
-        """Run thermal groups inline, or as one pool batch with ``jobs > 1``
-        when the caller finds them ``poolable``; return each group's
-        outputs ahead of its worker stats, in order.  A work generator;
-        every group is logged as a ``<prefix>_group`` event saying where
-        it ran and for how long.
-        """
-        stats = self.stats
+        def solved(outs: List[tuple]) -> List[ThermalResult]:
+            by_key = {
+                unit.key: result
+                for members, (results,) in zip(by_geometry.values(), outs)
+                for unit, result in zip(members, results)
+            }
+            self.stats.thermal_solved += sum(len(unit.targets)
+                                             for unit in units)
+            return [by_key[unit.key] for unit in units]
 
-        def count(counter: str, amount: int) -> None:
-            name = f"{kind.prefix}_{counter}"
-            setattr(stats, name, getattr(stats, name) + amount)
+        return groups, solved
 
-        def record(group: _Group, where: str, seconds) -> None:
-            stats.record_event(f"{kind.prefix}_group", **group.detail,
-                               where=where, seconds=seconds)
-
-        count("groups", len(groups))
-        if not (self.jobs > 1 and poolable):
-            if kind.deferred:
-                yield
-            outs = []
-            for group in groups:
-                t0 = time.perf_counter()
-                outs.append(group.run())
-                record(group, "inline", round(time.perf_counter() - t0, 3))
-            return outs
-
-        # Workers assemble and factorize with scipy in the supervised
-        # entry points.  Importing both here, before the pool forks, lets
-        # every worker inherit them instead of importing its own copy.
-        import scipy.sparse.linalg  # noqa: F401
-
-        from repro.experiments import supervised
-
-        task = getattr(supervised, kind.task)
-        outs = yield Batch([
-            PoolTask(
-                fn=task,
-                args=(group.solver.stack, group.solver.floorplan,
-                      group.solver.nx, group.solver.ny,
-                      group.solver.spreader_mm) + group.args,
-                serial=lambda g=group: g.run() + (None,),
-                detail=group.detail,
-                timeout_s=self.task_timeout_s,
-                max_attempts=self.max_task_attempts,
-                cost=_solve_cost(_thermal_cells(group.solver), group.rhs),
-            )
-            for group in groups
-        ], kind=kind.pool, stage=kind.prefix)
-        for group, out in zip(groups, outs):
-            worker_stats = out[-1]
-            if worker_stats is not None:
-                count("worker_groups", 1)
-                count("worker_factorizations",
-                      worker_stats.get(kind.factorizations, 0))
-            record(group, "inline" if worker_stats is None else "worker",
-                   (worker_stats or {}).get("seconds"))
-        return [out[:-1] for out in outs]
+    def _solve_units(self, units) -> List[ThermalResult]:
+        """Solve the resolver's units now, one result per unit in order:
+        the compute of keys taken over from a peer.  Their groups pool
+        only at ``thermal_parallel_min_groups`` geometries."""
+        groups, solved = self._steady_groups(units)
+        return ThermalRun(
+            self, [(groups, len(groups) >= self.thermal_parallel_min_groups)],
+            solved,
+        ).result()
 
     # ------------------------------------------------------------------ #
 
@@ -1035,13 +1120,15 @@ class ExperimentContext:
         :class:`~repro.thermal.transient.TransientResult` and the
         schedule's accumulated stats (throttle duty counters and the
         like — pool workers mutate pickled schedule copies, so the stats
-        travel back explicitly).  :meth:`start_thermal` is the overlapped
-        form.
+        travel back explicitly).  This is :meth:`start_thermal` with no
+        steady groups, collected at once.
         """
-        return self._executor().run(self._transient_steps(list(requests)))
+        return self.start_thermal([], requests).result()[1]
 
-    def _transient_steps(self, requests: List["TransientRequest"]) -> Generator:
-        """The work generator behind :meth:`transient_many`."""
+    def _transient_groups(self, requests: List["TransientRequest"]):
+        """Load the requests' cached outcomes and group the rest by step
+        matrix: the outcome per request (None until stepped), the groups,
+        and the function that places and stores the groups' outputs."""
         out: List[Optional[Tuple[TransientResult, Dict[str, float]]]] = (
             [None] * len(requests)
         )
@@ -1070,29 +1157,29 @@ class ExperimentContext:
                 (solver, req, [], []))
             indices.append(i)
             schedules.append(req.schedule)
-        if not pending:
-            return out
         groups = []
         for solver, req, indices, schedules in pending.values():
             steps = max(1, int(round(req.duration_s / req.dt_s)))
             self.stats.transient_runs += len(indices)
             self.stats.transient_steps += steps * len(schedules)
             groups.append(_Group(
-                solver, (req.dt_s, schedules, req.duration_s, req.initial_k),
+                _TRANSIENT, solver,
+                (req.dt_s, schedules, req.duration_s, req.initial_k),
                 lambda s=solver, r=req, sc=schedules: _step_group(s, r, sc),
                 {"geometry": solver.geometry_id(), "runs": len(schedules),
                  "steps": steps},
                 rhs=steps * len(schedules),
             ))
-        solved = yield from self._executor().staged(self._dispatch_groups(
-            _TRANSIENT, groups, poolable=True), "transient")
-        for (_, _, indices, _), (results, sched_stats) in zip(
-                pending.values(), solved):
-            for i, result, stats in zip(indices, results, sched_stats):
-                out[i] = (result, stats)
-                if i in keys:
-                    self.cache.store(keys[i], out[i])
-        return out
+
+        def stepped(outs: List[tuple]) -> None:
+            for (_, _, indices, _), (results, sched_stats) in zip(
+                    pending.values(), outs):
+                for i, result, stats in zip(indices, results, sched_stats):
+                    out[i] = (result, stats)
+                    if i in keys:
+                        self.cache.store(keys[i], out[i])
+
+        return out, groups, stepped
 
 
 @dataclass

@@ -13,13 +13,15 @@ resolves any list of sections in one order:
    (one resolver pass, so one simulation pool);
 2. every interval power trace, in the parent;
 3. all pool-side thermal work — transient groups and steady geometries
-   that only pool workers solve — as one overlapped
+   that only pool workers solve — submitted in one
    :meth:`ExperimentContext.start_thermal`, whose pool forks before the
    parent has factorized anything;
 4. the parent's own steady solves, section by section, while that pool
    runs;
-5. every ``render``, in section order; a section that reads pool results
-   collects the pool there.
+5. every ``render``, in section order; the first section that reads
+   pool results collects the dispatch there (``ThermalRun.result``),
+   and a section that raises cancels it, killing its workers and
+   releasing its cache claims.
 
 The report and every section subcommand of the CLI go through it.
 """

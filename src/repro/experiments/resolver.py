@@ -1,15 +1,18 @@
 """Claim-coordinated lookups: the one cache policy for computed results.
 
-Every cached simulation and steady thermal solve goes through
-:meth:`Resolver.steps`: load from the on-disk cache, else claim and
-compute, else wait on the peer process holding the claim.
+Every cached simulation and steady thermal solve goes through a
+:class:`Resolver` in two calls: :meth:`Resolver.lookup` loads what the
+on-disk cache holds and claims the rest, the caller computes the
+claimed keys (on a pool, or while it does other work), and
+:meth:`Resolver.settle` stores those results, releases the claims and
+waits on the peer processes holding the other keys.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.experiments.cache import DEFAULT_CLAIM_STALE_S
 
@@ -40,78 +43,93 @@ class Unit:
 
 
 @dataclass
+class Lookup:
+    """What :meth:`Resolver.lookup` found: the count of disk hits (placed
+    already), the units this process claimed, and the units a peer
+    process holds, all of ``expected_type``."""
+
+    expected_type: type
+    hits: int = 0
+    claimed: List[Unit] = field(default_factory=list)
+    waiting: List[Unit] = field(default_factory=list)
+
+
+@dataclass
 class Resolver:
     """Serves cache keys through ``cache`` (None: compute everything),
     counting claim waits, dedups, takeovers and steals in ``stats``.
 
-    ``executor`` (an :class:`~repro.experiments.executor.Executor`) runs
-    the computations of keys taken over while waiting; ``wait_s``,
-    ``poll_s`` and ``stale_s`` bound that wait.
+    ``wait_s``, ``poll_s`` and ``stale_s`` bound the wait on a peer's
+    claim.
     """
 
     cache: object
     stats: object
-    executor: object
     wait_s: float = CLAIM_WAIT_S
     poll_s: float = CLAIM_POLL_S
     stale_s: float = DEFAULT_CLAIM_STALE_S
 
-    def steps(self, items: Iterable[Tuple[str, tuple, object, object]],
-              expected_type: type, compute) -> Generator:
-        """Serve (cache key, work, container, slot) items; return disk hits.
+    def lookup(self, items: Iterable[Tuple[str, tuple, object, object]],
+               expected_type: type) -> Lookup:
+        """Look up (cache key, work, container, slot) items.
 
-        ``compute(units)`` returns the claimed units' results in order,
-        or a work generator that yields its pool
-        :class:`~repro.experiments.executor.Batch` first.  Every result
-        is written to each of its unit's ``container[slot]``.  A work
-        generator: the claimed units' batch passes through it.
+        Items sharing a key become one :class:`Unit`.  Every disk hit is
+        written to each of its unit's ``container[slot]``; every other
+        key is claimed for this process, or left waiting on its holder.
         """
         units: Dict[str, Unit] = {}
         for key, work, container, slot in items:
             units.setdefault(key, Unit(key, work)).targets.append(
                 (container, slot))
-        hits = 0
-        claimed: List[Unit] = []
-        waiting: List[Unit] = []
+        found = Lookup(expected_type)
         if self.cache is not None:
             self.cache.touch(list(units))
         for unit in units.values():
             if self.cache is not None:
                 cached = self.cache.load(unit.key, expected_type, touch=False)
                 if cached is not None:
-                    hits += 1
+                    found.hits += 1
                     unit.place(cached)
                     continue
                 if not self.cache.try_claim(unit.key):
-                    waiting.append(unit)
+                    found.waiting.append(unit)
                     continue
-            claimed.append(unit)
-        yield from self._compute(claimed, compute)
-        if waiting:
-            self._await_claims(waiting, expected_type, compute)
-        return hits
+            found.claimed.append(unit)
+        return found
 
-    def _compute(self, units: List[Unit], compute) -> Generator:
-        """Compute, place and store ``units``, then release their claims.
+    def settle(self, found: Lookup, results: Callable[[], Sequence],
+               compute: Callable[[List[Unit]], Sequence]) -> None:
+        """Finish a :meth:`lookup`: place and store ``results()``, the
+        claimed units' results in order, then wait on the peer-held units,
+        computing any taken over with ``compute(units)``."""
+        self._store(found.claimed, results)
+        if found.waiting:
+            self._await_claims(found.waiting, found.expected_type, compute)
 
-        Releasing is unconditional and safe: :meth:`ResultCache.
-        release_claim` only removes claims this process holds, so a live
-        peer's claim outlives an expired wait on it.  A work generator.
-        """
+    def _store(self, units: List[Unit], results: Callable[[], Sequence]) -> None:
+        """Place and store ``results()`` for ``units``, then release their
+        claims, whether or not ``results()`` raised."""
         if not units:
             return
         try:
-            results = compute(units)
-            if isinstance(results, Generator):
-                results = yield from results
-            for unit, result in zip(units, results):
+            for unit, result in zip(units, results()):
                 unit.place(result)
                 if self.cache is not None:
                     self.cache.store(unit.key, result)
         finally:
-            if self.cache is not None:
-                for unit in units:
-                    self.cache.release_claim(unit.key)
+            self.release(units)
+
+    def release(self, units: List[Unit]) -> None:
+        """Release ``units``' claims, as when a dispatch that claimed them
+        is abandoned before its results exist.
+
+        Unconditional and safe: :meth:`ResultCache.release_claim` only
+        removes claims this process holds, so a live peer's claim
+        outlives an expired wait on it.
+        """
+        if self.cache is not None:
+            for unit in units:
+                self.cache.release_claim(unit.key)
 
     def _await_claims(self, waiting: List[Unit], expected_type: type,
                       compute) -> None:
@@ -170,8 +188,8 @@ class Resolver:
             if steals:
                 self.stats.claim_steals += steals
                 self.stats.record_event("claim_steal", tasks=steals)
-            self.executor.run(self._compute([unit for unit, _ in takeovers],
-                                            compute))
+            units = [unit for unit, _ in takeovers]
+            self._store(units, lambda: compute(units))
             waiting = still
             if waiting:
                 time.sleep(self.poll_s)

@@ -1,9 +1,9 @@
 """Worker-side thermal solving for the parallel thermal engine.
 
 :func:`solve_group_task` and :func:`transient_group_task` are the pool
-entry points of the context's thermal-group dispatcher
-(:meth:`repro.experiments.context.ExperimentContext._dispatch_groups`),
-behind ``solve_thermal_groups`` and ``transient_many``.
+entry points of the context's thermal-group dispatch
+(:class:`repro.experiments.context.ThermalRun`), behind
+``start_thermal``, ``solve_thermal_groups`` and ``transient_many``.
 Each rebuilds its solver from pure geometry data (a built solver holds
 an unpicklable SuperLU handle), factorizes once, solves every
 right-hand side of its group, and ships back the temperature arrays

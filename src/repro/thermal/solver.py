@@ -28,8 +28,8 @@ right-hand side, for steady solves and transient steps alike.
 factorization, not by this module, so processes that only read cached
 thermal results never load it.  A parent about to fork a pool for
 thermal or transient work imports it first (see
-:meth:`repro.experiments.context.ExperimentContext._dispatch_groups`), so
-the workers inherit it instead of each importing their own.
+:class:`repro.experiments.context.ThermalRun`), so the workers inherit
+it instead of each importing their own.
 """
 
 from __future__ import annotations
