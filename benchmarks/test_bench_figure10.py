@@ -7,7 +7,6 @@ a fixed app the ROB can end up cooler than planar.
 
 from benchmarks.conftest import emit
 from repro.experiments.figure10 import run_figure10
-from repro.thermal.maps import hotspot_table
 
 
 def test_bench_figure10(benchmark, context):
@@ -17,7 +16,9 @@ def test_bench_figure10(benchmark, context):
     for label in ("Base", "3D-noTH", "3D"):
         _, thermal = result.worst_case[label]
         lines.append(f"\nhottest blocks, {label}:")
-        lines.append(hotspot_table(thermal, top=5))
+        hottest = sorted(thermal.block_peak.items(), key=lambda kv: -kv[1])[:5]
+        lines.extend(f"  {name:<26s} die {die}  {temp:6.1f} K"
+                     for (name, die), temp in hottest)
     emit("Figure 10 — thermals", "\n".join(lines))
 
     # Temperature ordering and magnitudes (shape).

@@ -13,7 +13,6 @@ import sys
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.pairing import run_pairing
 from repro.power.model import StackKind
-from repro.thermal.maps import hotspot_table
 
 
 def main() -> None:
@@ -41,7 +40,9 @@ def main() -> None:
     )[StackKind.STACKED_3D][0]
 
     print(f"\nmixed pairing ({hot} on core0, {cool} on core1):")
-    print(hotspot_table(thermal, top=8))
+    hottest = sorted(thermal.block_peak.items(), key=lambda kv: -kv[1])[:8]
+    for (name, die), temp in hottest:
+        print(f"  {name:<26s} die {die}  {temp:6.1f} K")
     core0_peak = max(t for (n, _d), t in thermal.block_peak.items()
                      if n.startswith("core0."))
     core1_peak = max(t for (n, _d), t in thermal.block_peak.items()

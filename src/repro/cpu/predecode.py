@@ -64,10 +64,8 @@ _BUSY = np.array(
 LOAD_CODE = OPCLASS_LIST.index(OpClass.LOAD)
 STORE_CODE = OPCLASS_LIST.index(OpClass.STORE)
 RETURN_CODE = OPCLASS_LIST.index(OpClass.RETURN)
-FDIV_CODE = OPCLASS_LIST.index(OpClass.FDIV)
 BRANCH_CODE = OPCLASS_LIST.index(OpClass.BRANCH)
 CALL_CODE = OPCLASS_LIST.index(OpClass.CALL)
-JUMP_CODE = OPCLASS_LIST.index(OpClass.JUMP)
 
 #: 16-bit word size: values and addresses split upper bits at this shift
 #: (mirrors repro.isa.values.WORD_BITS for the vectorized columns below),

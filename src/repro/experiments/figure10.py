@@ -23,9 +23,6 @@ from repro.experiments.context import (
 from repro.experiments.plan import Requirements, Resolved, run_section
 from repro.thermal.solver import ThermalResult
 
-PAPER_2D_PEAK_K = 360.0
-PAPER_NOTH_DELTA_K = 17.0
-PAPER_TH_DELTA_K = 12.0
 PAPER_TH_REDUCTION = 0.29
 
 #: Candidate worst-case applications probed per configuration (the full

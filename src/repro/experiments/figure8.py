@@ -24,9 +24,6 @@ from repro.workloads.suite import BENCHMARKS
 FIGURE8_CONFIGS = ("Base", "TH", "Pipe", "Fast", "3D")
 
 PAPER_MEAN_SPEEDUP = 1.47
-PAPER_MIN_SPEEDUP = 1.07
-PAPER_MAX_SPEEDUP = 1.77
-PAPER_SPECFP_SPEEDUP = 1.295
 
 
 def _geomean(values: List[float]) -> float:

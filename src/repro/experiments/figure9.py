@@ -23,8 +23,6 @@ from repro.power.model import PowerBreakdown
 PAPER_BASE_WATTS = 90.0
 PAPER_NOTH_WATTS = 72.7
 PAPER_TH_WATTS = 64.3
-PAPER_MIN_SAVING = 0.15
-PAPER_MAX_SAVING = 0.30
 
 
 @dataclass

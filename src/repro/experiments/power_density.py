@@ -22,7 +22,6 @@ from repro.experiments.plan import Requirements, run_section
 from repro.power.model import StackKind
 from repro.thermal.solver import ThermalResult
 
-PAPER_ISO_POWER_PEAK_K = 418.0
 PAPER_ISO_POWER_DELTA_K = 58.0
 
 

@@ -9,8 +9,6 @@ from repro.circuits.blocks import BlockModel, build_block_models
 from repro.circuits.frequency import FrequencyPlan, derive_frequencies
 
 #: Paper values the reproduction is checked against.
-PAPER_WAKEUP_IMPROVEMENT = 0.32
-PAPER_ALU_BYPASS_IMPROVEMENT = 0.36
 PAPER_F2D_GHZ = 2.66
 PAPER_F3D_GHZ = 3.93
 PAPER_FREQUENCY_GAIN = 0.479

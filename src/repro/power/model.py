@@ -68,16 +68,6 @@ class PowerBreakdown:
     def total_watts(self) -> float:
         return self.dynamic_watts + self.clock_watts + self.leakage_watts
 
-    def per_die_totals(self) -> List[float]:
-        """Total per-die watts including clock and leakage shares."""
-        dies = NUM_DIES if self.stack is StackKind.STACKED_3D else 1
-        totals = [0.0] * dies
-        for module in self.modules.values():
-            for die, watts in enumerate(module.per_die):
-                totals[die] += watts
-        shared = (self.clock_watts + self.leakage_watts) / dies
-        return [t + shared for t in totals]
-
     def format(self) -> str:
         lines = [
             f"{self.benchmark} [{self.config_name}] {self.stack.value} "

@@ -184,8 +184,3 @@ def fingerprint(name: str, length: int = 20_000, seed: Optional[int] = None) -> 
         seed=spec.seed if seed is None else seed,
         benchmark_class=spec.benchmark_class.value,
     )
-
-
-def standard_suite(length: int = 20_000) -> List[CompiledTrace]:
-    """Generate every benchmark at the given length."""
-    return [generate(name, length=length) for name in BENCHMARKS]

@@ -74,12 +74,6 @@ class TestEvaluation:
         stacked = calibrated.evaluate(full_3d_run, StackKind.STACKED_3D)
         assert stacked.leakage_watts == planar.leakage_watts
 
-    def test_per_die_totals_include_shared(self, calibrated, full_3d_run):
-        breakdown = calibrated.evaluate(full_3d_run, StackKind.STACKED_3D)
-        totals = breakdown.per_die_totals()
-        assert len(totals) == NUM_DIES
-        assert sum(totals) == pytest.approx(breakdown.total_watts)
-
     def test_format_contains_total(self, calibrated, base_run):
         text = calibrated.evaluate(base_run, StackKind.PLANAR_2D).format()
         assert "TOTAL" in text

@@ -15,7 +15,7 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.
 
 
 def test_examples_found():
-    assert len(EXAMPLES) >= 7
+    assert len(EXAMPLES) >= 6
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
