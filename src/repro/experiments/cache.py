@@ -75,7 +75,7 @@ Cross-process coordination lives in one WAL-mode SQLite index,
   older than :data:`DEFAULT_CLAIM_STALE_S`).  Claims are advisory:
   losing one never blocks progress.
 
-The blobs stay plain files, so workers can memory-map traces and a
+The blobs stay plain files, so a trace loads memory-mapped and a
 cache without an index (an older layout, or a deleted index) is
 rebuilt from one directory scan on first open.  Any ``sqlite3`` error
 degrades to uncoordinated operation: a claim is then always won, a
@@ -152,6 +152,26 @@ _INDEX_SCHEMA = (
     "CREATE TABLE IF NOT EXISTS claims (key TEXT PRIMARY KEY,"
     " pid INTEGER NOT NULL, ts REAL NOT NULL) WITHOUT ROWID",
 )
+
+
+def env_positive_number(name: str) -> Optional[float]:
+    """A positive finite number from the environment variable ``name``,
+    or None (unset, or invalid with a warning)."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and value > 0:
+        return value
+    warnings.warn(
+        f"ignoring invalid {name}={raw!r} (not a finite positive number)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return None
 
 
 def _canonical(value):
@@ -535,12 +555,11 @@ class ResultCache:
         self.root = Path(root)
         self.version_dir = self.root / f"v{CACHE_SCHEMA_VERSION}"
         if max_mb is None:
-            self.max_bytes = self._max_bytes_from_env()
+            max_mb = env_positive_number(ENV_CACHE_MAX_MB) or 0
         elif not math.isfinite(max_mb):
             raise ValueError(
                 f"max_mb must be a finite number of megabytes, got {max_mb!r}")
-        else:
-            self.max_bytes = int(max_mb * 1024 * 1024) if max_mb > 0 else None
+        self.max_bytes = int(max_mb * 1024 * 1024) if max_mb > 0 else None
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -548,37 +567,10 @@ class ResultCache:
         self.evictions = 0
         #: good entries evicted to respect the size high-water mark
         self.evictions_size = 0
+        #: keys whose claim rows this cache inserted and still holds
+        self._claimed: set = set()
         self._index = CacheIndex(self.version_dir / INDEX_NAME,
                                  scan=lambda: self._scan_entries())
-
-    @staticmethod
-    def _max_bytes_from_env() -> Optional[int]:
-        raw = os.environ.get(ENV_CACHE_MAX_MB, "").strip()
-        if not raw:
-            return None
-        try:
-            max_mb = float(raw)
-            if not math.isfinite(max_mb):
-                raise ValueError(raw)
-        except ValueError:
-            warnings.warn(
-                f"ignoring invalid {ENV_CACHE_MAX_MB}={raw!r} (not a finite "
-                f"number); cache size is unbounded",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if max_mb <= 0:
-            # A zero or negative cap is nonsensical (no store could ever
-            # fit under it); treat it like the invalid-number path above.
-            warnings.warn(
-                f"ignoring invalid {ENV_CACHE_MAX_MB}={raw!r} (must be a "
-                f"positive number of megabytes); cache size is unbounded",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        return int(max_mb * 1024 * 1024)
 
     @classmethod
     def from_env(cls) -> Optional["ResultCache"]:
@@ -796,16 +788,21 @@ class ResultCache:
     # Cross-process claims
 
     def try_claim(self, key: str) -> bool:
-        """Atomically claim ``key`` for this process.
+        """Atomically claim ``key`` for this cache.
 
-        True means "go compute" — either this process inserted the claim
-        row (exactly one process can) or the index is unavailable, in
-        which case running uncoordinated is the only safe degradation.
-        False means another process holds the claim; wait for its entry
-        instead.
+        True means "go compute" — this cache inserted the claim row
+        (exactly one can) or holds it already (a dispatch of its own not
+        yet collected), or the index is unavailable, in which case
+        running uncoordinated is the only safe degradation.  False means
+        a peer holds the claim; wait for its entry instead.
         """
-        return self._index.write("INSERT OR IGNORE INTO claims VALUES (?, ?, ?)",
+        if key in self._claimed:
+            return True
+        won = self._index.write("INSERT OR IGNORE INTO claims VALUES (?, ?, ?)",
                                 (key, os.getpid(), time.time())) != 0
+        if won:
+            self._claimed.add(key)
+        return won
 
     def claim_holder(self, key: str) -> Optional[dict]:
         """The claim's ``{"pid": ..., "ts": ...}``, or ``None`` when unclaimed."""
@@ -821,10 +818,12 @@ class ResultCache:
 
     def break_claim(self, key: str) -> None:
         """Forcibly remove ``key``'s claim (stale-claim takeover)."""
+        self._claimed.discard(key)
         self._index.write("DELETE FROM claims WHERE key = ?", (key,))
 
     def release_claim(self, key: str) -> None:
         """Remove ``key``'s claim if this process holds it."""
+        self._claimed.discard(key)
         self._index.write("DELETE FROM claims WHERE key = ? AND pid = ?",
                          (key, os.getpid()))
 
@@ -1099,9 +1098,9 @@ class TraceStore:
                 self._index.record_unlink("trace", key)
 
     def store(self, key: str, compiled) -> Optional[Path]:
-        """Persist ``compiled`` under ``key``; returns the ``.npy`` path
-        (for shipping to workers), or ``None`` when the filesystem
-        refuses (read-only, full) and operation degrades to storeless."""
+        """Persist ``compiled`` under ``key``; returns the ``.npy`` path,
+        or ``None`` when the filesystem refuses (read-only, full) and
+        operation degrades to storeless."""
         from repro.isa.compiled import write_compiled
 
         npy = self.npy_path(key)

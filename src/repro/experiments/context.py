@@ -17,7 +17,6 @@ default ``os.cpu_count()``) with results identical to a serial run.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 import uuid
@@ -42,23 +41,15 @@ from repro.circuits.blocks import build_block_models
 from repro.cpu.config import CPUConfig, paper_configurations
 from repro.cpu.results import SimulationResult
 from repro.experiments.cache import (
-    DEFAULT_CLAIM_STALE_S,
     ResultCache,
+    env_positive_number,
     simulation_key,
     thermal_key,
     trace_store_key,
     transient_key,
 )
-from repro.experiments.executor import (
-    MAX_POOL_RESTARTS,
-    MAX_TASK_ATTEMPTS,
-    RETRY_BACKOFF_S,
-    Executor,
-    PoolTask,
-    Started,
-    chunks,
-)
-from repro.experiments.resolver import CLAIM_POLL_S, CLAIM_WAIT_S, Resolver
+from repro.experiments.executor import Executor, PoolTask, Started, chunks
+from repro.experiments.resolver import Resolver
 from repro.floorplan import Floorplan, planar_floorplan, stacked_floorplan
 from repro.power.model import (
     PowerBreakdown,
@@ -103,7 +94,8 @@ ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT_S"
 #: The transient part is not gated: no report section reuses a step
 #: matrix, so with ``jobs > 1`` every transient group pools, in the same
 #: pool as any pooled steady groups (a pool of a single task still runs
-#: inline; see :meth:`Executor.start`).
+#: inline; see :meth:`Executor.start`).  Read when used, so a test can
+#: lower it with ``monkeypatch.setattr`` on this module.
 THERMAL_PARALLEL_MIN_GROUPS = 3
 
 #: Back-solves one factorization costs about as much as (grid-48 3D
@@ -328,26 +320,6 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _env_positive_number(name: str) -> Optional[float]:
-    """A positive finite number from the environment, or None (unset, or
-    invalid with a warning)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if math.isfinite(value) and value > 0:
-        return value
-    warnings.warn(
-        f"ignoring invalid {name}={raw!r} (not a finite positive number)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return None
-
-
 def _factorization_counts() -> Dict[str, int]:
     """The parent's steady and step factorizations so far."""
     return {"factorizations": FACTORIZATION_STATS.factorizations,
@@ -355,22 +327,17 @@ def _factorization_counts() -> Dict[str, int]:
 
 
 def _simulate_task(
-    benchmark: str,
+    trace: CompiledTrace,
     configs: Sequence[CPUConfig],
-    trace_length: int,
     warmup: int,
-    trace_file: Optional[str] = None,
 ) -> List[SimulationResult]:
-    """Worker entry point: map in the compiled trace (or regenerate) once
-    and run it under each of ``configs``, in order.
+    """Worker entry point: run the parent's ``trace`` under each of
+    ``configs``, in order.
 
-    ``trace_file`` points at the parent's stored compiled trace; the
-    worker memory-maps it instead of re-running the emulator, so each
-    task ships a file path rather than a pickled instruction list.  A
-    damaged or vanished file degrades to regeneration — the emulator is
-    deterministic, so every path yields the same trace.  Every config
-    replays the same trace object, so its pre-decode and frontend/memory
-    walks are built once per task rather than once per config.
+    The trace arrives pickled, as its array and metadata only, so no
+    worker re-runs the emulator.  Every config replays the same trace
+    object, so its pre-decode and frontend/memory walks are built once
+    per task rather than once per config.
 
     The fault point is a no-op unless a fault-injection token directory
     is armed (see :mod:`repro.experiments.faults`); the serial path calls
@@ -378,22 +345,8 @@ def _simulate_task(
     """
     from repro.cpu.pipeline import simulate
     from repro.experiments.faults import maybe_inject_worker_fault
-    from repro.workloads.suite import generate
 
     maybe_inject_worker_fault()
-    trace = None
-    if trace_file is not None:
-        from repro.isa.compiled import read_compiled, TraceReadError
-
-        try:
-            compiled = read_compiled(trace_file)
-        except TraceReadError:
-            pass
-        else:
-            if len(compiled) == trace_length and compiled.name == benchmark:
-                trace = compiled
-    if trace is None:
-        trace = generate(benchmark, length=trace_length)
     return [simulate(trace, config, warmup=warmup) for config in configs]
 
 
@@ -511,8 +464,6 @@ class ThermalRun:
                       group.solver.spreader_mm) + group.args,
                 serial=lambda g=group: g.run() + (None,),
                 detail=group.detail,
-                timeout_s=context.task_timeout_s,
-                max_attempts=context.max_task_attempts,
             )
             for group in (self._groups[i] for i in self._order)
         ], " + ".join(dict.fromkeys(self._groups[i].kind.pool
@@ -605,21 +556,9 @@ class ExperimentContext:
         )
         self.stats = ContextStats()
         self.stats.run_id = uuid.uuid4().hex[:12]
-        #: fault-tolerance knobs (instance attributes so tests and callers
-        #: can tighten them without touching the module-level defaults)
-        self.max_task_attempts = MAX_TASK_ATTEMPTS
-        self.max_pool_restarts = MAX_POOL_RESTARTS
-        self.retry_backoff_s = RETRY_BACKOFF_S
         #: per-task deadline; None (the default) waits indefinitely
-        self.task_timeout_s = _env_positive_number(ENV_TASK_TIMEOUT)
-        #: distinct geometries a thermal dispatch needs to use the pool
-        self.thermal_parallel_min_groups = THERMAL_PARALLEL_MIN_GROUPS
-        #: cross-process claim coordination knobs
-        self.claim_wait_s = CLAIM_WAIT_S
-        self.claim_poll_s = CLAIM_POLL_S
-        self.claim_stale_s = DEFAULT_CLAIM_STALE_S
+        self.task_timeout_s = env_positive_number(ENV_TASK_TIMEOUT)
         self._traces: Dict[str, CompiledTrace] = {}
-        self._trace_files: Dict[str, Optional[str]] = {}
         self._runs: Dict[Tuple[str, str], SimulationResult] = {}
         self._config_runs: Dict[Tuple[str, str], SimulationResult] = {}
         self._thermals: Dict[Tuple[str, str], ThermalResult] = {}
@@ -630,32 +569,9 @@ class ExperimentContext:
         self._solvers: Dict[StackKind, ThermalSolver] = {}
 
     def _executor(self) -> Executor:
-        """The pool executor, under this context's current knobs."""
-        return Executor(self.stats, self.jobs,
-                        max_pool_restarts=self.max_pool_restarts,
-                        retry_backoff_s=self.retry_backoff_s,
+        """The pool executor, under this context's task deadline."""
+        return Executor(self.stats, self.jobs, self.task_timeout_s,
                         fork_detail=_factorization_counts)
-
-    def _resolver(self) -> Resolver:
-        """The claim-coordinated lookup, under this context's knobs."""
-        return Resolver(self.cache, self.stats, wait_s=self.claim_wait_s,
-                        poll_s=self.claim_poll_s, stale_s=self.claim_stale_s)
-
-    # ------------------------------------------------------------------ #
-
-    def metrics(self) -> dict:
-        """One scrapeable snapshot of this context's caches and telemetry.
-
-        Combines the on-disk cache state (exact sizes from the cache's
-        SQLite index, result and trace entries broken out), this
-        process's cache hit/miss/eviction counters, the process-wide
-        ``FACTORIZATION_STATS``, and :meth:`ContextStats.as_dict` (which
-        carries ``stage_seconds``) — the payload behind
-        ``python -m repro metrics`` and ``repro report --stats``.
-        """
-        from repro.experiments.metrics import metrics_snapshot
-
-        return metrics_snapshot(context=self)
 
     # ------------------------------------------------------------------ #
 
@@ -680,7 +596,6 @@ class ExperimentContext:
             trace = store.load(key)
             if trace is not None:
                 self.stats.trace_cache_hits += 1
-                self._trace_files[benchmark] = os.fspath(store.npy_path(key))
         if trace is None:
             start = time.perf_counter()
             trace = generate(benchmark, length=self.settings.trace_length)
@@ -691,19 +606,9 @@ class ExperimentContext:
             self.stats.add_stage("generate", time.perf_counter() - start)
             self.stats.traces_generated += 1
             if store is not None:
-                path = store.store(key, trace)
-                self._trace_files[benchmark] = (
-                    None if path is None else os.fspath(path)
-                )
+                store.store(key, trace)
         self._traces[benchmark] = trace
         return trace
-
-    def _trace_file(self, benchmark: str) -> Optional[str]:
-        """The on-disk compiled trace workers should map, or ``None``
-        (store disabled or unusable) — in which case workers regenerate
-        the trace themselves."""
-        self.trace(benchmark)
-        return self._trace_files.get(benchmark)
 
     def _config_for(self, config_label: str) -> CPUConfig:
         config = self.configs.get(config_label)
@@ -781,7 +686,7 @@ class ExperimentContext:
         the claim-coordinated resolver, simulating the misses — across
         worker processes when more than one is pending and ``jobs``
         allows it."""
-        resolver = self._resolver()
+        resolver = Resolver(self.cache, self.stats)
         found = resolver.lookup(
             (
                 (self._cache_key(benchmark, config), (benchmark, config),
@@ -801,11 +706,11 @@ class ExperimentContext:
 
         The unit of fan-out is a trace: each benchmark's configs (in
         first-seen order) are cut into ``ceil(jobs / benchmarks)``
-        contiguous chunks, and each chunk is one pool task that maps the
-        trace and pre-decodes it once for all of its configs.  Results
-        come back in the order of ``units``.  The executor supplies the
-        fault tolerance; a chunk's serial fallback simulates its configs
-        in turn in this process.
+        contiguous chunks, and each chunk is one pool task that takes the
+        parent's trace by value and pre-decodes it once for all of its
+        configs.  Results come back in the order of ``units``.  The
+        executor supplies the fault tolerance; a chunk's serial fallback
+        simulates its configs in turn in this process.
         """
         # Imported here, before the pool forks, so that workers inherit
         # the timing core instead of compiling their own copy, and a run
@@ -828,17 +733,14 @@ class ExperimentContext:
             pool_tasks = []
             for benchmark, chunk in groups:
                 configs = [tasks[index][1] for index in chunk]
+                trace = self.trace(benchmark)
                 pool_tasks.append(PoolTask(
                     fn=_simulate_task,
-                    args=(benchmark, configs, settings.trace_length,
-                          settings.warmup, self._trace_file(benchmark)),
-                    serial=(lambda b=benchmark, cs=configs: [
-                        simulate(self.trace(b), c, warmup=settings.warmup)
-                        for c in cs]),
+                    args=(trace, configs, settings.warmup),
+                    serial=(lambda t=trace, cs=configs: [
+                        simulate(t, c, warmup=settings.warmup) for c in cs]),
                     detail={"benchmark": benchmark,
                             "configs": [c.name for c in configs]},
-                    timeout_s=self.task_timeout_s,
-                    max_attempts=self.max_task_attempts,
                 ))
             results: List[SimulationResult] = [None] * len(tasks)
             group_results = self._executor().start(
@@ -1012,7 +914,7 @@ class ExperimentContext:
         geometry group (:meth:`solve_thermal_groups`,
         :meth:`transient_many`).  With ``jobs > 1`` the transient groups,
         and the steady ones when there are at least
-        ``thermal_parallel_min_groups`` of them, go to one pool, longest
+        :data:`THERMAL_PARALLEL_MIN_GROUPS` of them, go to one pool, longest
         task first, so that the workers run while the caller carries on.
         ``result()`` runs the other groups inline, collects the pool,
         stores the results, settles the claims and returns the steady
@@ -1023,7 +925,7 @@ class ExperimentContext:
         steady: List[List[Optional[ThermalResult]]] = [
             [None] * len(batches) for _, batches in groups
         ]
-        resolver = self._resolver()
+        resolver = Resolver(self.cache, self.stats)
         found = resolver.lookup(
             (
                 (thermal_key(solver, grids), (solver, grids), out, pos)
@@ -1044,7 +946,7 @@ class ExperimentContext:
 
         return ThermalRun(
             self,
-            [(solve, len(solve) >= self.thermal_parallel_min_groups),
+            [(solve, len(solve) >= THERMAL_PARALLEL_MIN_GROUPS),
              (step, True)],
             finish,
             lambda: resolver.release(found.claimed),
@@ -1085,10 +987,10 @@ class ExperimentContext:
     def _solve_units(self, units) -> List[ThermalResult]:
         """Solve the resolver's units now, one result per unit in order:
         the compute of keys taken over from a peer.  Their groups pool
-        only at ``thermal_parallel_min_groups`` geometries."""
+        only at :data:`THERMAL_PARALLEL_MIN_GROUPS` geometries."""
         groups, solved = self._steady_groups(units)
         return ThermalRun(
-            self, [(groups, len(groups) >= self.thermal_parallel_min_groups)],
+            self, [(groups, len(groups) >= THERMAL_PARALLEL_MIN_GROUPS)],
             solved,
         ).result()
 

@@ -24,6 +24,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 #: Worker-pool attempts each task gets before it falls back to running
 #: serially in this process (1 first try + N-1 retries on a fresh pool).
+#: This and the next two constants are read when used, so a test can
+#: tighten them with ``monkeypatch.setattr`` on this module.
 MAX_TASK_ATTEMPTS = 3
 
 #: Broken-pool restarts per batch before the whole remainder goes serial.
@@ -55,22 +57,14 @@ class PoolTask:
 
     ``fn(*args)`` runs in a worker process; ``serial()`` is the
     in-process fallback producing an identical result (every task is
-    deterministic).  ``detail`` labels the task in robustness events,
-    ``timeout_s`` is its per-attempt deadline and ``max_attempts`` its
-    worker-pool attempt budget.
-
-    A deadline runs from the attempt's submission, not from the
-    collection of a started dispatch: a task that finished while the
-    parent was busy elsewhere is collected normally, while one still
-    running past its deadline times out as soon as collection starts.
+    deterministic).  ``detail`` labels the task in robustness events.
+    Each task gets :data:`MAX_TASK_ATTEMPTS` worker-pool attempts.
     """
 
     fn: Callable
     args: tuple
     serial: Callable[[], object]
     detail: Dict[str, object]
-    timeout_s: Optional[float] = None
-    max_attempts: int = 1
 
 
 def _new_pool(workers: int):
@@ -166,6 +160,7 @@ class Started:
         from concurrent.futures.process import BrokenProcessPool
 
         futures, deadlines, refused = {}, {}, []
+        timeout_s = self._executor.task_timeout_s
         for index in pending:
             task = self._tasks[index]
             try:
@@ -176,8 +171,8 @@ class Started:
                 refused.append(index)
                 continue
             futures[future] = index
-            if task.timeout_s is not None:
-                deadlines[future] = time.monotonic() + task.timeout_s
+            if timeout_s is not None:
+                deadlines[future] = time.monotonic() + timeout_s
         self._stats.tasks_run += len(futures)
         return futures, deadlines, refused
 
@@ -242,7 +237,7 @@ class Started:
                         "task_timeout",
                         **tasks[index].detail,
                         attempt=attempts[index],
-                        timeout_s=tasks[index].timeout_s,
+                        timeout_s=self._executor.task_timeout_s,
                         running=was_running,
                     )
             if not failed:
@@ -259,7 +254,7 @@ class Started:
             if not retryable:
                 return results
             if self._pool is None:
-                if restarts >= self._executor.max_pool_restarts:
+                if restarts >= MAX_POOL_RESTARTS:
                     self._serial_remainder(
                         results, retryable,
                         f"{reason} {restarts + 1} times")
@@ -270,8 +265,7 @@ class Started:
                                    restart=restarts, reason=reason,
                                    tasks=len(retryable))
                 time.sleep(min(MAX_BACKOFF_S,
-                               self._executor.retry_backoff_s
-                               * 2 ** (restarts - 1)))
+                               RETRY_BACKOFF_S * 2 ** (restarts - 1)))
                 self._pool = _new_pool(self._workers)
                 if self._pool is None:
                     self._serial_remainder(results, retryable,
@@ -294,7 +288,7 @@ class Started:
         retryable: List[int] = []
         for index in failed:
             task = self._tasks[index]
-            if self._attempts[index] < task.max_attempts:
+            if self._attempts[index] < MAX_TASK_ATTEMPTS:
                 retryable.append(index)
             else:
                 self._stats.record_event(
@@ -328,15 +322,19 @@ class Executor:
     workers.
 
     ``stats`` (a ``ContextStats``) receives the pool counters, the
-    robustness events and the batch scopes.
+    robustness events and the batch scopes.  ``task_timeout_s`` is every
+    task's per-attempt deadline (None: wait indefinitely).  A deadline
+    runs from the attempt's submission, not from the collection of a
+    started dispatch: a task that finished while the parent was busy
+    elsewhere is collected normally, while one still running past its
+    deadline times out as soon as collection starts.
     ``fork_detail()`` supplies extra fields of each ``pool_start``
     event, read as the pool forks.
     """
 
     stats: object
     jobs: int
-    max_pool_restarts: int = MAX_POOL_RESTARTS
-    retry_backoff_s: float = RETRY_BACKOFF_S
+    task_timeout_s: Optional[float] = None
     fork_detail: Callable[[], dict] = dict
 
     def start(self, tasks: List[PoolTask], kind: str) -> Started:

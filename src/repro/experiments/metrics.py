@@ -1,42 +1,31 @@
-"""Scrapeable metrics snapshot of the cache, its index, and run telemetry.
+"""Scrapeable metrics snapshot of the cache and its index.
 
-One JSON-serializable dictionary combining:
+The cache-side state is read from disk: exact size/entry counts from
+the :class:`repro.experiments.cache.CacheIndex` (result and trace
+entries broken out), the configured size cap, the index's claim rows,
+and the in-flight temp-file count.  :func:`cache_metrics` adds, for a
+cache a run has used, that process's hit/miss/store/eviction counters
+and index rebuilds.
 
-* **cache-side state** read from disk — exact size/entry counts from the
-  :class:`repro.experiments.cache.CacheIndex` (result and trace entries
-  broken out), the configured size cap, the index's entry and claim
-  rows, and the in-flight temp-file count;
-* **per-process cache counters** — hit/miss/store/eviction counts of the
-  live :class:`~repro.experiments.cache.ResultCache` and its trace
-  store;
-* **solver state** — the process-wide steady and step factorization
-  counts;
-* **run telemetry** — the owning context's
-  :meth:`~repro.experiments.context.ContextStats.as_dict` payload
-  (per-stage wall-clock, claim/retry/fault counters), when a context is
-  attached.
-
-``python -m repro metrics`` prints the snapshot (or writes it with
-``--out FILE``) for CI artifacts and external scrapers;
-``repro report --stats``/``--log-json`` embed the same cache section so
-one warm-vs-cold diff shows exactly where every result came from.
+``python -m repro metrics`` prints :func:`metrics_snapshot` (or writes
+it with ``--out FILE``) for CI artifacts and external scrapers.  It runs
+in a fresh process, whose counters are all zero, so it carries only the
+on-disk state.  ``repro report --stats``/``--log-json`` embed the full
+section, counters included, so one warm-vs-cold diff shows exactly
+where every result came from.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from typing import Optional
-
-from repro.thermal.solver import FACTORIZATION_STATS
-from repro.thermal.transient import STEP_FACTORIZATION_STATS
 
 #: Bump when the snapshot layout changes incompatibly.
-METRICS_SCHEMA_VERSION = 4
+METRICS_SCHEMA_VERSION = 5
 
 
-def cache_metrics(cache) -> dict:
-    """The cache/index section of the snapshot (``cache`` may be None —
-    the ``REPRO_CACHE=0`` configuration — which reports as disabled)."""
+def _disk_metrics(cache) -> dict:
+    """The cache's on-disk state (``cache`` may be None — the
+    ``REPRO_CACHE=0`` configuration — which reports as disabled)."""
     from repro.experiments.cache import CACHE_SCHEMA_VERSION, ENV_CACHE_MAX_MB
 
     if cache is None:
@@ -46,7 +35,6 @@ def cache_metrics(cache) -> dict:
         "SELECT kind, COUNT(*), SUM(bytes) FROM entries GROUP BY kind")}
     result_entries, result_bytes = by_kind.get("result", (0, 0))
     trace_entries, trace_bytes = by_kind.get("trace", (0, 0))
-    store = cache.trace_store()
     return {
         "enabled": True,
         "dir": str(cache.root),
@@ -59,13 +47,19 @@ def cache_metrics(cache) -> dict:
         "trace_entries": trace_entries,
         "max_bytes": cache.max_bytes,
         "max_bytes_env": ENV_CACHE_MAX_MB,
-        "index": {
-            "entry_rows": result_entries + trace_entries,
-            "claim_rows": index.claim_count(),
-            "rebuilds": index.rebuilds,
-        },
+        "index": {"claim_rows": index.claim_count()},
         "tmp_files": len(cache.tmp_files()),
-        "counters": {
+    }
+
+
+def cache_metrics(cache) -> dict:
+    """The cache section of ``repro report --stats``: the on-disk state
+    plus this process's cache counters and index rebuilds."""
+    section = _disk_metrics(cache)
+    if cache is not None:
+        store = cache.trace_store()
+        section["index"]["rebuilds"] = cache.ledger.rebuilds
+        section["counters"] = {
             "hits": cache.hits,
             "misses": cache.misses,
             "stores": cache.stores,
@@ -75,31 +69,18 @@ def cache_metrics(cache) -> dict:
             "trace_misses": store.misses,
             "trace_stores": store.stores,
             "trace_evictions": store.evictions,
-        },
-    }
+        }
+    return section
 
 
-def metrics_snapshot(context=None, cache=None) -> dict:
-    """The full snapshot.
+def metrics_snapshot() -> dict:
+    """The snapshot of the environment-default cache (disabled under
+    ``REPRO_CACHE=0``) that ``python -m repro metrics`` scrapes between
+    runs: its on-disk state, without per-process counters."""
+    from repro.experiments.cache import ResultCache
 
-    ``context`` attaches its cache and run telemetry; without one,
-    ``cache`` is used as-is when given, else the environment-default
-    cache (``None`` under ``REPRO_CACHE=0``) is inspected — that is what
-    ``python -m repro metrics`` scrapes between runs.
-    """
-    if context is not None:
-        cache = context.cache
-    elif cache is None:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache.from_env()
-    snapshot = {
+    return {
         "schema": METRICS_SCHEMA_VERSION,
         "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
-        "cache": cache_metrics(cache),
-        "factorizations": FACTORIZATION_STATS.factorizations,
-        "step_factorizations": STEP_FACTORIZATION_STATS.factorizations,
+        "cache": _disk_metrics(ResultCache.from_env()),
     }
-    if context is not None:
-        snapshot["run"] = context.stats.as_dict()
-    return snapshot

@@ -18,6 +18,10 @@ from repro.experiments.cache import DEFAULT_CLAIM_STALE_S
 
 #: Bounded wait (seconds) on another process's cache claim before taking
 #: over and computing anyway (duplicate work beats waiting forever).
+#: This, :data:`CLAIM_POLL_S` and the imported
+#: :data:`~repro.experiments.cache.DEFAULT_CLAIM_STALE_S` are read when
+#: used, so a test can tighten them with ``monkeypatch.setattr`` on this
+#: module.
 CLAIM_WAIT_S = 120.0
 
 #: Poll interval while waiting on another process's claim.
@@ -57,17 +61,10 @@ class Lookup:
 @dataclass
 class Resolver:
     """Serves cache keys through ``cache`` (None: compute everything),
-    counting claim waits, dedups, takeovers and steals in ``stats``.
-
-    ``wait_s``, ``poll_s`` and ``stale_s`` bound the wait on a peer's
-    claim.
-    """
+    counting claim waits, dedups, takeovers and steals in ``stats``."""
 
     cache: object
     stats: object
-    wait_s: float = CLAIM_WAIT_S
-    poll_s: float = CLAIM_POLL_S
-    stale_s: float = DEFAULT_CLAIM_STALE_S
 
     def lookup(self, items: Iterable[Tuple[str, tuple, object, object]],
                expected_type: type) -> Lookup:
@@ -75,7 +72,9 @@ class Resolver:
 
         Items sharing a key become one :class:`Unit`.  Every disk hit is
         written to each of its unit's ``container[slot]``; every other
-        key is claimed for this process, or left waiting on its holder.
+        key is claimed for this cache (a claim the cache already holds,
+        from a dispatch not yet collected, counts as won), or left
+        waiting on its holder.
         """
         units: Dict[str, Unit] = {}
         for key, work, container, slot in items:
@@ -149,7 +148,7 @@ class Resolver:
         for unit in waiting:
             self.stats.claim_waits += 1
             self.stats.record_event("claim_wait", key=unit.key[:16])
-        deadline = time.monotonic() + self.wait_s
+        deadline = time.monotonic() + CLAIM_WAIT_S
         while waiting:
             still: List[Unit] = []
             takeovers: List[Tuple[Unit, str]] = []
@@ -157,7 +156,7 @@ class Resolver:
                 # Read the claim before the result: a holder stores before
                 # it releases, so a claim already gone here means its
                 # result is loadable now or was never stored.
-                stale = cache.claim_stale(unit.key, self.stale_s)
+                stale = cache.claim_stale(unit.key, DEFAULT_CLAIM_STALE_S)
                 released = not stale and cache.claim_holder(unit.key) is None
                 result = cache.load(unit.key, expected_type)
                 if result is not None:
@@ -192,4 +191,4 @@ class Resolver:
             self._store(units, lambda: compute(units))
             waiting = still
             if waiting:
-                time.sleep(self.poll_s)
+                time.sleep(CLAIM_POLL_S)

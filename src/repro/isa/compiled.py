@@ -11,10 +11,11 @@ predicates, 16-bit significance classification, cache line/page indices)
 is derived from it once, vectorized, and shared across every
 configuration that replays the trace (see :mod:`repro.cpu.predecode`).
 
-The same array is the *transport* form: it round-trips through ``.npy``
-+ JSON-sidecar files (:func:`write_compiled` / :func:`read_compiled`)
-and is memory-mapped back in, so worker processes share one on-disk copy
-per workload instead of each re-running the emulator.
+The same array is the stored form: it round-trips through ``.npy`` +
+JSON-sidecar files (:func:`write_compiled` / :func:`read_compiled`) and
+is memory-mapped back in, so a process re-runs no emulator for a
+workload the trace store already holds.  A trace's pickle, which takes
+it to pool workers, carries the array and the metadata only.
 
 Rows are strict: an instruction the fixed-width columns cannot represent
 exactly (more than :data:`MAX_SOURCES` sources, values outside 64-bit
@@ -121,15 +122,22 @@ class CompiledTrace:
         self.array = array
         self._predecoded = None
 
+    def __reduce__(self):
+        # The pre-decoded columns are twice the array's size, and a
+        # worker builds them once per task anyway, so a pickle carries
+        # only what defines the trace.
+        return (CompiledTrace, (self.name, self.benchmark_class, self.seed,
+                                np.asarray(self.array)))
+
     def __len__(self) -> int:
         return len(self.array)
 
     @property
     def nbytes(self) -> int:
-        """Size of the columnar array in bytes (the transport payload).
+        """Size of the columnar array in bytes (the bulk of its pickle).
 
-        For a memory-mapped entry this is the on-disk footprint shared by
-        all workers, not per-process resident memory.
+        For a memory-mapped entry this is the on-disk footprint, not
+        per-process resident memory.
         """
         return int(self.array.nbytes)
 
@@ -239,7 +247,7 @@ def compile_trace(name: str, rows: List[tuple],
 # On-disk form: <key>.npy (the array, memory-mappable) + <key>.json
 # (metadata).  Atomicity and eviction policy belong to the trace store
 # (:class:`repro.experiments.cache.TraceStore`); these two functions are
-# the raw serialization shared by the store and by pool workers.
+# the raw serialization shared by the store and by ``repro trace``.
 
 def meta_path_for(npy_path: os.PathLike) -> str:
     """The JSON sidecar path belonging to a ``.npy`` entry."""

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import resolver
 from repro.experiments.cache import (
     ENV_CACHE_DIR,
     ENV_CACHE_MAX_MB,
@@ -63,10 +64,13 @@ def _age(cache: ResultCache, key: str, seconds: float) -> None:
 class TestClaimProtocol:
     def test_exactly_one_winner(self, tmp_path):
         cache = ResultCache(tmp_path)
+        peer = ResultCache(tmp_path)
         assert cache.try_claim(KEY) is True
-        assert cache.try_claim(KEY) is False  # already held
+        assert peer.try_claim(KEY) is False  # already held
+        assert cache.try_claim(KEY) is True  # its own claim counts as won
         cache.release_claim(KEY)
-        assert cache.try_claim(KEY) is True  # reclaimable after release
+        assert peer.try_claim(KEY) is True  # reclaimable after release
+        assert cache.try_claim(KEY) is False
 
     def test_claim_carries_pid_and_timestamp(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -103,12 +107,12 @@ class TestClaimProtocol:
 
 
 class TestClaimCoordination:
-    def test_waiter_adopts_peer_result(self, tmp_path):
+    def test_waiter_adopts_peer_result(self, tmp_path, monkeypatch):
         """The claim loser waits and simulates nothing — one simulation total."""
         produced = ExperimentContext(TINY, jobs=1, cache=None).run("adpcm", "Base")
         shared = ResultCache(tmp_path)
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        context.claim_poll_s = 0.01
+        monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
         key = context._cache_key("adpcm", context._config_for("Base"))
         assert shared.try_claim(key)  # a "peer process" wins the claim
 
@@ -128,9 +132,9 @@ class TestClaimCoordination:
         assert context.stats.claim_dedup == 1
         assert result.cycles == produced.cycles
 
-    def test_dead_holder_is_taken_over(self, tmp_path):
+    def test_dead_holder_is_taken_over(self, tmp_path, monkeypatch):
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        context.claim_poll_s = 0.01
+        monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
         key = context._cache_key("adpcm", context._config_for("Base"))
         _plant_claim(context.cache, key, pid=_reap(), ts=time.time())
         context.run("adpcm", "Base")
@@ -141,12 +145,12 @@ class TestClaimCoordination:
                      if e["event"] == "claim_takeover"]
         assert takeovers[0]["reason"] == "stale"
 
-    def test_expired_wait_simulates_anyway(self, tmp_path):
+    def test_expired_wait_simulates_anyway(self, tmp_path, monkeypatch):
         """A live-but-slow holder delays the loser, never starves it."""
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        context.claim_poll_s = 0.01
-        context.claim_wait_s = 0.2
-        context.claim_stale_s = 10_000.0
+        monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
+        monkeypatch.setattr(resolver, "CLAIM_WAIT_S", 0.2)
+        monkeypatch.setattr(resolver, "DEFAULT_CLAIM_STALE_S", 10_000.0)
         key = context._cache_key("adpcm", context._config_for("Base"))
         _plant_claim(context.cache, key, pid=1, ts=time.time())  # init: alive
         start = time.monotonic()
@@ -164,6 +168,7 @@ class TestClaimCoordination:
         script = tmp_path / "cold_start.py"
         script.write_text(
             "import json, sys\n"
+            "from repro.experiments import resolver\n"
             "from repro.experiments.cache import ResultCache\n"
             "from repro.experiments.context import (\n"
             "    ExperimentContext, ExperimentSettings)\n"
@@ -172,7 +177,7 @@ class TestClaimCoordination:
             "                              thermal_grid=32)\n"
             "context = ExperimentContext(settings, jobs=1,\n"
             "                            cache=ResultCache(sys.argv[1]))\n"
-            "context.claim_poll_s = 0.01\n"
+            "resolver.CLAIM_POLL_S = 0.01\n"
             "context.run('adpcm', 'Base')\n"
             "with open(sys.argv[2], 'w') as stream:\n"
             "    json.dump(context.stats.as_dict(), stream)\n",
@@ -483,18 +488,15 @@ class TestMetricsSnapshot:
 
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
         context.run("adpcm", "Base")
-        snapshot = context.metrics()
-        section = snapshot["cache"]
+        payload = stats_payload(context, wall_s=1.25, fast=True)
+        section = payload["metrics"]
         assert section["enabled"] is True
         assert section["size_bytes"] == _du(context.cache)
         assert section["counters"]["stores"] == context.cache.stores >= 1
         assert section["trace_entries"] == 1
-        assert snapshot["run"]["simulated"] == 1
-        payload = stats_payload(context, wall_s=1.25, fast=True)
         assert payload["wall_s"] == 1.25
         assert payload["fast"] is True
         assert payload["simulated"] == 1
-        assert payload["metrics"]["size_bytes"] == section["size_bytes"]
         json.dumps(payload)  # the --log-json path needs it serializable
 
     def test_snapshot_without_context_uses_env_cache(self, tmp_path, monkeypatch):
@@ -506,9 +508,11 @@ class TestMetricsSnapshot:
         assert snapshot["cache"]["entries"] == 1
         assert snapshot["cache"]["result_entries"] == 1
         assert snapshot["cache"]["trace_entries"] == 0
-        assert snapshot["schema"] == 4
-        assert snapshot["cache"]["index"] == {
-            "entry_rows": 1, "claim_rows": 0, "rebuilds": 0}
+        assert snapshot["schema"] == 5
+        # A fresh process's counters are all zero, so none are shown.
+        assert snapshot["cache"]["index"] == {"claim_rows": 0}
+        assert "counters" not in snapshot["cache"]
+        assert set(snapshot) == {"schema", "ts", "cache"}
 
 
 class TestLedgerStress:

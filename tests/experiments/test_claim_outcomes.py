@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.experiments import resolver
 from repro.experiments.cache import ResultCache, thermal_key
 from repro.experiments.context import (
     ExperimentContext,
@@ -100,12 +101,13 @@ def kind(request):
     return _Simulation(request.param)
 
 
-def _context(tmp_path, **knobs) -> ExperimentContext:
-    context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-    context.claim_poll_s = 0.01
-    for name, value in knobs.items():
-        setattr(context, name, value)
-    return context
+def _context(tmp_path, monkeypatch, **constants) -> ExperimentContext:
+    """A cached serial context, with a short claim poll and the
+    resolver's other ``constants`` patched in."""
+    monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
+    for name, value in constants.items():
+        monkeypatch.setattr(resolver, name, value)
+    return ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
 
 
 def _reference(kind):
@@ -136,9 +138,9 @@ def _same(a, b) -> bool:
     return pickle.dumps(a) == pickle.dumps(b)
 
 
-def test_peer_result_is_adopted(tmp_path, kind):
+def test_peer_result_is_adopted(tmp_path, kind, monkeypatch):
     produced = _reference(kind)
-    context = _context(tmp_path)
+    context = _context(tmp_path, monkeypatch)
     key = kind.key(context)
     peer = ResultCache(tmp_path)
     assert peer.try_claim(key)
@@ -166,7 +168,7 @@ def test_peer_finishing_between_the_checks_is_adopted(tmp_path, kind,
     """A peer that stores and releases while this process polls its key
     is adopted, never mistaken for one that released without storing."""
     produced = _reference(kind)
-    context = _context(tmp_path)
+    context = _context(tmp_path, monkeypatch)
     key = kind.key(context)
     peer = ResultCache(tmp_path)
     assert peer.try_claim(key)
@@ -187,8 +189,8 @@ def test_peer_finishing_between_the_checks_is_adopted(tmp_path, kind,
     assert _same(result, produced)
 
 
-def test_dead_holder_is_taken_over(tmp_path, kind):
-    context = _context(tmp_path)
+def test_dead_holder_is_taken_over(tmp_path, kind, monkeypatch):
+    context = _context(tmp_path, monkeypatch)
     key = kind.key(context)
     _plant_claim(context.cache, key, _dead_pid())
     result = kind.resolve(context)
@@ -202,7 +204,7 @@ def test_dead_holder_is_taken_over(tmp_path, kind):
 
 def test_released_claim_is_stolen(tmp_path, kind, monkeypatch):
     """The holder released without storing: claim it and compute."""
-    context = _context(tmp_path, claim_wait_s=5.0)
+    context = _context(tmp_path, monkeypatch, CLAIM_WAIT_S=5.0)
     key = kind.key(context)
     cache = context.cache
     original = cache.try_claim
@@ -224,8 +226,10 @@ def test_released_claim_is_stolen(tmp_path, kind, monkeypatch):
     assert _same(result, _reference(kind))
 
 
-def test_expired_wait_computes_and_keeps_the_peers_claim(tmp_path, kind):
-    context = _context(tmp_path, claim_wait_s=0.2, claim_stale_s=10_000.0)
+def test_expired_wait_computes_and_keeps_the_peers_claim(tmp_path, kind,
+                                                         monkeypatch):
+    context = _context(tmp_path, monkeypatch, CLAIM_WAIT_S=0.2,
+                       DEFAULT_CLAIM_STALE_S=10_000.0)
     key = kind.key(context)
     _plant_claim(context.cache, key, pid=1)  # init: alive, not ours
     start = time.monotonic()
@@ -240,7 +244,7 @@ def test_expired_wait_computes_and_keeps_the_peers_claim(tmp_path, kind):
 
 def test_compute_raising_mid_steal_releases_the_claim(tmp_path, kind,
                                                       monkeypatch):
-    context = _context(tmp_path)
+    context = _context(tmp_path, monkeypatch)
     key = kind.key(context)
     _plant_claim(context.cache, key, _dead_pid())
 
@@ -307,3 +311,27 @@ class TestAbandonedDispatch:
         assert len(held) == THERMAL_PARALLEL_MIN_GROUPS
         assert context.cache.claims() == []
         _wait_for_no_worker(before)
+
+
+class TestOwnClaims:
+    """A claim this cache already holds, for a dispatch not yet
+    collected, is its own: a second dispatch of the key computes at once
+    instead of waiting on itself."""
+
+    def test_rerequesting_a_held_key_does_not_wait(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(resolver, "CLAIM_WAIT_S", 2.0)
+        context = ExperimentContext(TINY, jobs=2, cache=ResultCache(tmp_path))
+        groups = _pooled_geometries()
+        started = context.start_thermal(groups, [])
+        start = time.monotonic()
+        again = context.solve_thermal_groups(groups[:1])[0][0]
+        elapsed = time.monotonic() - start
+        first = started.result()[0][0][0]
+        assert elapsed < 1.0
+        assert context.stats.claim_waits == 0
+        assert context.stats.claim_takeovers == 0
+        assert again.block_peak == first.block_peak
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.layer_temps, first.layer_temps))
+        assert context.cache.claims() == []

@@ -42,10 +42,10 @@ def _always_fail(x: int) -> int:
     raise RuntimeError(f"task {x} always fails")
 
 
-def _task(fn, *args, serial=None, attempts: int = 3) -> PoolTask:
+def _task(fn, *args, serial=None) -> PoolTask:
     return PoolTask(fn=fn, args=args,
                     serial=serial or (lambda: fn(*args)),
-                    detail={"task": args[-1]}, max_attempts=attempts)
+                    detail={"task": args[-1]})
 
 
 def _events(stats, name):
@@ -90,9 +90,10 @@ def test_task_raising_once_is_retried_on_the_pool(tmp_path):
     assert [e["attempt"] for e in _events(stats, "task_error")] == [1]
 
 
-def test_task_always_raising_falls_back_to_serial():
+def test_task_always_raising_falls_back_to_serial(monkeypatch):
+    monkeypatch.setattr(executor_module, "MAX_TASK_ATTEMPTS", 2)
     stats = ContextStats()
-    tasks = [_task(_always_fail, 3, serial=lambda: -1, attempts=2),
+    tasks = [_task(_always_fail, 3, serial=lambda: -1),
              _task(_square, 4)]
     assert Executor(stats, 2).start(tasks, "plain").result() == [-1, 16]
     assert stats.task_retries == 1

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.experiments import faults
+from repro.experiments import executor, faults
 from repro.experiments.cache import ResultCache, simulation_key
 from repro.experiments.context import (
     ENV_JOBS,
@@ -65,7 +65,8 @@ def _fault_context(tmp_path, monkeypatch, *, kills=0, raises=0, jobs=2):
         faults.arm_worker_raises(token_dir, raises)
     monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
     context = ExperimentContext(TINY, jobs=jobs, cache=None)
-    context.retry_backoff_s = 0.01  # keep injected-crash tests fast
+    # keep injected-crash tests fast
+    monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
     return context, token_dir
 
 
@@ -97,7 +98,7 @@ class TestWorkerCrashRecovery:
     def test_persistent_crashes_degrade_to_serial(self, tmp_path, monkeypatch):
         """A pool that breaks on every restart ends in serial execution."""
         context, _ = _fault_context(tmp_path, monkeypatch, kills=64)
-        context.max_pool_restarts = 2
+        monkeypatch.setattr(executor, "MAX_POOL_RESTARTS", 2)
         with pytest.warns(RuntimeWarning, match="serially"):
             context.prefetch(PAIRS)
         assert context.stats.serial_fallbacks >= 1
@@ -123,7 +124,7 @@ class TestWorkerCrashRecovery:
     ):
         """More raise faults than retry budget → serial fallback, still correct."""
         context, _ = _fault_context(tmp_path, monkeypatch, raises=64, jobs=2)
-        context.max_task_attempts = 2
+        monkeypatch.setattr(executor, "MAX_TASK_ATTEMPTS", 2)
         context.prefetch(PAIRS)
         assert context.stats.serial_fallbacks >= 1
         assert context.stats.simulated == len(PAIRS)
@@ -138,7 +139,7 @@ class TestWorkerCrashRecovery:
         faults.arm_worker_kills(token_dir, 1)
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
         context = ExperimentContext(TINY, jobs=2, cache=cache)
-        context.retry_backoff_s = 0.01
+        monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
         context.prefetch(PAIRS)
         assert context.stats.simulated == len(PAIRS)
         assert len(cache.entries()) == len(PAIRS)
@@ -211,8 +212,10 @@ class TestCacheFaults:
         with faults.full_disk(root):
             context = ExperimentContext(TINY, jobs=1, cache=cache)
             result = context.run("adpcm", "Base")
-            # The index refuses the claim row too, so every claim is won.
-            assert cache.try_claim("0" * 64) and cache.try_claim("0" * 64)
+            # The index refuses the claim row too, so every claim is won,
+            # by this cache and by a peer's alike.
+            assert cache.try_claim("0" * 64)
+            assert ResultCache(root).try_claim("0" * 64)
         assert context.stats.simulated == 1
         assert cache.stores == 0
         assert cache.entries() == []

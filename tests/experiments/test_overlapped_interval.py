@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import faults, interval, report
+from repro.experiments import executor, faults, interval, report
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.plan import Requirements, run_plan
 from repro.power.model import StackKind
@@ -101,7 +101,7 @@ class TestOverlap:
         faults.arm_thermal_worker_kills(token_dir, 1)
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
         context = ExperimentContext(SETTINGS, jobs=2, cache=None)
-        context.retry_backoff_s = 0.01
+        monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
 
         def solve(context):
             # Only the transient workers are running: one of them claims

@@ -17,7 +17,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.experiments import faults
+from repro.experiments import context as context_module
+from repro.experiments import executor, faults, resolver
 from repro.experiments.cache import ResultCache
 from repro.experiments.context import (
     CORE_COUNT,
@@ -60,21 +61,22 @@ def _same_thermal(a, b) -> bool:
     )
 
 
-def _parallel_context(jobs: int = 2, **overrides) -> ExperimentContext:
+def _parallel_context(monkeypatch, jobs: int = 2,
+                      **overrides) -> ExperimentContext:
     context = ExperimentContext(TINY, jobs=jobs, cache=None)
     # Force the pool even for dispatches below the inline gate, so the
     # worker path is what actually runs.
-    context.thermal_parallel_min_groups = 1
-    context.retry_backoff_s = 0.01
+    monkeypatch.setattr(context_module, "THERMAL_PARALLEL_MIN_GROUPS", 1)
+    monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
     for name, value in overrides.items():
         setattr(context, name, value)
     return context
 
 
 class TestParallelEquivalence:
-    def test_worker_path_matches_serial(self):
+    def test_worker_path_matches_serial(self, monkeypatch):
         """Pool-solved thermal maps are identical to in-process ones."""
-        parallel = _parallel_context(jobs=2)
+        parallel = _parallel_context(monkeypatch, jobs=2)
         serial = ExperimentContext(TINY, jobs=1, cache=None)
         fanned = parallel.thermal_many(PAIRS)
         inline = serial.thermal_many(PAIRS)
@@ -107,8 +109,8 @@ class TestDispatchPolicy:
         groups = [e for e in context.stats.events if e["event"] == "thermal_group"]
         assert groups and all(e["where"] == "inline" for e in groups)
 
-    def test_group_events_carry_geometry_detail(self):
-        context = _parallel_context(jobs=2)
+    def test_group_events_carry_geometry_detail(self, monkeypatch):
+        context = _parallel_context(monkeypatch, jobs=2)
         context.thermal_many(PAIRS)
         groups = [e for e in context.stats.events if e["event"] == "thermal_group"]
         assert groups
@@ -164,7 +166,7 @@ class TestThermalWorkerFaults:
     def _token_context(self, tmp_path, monkeypatch, **overrides):
         token_dir = tmp_path / "fault-tokens"
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
-        return _parallel_context(jobs=2, **overrides), token_dir
+        return _parallel_context(monkeypatch, jobs=2, **overrides), token_dir
 
     def test_thermal_kill_mid_batch_recovers(self, tmp_path, monkeypatch):
         """A thermal worker dying mid-batch costs a retry, not the result."""
@@ -211,8 +213,8 @@ class TestClaimCoordination:
         """A key whose claim cannot be won still resolves in this process."""
         cache = ResultCache(tmp_path / "cache")
         context = ExperimentContext(TINY, jobs=1, cache=cache)
-        context.claim_wait_s = 5.0
-        context.claim_poll_s = 0.01
+        monkeypatch.setattr(resolver, "CLAIM_WAIT_S", 5.0)
+        monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
         context.power("adpcm", "Base")  # simulation claims settle first
         refused = []
         original = cache.try_claim
@@ -259,8 +261,8 @@ class TestStagesAndStats:
                         "step_factorizations"):
             assert counter in payload, counter
 
-    def test_worker_events_scoped_to_a_batch(self):
-        context = _parallel_context(jobs=2)
+    def test_worker_events_scoped_to_a_batch(self, monkeypatch):
+        context = _parallel_context(monkeypatch, jobs=2)
         context.thermal_many(PAIRS)
         groups = [e for e in context.stats.events
                   if e["event"] == "thermal_group" and e["where"] == "worker"]

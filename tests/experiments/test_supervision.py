@@ -15,7 +15,7 @@ from datetime import datetime
 
 import pytest
 
-from repro.experiments import faults
+from repro.experiments import executor, faults
 from repro.experiments.context import (
     ENV_TASK_TIMEOUT,
     ExperimentContext,
@@ -56,7 +56,7 @@ def _supervised_context(tmp_path, monkeypatch, *, timeout_s=3.0, jobs=2):
     monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
     context = ExperimentContext(TINY, jobs=jobs, cache=None)
     context.task_timeout_s = timeout_s
-    context.retry_backoff_s = 0.01
+    monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
     return context, token_dir
 
 
@@ -93,7 +93,7 @@ class TestHangSupervision:
         timeout and serial-fallback events name every config in it."""
         context, token_dir = _supervised_context(tmp_path, monkeypatch,
                                                  timeout_s=1.5)
-        context.max_task_attempts = 1
+        monkeypatch.setattr(executor, "MAX_TASK_ATTEMPTS", 1)
         faults.arm_worker_hangs(token_dir, 1)
         context.prefetch(PAIRS)
         names = tuple(context._config_for(label).name for label in ("Base", "TH"))
@@ -111,7 +111,7 @@ class TestHangSupervision:
         """More hang tokens than the attempt budget: serial fallback wins."""
         context, token_dir = _supervised_context(tmp_path, monkeypatch,
                                                  timeout_s=1.5)
-        context.max_task_attempts = 2
+        monkeypatch.setattr(executor, "MAX_TASK_ATTEMPTS", 2)
         faults.arm_worker_hangs(token_dir, 8)
         context.prefetch(PAIRS)
         assert context.stats.simulated == len(PAIRS)

@@ -1,5 +1,6 @@
 """Simulation fan-out by trace: one pool task per chunk of a benchmark's
-configs, so a worker maps and pre-decodes each trace once per chunk.
+configs, so a worker gets the parent's trace by value and pre-decodes it
+once per chunk.
 
 Grouping must change only how the work is cut: the results, their order
 and ``ContextStats.simulated`` stay what per-(benchmark, config) tasks
@@ -12,7 +13,8 @@ import io
 import pickle
 
 from repro.cpu import predecode as predecode_module
-from repro.experiments import faults
+from repro.cpu.pipeline import simulate
+from repro.experiments import executor, faults
 from repro.experiments.cache import ResultCache
 from repro.experiments.context import (
     ExperimentContext,
@@ -20,6 +22,7 @@ from repro.experiments.context import (
     _simulate_task,
 )
 from repro.experiments.executor import chunks
+from repro.workloads import suite
 
 TINY = ExperimentSettings(
     trace_length=2_000,
@@ -63,8 +66,7 @@ class TestOnePredecodePerGroup:
     def test_three_configs_build_one_predecoded_trace(self, tmp_path,
                                                       monkeypatch):
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        trace_file = context._trace_file("adpcm")
-        assert trace_file is not None
+        trace = pickle.loads(pickle.dumps(context.trace("adpcm")))
         built = []
         real = predecode_module.PreDecodedTrace
 
@@ -74,8 +76,7 @@ class TestOnePredecodePerGroup:
 
         monkeypatch.setattr(predecode_module, "PreDecodedTrace", counting)
         configs = [context._config_for(label) for label in ("Base", "TH", "3D")]
-        results = _simulate_task("adpcm", configs, TINY.trace_length,
-                                 TINY.warmup, trace_file=trace_file)
+        results = _simulate_task(trace, configs, TINY.warmup)
         assert built == ["adpcm"]
         assert [result.config_name for result in results] == [
             config.name for config in configs
@@ -108,7 +109,7 @@ class TestGroupedDispatch:
         faults.arm_worker_kills(token_dir, 1)
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
         context = ExperimentContext(TINY, jobs=2, cache=None)
-        context.retry_backoff_s = 0.01
+        monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
         context.prefetch(TWO_BY_THREE)
         assert faults.pending_tokens(token_dir) == []
         assert context.stats.pool_restarts >= 1
@@ -117,3 +118,43 @@ class TestGroupedDispatch:
         expected = _serial(TWO_BY_THREE)
         for pair in TWO_BY_THREE:
             assert _pickled(context.run(*pair)) == expected[pair], pair
+
+
+class TestTraceByValue:
+    def test_each_trace_is_generated_once_without_a_store(self, tmp_path,
+                                                          monkeypatch):
+        """With no trace store the parent generates each trace and the
+        workers take it from their task, so no process generates a
+        trace twice."""
+        probe = tmp_path / "generated"
+        real = suite.generate
+
+        def counting(name, *args, **kwargs):
+            # Appends from the parent and the forked workers alike.
+            with open(probe, "a") as stream:
+                stream.write(name + "\n")
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(suite, "generate", counting)
+        context = ExperimentContext(TINY, jobs=2, cache=None)
+        context.prefetch(TWO_BY_THREE)
+        assert context.stats.tasks_run == 2
+        assert sorted(probe.read_text().split()) == ["adpcm", "susan"]
+        expected = _serial(TWO_BY_THREE)
+        for pair in TWO_BY_THREE:
+            assert _pickled(context.run(*pair)) == expected[pair], pair
+
+    def test_pickle_carries_the_array_not_its_decode(self):
+        """A simulated trace's pickle is its array plus a little
+        metadata: the pre-decoded columns stay behind."""
+        context = ExperimentContext(TINY, jobs=1, cache=None)
+        trace = context.trace("adpcm")
+        simulate(trace, context._config_for("Base"), warmup=TINY.warmup)
+        assert trace._predecoded is not None
+        payload = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(payload) <= trace.nbytes + 4096
+        copy = pickle.loads(payload)
+        assert copy._predecoded is None
+        assert (copy.name, copy.benchmark_class, copy.seed) == (
+            trace.name, trace.benchmark_class, trace.seed)
+        assert copy.array.tobytes() == trace.array.tobytes()

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from repro.experiments import faults
+from repro.experiments import executor, faults, resolver
 from repro.experiments.cache import ResultCache, TraceStore, trace_store_key
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.isa.compiled import TRACE_DTYPE
@@ -220,9 +220,9 @@ class TestDataBitFlip:
 
 
 class TestWorkerTransport:
-    def test_workers_map_the_stored_trace(self, tmp_path):
-        """Parallel sweeps ship a file path per task, not a pickled
-        instruction list, and results match the serial reference."""
+    def test_workers_get_the_parents_trace(self, tmp_path):
+        """Parallel sweeps generate each trace once, in the parent, and
+        send it to the workers; results match the serial reference."""
         context = ExperimentContext(TINY, jobs=2, cache=ResultCache(tmp_path))
         results = context.run_many(PAIRS)
         assert context.stats.traces_generated == 2  # parent only
@@ -230,15 +230,15 @@ class TestWorkerTransport:
         for pair in PAIRS:
             assert _fields(results[pair]) == _fields(serial.run(*pair)), pair
 
-    def test_killed_worker_with_mmap_transport(self, tmp_path, monkeypatch):
+    def test_killed_worker_with_stored_trace(self, tmp_path, monkeypatch):
         """A worker dying mid-batch never corrupts the store or the
-        results: retries re-map the same on-disk trace."""
+        results: retries get the same trace again."""
         token_dir = tmp_path / "fault-tokens"
         faults.arm_worker_kills(token_dir, 1)
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(token_dir))
         context = ExperimentContext(TINY, jobs=2,
                                     cache=ResultCache(tmp_path / "cache"))
-        context.retry_backoff_s = 0.01
+        monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.01)
         results = context.run_many(PAIRS)
         assert context.stats.pool_restarts >= 1
         monkeypatch.delenv(faults.ENV_FAULT_DIR)
@@ -251,30 +251,9 @@ class TestWorkerTransport:
         ).cache.trace_store()
         assert len(store.entries()) == 2
 
-    def test_vanished_trace_file_degrades_to_regeneration(self, tmp_path):
-        """A worker whose trace file disappeared regenerates (once for
-        the whole group) and still produces the right results."""
-        import pickle
-
-        from repro.experiments.context import _simulate_task
-
-        context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        labels = ["Base", "TH"]
-        results = _simulate_task(
-            "adpcm", [context._config_for(label) for label in labels],
-            TINY.trace_length, TINY.warmup,
-            trace_file=str(tmp_path / "missing.npy"),
-        )
-        serial = ExperimentContext(TINY, jobs=1, cache=None)
-        assert len(results) == len(labels)
-        for label, result in zip(labels, results):
-            assert pickle.dumps(result) == pickle.dumps(
-                serial.run("adpcm", label)
-            ), label
-
 
 class TestWorkStealing:
-    def test_abandoned_claims_are_stolen_mid_wait(self, tmp_path):
+    def test_abandoned_claims_are_stolen_mid_wait(self, tmp_path, monkeypatch):
         """Claims whose holders died are taken over and simulated
         immediately during the collective wait, not after a timeout."""
         import subprocess
@@ -287,7 +266,7 @@ class TestWorkStealing:
 
         cache = ResultCache(tmp_path)
         context = ExperimentContext(TINY, jobs=1, cache=cache)
-        context.claim_poll_s = 0.01
+        monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
         for benchmark, label in PAIRS:
             key = context._cache_key(benchmark, context._config_for(label))
             cache.ledger.connection().execute(
@@ -306,7 +285,8 @@ class TestWorkStealing:
             assert _fields(results[pair]) == _fields(serial.run(*pair)), pair
         assert cache.claims() == []  # all released after storing
 
-    def test_peer_results_adopted_without_simulation(self, tmp_path):
+    def test_peer_results_adopted_without_simulation(self, tmp_path,
+                                                     monkeypatch):
         """Keys another live process finishes during the wait are adopted
         (dedup), exercising the collective-poll happy path."""
         import threading
@@ -318,7 +298,7 @@ class TestWorkStealing:
         }
         shared = ResultCache(tmp_path)
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
-        context.claim_poll_s = 0.01
+        monkeypatch.setattr(resolver, "CLAIM_POLL_S", 0.01)
         keys = {}
         for benchmark, label in PAIRS[:2]:
             key = context._cache_key(benchmark, context._config_for(label))

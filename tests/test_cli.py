@@ -150,11 +150,10 @@ class TestCommands:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["metrics"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["schema"] == 4
+        assert snapshot["schema"] == 5
         assert snapshot["cache"]["enabled"] is True
         assert snapshot["cache"]["entries"] == 0
-        assert "counters" in snapshot["cache"]
-        assert "factorizations" in snapshot
+        assert snapshot["cache"]["size_bytes"] == 0
 
     def test_metrics_snapshot_to_file(self, tmp_path, capsys, monkeypatch):
         import json
