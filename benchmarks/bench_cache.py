@@ -37,8 +37,7 @@ CAP_MB = 256 / 1024
 
 
 def _exact(cache: ResultCache) -> bool:
-    return cache.ledger.total_bytes() == \
-        cache.size_bytes() + cache.trace_store().size_bytes()
+    return cache.ledger.total_bytes() == cache.size_bytes()
 
 
 def run(out_path: str) -> dict:

@@ -83,7 +83,7 @@ def _cmd_cache(args) -> int:
               f"(index rebuilt: {pruned['index_bytes'] / 1024:.1f} KiB, "
               f"evictions_size={cache.evictions_size})")
     elif args.action == "list":
-        entries = cache.entries()
+        entries = [*cache.entries(), *cache.entries("trace")]
         listed = 0
         for path in entries:
             try:
@@ -348,7 +348,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                            help="reduced benchmark set / shorter traces")
             p.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                            help="simulation worker processes "
-                                "(default: $REPRO_JOBS or all cores)")
+                                "(default: $REPRO_JOBS or the usable CPUs)")
         if spec.arguments is not None:
             spec.arguments(p)
         p.set_defaults(fn=spec.fn)

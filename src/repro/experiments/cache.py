@@ -13,18 +13,22 @@ Layout::
 
     .repro_cache/
         v2/                     <- one directory per key-schema version
+            index.sqlite        <- the coordination index (below)
             ab/
                 ab3f...e2.pkl   <- one checksummed pickled result
                                    (SimulationResult, ThermalResult, ...)
                                    per key
+            traces/
+                9c01...7d.pkl   <- one checksummed pickled CompiledTrace
+                                   per workload (:class:`TraceStore`)
 
-Each entry is a 16-byte header (the magic ``RPC2``, the payload length
-and the payload's CRC-32) followed by one pickle of the result.
-:meth:`ResultCache.load` checks all three before it unpickles, so a
-truncated, bit-flipped or foreign file is a miss that deletes the entry,
-never a wrong result or an exception.  Entries are not compressed: most
-of their bytes are float64 temperature grids, which gzip shrank by only
-~15 % while its decompression dominated a warm report's cache reads.
+Each entry, result or trace, is a 16-byte header (the magic ``RPC2``,
+the payload length and the payload's CRC-32) followed by one pickle.
+A load checks all three before it unpickles, so a truncated, bit-flipped
+or foreign file is a miss that deletes the entry, never a wrong result
+or an exception.  Entries are not compressed: most of their bytes are
+float64 temperature grids, which gzip shrank by only ~15 % while its
+decompression dominated a warm report's cache reads.
 
 Keys are SHA-256 content hashes over everything a result depends on.
 For simulations: the key-schema version, the workload-generator version,
@@ -75,9 +79,9 @@ Cross-process coordination lives in one WAL-mode SQLite index,
   older than :data:`DEFAULT_CLAIM_STALE_S`).  Claims are advisory:
   losing one never blocks progress.
 
-The blobs stay plain files, so a trace loads memory-mapped and a
-cache without an index (an older layout, or a deleted index) is
-rebuilt from one directory scan on first open.  Any ``sqlite3`` error
+The blobs stay plain files, so a cache without an index (an older
+layout, or a deleted index) is rebuilt from one directory scan on first
+open; an entry's directory gives its kind.  Any ``sqlite3`` error
 degrades to uncoordinated operation: a claim is then always won, a
 store still lands its blob and a load still serves a hit.  WAL needs
 shared memory between the processes that use one index, so
@@ -111,11 +115,16 @@ from repro.workloads.parameters import GENERATOR_VERSION
 #: Bump when the cache key schema or the pickled payload layout changes.
 CACHE_SCHEMA_VERSION = 2
 
-#: Suffix of result entries (and, with ``.<pid>.tmp`` appended, of their
+#: Suffix of entries (and, with ``.<pid>.tmp`` appended, of their
 #: writers' scratch files).
 ENTRY_SUFFIX = ".pkl"
 
-#: Result-entry header: magic, payload length, CRC-32 of the payload.
+#: The index's entry kinds.  Compiled traces live in :data:`TRACE_DIR`;
+#: results in shards named by their key's first two hex digits.
+ENTRY_KINDS = ("result", "trace")
+TRACE_DIR = "traces"
+
+#: Entry header: magic, payload length, CRC-32 of the payload.
 ENTRY_HEADER = struct.Struct("<4sQI")
 ENTRY_MAGIC = b"RPC2"
 
@@ -596,25 +605,14 @@ class ResultCache:
     def _scan_entries(self) -> Dict[Tuple[str, str], Tuple[int, float]]:
         """Ground-truth index rows from a full directory scan (rebuild)."""
         entries: Dict[Tuple[str, str], Tuple[int, float]] = {}
-        for path in self.entries():
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entries["result", path.name.split(".")[0]] = (st.st_size, st.st_mtime)
-        store = self.trace_store()
-        for npy in store.entries():
-            key = npy.name[: -len(".npy")]
-            total = 0
-            ts = 0.0
-            for part in (npy, store._meta_path(key)):
+        for kind in ENTRY_KINDS:
+            for path in self.entries(kind):
                 try:
-                    st = part.stat()
+                    st = path.stat()
                 except OSError:
                     continue
-                total += st.st_size
-                ts = max(ts, st.st_mtime)
-            entries["trace", key] = (total, ts)
+                entries[kind, path.name.split(".")[0]] = (st.st_size,
+                                                          st.st_mtime)
         return entries
 
     def repair_ledger(self) -> int:
@@ -625,17 +623,11 @@ class ResultCache:
         except _index_errors():
             return 0
 
-    def _entry_paths(self, kind: str, key: str) -> Tuple[Path, ...]:
-        """The on-disk files backing one index entry (primary first)."""
-        if kind == "trace":
-            store = self.trace_store()
-            return (store.npy_path(key), store._meta_path(key))
-        return (self._path(key),)
-
     # ------------------------------------------------------------------ #
 
-    def _path(self, key: str) -> Path:
-        return self.version_dir / key[:2] / f"{key}{ENTRY_SUFFIX}"
+    def _path(self, key: str, kind: str = "result") -> Path:
+        shard = TRACE_DIR if kind == "trace" else key[:2]
+        return self.version_dir / shard / f"{key}{ENTRY_SUFFIX}"
 
     def touch(self, keys: Sequence[str]) -> None:
         """Mark the entries of ``keys`` as just used, in one index
@@ -655,45 +647,53 @@ class ResultCache:
         ``touch=False`` skips the index touch (the caller made it with
         :meth:`touch`).
         """
+        return self._load("result", key, expected_type, touch)
+
+    def _load(self, kind: str, key: str, expected_type: type,
+              touch: bool = True):
+        """The ``expected_type`` value of ``kind``'s entry ``key``, or
+        ``None`` on a miss (a damaged entry is evicted)."""
         # Touch *before* reading: the size-cap evictor removes the least
         # recently used entries first, so an entry being read is the
         # freshest in the cache and never the victim.
         if touch:
-            self._index.touch("result", [key])
-        path = self._path(key)
+            self._index.touch(kind, [key])
         try:
-            result = _unpack_entry(path.read_bytes())
+            value = _unpack_entry(self._path(key, kind).read_bytes())
         except FileNotFoundError:
             self.misses += 1
             return None
         except Exception:
             # Unreadable, damaged, or a verified payload that still fails
             # to unpickle (an incompatible pickle: a renamed class, say).
-            self._evict(path)
-            self.misses += 1
-            return None
-        if not isinstance(result, expected_type):
-            self._evict(path)
+            value = None
+        if not isinstance(value, expected_type):
+            self._evict(kind, key)
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
 
-    def _evict(self, path: Path) -> None:
+    def _evict(self, kind: str, key: str) -> None:
         try:
-            path.unlink()
+            self._path(key, kind).unlink()
         except OSError:
             return
         self.evictions += 1
-        self._index.record_unlink("result", path.name.split(".")[0])
+        self._index.record_unlink(kind, key)
 
     def store(self, key: str, result) -> None:
         """Persist ``result`` under ``key`` (atomic within a filesystem)."""
-        path = self._path(key)
+        self._store("result", key, result)
+
+    def _store(self, kind: str, key: str, value) -> None:
+        """Persist ``value`` as ``kind``'s entry ``key``: a per-pid temp
+        file renamed into place, then its index row and the size cap."""
+        path = self._path(key, kind)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             with open(tmp, "wb") as stream:
                 stream.write(ENTRY_HEADER.pack(
                     ENTRY_MAGIC, len(payload), zlib.crc32(payload)))
@@ -707,13 +707,13 @@ class ResultCache:
                 pass
             return
         self.stores += 1
-        self._index.record_store("result", key, ENTRY_HEADER.size + len(payload))
+        self._index.record_store(kind, key, ENTRY_HEADER.size + len(payload))
         self.enforce_size_cap(protect=path)
 
     # ------------------------------------------------------------------ #
     # Size high-water mark
 
-    def enforce_size_cap(self, protect=None) -> int:
+    def enforce_size_cap(self, protect: Optional[Path] = None) -> int:
         """Evict entries until the index total fits ``max_bytes``.
 
         The total is one ``SUM`` over the index, never a directory-wide
@@ -722,19 +722,12 @@ class ResultCache:
         concurrent writers evict one at a time and never below the
         watermark.  Victim policy: compiled-trace entries go first
         (large, cheap to regenerate), then result entries, each least
-        recently used first; ``protect`` (the entry or entries just
-        stored) and keys with a live claim (a peer is producing or
-        waiting on them) are never victims.  Returns the number of
-        entries removed.
+        recently used first; ``protect`` (the entry just stored) and keys
+        with a live claim (a peer is producing or waiting on them) are
+        never victims.  Returns the number of entries removed.
         """
         if self.max_bytes is None or self._index.total_bytes() <= self.max_bytes:
             return 0
-        if protect is None:
-            protected = frozenset()
-        elif isinstance(protect, (str, os.PathLike)):
-            protected = frozenset((Path(protect),))
-        else:
-            protected = frozenset(Path(p) for p in protect)
         removed = 0
         try:
             with self._index.transaction() as conn:
@@ -747,24 +740,22 @@ class ResultCache:
                            if not _stale(pid, ts, DEFAULT_CLAIM_STALE_S)}
                 candidates = []
                 for kind, key, nbytes in rows:
-                    paths = self._entry_paths(kind, key)
-                    if paths[0].exists():
-                        candidates.append((kind, key, nbytes, paths))
+                    path = self._path(key, kind)
+                    if path.exists():
+                        candidates.append((kind, key, nbytes, path))
                         continue
                     # Vanished behind the index's back (a writer killed
                     # between unlink and row delete): heal the row.
                     conn.execute("DELETE FROM entries WHERE kind = ? AND key = ?",
                                  (kind, key))
                     total -= nbytes
-                for kind, key, nbytes, paths in candidates:
+                for kind, key, nbytes, path in candidates:
                     if total <= self.max_bytes:
                         break
-                    if protected and not protected.isdisjoint(paths):
-                        continue
-                    if kind == "result" and key in claimed:
+                    if path == protect or key in claimed:
                         continue
                     try:
-                        paths[0].unlink()
+                        path.unlink()
                     except FileNotFoundError:
                         pass  # removed out of band a moment ago: heal
                     except OSError:
@@ -772,11 +763,6 @@ class ResultCache:
                     else:
                         removed += 1
                         self.evictions_size += 1
-                    for extra in paths[1:]:
-                        try:
-                            extra.unlink()
-                        except OSError:
-                            pass
                     conn.execute("DELETE FROM entries WHERE kind = ? AND key = ?",
                                  (kind, key))
                     total -= nbytes
@@ -845,11 +831,14 @@ class ResultCache:
 
     # ------------------------------------------------------------------ #
 
-    def entries(self) -> List[Path]:
-        """All entry files of the current schema version, sorted."""
+    def entries(self, kind: str = "result") -> List[Path]:
+        """The current schema version's entry files of ``kind``, sorted."""
         if not self.version_dir.is_dir():
             return []
-        return sorted(self.version_dir.glob(f"*/*{ENTRY_SUFFIX}"))
+        if kind == "trace":
+            return sorted(self.version_dir.glob(f"{TRACE_DIR}/*{ENTRY_SUFFIX}"))
+        return sorted(path for path in self.version_dir.glob(f"*/*{ENTRY_SUFFIX}")
+                      if path.parent.name != TRACE_DIR)
 
     def stale_version_dirs(self) -> List[Path]:
         """``v<N>/`` directories left behind by older key schemas."""
@@ -861,14 +850,15 @@ class ResultCache:
         )
 
     def size_bytes(self) -> int:
-        """Recursive size of the result entries, tolerant of entries a
+        """Size of every entry, results and traces, tolerant of entries a
         concurrent evictor removes between ``entries()`` and ``stat``."""
         total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
+        for kind in ENTRY_KINDS:
+            for path in self.entries(kind):
+                try:
+                    total += path.stat().st_size
+                except OSError:
+                    pass
         return total
 
     # ------------------------------------------------------------------ #
@@ -876,7 +866,7 @@ class ResultCache:
 
     def tmp_files(self) -> List[Path]:
         """All ``*.tmp`` writer scratch files anywhere under the cache,
-        sorted.  One ``os.scandir`` per shard and trace directory: the
+        sorted.  One ``os.scandir`` per directory: the
         directory entries' types need no ``stat``, and only a name that
         ends in ``.tmp`` costs one."""
         found = []
@@ -956,28 +946,13 @@ class ResultCache:
             "size_bytes": self.size_bytes(),
         }
 
-    # ------------------------------------------------------------------ #
-    # Compiled-trace store
-
     def trace_store(self) -> "TraceStore":
-        """The compiled-trace store sharing this cache's directory.
-
-        The store shares this cache's index and size cap: every
-        stored trace is accounted (and triggers cap enforcement, with
-        its own files protected), and trace entries are the *first*
-        eviction victims when the cache outgrows ``REPRO_CACHE_MAX_MB``.
-        """
-        store = getattr(self, "_trace_store", None)
-        if store is None:
-            store = TraceStore(self.version_dir / "traces",
-                               index=self._index,
-                               on_store=self.enforce_size_cap)
-            self._trace_store = store
-        return store
+        """This cache's compiled-trace entries."""
+        return TraceStore(self)
 
     def describe(self) -> str:
         """Human-readable cache summary for the CLI."""
-        entries = self.entries()
+        traces = len(self.entries("trace"))
         if self.max_bytes is not None:
             cap = f"{self.max_bytes / (1024 * 1024):.1f} MiB ({ENV_CACHE_MAX_MB})"
         else:
@@ -986,7 +961,8 @@ class ResultCache:
         lines = [
             f"cache directory: {self.root.resolve()}",
             f"key schema:      v{CACHE_SCHEMA_VERSION}",
-            f"entries:         {len(entries)}",
+            f"entries:         {len(self.entries()) + traces} "
+            f"({traces} compiled traces)",
             f"size:            {self.size_bytes() / 1024:.1f} KiB",
             f"size cap:        {cap}",
             f"size evictions:  {self.evictions_size} (this process)",
@@ -1001,9 +977,6 @@ class ResultCache:
         tmp = self.tmp_files()
         if tmp:
             lines.append(f"temp files:      {len(tmp)} in-flight or abandoned")
-        traces = self.trace_store().entries()
-        if traces:
-            lines.append(f"compiled traces: {len(traces)}")
         return "\n".join(lines)
 
 
@@ -1028,122 +1001,27 @@ def trace_store_key(workload_fingerprint: str) -> str:
 
 
 class TraceStore:
-    """Persistent store of compiled (columnar) traces.
+    """The compiled-trace entries of one :class:`ResultCache`.
 
-    One entry per workload fingerprint: ``traces/<key>.npy`` (the
-    structured array, loaded memory-mapped) plus ``traces/<key>.json``
-    (identifying metadata).  Lives inside the result cache's version
-    directory — ``REPRO_CACHE=0`` disables both together, and
-    ``REPRO_CACHE_DIR`` relocates both together — and when constructed
-    through :meth:`ResultCache.trace_store` its entries count against
-    ``REPRO_CACHE_MAX_MB`` through the shared index.  Trace
-    entries are the *first* eviction victims: they are large, and a
-    vanished trace costs one deterministic regeneration, not a lost
-    result.  A standalone ``TraceStore(directory)`` has no index and
-    stays unaccounted.
-
-    Writes go through per-pid temp files and ``os.replace``; the array
-    is renamed into place before the metadata, and readers require both,
-    so a torn write is indistinguishable from a miss and the stray
-    ``.npy`` is evicted on the next load.  Any damaged entry
-    (:class:`repro.isa.compiled.TraceReadError`) is deleted — both files
-    — and reported as a miss, costing one regeneration, not a failure.
+    A trace is an ordinary cache entry under ``traces/<key>.pkl`` (same
+    header, checksum, pickle, write protocol, index row and size cap as
+    a result), keyed by :func:`trace_store_key`; a
+    :class:`~repro.isa.compiled.CompiledTrace` pickles as its name,
+    class, seed and array.  Its index rows have kind ``trace``, which
+    makes traces the *first* size-cap victims: a vanished trace costs
+    one deterministic regeneration, not a lost result.
     """
 
-    def __init__(self, directory: os.PathLike, index: Optional[CacheIndex] = None,
-                 on_store=None):
-        self.dir = Path(directory)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        #: shared index (set by :meth:`ResultCache.trace_store`)
-        self._index = index
-        #: size-cap hook invoked after each store with the new entry's
-        #: files as ``protect``
-        self._on_store = on_store
-
-    def npy_path(self, key: str) -> Path:
-        return self.dir / f"{key}.npy"
-
-    def _meta_path(self, key: str) -> Path:
-        return self.dir / f"{key}.json"
+    def __init__(self, cache: ResultCache):
+        self.cache = cache
 
     def load(self, key: str):
-        """The stored compiled trace (memory-mapped), or ``None``."""
-        from repro.isa.compiled import read_compiled, TraceReadError
+        """The stored compiled trace, or ``None``.  Like a result load, it
+        counts as use in the size cap's least-recently-used order."""
+        from repro.isa.compiled import CompiledTrace
 
-        npy = self.npy_path(key)
-        try:
-            compiled = read_compiled(npy, self._meta_path(key), mmap=True)
-        except TraceReadError:
-            self._evict(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return compiled
+        return self.cache._load("trace", key, CompiledTrace)
 
-    def _evict(self, key: str) -> None:
-        """Remove whatever remains of a damaged or torn entry."""
-        evicted = False
-        for path in (self.npy_path(key), self._meta_path(key)):
-            try:
-                path.unlink()
-                evicted = True
-            except OSError:
-                pass
-        if evicted:
-            self.evictions += 1
-            if self._index is not None:
-                self._index.record_unlink("trace", key)
-
-    def store(self, key: str, compiled) -> Optional[Path]:
-        """Persist ``compiled`` under ``key``; returns the ``.npy`` path,
-        or ``None`` when the filesystem refuses (read-only, full) and
-        operation degrades to storeless."""
-        from repro.isa.compiled import write_compiled
-
-        npy = self.npy_path(key)
-        meta = self._meta_path(key)
-        pid = os.getpid()
-        tmp_npy = npy.with_name(f"{npy.name}.{pid}.tmp")
-        tmp_meta = meta.with_name(f"{meta.name}.{pid}.tmp")
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            write_compiled(compiled, tmp_npy, tmp_meta)
-            os.replace(tmp_npy, npy)
-            os.replace(tmp_meta, meta)
-        except OSError:
-            for tmp in (tmp_npy, tmp_meta):
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-            return None
-        self.stores += 1
-        if self._index is not None:
-            nbytes = 0
-            for part in (npy, meta):
-                try:
-                    nbytes += part.stat().st_size
-                except OSError:
-                    pass
-            self._index.record_store("trace", key, nbytes)
-        if self._on_store is not None:
-            self._on_store(protect=(npy, meta))
-        return npy
-
-    def entries(self) -> List[Path]:
-        """All stored ``.npy`` entries, sorted."""
-        if not self.dir.is_dir():
-            return []
-        return sorted(self.dir.glob("*.npy"))
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in list(self.entries()) + sorted(self.dir.glob("*.json")):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+    def store(self, key: str, compiled) -> None:
+        """Persist ``compiled`` under ``key``."""
+        self.cache._store("trace", key, compiled)

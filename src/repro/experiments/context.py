@@ -12,7 +12,8 @@ know nothing of either do the rest: :mod:`repro.experiments.resolver`
 serves cached results under cross-process claims, and
 :mod:`repro.experiments.executor` runs the misses on fault-tolerant
 process pools (``jobs`` argument, ``REPRO_JOBS`` environment variable,
-default ``os.cpu_count()``) with results identical to a serial run.
+default the CPUs this process may run on) with results identical to a
+serial run.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class ContextStats:
     claim_steals: int = 0
     #: traces generated by the emulator in this process
     traces_generated: int = 0
-    #: compiled traces served from the on-disk trace store
+    #: compiled traces served from the cache's trace entries
     trace_cache_hits: int = 0
     #: committed instructions simulated in this process (incl. warmup)
     instructions_simulated: int = 0
@@ -302,8 +303,16 @@ def _all_configurations() -> Dict[str, CPUConfig]:
     return configs
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` narrows it), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker count: explicit argument > REPRO_JOBS > os.cpu_count()."""
+    """Worker count: explicit argument > REPRO_JOBS > the usable CPUs."""
     if jobs is not None:
         return max(1, int(jobs))
     env = os.environ.get(ENV_JOBS, "").strip()
@@ -313,11 +322,11 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
         except ValueError:
             warnings.warn(
                 f"ignoring invalid {ENV_JOBS}={env!r} (not an integer); "
-                f"defaulting to os.cpu_count()={os.cpu_count()}",
+                f"defaulting to the {_usable_cpus()} usable CPU(s)",
                 RuntimeWarning,
                 stacklevel=3,
             )
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _factorization_counts() -> Dict[str, int]:

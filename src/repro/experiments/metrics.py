@@ -4,8 +4,9 @@ The cache-side state is read from disk: exact size/entry counts from
 the :class:`repro.experiments.cache.CacheIndex` (result and trace
 entries broken out), the configured size cap, the index's claim rows,
 and the in-flight temp-file count.  :func:`cache_metrics` adds, for a
-cache a run has used, that process's hit/miss/store/eviction counters
-and index rebuilds.
+cache a run has used, that process's hit/miss/store/eviction counters,
+which count result and compiled-trace entries alike, and its index
+rebuilds.
 
 ``python -m repro metrics`` prints :func:`metrics_snapshot` (or writes
 it with ``--out FILE``) for CI artifacts and external scrapers.  It runs
@@ -20,7 +21,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 #: Bump when the snapshot layout changes incompatibly.
-METRICS_SCHEMA_VERSION = 5
+METRICS_SCHEMA_VERSION = 6
 
 
 def _disk_metrics(cache) -> dict:
@@ -57,7 +58,6 @@ def cache_metrics(cache) -> dict:
     plus this process's cache counters and index rebuilds."""
     section = _disk_metrics(cache)
     if cache is not None:
-        store = cache.trace_store()
         section["index"]["rebuilds"] = cache.ledger.rebuilds
         section["counters"] = {
             "hits": cache.hits,
@@ -65,10 +65,6 @@ def cache_metrics(cache) -> dict:
             "stores": cache.stores,
             "evictions": cache.evictions,
             "evictions_size": cache.evictions_size,
-            "trace_hits": store.hits,
-            "trace_misses": store.misses,
-            "trace_stores": store.stores,
-            "trace_evictions": store.evictions,
         }
     return section
 

@@ -11,11 +11,12 @@ predicates, 16-bit significance classification, cache line/page indices)
 is derived from it once, vectorized, and shared across every
 configuration that replays the trace (see :mod:`repro.cpu.predecode`).
 
-The same array is the stored form: it round-trips through ``.npy`` +
-JSON-sidecar files (:func:`write_compiled` / :func:`read_compiled`) and
-is memory-mapped back in, so a process re-runs no emulator for a
-workload the trace store already holds.  A trace's pickle, which takes
-it to pool workers, carries the array and the metadata only.
+A trace's pickle carries the array and the metadata only.  It takes
+the trace to pool workers, and it is the trace store's entry
+(:class:`repro.experiments.cache.TraceStore`), so a process re-runs no
+emulator for a workload the store already holds.  ``repro trace``
+writes the array as a ``.npy`` file with a JSON sidecar
+(:func:`write_compiled`).
 
 Rows are strict: an instruction the fixed-width columns cannot represent
 exactly (more than :data:`MAX_SOURCES` sources, values outside 64-bit
@@ -35,9 +36,9 @@ import numpy as np
 
 from repro.isa.opcodes import OpClass
 
-#: Bump on any change to the structured dtype or the sidecar layout so
-#: stale on-disk compiled traces never load.  Version 2 added the
-#: sidecar's ``crc32`` of the array bytes.
+#: Bump on any change to the structured dtype or the sidecar layout.  It
+#: is part of every trace store key, so stale stored traces never load.
+#: Version 2 added the sidecar's ``crc32`` of the array bytes.
 TRACE_SCHEMA_VERSION = 2
 
 #: Op classes in enum-definition order; the ``op`` column stores indices
@@ -93,16 +94,11 @@ class TraceCompileError(ValueError):
     """The trace cannot be represented exactly in columnar form."""
 
 
-class TraceReadError(ValueError):
-    """An on-disk compiled trace is missing, corrupt, or incompatible."""
-
-
 class CompiledTrace:
     """A trace as one numpy structured array plus identifying metadata.
 
-    ``array`` may be an ordinary in-memory array or a read-only memory
-    map of an on-disk entry; consumers never mutate it.  ``_predecoded``
-    caches the config-independent decoded columns
+    Consumers never mutate ``array``.  ``_predecoded`` caches the
+    config-independent decoded columns
     (:class:`repro.cpu.predecode.PreDecodedTrace`) so six configurations
     replaying the same workload decode it once.
     """
@@ -134,11 +130,7 @@ class CompiledTrace:
 
     @property
     def nbytes(self) -> int:
-        """Size of the columnar array in bytes (the bulk of its pickle).
-
-        For a memory-mapped entry this is the on-disk footprint, not
-        per-process resident memory.
-        """
+        """Size of the columnar array in bytes (the bulk of its pickle)."""
         return int(self.array.nbytes)
 
     def compiled(self) -> "CompiledTrace":
@@ -244,26 +236,18 @@ def compile_trace(name: str, rows: List[tuple],
 
 
 # ---------------------------------------------------------------------- #
-# On-disk form: <key>.npy (the array, memory-mappable) + <key>.json
-# (metadata).  Atomicity and eviction policy belong to the trace store
-# (:class:`repro.experiments.cache.TraceStore`); these two functions are
-# the raw serialization shared by the store and by ``repro trace``.
+# ``repro trace``'s files: <name>.npy (the array, memory-mappable by
+# any numpy reader) + <name>.json (metadata and the rows' CRC-32).
 
 def meta_path_for(npy_path: os.PathLike) -> str:
-    """The JSON sidecar path belonging to a ``.npy`` entry."""
+    """The JSON sidecar path belonging to a ``.npy`` file."""
     path = os.fspath(npy_path)
     return (path[:-4] if path.endswith(".npy") else path) + ".json"
 
 
-def _crc32(array: np.ndarray) -> int:
-    """CRC-32 of a contiguous array's row bytes."""
-    return zlib.crc32(array.view(np.uint8))
-
-
-def write_compiled(compiled: CompiledTrace, npy_path, meta_path=None) -> None:
-    """Serialize ``compiled`` (non-atomic; callers rename into place)."""
-    if meta_path is None:
-        meta_path = meta_path_for(npy_path)
+def write_compiled(compiled: CompiledTrace, npy_path) -> None:
+    """Write ``compiled`` to ``npy_path`` and its JSON sidecar
+    (:func:`meta_path_for`)."""
     array = np.ascontiguousarray(compiled.array)
     with open(npy_path, "wb") as stream:
         np.save(stream, array)
@@ -273,61 +257,8 @@ def write_compiled(compiled: CompiledTrace, npy_path, meta_path=None) -> None:
         "benchmark_class": compiled.benchmark_class,
         "seed": compiled.seed,
         "length": len(array),
-        "crc32": _crc32(array),
+        "crc32": zlib.crc32(array.view(np.uint8)),
     }
-    with open(meta_path, "w", encoding="utf-8") as stream:
+    with open(meta_path_for(npy_path), "w", encoding="utf-8") as stream:
         json.dump(meta, stream, sort_keys=True)
         stream.write("\n")
-
-
-def read_compiled(npy_path, meta_path=None, mmap: bool = True) -> CompiledTrace:
-    """Load an on-disk compiled trace, memory-mapping the array.
-
-    Raises :class:`TraceReadError` on any damage or incompatibility —
-    missing files, bad magic, wrong dtype, schema drift, metadata that
-    disagrees with the array, or array bytes whose CRC-32 differs from
-    the one recorded at write time — so callers can evict and regenerate
-    instead of simulating garbage.
-    """
-    if meta_path is None:
-        meta_path = meta_path_for(npy_path)
-    try:
-        with open(meta_path, "r", encoding="utf-8") as stream:
-            meta = json.load(stream)
-    except (OSError, ValueError) as exc:
-        raise TraceReadError(f"unreadable trace metadata {meta_path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("schema") != TRACE_SCHEMA_VERSION:
-        raise TraceReadError(
-            f"trace metadata {meta_path} has schema "
-            f"{meta.get('schema') if isinstance(meta, dict) else meta!r}, "
-            f"expected {TRACE_SCHEMA_VERSION}"
-        )
-    name = meta.get("name")
-    benchmark_class = meta.get("benchmark_class")
-    seed = meta.get("seed")
-    length = meta.get("length")
-    crc = meta.get("crc32")
-    if not isinstance(name, str) or not isinstance(benchmark_class, str) \
-            or not isinstance(length, int) or not isinstance(crc, int) \
-            or not (seed is None or isinstance(seed, int)):
-        raise TraceReadError(f"trace metadata {meta_path} is malformed: {meta}")
-    try:
-        array = np.load(npy_path, mmap_mode="r" if mmap else None,
-                        allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise TraceReadError(f"unreadable trace array {npy_path}: {exc}") from exc
-    if not isinstance(array, np.ndarray) or array.ndim != 1 \
-            or array.dtype != TRACE_DTYPE:
-        raise TraceReadError(
-            f"trace array {npy_path} has wrong shape/dtype "
-            f"({getattr(array, 'dtype', None)})"
-        )
-    if len(array) != length:
-        raise TraceReadError(
-            f"trace array {npy_path} holds {len(array)} rows, metadata says {length}"
-        )
-    if _crc32(array) != crc:
-        raise TraceReadError(f"trace array {npy_path} fails its CRC-32 check")
-    return CompiledTrace(
-        name=name, benchmark_class=benchmark_class, seed=seed, array=array
-    )

@@ -312,7 +312,7 @@ class TestPrune:
     def test_tmp_files_are_the_tmp_files_under_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         shard_tmp = cache.version_dir / "ab" / "x.pkl.123.tmp"
-        trace_tmp = cache.trace_store().dir / "t.npy.456.tmp"
+        trace_tmp = cache.version_dir / "traces" / "t.pkl.456.tmp"
         for path in (shard_tmp, trace_tmp):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(b"scratch")
@@ -355,11 +355,6 @@ class TestPrune:
         assert ResultCache(tmp_path).claims() == []
 
 
-def _du(cache: ResultCache) -> int:
-    """Ground-truth disk usage of every accounted entry (results + traces)."""
-    return cache.size_bytes() + cache.trace_store().size_bytes()
-
-
 class TestSizeLedger:
     """The index's entry rows must agree with ``du`` exactly, at all times."""
 
@@ -367,7 +362,7 @@ class TestSizeLedger:
         cache = ResultCache(tmp_path)
         for index in range(6):
             _filler(cache, f"entry-{index}", size=1000 + index)
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
         assert cache.ledger.entry_count() == 6
 
     def test_replacement_store_is_not_double_counted(self, tmp_path):
@@ -376,7 +371,7 @@ class TestSizeLedger:
         cache.store(key, os.urandom(2048))
         cache.store(key, os.urandom(8192))  # same key, new size
         assert cache.ledger.entry_count() == 1
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
 
     def test_load_eviction_updates_ledger(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -388,15 +383,15 @@ class TestSizeLedger:
         rows = cache.ledger.rows()
         assert ("result", bad) not in rows
         assert ("result", good) in rows
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
 
     def test_repair_after_out_of_band_deletion(self, tmp_path):
         cache = ResultCache(tmp_path)
         gone = _filler(cache, "gone")
         _filler(cache, "kept")
         cache._path(gone).unlink()  # deleted behind the ledger's back
-        assert cache.ledger.total_bytes() > _du(cache)  # stale, by design
-        assert cache.repair_ledger() == _du(cache)
+        assert cache.ledger.total_bytes() > cache.size_bytes()  # stale, by design
+        assert cache.repair_ledger() == cache.size_bytes()
         assert cache.ledger.entry_count() == 1
 
     def test_bootstrap_of_pre_ledger_directory(self, tmp_path):
@@ -413,7 +408,7 @@ class TestSizeLedger:
         old_ledger.mkdir()
         (old_ledger / "checkpoint.json").write_text("{}", encoding="utf-8")
         cache = ResultCache(tmp_path)
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
         assert cache.ledger.entry_count() == 3
         assert cache.ledger.rebuilds == 1
         assert not old_ledger.exists()
@@ -429,7 +424,6 @@ class TestSizeLedger:
 
         cache.entries = scan
         cache._scan_entries = scan
-        cache.trace_store().entries = scan
         for index in range(10):  # crosses the cap: eviction path included
             _filler(cache, f"entry-{index}")
         assert cache.evictions_size > 0
@@ -446,27 +440,24 @@ class TestLedgerEviction:
         _filler(cache, "trigger")
         assert cache._path(claimed).exists()
         assert not cache._path(doomed).exists()
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
 
     def test_trace_entries_evicted_before_results(self, tmp_path):
         from repro.workloads.suite import fingerprint, generate
 
         cache = ResultCache(tmp_path)
         results = [_filler(cache, f"result-{i}") for i in range(2)]
-        store = cache.trace_store()
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, generate("adpcm", length=300))
-        assert npy is not None
+        cache.trace_store().store(key, generate("adpcm", length=300))
         # Results are made *older* than the trace; the trace must still
         # be the first victim — kind outranks age.
         for result_key in results:
             _age(cache, result_key, 100)
         cache.max_bytes = cache.ledger.total_bytes() - 1
         assert cache.enforce_size_cap() == 1
-        assert not npy.exists()
-        assert not store._meta_path(key).exists()
+        assert cache.entries("trace") == []
         assert all(cache._path(k).exists() for k in results)
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
 
     def test_vanished_entry_heals_the_ledger(self, tmp_path):
         """An evictor that died between unlink and row delete leaves a
@@ -479,7 +470,7 @@ class TestLedgerEviction:
         assert cache.enforce_size_cap() == 0  # healing alone makes room
         assert cache._path(kept).exists()
         assert cache.ledger.entry_count() == 1
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
 
 
 class TestMetricsSnapshot:
@@ -491,7 +482,7 @@ class TestMetricsSnapshot:
         payload = stats_payload(context, wall_s=1.25, fast=True)
         section = payload["metrics"]
         assert section["enabled"] is True
-        assert section["size_bytes"] == _du(context.cache)
+        assert section["size_bytes"] == context.cache.size_bytes()
         assert section["counters"]["stores"] == context.cache.stores >= 1
         assert section["trace_entries"] == 1
         assert payload["wall_s"] == 1.25
@@ -508,7 +499,7 @@ class TestMetricsSnapshot:
         assert snapshot["cache"]["entries"] == 1
         assert snapshot["cache"]["result_entries"] == 1
         assert snapshot["cache"]["trace_entries"] == 0
-        assert snapshot["schema"] == 5
+        assert snapshot["schema"] == 6
         # A fresh process's counters are all zero, so none are shown.
         assert snapshot["cache"]["index"] == {"claim_rows": 0}
         assert "counters" not in snapshot["cache"]
@@ -549,7 +540,7 @@ class TestLedgerStress:
             assert proc.wait(timeout=120) == 0
         cache = ResultCache(cache_dir, max_mb=32 / 1024)
         assert cache._path(pinned).exists()
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
         assert cache.ledger.total_bytes() <= cache.max_bytes
 
     def test_kill_mid_run_recovers(self, tmp_path):
@@ -584,9 +575,9 @@ class TestLedgerStress:
             proc.kill()
             proc.wait(timeout=30)
         cache = ResultCache(cache_dir)
-        assert cache.repair_ledger() == _du(cache)
+        assert cache.repair_ledger() == cache.size_bytes()
         _filler(cache, "after-the-crash")  # stores still work
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
 
 
 class TestIndexForkSafety:
@@ -620,7 +611,7 @@ class TestIndexForkSafety:
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
         conn = cache.ledger.connection()
         assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
-        assert cache.ledger.total_bytes() == _du(cache)
+        assert cache.ledger.total_bytes() == cache.size_bytes()
         assert {key for _, key in cache.ledger.rows()} == {before, child, after}
         fresh = ResultCache(tmp_path)  # a new connection sees the same rows
         assert fresh.ledger.rows() == cache.ledger.rows()

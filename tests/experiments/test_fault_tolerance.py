@@ -50,10 +50,9 @@ def _assert_index_matches_disk(cache: ResultCache) -> None:
     """The index tracks exactly the bytes on disk, with no row whose file
     is missing."""
     index = cache.ledger
-    assert index.total_bytes() == \
-        cache.size_bytes() + cache.trace_store().size_bytes()
+    assert index.total_bytes() == cache.size_bytes()
     for kind, key in index.rows():
-        assert cache._entry_paths(kind, key)[0].exists(), (kind, key)
+        assert cache._path(key, kind).exists(), (kind, key)
 
 
 def _fault_context(tmp_path, monkeypatch, *, kills=0, raises=0, jobs=2):
@@ -316,6 +315,18 @@ class TestJobsResolution:
         monkeypatch.setenv(ENV_JOBS, "2")
         assert ExperimentContext(TINY, cache=None).jobs == 2
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_default_is_the_usable_cpus(self, monkeypatch):
+        """A process pinned to one CPU defaults to one worker, however
+        many CPUs the machine has; without an affinity mask the CPU
+        count is the default."""
+        monkeypatch.delenv(ENV_JOBS, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert ExperimentContext(TINY, cache=None).jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ExperimentContext(TINY, cache=None).jobs == 8
 
     def test_bounds_clamped_to_at_least_one(self, monkeypatch):
         assert ExperimentContext(TINY, jobs=-5, cache=None).jobs == 1

@@ -1,22 +1,22 @@
-"""The compiled-trace store: generate once, map everywhere.
+"""The compiled-trace store: generate once, reuse everywhere.
 
 A config sweep must pay for each workload's emulation and compilation
 once (not once per configuration), a second sweep against a warm store
-must do *zero* emulator runs, workers must receive traces as
-memory-mapped files rather than regenerating them, and any damaged
-store entry must cost one regeneration — never a wrong result.
+must do *zero* emulator runs, workers must receive the parent's traces
+rather than regenerating them, and any damaged store entry must cost
+one regeneration — never a wrong result.  A stored trace is an ordinary
+checksummed cache entry, accounted and evicted like a result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 
 import numpy as np
 
 from repro.experiments import executor, faults, resolver
-from repro.experiments.cache import ResultCache, TraceStore, trace_store_key
+from repro.experiments.cache import ResultCache, trace_store_key
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.isa.compiled import TRACE_DTYPE
 from repro.workloads.suite import fingerprint, generate
@@ -50,61 +50,55 @@ class TestFingerprint:
 
 
 class TestTraceStore:
-    def _store(self, tmp_path) -> TraceStore:
-        return ResultCache(tmp_path).trace_store()
-
     def test_store_load_roundtrip(self, tmp_path):
-        store = self._store(tmp_path)
+        cache = ResultCache(tmp_path)
+        store = cache.trace_store()
         compiled = generate("adpcm", length=300)
         key = trace_store_key(fingerprint("adpcm", 300))
-        assert store.store(key, compiled) is not None
+        store.store(key, compiled)
         loaded = store.load(key)
         assert loaded is not None
         assert loaded.name == "adpcm"
         assert len(loaded) == 300
         assert loaded.array.tobytes() == compiled.array.tobytes()
-        assert store.hits == 1 and store.stores == 1
+        assert cache.hits == 1 and cache.stores == 1
 
     def test_missing_entry_is_a_miss(self, tmp_path):
-        store = self._store(tmp_path)
-        assert store.load("0" * 64) is None
-        assert store.misses == 1
-        assert store.evictions == 0  # nothing to evict
-
-    def test_corrupt_array_evicts_both_files(self, tmp_path):
-        store = self._store(tmp_path)
-        compiled = generate("adpcm", length=300)
-        key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compiled)
-        npy.write_bytes(b"garbage")
-        assert store.load(key) is None
-        assert store.evictions == 1
-        assert not npy.exists()
-        assert not npy.with_suffix(".json").exists()
-
-    def test_corrupt_meta_evicts_both_files(self, tmp_path):
-        store = self._store(tmp_path)
-        compiled = generate("adpcm", length=300)
-        key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compiled)
-        meta = npy.with_suffix(".json")
-        payload = json.loads(meta.read_text())
-        payload["schema"] = 9999
-        meta.write_text(json.dumps(payload))
-        assert store.load(key) is None
-        assert store.evictions == 1
-        assert not npy.exists() and not meta.exists()
+        cache = ResultCache(tmp_path)
+        assert cache.trace_store().load("0" * 64) is None
+        assert cache.misses == 1
+        assert cache.evictions == 0  # nothing to evict
 
     def test_torn_write_self_heals(self, tmp_path):
-        """An array without its metadata (crash between renames) is
-        indistinguishable from a miss and gets cleaned up."""
-        store = self._store(tmp_path)
+        """An entry cut short (a torn write, a truncated copy) fails its
+        length check: the load is an evicting miss, and the trace is
+        regenerated and stored whole again."""
+        first = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
+        clean = first.trace("adpcm")
+        (entry,) = first.cache.entries("trace")
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[: len(whole) // 2])
+        second = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
+        assert second.trace("adpcm").array.tobytes() == clean.array.tobytes()
+        assert second.stats.traces_generated == 1
+        assert second.cache.evictions == 1
+        assert entry.read_bytes() == whole
+
+    def test_load_counts_as_use(self, tmp_path):
+        """Under a cap that fits two traces, storing a third evicts the
+        trace nobody read, not the older one read a moment ago."""
+        cache = ResultCache(tmp_path)
+        store = cache.trace_store()
         compiled = generate("adpcm", length=300)
-        key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, compiled)
-        npy.with_suffix(".json").unlink()
-        assert store.load(key) is None
-        assert not npy.exists()
+        a, b, c = (trace_store_key(name) for name in "abc")
+        store.store(a, compiled)
+        store.store(b, compiled)
+        size = cache.ledger.total_bytes() // 2
+        assert store.load(a) is not None
+        cache.max_bytes = 2 * size + size // 2
+        store.store(c, compiled)
+        assert set(cache.ledger.rows()) == {("trace", a), ("trace", c)}
+        assert {path.stem for path in cache.entries("trace")} == {a, c}
 
 
 class TestLedgerAccounting:
@@ -115,20 +109,27 @@ class TestLedgerAccounting:
         cache = ResultCache(tmp_path)
         store = cache.trace_store()
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, generate("adpcm", length=300))
-        expected = npy.stat().st_size + npy.with_suffix(".json").stat().st_size
-        assert cache.ledger.total_bytes() == expected
+        store.store(key, generate("adpcm", length=300))
+        (entry,) = cache.entries("trace")
+        assert cache.ledger.total_bytes() == entry.stat().st_size
         assert list(cache.ledger.rows()) == [("trace", key)]
-        npy.write_bytes(b"garbage")
+        entry.write_bytes(b"garbage")
         assert store.load(key) is None  # damaged entry: evicted...
+        assert not entry.exists() and cache.evictions == 1
         assert cache.ledger.total_bytes() == 0  # ...and de-accounted
 
-    def test_standalone_store_is_unaccounted(self, tmp_path):
-        store = TraceStore(tmp_path / "traces")
+    def test_rebuild_keeps_the_trace_kind(self, tmp_path):
+        """An index rebuilt from a directory scan still tells traces from
+        results, so traces stay the first size-cap victims."""
+        cache = ResultCache(tmp_path)
+        result_key = "ab" + "0" * 62
+        cache.store(result_key, b"x" * 100)
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, generate("adpcm", length=300))
-        assert npy is not None
-        assert store.load(key) is not None  # works fine, just unbounded
+        cache.trace_store().store(key, generate("adpcm", length=300))
+        rows = cache.ledger.rows()
+        assert set(rows) == {("result", result_key), ("trace", key)}
+        assert cache.repair_ledger() == cache.size_bytes()
+        assert cache.ledger.rows() == rows
 
     def test_trace_store_triggers_cap_enforcement(self, tmp_path):
         """Storing a trace enforces the cap with the new entry protected:
@@ -137,13 +138,11 @@ class TestLedgerAccounting:
         result_key = "ab" + "0" * 62
         cache.store(result_key, b"x" * 4096)
         assert cache._path(result_key).exists()  # protected at its own store
-        store = cache.trace_store()
         key = trace_store_key(fingerprint("adpcm", 300))
-        npy = store.store(key, generate("adpcm", length=300))
-        assert npy is not None and npy.exists()  # just stored: protected
+        cache.trace_store().store(key, generate("adpcm", length=300))
+        (entry,) = cache.entries("trace")  # just stored: protected
         assert not cache._path(result_key).exists()  # evicted to make room
-        assert cache.ledger.total_bytes() == \
-            npy.stat().st_size + npy.with_suffix(".json").stat().st_size
+        assert cache.ledger.total_bytes() == entry.stat().st_size
 
 
 class TestSweepReuse:
@@ -155,7 +154,7 @@ class TestSweepReuse:
         # workload, not once per (workload, config).
         assert context.stats.simulated == 4
         assert context.stats.traces_generated == 2
-        assert len(context.cache.trace_store().entries()) == 2
+        assert len(context.cache.entries("trace")) == 2
 
     def test_warm_store_does_zero_emulator_runs(self, tmp_path):
         first = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
@@ -191,30 +190,29 @@ class TestSweepReuse:
 class TestDataBitFlip:
     def test_flipped_data_bit_is_an_evicting_miss(self, tmp_path):
         """One flipped address bit in a stored array is caught by the
-        sidecar's CRC-32: the load misses, the entry is evicted, and the
+        entry's CRC-32: the load misses, the entry is evicted, and the
         regenerated trace is the emulator's exact output."""
         from tests.workloads.test_trace_digest import GOLDEN
 
         settings = dataclasses.replace(TINY, trace_length=137, warmup=37,
                                        benchmarks=("gzip",))
         first = ExperimentContext(settings, jobs=1, cache=ResultCache(tmp_path))
-        first.run("gzip", "Base")
-        (npy,) = first.cache.trace_store().entries()
-        array = np.load(npy)
+        array = first.trace("gzip").array
+        (entry,) = first.cache.entries("trace")
+        data = bytearray(entry.read_bytes())
+        start = data.find(array.tobytes())  # the rows, inside the pickle
+        assert start > 0
         row = int(np.flatnonzero(array["has_mem_addr"])[0])
-        header = npy.stat().st_size - array.nbytes
-        offset = (header + row * TRACE_DTYPE.itemsize
+        offset = (start + row * TRACE_DTYPE.itemsize
                   + TRACE_DTYPE.fields["mem_addr"][1])
-        data = bytearray(npy.read_bytes())
         data[offset + 2] ^= 1 << 6  # bit 22 of the little-endian address
-        npy.write_bytes(bytes(data))
+        entry.write_bytes(bytes(data))
 
         second = ExperimentContext(settings, jobs=1, cache=ResultCache(tmp_path))
         compiled = second.trace("gzip")
-        store = second.cache.trace_store()
         assert second.stats.trace_cache_hits == 0
         assert second.stats.traces_generated == 1
-        assert store.misses == 1 and store.evictions == 1
+        assert second.cache.misses == 1 and second.cache.evictions == 1
         assert hashlib.sha256(compiled.array.tobytes()).hexdigest() \
             == GOLDEN["gzip", 137, None]
 
@@ -246,10 +244,11 @@ class TestWorkerTransport:
         for pair in PAIRS:
             assert _fields(results[pair]) == _fields(serial.run(*pair)), pair
         # The store survived the dead worker intact.
-        store = ExperimentContext(
-            TINY, jobs=1, cache=ResultCache(tmp_path / "cache")
-        ).cache.trace_store()
-        assert len(store.entries()) == 2
+        cache = ResultCache(tmp_path / "cache")
+        assert len(cache.entries("trace")) == 2
+        for benchmark in TINY.benchmarks:
+            key = trace_store_key(fingerprint(benchmark, TINY.trace_length))
+            assert cache.trace_store().load(key) is not None
 
 
 class TestWorkStealing:

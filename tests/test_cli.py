@@ -150,7 +150,7 @@ class TestCommands:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["metrics"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["schema"] == 5
+        assert snapshot["schema"] == 6
         assert snapshot["cache"]["enabled"] is True
         assert snapshot["cache"]["entries"] == 0
         assert snapshot["cache"]["size_bytes"] == 0
@@ -176,10 +176,15 @@ class TestCommands:
         output = tmp_path / "x.npy"
         assert main(["trace", "adpcm", "--length", "500", "-o", str(output)]) == 0
         assert output.exists()
-        from repro.isa.compiled import read_compiled
+        import json
+        import zlib
+
+        import numpy as np
+
         from repro.workloads.suite import generate
 
-        trace = read_compiled(output)  # checks the sidecar's CRC-32
-        assert len(trace) == 500
-        assert trace.array.tobytes() == \
-            generate("adpcm", length=500).array.tobytes()
+        array = np.load(output)
+        meta = json.loads(output.with_suffix(".json").read_text())
+        assert len(array) == meta["length"] == 500
+        assert zlib.crc32(array.tobytes()) == meta["crc32"]
+        assert array.tobytes() == generate("adpcm", length=500).array.tobytes()

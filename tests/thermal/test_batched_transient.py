@@ -3,7 +3,8 @@
 Batching is invisible: at the small grid here, each column of
 ``run_many([s1..sK])`` is *byte-identical* to ``run_many([sk])``
 stepped alone, because RHS assembly is column-wise and SuperLU
-back-substitutes every column independently.  One step of the engine is the implicit-Euler update
+back-substitutes every column independently; at the report's grid it
+moves a run by at most 1e-12 K.  One step of the engine is the implicit-Euler update
 ``(C/dt + G) T1 = (C/dt) T0 + P``, checked against a system assembled
 here from the stack's materials and solved with ``spsolve``.
 """
@@ -103,6 +104,37 @@ class TestBatchedEqualsScalar:
                 break
         assert result.time_to_reach(threshold) == want
         assert result.time_to_reach(1e9) is None
+
+
+class TestBatchingAtTheReportGrid:
+    """At the report's grid (48) and time step, SuperLU's blocked
+    multi-RHS kernel may move a run by ~1e-13 K with the batch it steps
+    in (on the 3D stack, a batch of 1, 2 or 3 against one of 5).  A
+    cached transient run may come from another batch size, since
+    ``transient_key`` ignores it, so the difference stays bounded."""
+
+    @pytest.mark.parametrize("kind", ["planar", "3d"])
+    def test_batch_size_moves_a_run_by_at_most_1e_12_k(self, kind):
+        stack, floorplan = {
+            "planar": (planar_stack, planar_floorplan),
+            "3d": (stacked_3d_stack, stacked_floorplan),
+        }[kind]
+        solver = ThermalSolver(stack(), floorplan(), nx=48, ny=48)
+        ny, nx = solver.chip_grid_shape()
+        rng = np.random.default_rng(1)
+        schedules = [
+            ConstantPower([rng.uniform(0.0, 0.2, (ny, nx))
+                           for _ in range(solver.stack.die_count)])
+            for _ in range(5)
+        ]
+        transient = TransientThermalSolver(solver, dt_s=20e-3)
+        want = transient.run_many(schedules, 2.0)[0]
+        for size in range(1, 5):
+            got = transient.run_many(schedules[:size], 2.0)[0]
+            assert got.times_s == want.times_s
+            assert np.abs(np.subtract(got.peak_k, want.peak_k)).max() <= 1e-12
+            for a, b in zip(got.final_layer_temps, want.final_layer_temps):
+                assert np.abs(a - b).max() <= 1e-12
 
 
 class TestImplicitEulerStep:
